@@ -26,7 +26,7 @@ DIFFTEST_BUDGET ?= 60s
 # crash-recovery harness (acceptance: 50/50 green).
 CRASH_ITERS ?= 50
 
-.PHONY: all build vet lint test race bench-smoke bench-save bench-compare bench-durable hybrid-ab ingest-ab approx-ab telemetry-race telemetry-smoke chaos crash iocheck difftest difftest-long ci clean
+.PHONY: all build vet lint test race bench-check bench-smoke bench-save bench-compare bench-durable hybrid-ab ingest-ab approx-ab telemetry-race telemetry-smoke chaos crash iocheck difftest difftest-long hybrid-race loc ci clean
 
 all: build
 
@@ -51,6 +51,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench/ (the BENCHMARK.json benchmark) is its own module, so build,
+# vet and test above never compile it: this is the check that a refactor
+# has not broken the engine API the benchmark is pinned to.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # Short benchmark smoke: one pass over the TPC-H suite at the smallest
 # scale plus the zero-allocation guards on the set-intersection and
@@ -89,7 +95,7 @@ ingest-ab:
 	$(GO) run ./cmd/lhbench -suite ingest-ab -count $(BENCH_COUNT) -warmup $(BENCH_WARMUP) -json /tmp/bench_ingest_ab.json
 
 # A/B the approximate query tier against exact execution on TPC-H-style
-# count-distinct / heavy-hitter / filtered-aggregate queries (speedup,
+# count-distinct / filtered-aggregate queries (speedup,
 # chosen route, observed error vs the advertised bound — the run fails
 # if an observed error ever exceeds its bound). A measurement tool, not
 # a perf gate; the results annotate $(BENCH_BASELINE) as
@@ -158,7 +164,19 @@ difftest-long:
 	$(GO) test -count=1 -run TestDifferentialLong -timeout 0 \
 		./internal/difftest -difftest.duration $(DIFFTEST_BUDGET)
 
-ci: vet lint build race iocheck bench-smoke telemetry-race telemetry-smoke chaos crash difftest bench-compare
+# The hybrid lane alone under the race detector: forced-WCOJ vs
+# forced-binary vs cost-based over shared lazily materializing tries is
+# the executor's one concurrent seam.
+hybrid-race:
+	$(GO) test -race -count=1 -run TestDifferentialShort ./internal/difftest -difftest.lane hybrid
+
+# Non-blank, non-comment lines of non-test Go in the packages the
+# "one executor" work is held to (ROADMAP aim 2: net-negative LOC is a
+# result to report).
+loc:
+	@find internal/exec internal/core internal/approx internal/trie internal/sketch -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | grep -vE '^\s*(//|$$)' | wc -l
+
+ci: vet lint build race bench-check iocheck bench-smoke telemetry-race telemetry-smoke chaos crash difftest hybrid-race bench-compare
 
 clean:
 	$(GO) clean ./...

@@ -14,6 +14,7 @@
 package levelheaded_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -330,7 +331,7 @@ func BenchmarkTableIII_AttrOrder(b *testing.B) {
 		})
 		b.Run(name+"/worst", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.QueryWith(sql, core.QueryOptions{WorstOrder: true}); err != nil {
+				if _, err := eng.QueryWithContext(context.Background(), sql, core.QueryOptions{WorstOrder: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -414,7 +415,7 @@ func BenchmarkFig5b_SMMOrders(b *testing.B) {
 	iV, kV, jV := bag[1], bag[0], bag[2]
 	b.Run("cost10_ikj_relaxed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sparseEng.QueryWith(lagen.SMMQuery, core.QueryOptions{
+			if _, err := sparseEng.QueryWithContext(context.Background(), lagen.SMMQuery, core.QueryOptions{
 				ForcedOrder: []string{iV, kV, jV}, ForcedRelaxed: true,
 			}); err != nil {
 				b.Fatal(err)
@@ -423,7 +424,7 @@ func BenchmarkFig5b_SMMOrders(b *testing.B) {
 	})
 	b.Run("cost50_ijk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sparseEng.QueryWith(lagen.SMMQuery, core.QueryOptions{
+			if _, err := sparseEng.QueryWithContext(context.Background(), lagen.SMMQuery, core.QueryOptions{
 				ForcedOrder: []string{iV, jV, kV},
 			}); err != nil {
 				b.Fatal(err)
@@ -468,7 +469,7 @@ func BenchmarkFig5c_Q5Orders(b *testing.B) {
 		ord := ord
 		b.Run(ord.label, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.QueryWith(tpch.Queries["q5"], core.QueryOptions{ForcedOrder: ord.attrs}); err != nil {
+				if _, err := eng.QueryWithContext(context.Background(), tpch.Queries["q5"], core.QueryOptions{ForcedOrder: ord.attrs}); err != nil {
 					b.Fatal(err)
 				}
 			}

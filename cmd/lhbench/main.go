@@ -54,7 +54,7 @@ var (
 	flagRuns   = flag.Int("runs", 3, "timed runs per measurement (best reported)")
 	flagCount  = flag.Int("count", 0, "timed runs per measurement, benchstat-style (overrides -runs when > 0)")
 	flagWarmup = flag.Int("warmup", 1, "untimed warmup runs before each measurement")
-	flagSuite  = flag.String("suite", "", "run only a named measurement suite and exit (tpch: levelheaded TPC-H queries, no rival engines — the bench-save/bench-compare baseline; ingest-ab: durability sync-policy A/B on TPC-H lineitem ingest; approx-ab: approximate tier vs exact on count-distinct/heavy-hitter queries)")
+	flagSuite  = flag.String("suite", "", "run only a named measurement suite and exit (tpch: levelheaded TPC-H queries, no rival engines — the bench-save/bench-compare baseline; ingest-ab: durability sync-policy A/B on TPC-H lineitem ingest; approx-ab: approximate tier vs exact on count-distinct/filtered-aggregate queries)")
 	flagSync   = flag.String("sync", "", "run every engine with durability enabled in a temp dir under this WAL sync policy (always, group[:interval], none; empty = in-memory). Lets bench-compare measure the read-path cost of a durable engine")
 
 	flagStats   = flag.Bool("stats", false, "print a per-query observability line (first run of each query) and cumulative engine metrics at exit")
@@ -518,8 +518,8 @@ func suiteIngestAB() {
 // ---- approx-ab suite --------------------------------------------------
 
 // suiteApproxAB A/Bs the approximate query tier against exact execution
-// on TPC-H-style count-distinct, heavy-hitter and filtered-aggregate
-// queries over lineitem: the same engine answers each query twice — a
+// on TPC-H-style count-distinct and filtered-aggregate queries over
+// lineitem: the same engine answers each query twice — a
 // plain exact run, then an ApproxOK run that the cost model routes onto
 // a sketch or sample — reporting the speedup, the chosen route, and the
 // observed error against the advertised bound. Each query lands in the
@@ -535,7 +535,6 @@ func suiteApproxAB() {
 	queries := []struct{ name, sql string }{
 		{"distinct_part", "SELECT count(distinct l_partkey) FROM lineitem"},
 		{"distinct_supp", "SELECT count(distinct l_suppkey) FROM lineitem"},
-		{"hh_shipmode", "SELECT l_shipmode, count(*) FROM lineitem GROUP BY l_shipmode"},
 		{"filter_price", "SELECT count(*), sum(l_extendedprice) FROM lineitem WHERE l_quantity < 25"},
 	}
 	fmt.Printf("\n=== approx A/B — exact vs approximate tier (TPC-H SF %g, %d runs after %d warmup)\n",
@@ -578,7 +577,7 @@ func bestQueryWith(eng *core.Engine, sql string, qo core.QueryOptions) (time.Dur
 	var res *exec.Result
 	var err error
 	for i := 0; i < *flagWarmup; i++ {
-		if res, err = eng.QueryWith(sql, qo); err != nil {
+		if res, err = eng.QueryWithContext(context.Background(), sql, qo); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -587,7 +586,7 @@ func bestQueryWith(eng *core.Engine, sql string, qo core.QueryOptions) (time.Dur
 	var sum time.Duration
 	for i := 0; i < n; i++ {
 		t0 := time.Now()
-		if res, err = eng.QueryWith(sql, qo); err != nil {
+		if res, err = eng.QueryWithContext(context.Background(), sql, qo); err != nil {
 			log.Fatal(err)
 		}
 		d := time.Since(t0)
@@ -832,7 +831,7 @@ func tableIII() {
 		base := best(func() { mustQ(full, tpch.Queries[name]) })
 		ne := best(func() { mustQ(noElim, tpch.Queries[name]) })
 		worst := best(func() {
-			if _, err := full.QueryWith(tpch.Queries[name], core.QueryOptions{WorstOrder: true}); err != nil {
+			if _, err := full.QueryWithContext(context.Background(), tpch.Queries[name], core.QueryOptions{WorstOrder: true}); err != nil {
 				log.Fatal(err)
 			}
 		})
@@ -869,7 +868,7 @@ func tableIII() {
 	mustQ(eng, lagen.SMMQuery)
 	base := best(func() { mustQ(eng, lagen.SMMQuery) })
 	worst := best(func() {
-		if _, err := eng.QueryWith(lagen.SMMQuery, core.QueryOptions{WorstOrder: true}); err != nil {
+		if _, err := eng.QueryWithContext(context.Background(), lagen.SMMQuery, core.QueryOptions{WorstOrder: true}); err != nil {
 			log.Fatal(err)
 		}
 	})
@@ -967,7 +966,7 @@ func fig5b() {
 	bag := p.GHD.Root.Bag // [k, i, j] per the planner's vertex naming
 	kV, iV, jV := bag[0], bag[1], bag[2]
 	ikj := best(func() {
-		if _, err := eng.QueryWith(lagen.SMMQuery, core.QueryOptions{
+		if _, err := eng.QueryWithContext(context.Background(), lagen.SMMQuery, core.QueryOptions{
 			ForcedOrder: []string{iV, kV, jV}, ForcedRelaxed: true,
 		}); err != nil {
 			log.Fatal(err)
@@ -975,7 +974,7 @@ func fig5b() {
 	})
 	// One run of the bad order is plenty.
 	t0 := time.Now()
-	if _, err := eng.QueryWith(lagen.SMMQuery, core.QueryOptions{ForcedOrder: []string{iV, jV, kV}}); err != nil {
+	if _, err := eng.QueryWithContext(context.Background(), lagen.SMMQuery, core.QueryOptions{ForcedOrder: []string{iV, jV, kV}}); err != nil {
 		log.Fatal(err)
 	}
 	ijk := time.Since(t0)
@@ -1018,7 +1017,7 @@ func fig5c() {
 			}
 		}
 		d := best(func() {
-			if _, err := eng.QueryWith(tpch.Queries["q5"], core.QueryOptions{ForcedOrder: ord}); err != nil {
+			if _, err := eng.QueryWithContext(context.Background(), tpch.Queries["q5"], core.QueryOptions{ForcedOrder: ord}); err != nil {
 				log.Fatal(err)
 			}
 		})

@@ -695,7 +695,7 @@ func smokeIngest(eng *core.Engine, addr string) error {
 	table := names[0]
 	tab := eng.Catalog().Table(table)
 	count := func() (int64, error) {
-		res, err := eng.QueryContext(context.Background(), "SELECT count(*) AS n FROM "+table)
+		res, err := eng.Query("SELECT count(*) AS n FROM " + table)
 		if err != nil {
 			return 0, err
 		}

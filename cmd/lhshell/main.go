@@ -26,7 +26,6 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -169,7 +168,7 @@ func main() {
 			fmt.Print(s)
 		default:
 			t0 := time.Now()
-			res, err := eng.QueryContext(context.Background(), line)
+			res, err := eng.Query(line)
 			if err != nil {
 				fmt.Println("error:", err)
 				continue

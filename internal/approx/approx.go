@@ -1,7 +1,7 @@
 // Package approx is the approximate query tier: a scan-shaped
 // evaluator over single-table aggregate queries that can answer from a
-// per-table summary (HyperLogLog cardinalities, Count-Min group counts,
-// a uniform reservoir row sample) instead of the full WCOJ pipeline,
+// per-table summary (HyperLogLog cardinalities, a uniform reservoir row
+// sample) instead of the full WCOJ pipeline,
 // reporting an explicit error bound with every estimate. It also owns
 // the exact hash-set evaluation of COUNT(DISTINCT col) — a shape the
 // trie engine does not execute — so the sketches always have an exact
@@ -234,35 +234,20 @@ func selectName(it sqlparse.SelectItem) string {
 	return it.Expr.String()
 }
 
-// Sketchable reports whether the shape can be answered from whole-table
-// sketches alone: no filter, and either a scalar count/count-distinct
-// read (HLL) or a single-column count-only GROUP BY (Count-Min).
-func (sh *Shape) Sketchable() (route string, ok bool) {
-	if sh.Where != nil {
-		return "", false
-	}
-	if len(sh.GroupBy) == 0 {
-		for _, a := range sh.Aggs {
-			if a.Fn != "count" {
-				return "", false
-			}
-		}
-		if !sh.HasDistinct {
-			// count(*) alone is exact from the row count; nothing to
-			// approximate.
-			return "", false
-		}
-		return "hll", true
-	}
-	if len(sh.GroupBy) != 1 {
-		return "", false
+// Sketchable reports whether the shape can be answered from the
+// whole-table HLL sketches alone: no filter, no grouping, and only
+// count / count-distinct reads, at least one of them distinct
+// (count(*) alone is exact from the row count; nothing to approximate).
+func (sh *Shape) Sketchable() bool {
+	if sh.Where != nil || len(sh.GroupBy) != 0 || !sh.HasDistinct {
+		return false
 	}
 	for _, a := range sh.Aggs {
-		if a.Fn != "count" || a.Distinct {
-			return "", false
+		if a.Fn != "count" {
+			return false
 		}
 	}
-	return "cms", true
+	return true
 }
 
 // Sampleable reports whether the shape can be answered from a uniform

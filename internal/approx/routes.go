@@ -45,10 +45,10 @@ func finishBounds(a *Answer) *Answer {
 // rows is the snapshot row count, sampleCap the reservoir capacity,
 // drift the statement's observed cost_ratio (0 = unknown).
 func Route(sh *Shape, rows, sampleCap int, drift float64) (string, *costopt.ApproxDecision) {
-	if skRoute, ok := sh.Sketchable(); ok {
+	if sh.Sketchable() {
 		dec := costopt.ChooseApprox(rows, sampleCap, 1<<sketch.DefaultHLLPrecision, drift)
 		if dec.Route == costopt.RouteSketch {
-			return skRoute, dec
+			return "hll", dec
 		}
 		return "", dec
 	}
@@ -85,38 +85,6 @@ func EvalHLL(sh *Shape, sum *Summary, sch *storage.Schema, n int) (*Answer, erro
 	a.Res = newResult(sh, sch)
 	appendRow(a.Res, sh, nil, finals)
 	a.ErrorBounds = outBounds(sh, bounds)
-	return finishBounds(a), nil
-}
-
-// EvalCMS answers a single-column count-only GROUP BY from the sample's
-// candidate groups and the column's Count-Min counts.
-func EvalCMS(sh *Shape, sum *Summary, sch *storage.Schema, n int) (*Answer, error) {
-	ci := colIndex(sch, sh.GroupBy[0])
-	cms := sum.CMSs[ci]
-	a := &Answer{Route: obs.DispatchApproxCMS, Approx: true}
-	a.Res = newResult(sh, sch)
-
-	seen := map[string]struct{}{}
-	bounds := make([]float64, len(sh.Aggs))
-	for _, row := range sum.Sample.Rows() {
-		v := canonVal(row[ci])
-		key := canonKey(v)
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		cnt := float64(cms.Count(sketch.HashValue(ValueHashSeed, v)))
-		finals := make([]float64, len(sh.Aggs))
-		for i := range sh.Aggs {
-			finals[i] = cnt // every agg on this route is a count
-		}
-		appendRow(a.Res, sh, []any{v}, finals)
-	}
-	for i := range bounds {
-		bounds[i] = cms.ErrorBound()
-	}
-	a.ErrorBounds = outBounds(sh, bounds)
-	a.MissBound = MissBound(n, len(sum.Sample.Rows()))
 	return finishBounds(a), nil
 }
 

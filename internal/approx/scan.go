@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 
+	"repro/internal/dict"
 	"repro/internal/exec"
 	"repro/internal/refeval"
 	"repro/internal/sqlparse"
@@ -342,15 +343,10 @@ func (s *Scanner) evalNum(e sqlparse.Expr, ri int) (float64, error) {
 
 // --- canonical group/distinct keys (mirror the engine's pseudo-encoding) ---
 
-// canonVal folds -0.0 into +0.0 and all NaN payloads into one NaN.
+// canonVal maps a float to its dict.CanonFloat representative.
 func canonVal(v any) any {
 	if f, ok := v.(float64); ok {
-		if f == 0 {
-			return 0.0
-		}
-		if math.IsNaN(f) {
-			return math.NaN()
-		}
+		return dict.CanonFloat(f)
 	}
 	return v
 }
@@ -361,10 +357,7 @@ func canonKey(v any) string {
 	case int64:
 		return "i" + strconv.FormatInt(x, 10)
 	case float64:
-		if math.IsNaN(x) {
-			return "fNaN"
-		}
-		return "f" + strconv.FormatFloat(x, 'x', -1, 64)
+		return "f" + strconv.FormatUint(dict.CanonFloatBits(x), 16)
 	case string:
 		return "s" + x
 	}

@@ -16,12 +16,12 @@ const ValueHashSeed = 0x1e7e17ead
 const DefaultSampleRows = 4096
 
 // Summary is one table's approximate-tier state: per-column HLL
-// cardinality sketches, per-column Count-Min group-count sketches, and
-// a uniform reservoir sample of decoded rows. It is built lazily on
-// first approximate use, extended incrementally as a table's snapshot
-// row count grows (generations fold delta rows strictly after the base
-// prefix, so rows [Rows, n) are exactly the unseen suffix), and
-// invalidated when the covered prefix shrinks or the schema changes.
+// cardinality sketches and a uniform reservoir sample of decoded rows.
+// It is built lazily on first approximate use, extended incrementally
+// as a table's snapshot row count grows (generations fold delta rows
+// strictly after the base prefix, so rows [Rows, n) are exactly the
+// unseen suffix), and invalidated when the covered prefix shrinks or
+// the schema changes.
 // Not safe for concurrent mutation — the engine serializes access.
 type Summary struct {
 	Table string
@@ -34,7 +34,6 @@ type Summary struct {
 
 	Sample *sketch.Reservoir
 	HLLs   []*sketch.HLL
-	CMSs   []*sketch.CMS
 }
 
 // seedFor derives the reservoir seed from the table name, so rebuilds
@@ -56,7 +55,6 @@ func NewSummary(sch *storage.Schema, sampleRows int) *Summary {
 	s := &Summary{Table: sch.Name, Sample: sketch.NewReservoir(sampleRows, seedFor(sch.Name))}
 	for range sch.Cols {
 		s.HLLs = append(s.HLLs, sketch.NewHLL(sketch.DefaultHLLPrecision))
-		s.CMSs = append(s.CMSs, sketch.NewCMS(sketch.DefaultCMSDepth, sketch.DefaultCMSWidth))
 	}
 	return s
 }
@@ -74,9 +72,7 @@ func (s *Summary) Extend(t *storage.Table, epoch uint64) {
 	for ri := s.Rows; ri < sc.NumRows(); ri++ {
 		row := sc.Row(ri)
 		for ci, v := range row {
-			h := sketch.HashValue(ValueHashSeed, canonVal(v))
-			s.HLLs[ci].AddHash(h)
-			s.CMSs[ci].AddHash(h)
+			s.HLLs[ci].AddHash(sketch.HashValue(ValueHashSeed, canonVal(v)))
 		}
 		s.Sample.Add(row)
 	}
@@ -96,9 +92,6 @@ func (s *Summary) Bytes() int {
 	n := 0
 	for _, h := range s.HLLs {
 		n += h.Bytes()
-	}
-	for _, c := range s.CMSs {
-		n += c.Bytes()
 	}
 	return n
 }

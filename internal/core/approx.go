@@ -86,32 +86,33 @@ func (e *Engine) refreshSummaries() {
 	}
 }
 
-// tryApprox is the runQuery intercept for the approximate tier. The
-// returned bool reports whether the tier served (or definitively
-// failed) the query; false falls through to the normal pipeline, whose
-// planner produces the authoritative errors for shapes the tier
-// declined.
+// degrade is the overload-degrade entry of the approximate tier: a
+// query shed by admission control is answered from a sketch or sample
+// when its shape has a bounded-work route. Anything else — including a
+// text that does not parse — reports false so the caller surfaces the
+// original OverloadedError.
+func (e *Engine) degrade(sql string, qo QueryOptions, st *obs.QueryStats) (*exec.Result, bool) {
+	if err := e.Freeze(); err != nil {
+		return nil, false
+	}
+	q, err := parseStats(sql, st)
+	if err != nil {
+		return nil, false
+	}
+	res, ok, err := e.tryApprox(q, sql, qo, st, true)
+	return res, ok && err == nil
+}
+
+// tryApprox is the approximate tier's intercept on a parsed query (the
+// catalog is frozen by then). The returned bool reports whether the
+// tier served (or definitively failed) the query; false falls through
+// to the normal pipeline, whose planner produces the authoritative
+// errors for shapes the tier declined.
 //
 // degraded marks the overload-degrade entry: only bounded-work routes
 // (sketch/sample) are served — the cost gate is waived, since any
-// approximate answer beats a shed — and errors fall through so the
-// caller surfaces the original OverloadedError.
-func (e *Engine) tryApprox(sql string, qo QueryOptions, st *obs.QueryStats, degraded bool) (*exec.Result, bool, error) {
-	// Cheap pre-filter: without the opt-in the only shape served here is
-	// the exact distinct scan, so skip the second parse entirely unless
-	// the text can contain one.
-	if !qo.ApproxOK && !strings.Contains(strings.ToLower(sql), "distinct") {
-		return nil, false, nil
-	}
-	if err := e.Freeze(); err != nil {
-		return nil, false, err
-	}
-	tp := time.Now()
-	q, perr := sqlparse.Parse(sql)
-	if perr != nil {
-		// Let prepareStats produce the canonical ParseError.
-		return nil, false, nil
-	}
+// approximate answer beats a shed — and errors fall through.
+func (e *Engine) tryApprox(q *sqlparse.Query, sql string, qo QueryOptions, st *obs.QueryStats, degraded bool) (*exec.Result, bool, error) {
 	if len(q.From) != 1 {
 		return nil, false, nil
 	}
@@ -126,11 +127,7 @@ func (e *Engine) tryApprox(sql string, qo QueryOptions, st *obs.QueryStats, degr
 		return nil, false, nil
 	}
 	if st != nil {
-		st.Phases.Parse = time.Since(tp)
-		fpText, fp := sqlparse.Fingerprint(q)
-		st.Fingerprint, st.FingerprintText = fp, fpText
-		tr := st.Trace
-		tr.Add(tr.Root(), telemetry.SpanPhase, "parse", tp, time.Now())
+		st.FingerprintText, st.Fingerprint = sqlparse.Fingerprint(q)
 	}
 
 	route := ""
@@ -144,8 +141,8 @@ func (e *Engine) tryApprox(sql string, qo QueryOptions, st *obs.QueryStats, degr
 		if degraded && route == "" {
 			// Under overload any bounded-work answer beats a 429; waive
 			// the cost gate and take whatever route the shape allows.
-			if r, ok := sh.Sketchable(); ok {
-				route = r
+			if sh.Sketchable() {
+				route = "hll"
 			} else if sh.Sampleable() {
 				route = "sample"
 			}
@@ -178,8 +175,6 @@ func (e *Engine) tryApprox(sql string, qo QueryOptions, st *obs.QueryStats, degr
 		switch route {
 		case "hll":
 			ans, err = approx.EvalHLL(sh, sum, &g.Schema, g.NumRows)
-		case "cms":
-			ans, err = approx.EvalCMS(sh, sum, &g.Schema, g.NumRows)
 		default:
 			ans, err = approx.EvalSample(sh, sum.SampleRows(), &g.Schema, g.NumRows)
 		}

@@ -104,14 +104,14 @@ func TestApproxHLLRoute(t *testing.T) {
 func TestApproxSampleRoute(t *testing.T) {
 	eng := approxEngine(t, 2000, WithApproxSampleRows(64))
 	const q = "SELECT count(*) AS c, sum(f) AS s FROM facts WHERE v < 25"
-	res, err := eng.QueryWith(q, QueryOptions{})
+	res, err := eng.QueryWithContext(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	exactC := res.Col("c").F64[0]
 	exactS := res.Col("s").F64[0]
 
-	ares, err := eng.QueryWith(q, QueryOptions{ApproxOK: true})
+	ares, err := eng.QueryWithContext(context.Background(), q, QueryOptions{ApproxOK: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestApproxSampleRoute(t *testing.T) {
 
 	// min/max shapes have no sample estimator: they stay exact on the
 	// normal pipeline even under ApproxOK.
-	mres, err := eng.QueryWith("SELECT max(f) AS m FROM facts", QueryOptions{ApproxOK: true})
+	mres, err := eng.QueryWithContext(context.Background(), "SELECT max(f) AS m FROM facts", QueryOptions{ApproxOK: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +145,15 @@ func TestApproxSampleRoute(t *testing.T) {
 	}
 }
 
-func TestApproxCMSRoute(t *testing.T) {
-	eng := approxEngine(t, 4000)
+// TestApproxGroupCountRoute: an unfiltered 1-column count-only GROUP BY
+// (the shape the deleted Count-Min route used to take) is answered
+// under ApproxOK by the sample route once the table outgrows the
+// reservoir, within its advertised bound and without losing a heavy
+// group; with the default reservoir the same table stays exact.
+func TestApproxGroupCountRoute(t *testing.T) {
 	const q = "SELECT s, count(*) AS c FROM facts GROUP BY s"
-	res, err := eng.QueryWith(q, QueryOptions{})
+	eng := approxEngine(t, 4000, WithApproxSampleRows(512))
+	res, err := eng.QueryWithContext(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,29 +162,37 @@ func TestApproxCMSRoute(t *testing.T) {
 		exact[res.Col("s").Str[i]] = res.Col("c").F64[i]
 	}
 
-	ares, err := eng.QueryWith(q, QueryOptions{ApproxOK: true})
+	ares, err := eng.QueryWithContext(context.Background(), q, QueryOptions{ApproxOK: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := ares.Stats
-	if !st.Approx || st.Dispatch != obs.DispatchApproxCMS {
-		t.Fatalf("approx=%t dispatch=%q, want cms route", st.Approx, st.Dispatch)
+	if !st.Approx || st.Dispatch != obs.DispatchApproxSample {
+		t.Fatalf("approx=%t dispatch=%q, want sample route", st.Approx, st.Dispatch)
 	}
 	// Every heavy hitter (all 8 groups are 500 rows >> MissBound) must
-	// surface, with its count within the CMS bound.
+	// surface, with its count within the advertised bound.
 	if ares.NumRows != 8 {
-		t.Fatalf("cms groups = %d, want 8 (miss bound %v)", ares.NumRows, st.MissBound)
+		t.Fatalf("groups = %d, want 8 (miss bound %v)", ares.NumRows, st.MissBound)
 	}
 	for i := 0; i < ares.NumRows; i++ {
 		name := ares.Col("s").Str[i]
 		got := ares.Col("c").F64[i]
 		want, ok := exact[name]
 		if !ok {
-			t.Fatalf("cms invented group %q", name)
+			t.Fatalf("sample invented group %q", name)
 		}
 		if math.Abs(got-want) > st.ErrorBound {
 			t.Fatalf("group %q count %v off exact %v beyond bound %v", name, got, want, st.ErrorBound)
 		}
+	}
+
+	dres, err := approxEngine(t, 4000).QueryWithContext(context.Background(), q, QueryOptions{ApproxOK: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dres.Stats.Approx {
+		t.Fatalf("default reservoir: dispatch=%q, want the exact pipeline", dres.Stats.Dispatch)
 	}
 }
 
@@ -191,11 +204,11 @@ func TestApproxOptInIsBitIdentical(t *testing.T) {
 		"SELECT sum(f) AS s FROM facts WHERE v < 10",
 		"SELECT s, count(*) AS c FROM facts GROUP BY s",
 	} {
-		r1, err := eng.QueryWith(q, QueryOptions{})
+		r1, err := eng.QueryWithContext(context.Background(), q, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := eng.QueryWith(q, QueryOptions{ApproxOK: true})
+		r2, err := eng.QueryWithContext(context.Background(), q, QueryOptions{ApproxOK: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,14 +271,14 @@ func TestApproxDegradeUnderOverload(t *testing.T) {
 	defer release()
 
 	// Exact-only queries shed.
-	_, err = eng.QueryWith("SELECT count(*) AS c FROM facts", QueryOptions{})
+	_, err = eng.QueryWithContext(context.Background(), "SELECT count(*) AS c FROM facts", QueryOptions{})
 	var oe *qerr.OverloadedError
 	if !errors.As(err, &oe) {
 		t.Fatalf("want OverloadedError, got %v", err)
 	}
 
 	// Opted-in queries degrade to the approximate tier instead.
-	res, err := eng.QueryWith("SELECT count(distinct k) AS c FROM facts", QueryOptions{ApproxOK: true})
+	res, err := eng.QueryWithContext(context.Background(), "SELECT count(distinct k) AS c FROM facts", QueryOptions{ApproxOK: true})
 	if err != nil {
 		t.Fatalf("degrade failed: %v", err)
 	}
@@ -278,7 +291,7 @@ func TestApproxDegradeUnderOverload(t *testing.T) {
 	}
 
 	// Opted-in but unboundable shapes (min/max) still shed.
-	_, err = eng.QueryWith("SELECT max(f) AS m FROM facts", QueryOptions{ApproxOK: true})
+	_, err = eng.QueryWithContext(context.Background(), "SELECT max(f) AS m FROM facts", QueryOptions{ApproxOK: true})
 	if !errors.As(err, &oe) {
 		t.Fatalf("unboundable degrade: want OverloadedError, got %v", err)
 	}

@@ -105,7 +105,7 @@ func TestChaosMemoryBudgetAbort(t *testing.T) {
 		t.Fatal("gov_mem_aborted not incremented")
 	}
 	// A roomy per-query override on the same engine succeeds.
-	if _, err := eng.QueryWith(tpch.Queries["q5"], QueryOptions{MemoryBudget: 1 << 40}); err != nil {
+	if _, err := eng.QueryWithContext(context.Background(), tpch.Queries["q5"], QueryOptions{MemoryBudget: 1 << 40}); err != nil {
 		t.Fatalf("override budget query: %v", err)
 	}
 }
@@ -271,7 +271,7 @@ func TestSkewedChunkCancellation(t *testing.T) {
 	// parfor chunk.
 	const nB = 8000
 	for b := 0; b < nB; b++ {
-		if err := tab.AppendRow(int64(0), int64(b)); err != nil {
+		if err := tab.Append(int64(0), int64(b)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,7 +283,7 @@ func TestSkewedChunkCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	_, err = eng.QueryContext(ctx, q)
+	_, err = eng.QueryWithContext(ctx, q, QueryOptions{})
 	elapsed := time.Since(t0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("skewed query returned %v, want deadline exceeded", err)
@@ -385,7 +385,7 @@ func TestChaosConcurrentIngest(t *testing.T) {
 					return
 				default:
 				}
-				res, err := eng.QueryContext(context.Background(), "SELECT count(*) AS n FROM events")
+				res, err := eng.Query("SELECT count(*) AS n FROM events")
 				if err != nil {
 					t.Error(err)
 					return
@@ -424,7 +424,7 @@ func TestChaosConcurrentIngest(t *testing.T) {
 	if err := eng.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.QueryContext(context.Background(), "SELECT count(*) AS n FROM events")
+	res, err := eng.Query("SELECT count(*) AS n FROM events")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ type Engine struct {
 	bgWG            sync.WaitGroup
 
 	// Approximate-tier state (see approx.go): per-table summaries
-	// (HLL + Count-Min + reservoir sample) built lazily on first
+	// (HLL + reservoir sample) built lazily on first
 	// approximate use and extended as snapshots grow.
 	approxMu         sync.Mutex
 	summaries        map[string]*approx.Summary
@@ -424,23 +424,13 @@ func (e *Engine) Query(sql string) (*exec.Result, error) {
 	return e.QueryWithContext(context.Background(), sql, QueryOptions{})
 }
 
-// QueryWith runs a query with per-query overrides.
-func (e *Engine) QueryWith(sql string, qo QueryOptions) (*exec.Result, error) {
-	return e.QueryWithContext(context.Background(), sql, qo)
-}
-
-// QueryContext runs a query under a context: cancellation and deadline
-// are honored between lifecycle phases and at parfor chunk boundaries
-// inside the execution engine.
-func (e *Engine) QueryContext(ctx context.Context, sql string) (*exec.Result, error) {
-	return e.QueryWithContext(ctx, sql, QueryOptions{})
-}
-
-// QueryWithContext is the full-form entry point: context plus per-query
-// overrides. Every other query method delegates here, so one run per
-// query is timed, traced, registered in the live query registry,
-// counted into the engine metrics and latency histograms, and the
-// returned Result carries its QueryStats (including the span trace).
+// QueryWithContext is the query entry point: context plus per-query
+// overrides (Query is its no-options shorthand). Cancellation and
+// deadline are honored between lifecycle phases and at parfor chunk
+// boundaries inside the execution engine. One run per query is timed,
+// traced, registered in the live query registry, counted into the
+// engine metrics and latency histograms, and the returned Result
+// carries its QueryStats (including the span trace).
 func (e *Engine) QueryWithContext(ctx context.Context, sql string, qo QueryOptions) (*exec.Result, error) {
 	st := &obs.QueryStats{SQL: sql, Trace: telemetry.NewTrace(sql)}
 	// The derived cancel is what makes an in-flight query killable from
@@ -461,7 +451,7 @@ func (e *Engine) QueryWithContext(ctx context.Context, sql string, qo QueryOptio
 		var oe *qerr.OverloadedError
 		if qo.ApproxOK && errors.As(aerr, &oe) {
 			aq.SetPhase("degraded")
-			if res, ok, derr := e.tryApprox(sql, qo, st, true); ok && derr == nil {
+			if res, ok := e.degrade(sql, qo, st); ok {
 				st.Degraded = true
 				e.approxDegraded.Add(1)
 				st.Phases.Total = time.Since(t0)
@@ -553,13 +543,21 @@ func (e *Engine) runQuery(ctx context.Context, sql string, qo QueryOptions, st *
 		}
 	}()
 	aq.SetPhase("prepare")
-	// Approximate-tier intercept: COUNT(DISTINCT) shapes (which the WCOJ
-	// pipeline does not execute) and, under ApproxOK, sketch/sample
-	// routes whose priced win is decisive. Unhandled shapes fall through.
-	if res, handled, aerr := e.tryApprox(sql, qo, st, false); handled {
+	// Approximate-tier intercept, on the one parse the query gets:
+	// COUNT(DISTINCT) shapes (which the WCOJ pipeline does not execute)
+	// and, under ApproxOK, sketch/sample routes whose priced win is
+	// decisive. Unhandled shapes fall through to the planner.
+	var handled bool
+	var aerr error
+	p, ch, err := e.prepareStats(sql, qo, st, func(q *sqlparse.Query) bool {
+		if qo.ApproxOK || q.HasDistinctAgg {
+			res, handled, aerr = e.tryApprox(q, sql, qo, st, false)
+		}
+		return handled
+	})
+	if handled {
 		return res, aerr
 	}
-	p, ch, err := e.prepareStats(sql, qo, st)
 	if err != nil {
 		return nil, err
 	}
@@ -823,13 +821,17 @@ type preparedPlan struct {
 }
 
 func (e *Engine) prepare(sql string, qo QueryOptions) (*planner.Plan, *costopt.Choice, error) {
-	return e.prepareStats(sql, qo, nil)
+	return e.prepareStats(sql, qo, nil, nil)
 }
 
 // prepareStats is prepare with optional stats capture: parse/plan phase
 // durations (mirrored as trace spans), plan-cache behavior, and the
-// GHD/order decision.
-func (e *Engine) prepareStats(sql string, qo QueryOptions, st *obs.QueryStats) (*planner.Plan, *costopt.Choice, error) {
+// GHD/order decision. The text is parsed at most once, and not at all
+// on a plan-cache hit unless the caller opted into approximate answers
+// (their shape analysis needs the AST). intercept, when non-nil, sees
+// that one parse before the planner does; returning true claims the
+// query and prepareStats returns nothing.
+func (e *Engine) prepareStats(sql string, qo QueryOptions, st *obs.QueryStats, intercept func(*sqlparse.Query) bool) (*planner.Plan, *costopt.Choice, error) {
 	var tr *telemetry.Trace
 	if st != nil {
 		tr = st.Trace
@@ -848,8 +850,19 @@ func (e *Engine) prepareStats(sql string, qo QueryOptions, st *obs.QueryStats) (
 	}
 	key := fmt.Sprintf("%s|%v|%v|%v|%v|%v", sql, e.noCostOpt, e.pickWorst || qo.WorstOrder, qo.ForcedOrder, qo.ForcedRelaxed, e.noAttrElim)
 	e.mu.Lock()
-	if pp, ok := e.plans[key]; ok {
-		e.mu.Unlock()
+	pp := e.plans[key]
+	e.mu.Unlock()
+	var q *sqlparse.Query
+	if pp == nil || (qo.ApproxOK && intercept != nil) {
+		var err error
+		if q, err = parseStats(sql, st); err != nil {
+			return nil, nil, &qerr.ParseError{SQL: sql, Err: err}
+		}
+		if intercept != nil && intercept(q) {
+			return nil, nil, nil
+		}
+	}
+	if pp != nil {
 		if st != nil {
 			st.PlanCached = true
 			st.Fingerprint, st.FingerprintText = pp.fp, pp.fpText
@@ -857,17 +870,9 @@ func (e *Engine) prepareStats(sql string, qo QueryOptions, st *obs.QueryStats) (
 		}
 		return pp.p, e.classifyPaths(pp.p, pp.ch, pp.fp, qo), nil
 	}
-	e.mu.Unlock()
-	tp := time.Now()
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, nil, &qerr.ParseError{SQL: sql, Err: err}
-	}
 	fpText, fp := sqlparse.Fingerprint(q)
 	if st != nil {
-		st.Phases.Parse = time.Since(tp)
 		st.Fingerprint, st.FingerprintText = fp, fpText
-		tr.Add(tr.Root(), telemetry.SpanPhase, "parse", tp, time.Now())
 	}
 	tq := time.Now()
 	p, err := planner.Build(q, e.cat)
@@ -893,6 +898,18 @@ func (e *Engine) prepareStats(sql string, qo QueryOptions, st *obs.QueryStats) (
 	e.plans[key] = &preparedPlan{p: p, ch: ch, fp: fp, fpText: fpText}
 	e.mu.Unlock()
 	return p, e.classifyPaths(p, ch, fp, qo), nil
+}
+
+// parseStats parses sql, recording the parse phase and its span when
+// st is non-nil.
+func parseStats(sql string, st *obs.QueryStats) (*sqlparse.Query, error) {
+	tp := time.Now()
+	q, err := sqlparse.Parse(sql)
+	if err == nil && st != nil {
+		st.Phases.Parse = time.Since(tp)
+		st.Trace.Add(st.Trace.Root(), telemetry.SpanPhase, "parse", tp, time.Now())
+	}
+	return q, err
 }
 
 // classifyPaths augments a chosen plan with per-node access-path

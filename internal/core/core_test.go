@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/tpch"
 )
@@ -80,7 +83,7 @@ func TestAblationOptionsProduceSameAnswers(t *testing.T) {
 func TestQueryWithForcedOrderAndWorst(t *testing.T) {
 	eng := tpchEngine(t)
 	// Worst order must still be correct.
-	res, err := eng.QueryWith(tpch.Queries["q3"], QueryOptions{WorstOrder: true})
+	res, err := eng.QueryWithContext(context.Background(), tpch.Queries["q3"], QueryOptions{WorstOrder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,5 +151,62 @@ func TestBadSQLSurfacesError(t *testing.T) {
 	}
 	if _, err := eng.Query("SELECT x FROM missing_table"); err == nil {
 		t.Error("missing table should error")
+	}
+}
+
+// parseSpans counts the parse-phase spans a query recorded.
+func parseSpans(res *exec.Result) int {
+	n := 0
+	for _, sp := range res.Stats.Trace.Spans() {
+		if sp.Name == "parse" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestParseOnceAndDistinctIsAnASTFlag: whether a query belongs to the
+// distinct-scan tier is read off the parsed AST, not sniffed from the
+// text, and no query is parsed twice. A LIKE literal that merely spells
+// "distinct" takes the normal pipeline with one parse on a plan-cache
+// miss and none on a hit; ApproxOK costs exactly the one parse its shape
+// analysis needs; a real COUNT(DISTINCT) is still served by the tier.
+func TestParseOnceAndDistinctIsAnASTFlag(t *testing.T) {
+	eng := tpchEngine(t)
+	ctx := context.Background()
+	const q = "SELECT count(*) AS c FROM customer WHERE c_comment LIKE '%distinct%'"
+	for run, wantParses := range []int{1, 0} {
+		res, err := eng.QueryWithContext(ctx, q, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := res.Stats.Dispatch; d == obs.DispatchDistinctScan || res.Stats.ApproxRoute != "" {
+			t.Fatalf("run %d: a LIKE literal routed the query to the approximate tier (%q)", run, d)
+		}
+		if res.Stats.PlanCached != (run == 1) {
+			t.Fatalf("run %d: PlanCached=%t", run, res.Stats.PlanCached)
+		}
+		if got := parseSpans(res); got != wantParses {
+			t.Fatalf("run %d: %d parse spans, want %d", run, got, wantParses)
+		}
+	}
+	// Opted in: cold and cached alike parse once (the shape analysis needs
+	// the AST), never twice.
+	const q2 = "SELECT sum(c_acctbal) AS s FROM customer WHERE c_comment LIKE '%distinct%'"
+	for run := 0; run < 2; run++ {
+		res, err := eng.QueryWithContext(ctx, q2, QueryOptions{ApproxOK: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := parseSpans(res); got != 1 {
+			t.Fatalf("ApproxOK run %d: %d parse spans, want 1", run, got)
+		}
+	}
+	res, err := eng.Query("SELECT count(distinct c_nationkey) AS c FROM customer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Dispatch != obs.DispatchDistinctScan || parseSpans(res) != 1 {
+		t.Fatalf("count(distinct): dispatch=%q parse spans=%d, want distinct-scan and 1", res.Stats.Dispatch, parseSpans(res))
 	}
 }

@@ -53,7 +53,7 @@ const hybridJoin = `SELECT sum(x * w) AS v, count(*) AS c FROM fact, dim WHERE f
 // result plus its stats.
 func queryBinary(t *testing.T, eng *Engine) *exec.Result {
 	t.Helper()
-	res, err := eng.QueryWith(hybridJoin, QueryOptions{ForcePath: costopt.PathBinary})
+	res, err := eng.QueryWithContext(context.Background(), hybridJoin, QueryOptions{ForcePath: costopt.PathBinary})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestLazyTrieCacheInvalidationAcrossCompact(t *testing.T) {
 	}
 
 	// Bit-identical to the WCOJ path on the same generation.
-	rw, err := eng.QueryWith(hybridJoin, QueryOptions{ForcePath: costopt.PathWCOJ})
+	rw, err := eng.QueryWithContext(context.Background(), hybridJoin, QueryOptions{ForcePath: costopt.PathWCOJ})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestChaosLazySingleFlight(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := eng.QueryWith(hybridJoin, QueryOptions{ForcePath: fp}); err != nil {
+				if _, err := eng.QueryWithContext(context.Background(), hybridJoin, QueryOptions{ForcePath: fp}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -215,7 +215,7 @@ func TestChaosLazySingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	rb := queryBinary(t, eng)
-	rw, err := eng.QueryWith(hybridJoin, QueryOptions{ForcePath: costopt.PathWCOJ})
+	rw, err := eng.QueryWithContext(context.Background(), hybridJoin, QueryOptions{ForcePath: costopt.PathWCOJ})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,15 +32,15 @@ func laCatalog(t *testing.T) *storage.Catalog {
 	}
 	// Sparse: 8x8 with a band; not all pairs present.
 	for i := int64(0); i < 8; i++ {
-		_ = sparse.AppendRow(i, i, 1.0)
+		_ = sparse.Append(i, i, 1.0)
 		if i+1 < 8 {
-			_ = sparse.AppendRow(i, i+1, 0.5)
+			_ = sparse.Append(i, i+1, 0.5)
 		}
 	}
 	// Dense: full 4x4.
 	for i := int64(0); i < 4; i++ {
 		for j := int64(0); j < 4; j++ {
-			_ = dense.AppendRow(i, j, float64(i*4+j))
+			_ = dense.Append(i, j, float64(i*4+j))
 		}
 	}
 	if err := cat.Freeze(); err != nil {
@@ -195,10 +195,10 @@ func TestScoresExample53(t *testing.T) {
 		{Name: "c", Kind: storage.Int64, Role: storage.Key, Domain: "kc"},
 	}})
 	for i := int64(0); i < 400; i++ {
-		_ = li.AppendRow(i%20, i%40)
+		_ = li.Append(i%20, i%40)
 	}
 	for i := int64(0); i < 103; i++ {
-		_ = or.AppendRow(i%40, i%10)
+		_ = or.Append(i%40, i%10)
 	}
 	if err := cat.Freeze(); err != nil {
 		t.Fatal(err)
@@ -233,13 +233,13 @@ func TestHighestCardinalityFirst(t *testing.T) {
 		{Name: "ck", Kind: storage.Int64, Role: storage.Key, Domain: "custkey"},
 	}})
 	for i := int64(0); i < 1000; i++ {
-		_ = li.AppendRow(i%250, i%10, 1.0)
+		_ = li.Append(i%250, i%10, 1.0)
 	}
 	for i := int64(0); i < 10; i++ {
-		_ = su.AppendRow(i, i%3)
+		_ = su.Append(i, i%3)
 	}
 	for i := int64(0); i < 250; i++ {
-		_ = or.AppendRow(i, i%50)
+		_ = or.Append(i, i%50)
 	}
 	if err := cat.Freeze(); err != nil {
 		t.Fatal(err)

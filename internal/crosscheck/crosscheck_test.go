@@ -215,7 +215,7 @@ func laCatalog(t *testing.T, n, nnz int, seed int64) (*core.Engine, *blas.CSR, [
 		ci = append(ci, int32(i))
 		cj = append(cj, int32(j))
 		cv = append(cv, v)
-		if err := m.AppendRow(int64(i), int64(j), v); err != nil {
+		if err := m.Append(int64(i), int64(j), v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,7 +233,7 @@ func laCatalog(t *testing.T, n, nnz int, seed int64) (*core.Engine, *blas.CSR, [
 	x := make([]float64, n)
 	for k := 0; k < n; k++ {
 		x[k] = r.Float64()
-		if err := vec.AppendRow(int64(k), x[k]); err != nil {
+		if err := vec.Append(int64(k), x[k]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -116,20 +116,38 @@ func (d *Dictionary) EncodeInt(v int64) (uint32, bool) {
 	return 0, false
 }
 
-// EncodeFloat returns the code for v. All NaN payloads map to the one
-// canonical NaN code (if present); -0.0 encodes as +0.0.
+// CanonFloat maps f to the representative of its class under the
+// engine's one float equivalence: -0.0 is +0.0, and every NaN payload is
+// the one quiet NaN that math.NaN returns. Everything that keys on a
+// float — dictionary codes, pseudo-vertex codes, group tokens, sketch
+// hashes, the approximate tier's group and distinct keys — goes through
+// it, so "same value" means the same thing at every layer.
+func CanonFloat(f float64) float64 {
+	if f == 0 {
+		return 0
+	}
+	if f != f {
+		return math.NaN()
+	}
+	return f
+}
+
+// CanonFloatBits is the bit pattern of CanonFloat(f): equal exactly for
+// values of one class, which makes it the hash token and exact map key.
+func CanonFloatBits(f float64) uint64 { return math.Float64bits(CanonFloat(f)) }
+
+// EncodeFloat returns the code for v under CanonFloat: all NaN payloads
+// map to the one NaN code (if present); -0.0 encodes as +0.0.
 func (d *Dictionary) EncodeFloat(v float64) (uint32, bool) {
 	if d.kind != Float {
 		return 0, false
 	}
-	if math.IsNaN(v) {
+	v = CanonFloat(v)
+	if v != v {
 		if d.hasNaN {
 			return uint32(d.n - 1), true
 		}
 		return 0, false
-	}
-	if v == 0 {
-		v = 0
 	}
 	ordered := d.orderedFloats()
 	i := sort.Search(len(ordered), func(i int) bool { return ordered[i] >= v })
@@ -318,17 +336,15 @@ func NewBuilder(kind Kind) *Builder {
 // AddInt records an integer value.
 func (b *Builder) AddInt(v int64) { b.seenI[v] = struct{}{} }
 
-// AddFloat records a float value. NaN is canonicalized to a single
-// dictionary entry (Go map keys treat each NaN as distinct, so storing
-// them raw would mint one code per insert and break lookups); -0.0 is
-// folded into +0.0 so the two encode identically.
+// AddFloat records a float value under CanonFloat. NaN becomes a single
+// dictionary entry kept out of the map (Go map keys treat each NaN as
+// distinct, so storing them would mint one code per insert and break
+// lookups); -0.0 and +0.0 encode identically.
 func (b *Builder) AddFloat(v float64) {
-	if math.IsNaN(v) {
+	v = CanonFloat(v)
+	if v != v {
 		b.hasNaN = true
 		return
-	}
-	if v == 0 {
-		v = 0 // collapse -0.0 into +0.0
 	}
 	b.seenF[v] = struct{}{}
 }

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -101,7 +102,7 @@ func RunApproxLane(c *Case) Outcome {
 	if err != nil {
 		return Outcome{Verdict: Skip, Detail: err.Error()}
 	}
-	res, err := eng.QueryWith(c.SQL, core.QueryOptions{ApproxOK: true})
+	res, err := eng.QueryWithContext(context.Background(), c.SQL, core.QueryOptions{ApproxOK: true})
 	if err != nil {
 		if planReject(err) {
 			return Outcome{Verdict: Skip, Detail: err.Error()}

@@ -188,7 +188,7 @@ func (c *Case) BuildEngine(opts ...core.Option) (*core.Engine, error) {
 				}
 				vals[i] = v
 			}
-			if err := t.AppendRow(vals...); err != nil {
+			if err := t.Append(vals...); err != nil {
 				return nil, err
 			}
 		}

@@ -9,6 +9,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 
 	"math"
@@ -25,14 +26,14 @@ func RunHybridLane(c *Case) Outcome {
 	if err != nil {
 		return Outcome{Verdict: Skip, Detail: err.Error()}
 	}
-	rw, err := eng.QueryWith(c.SQL, core.QueryOptions{ForcePath: costopt.PathWCOJ})
+	rw, err := eng.QueryWithContext(context.Background(), c.SQL, core.QueryOptions{ForcePath: costopt.PathWCOJ})
 	if err != nil {
 		if planReject(err) {
 			return Outcome{Verdict: Skip, Detail: err.Error()}
 		}
 		return disagree("forced-wcoj run failed: %v", err)
 	}
-	rb, err := eng.QueryWith(c.SQL, core.QueryOptions{ForcePath: costopt.PathBinary})
+	rb, err := eng.QueryWithContext(context.Background(), c.SQL, core.QueryOptions{ForcePath: costopt.PathBinary})
 	if err != nil {
 		return disagree("forced-binary run failed after wcoj succeeded: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/costopt"
 	"repro/internal/dict"
@@ -26,21 +27,16 @@ type part struct {
 	lvl int // that relation's trie level for this attribute
 }
 
-// leafRef addresses one aggregate leaf: (aggregate index, leaf index).
-type leafRef struct{ agg, leaf int }
-
-// cRel is a compiled relation: a query trie plus bookkeeping. Exactly
-// one of tr / lz backs it: binary-path nodes build their base relations
-// as lazy generalized hash tries (lz), everything else is a fully-built
-// trie (tr).
+// cRel is a compiled relation: a query trie plus bookkeeping. The trie
+// is held through trie.Index, so nothing past buildRel knows whether it
+// was built eagerly or is a lazily materializing hash trie.
 type cRel struct {
 	relIdx  int // index into plan.Rels; -1 for a child result
 	alias   string
-	tr      *trie.Trie
-	lz      *trie.Lazy
-	attrs   []string // vertex per trie level, in node order
+	ix      trie.Index // nil for a child result until runNode builds it
+	attrs   []string   // vertex per trie level, in node order
 	hasDups bool
-	mult    []float64 // the __mult buffer (nil when dup-free)
+	mult    []float64 // the __mult buffer; bound by cNode.bind when hasDups
 	child   *cNode    // non-nil for child results
 }
 
@@ -48,7 +44,8 @@ type cRel struct {
 type cAgg struct {
 	kind     planner.AggKind
 	skel     *planner.EmitNode
-	leafBufs [][]float64 // per leaf: pre-aggregated annotation buffer
+	leafAnns []string    // per leaf: annotation name on its relation's trie
+	leafBufs [][]float64 // per leaf: that pre-aggregated buffer, set by cNode.bind
 	leafRels []int       // per leaf: rel index in cNode.rels
 	multRels []int       // rels whose multiplicity multiplies in
 }
@@ -79,17 +76,6 @@ type cNode struct {
 	// classifier ran (nil under ablations/forced orders).
 	path  string
 	pinfo *costopt.PathInfo
-	// lazyBinds defers aggregate-leaf buffer binding for lazy relations:
-	// annotation buffers only exist after EnsureAnns, which runNode calls
-	// right before the parfor fan-out.
-	lazyBinds []lazyBind
-}
-
-// lazyBind rebinds aggs[agg].leafBufs[leaf] to ann.F64 at run time,
-// once the lazy trie's annotation buffers are materialized.
-type lazyBind struct {
-	agg, leaf int
-	ann       *trie.Annotation
 }
 
 // hashGroup computes the emit-time group token of one GROUP BY item.
@@ -230,66 +216,34 @@ func (c *compiled) compileNode(n *ghd.Node, ch *costopt.Choice, isRoot bool) (*c
 
 	// Collect leaf annotations per relation, deduping identical
 	// expressions (Q8 uses the same revenue leaf twice).
-	leafRefs := map[int]map[string][]leafRef{}    // relIdx → expr key → refs
-	leafAST := map[int]map[string]sqlparse.Expr{} // relIdx → expr key → AST
+	leafAST := map[int]map[string]sqlparse.Expr{}     // relIdx → annotation name → AST
+	combines := map[int]map[string]trie.CombineFunc{} // relIdx → annotation name → fold
 	for ai := range aggSpecs {
-		for li, leaf := range aggSpecs[ai].Leaves {
-			if leafRefs[leaf.Rel] == nil {
-				leafRefs[leaf.Rel] = map[string][]leafRef{}
+		for _, leaf := range aggSpecs[ai].Leaves {
+			if leafAST[leaf.Rel] == nil {
 				leafAST[leaf.Rel] = map[string]sqlparse.Expr{}
+				combines[leaf.Rel] = map[string]trie.CombineFunc{}
 			}
-			// The combine class is part of the identity: min(x) and
-			// max(x) must not share a pre-aggregated buffer.
-			key := combineClass(aggSpecs[ai].Kind) + leaf.Expr.String()
-			leafRefs[leaf.Rel][key] = append(leafRefs[leaf.Rel][key], leafRef{ai, li})
-			leafAST[leaf.Rel][key] = leaf.Expr
+			name := leafAnnName(aggSpecs[ai].Kind, leaf.Expr)
+			leafAST[leaf.Rel][name] = leaf.Expr
+			switch aggSpecs[ai].Kind {
+			case planner.AggMin:
+				combines[leaf.Rel][name] = minCombine
+			case planner.AggMax:
+				combines[leaf.Rel][name] = maxCombine
+			}
 		}
 	}
 
-	// Build relation tries; bind leaf buffers. Lazy relations (binary
-	// path) bind through the annotation pointer instead: the F64 buffer
-	// only exists after runNode's EnsureAnns.
-	leafBufs := map[leafRef][]float64{}
-	leafAnns := map[leafRef]*trie.Annotation{}
-	leafBound := map[leafRef]bool{}
+	// Build relation tries: binary-path nodes back their base relations
+	// with lazy hash tries, WCOJ nodes with fully built ones. This is the
+	// only place the representation is chosen.
 	for _, ei := range n.Edges {
-		combines := map[string]trie.CombineFunc{}
-		for key, refs := range leafRefs[ei] {
-			for _, ref := range refs {
-				switch aggSpecs[ref.agg].Kind {
-				case planner.AggMin:
-					combines[key] = minCombine
-				case planner.AggMax:
-					combines[key] = maxCombine
-				}
-			}
-		}
-		cr, err := c.buildRel(ei, ord.Attrs, leafAST[ei], combines, cn.path == costopt.PathBinary)
+		cr, err := c.buildRel(ei, ord.Attrs, leafAST[ei], combines[ei], cn.path == costopt.PathBinary)
 		if err != nil {
 			return nil, err
 		}
 		cn.rels = append(cn.rels, cr)
-		for key, refs := range leafRefs[ei] {
-			if cr.lz != nil {
-				ann := cr.lz.Ann("leaf:" + key)
-				if ann == nil {
-					return nil, fmt.Errorf("exec: missing leaf annotation %q on %s", key, cr.alias)
-				}
-				for _, ref := range refs {
-					leafAnns[ref] = ann
-					leafBound[ref] = true
-				}
-				continue
-			}
-			ann := cr.tr.Ann("leaf:" + key)
-			if ann == nil {
-				return nil, fmt.Errorf("exec: missing leaf annotation %q on %s", key, cr.alias)
-			}
-			for _, ref := range refs {
-				leafBufs[ref] = ann.F64
-				leafBound[ref] = true
-			}
-		}
 	}
 
 	// Children: compiled now, tries built at run time.
@@ -313,21 +267,15 @@ func (c *compiled) compileNode(n *ghd.Node, ch *costopt.Choice, isRoot bool) (*c
 		spec := &aggSpecs[ai]
 		ca := cAgg{kind: spec.Kind, skel: spec.Skeleton}
 		leafRelSet := map[int]bool{}
-		for li, leaf := range spec.Leaves {
-			buf := leafBufs[leafRef{ai, li}]
-			if !leafBound[leafRef{ai, li}] {
-				return nil, fmt.Errorf("exec: unbound leaf %d of aggregate %s", li, spec.Name)
-			}
+		ca.leafBufs = make([][]float64, len(spec.Leaves))
+		for _, leaf := range spec.Leaves {
 			relPos := cn.relPos(leaf.Rel)
 			if relPos < 0 {
 				return nil, fmt.Errorf("exec: leaf relation %d not in node", leaf.Rel)
 			}
-			ca.leafBufs = append(ca.leafBufs, buf)
+			ca.leafAnns = append(ca.leafAnns, leafAnnName(spec.Kind, leaf.Expr))
 			ca.leafRels = append(ca.leafRels, relPos)
 			leafRelSet[relPos] = true
-			if ann := leafAnns[leafRef{ai, li}]; ann != nil {
-				cn.lazyBinds = append(cn.lazyBinds, lazyBind{agg: ai, leaf: li, ann: ann})
-			}
 		}
 		// Multiplicity factors: duplicated relations not consumed by a
 		// leaf, plus all child results — except under min/max, which
@@ -366,15 +314,35 @@ func (c *compiled) compileNode(n *ghd.Node, ch *costopt.Choice, isRoot bool) (*c
 	return cn, nil
 }
 
-// combineClass tags the pre-aggregation semantics of an aggregate kind.
-func combineClass(k planner.AggKind) string {
+// leafAnnName names the trie annotation holding one aggregate leaf. The
+// combine class is part of the identity: min(x) and max(x) must not
+// share a pre-aggregated buffer.
+func leafAnnName(k planner.AggKind, e sqlparse.Expr) string {
 	switch k {
 	case planner.AggMin:
-		return "min|"
+		return "leaf:min|" + e.String()
 	case planner.AggMax:
-		return "max|"
+		return "leaf:max|" + e.String()
 	default:
-		return "sum|"
+		return "leaf:sum|" + e.String()
+	}
+}
+
+// bind resolves the node's annotation buffers — aggregate leaves and
+// duplicate multiplicities — through its relations' indexes. runNode
+// calls it once a level-0 survivor exists, so a lazily backed relation
+// materializes its deeper levels only when a tuple will read them.
+func (cn *cNode) bind() {
+	for _, cr := range cn.rels {
+		if cr.hasDups {
+			cr.mult = cr.ix.Ann(multAnn).F64
+		}
+	}
+	for ai := range cn.aggs {
+		a := &cn.aggs[ai]
+		for li, name := range a.leafAnns {
+			a.leafBufs[li] = cn.rels[a.leafRels[li]].ix.Ann(name).F64
+		}
 	}
 }
 
@@ -478,24 +446,20 @@ func (c *compiled) buildRel(relIdx int, order []string,
 	// Only unfiltered builds are cached: they are the reusable physical
 	// index whose creation the paper's measurements exclude. The key
 	// carries the generation sequence, so appends (which publish a new
-	// generation) never serve a stale trie.
+	// generation) never serve a stale trie, and the representation: a
+	// lazy entry's deeper levels materialize across queries
+	// (single-flight), so it must never alias a fully built trie.
 	cacheable := r.Filter == nil && !c.opts.NoAttrElim && c.opts.Cache != nil
-	cacheKey := fmt.Sprintf("%s@%d|%v|%v", tb.Schema.Name, tb.Generation(), attrs, leafKeys)
-	if lazy {
-		// Lazy entries are level-granular: the cached value is a *trie.Lazy
-		// whose deeper levels materialize across queries (single-flight),
-		// so the same key must never alias a fully-built trie.
-		cacheKey += "|lazy"
+	cacheKey := trieKey{
+		table: tb.Schema.Name, gen: tb.Generation(),
+		attrs: strings.Join(attrs, "\x00"), leaves: strings.Join(leafKeys, "\x00"), lazy: lazy,
 	}
 	if cacheable {
-		if v, ok := c.opts.Cache.get(cacheKey); ok {
+		if ix, ok := c.opts.Cache.get(cacheKey); ok {
 			if c.opts.Stats != nil {
 				c.opts.Stats.TrieCacheHits++
 			}
-			if lazy {
-				return newCRelLazy(relIdx, r.Alias, v.(*trie.Lazy), attrs), nil
-			}
-			return newCRel(relIdx, r.Alias, v.(*trie.Trie), attrs), nil
+			return newCRel(relIdx, r.Alias, ix, attrs), nil
 		}
 		if c.opts.Stats != nil {
 			c.opts.Stats.TrieCacheMisses++
@@ -568,7 +532,7 @@ func (c *compiled) buildRel(relIdx int, order []string,
 			}
 		})
 		in.Anns = append(in.Anns, trie.AnnSpec{
-			Name: "leaf:" + key, Level: lastLvl, Kind: trie.F64, F64: buf,
+			Name: key, Level: lastLvl, Kind: trie.F64, F64: buf,
 			Combine: combines[key],
 		})
 	}
@@ -604,20 +568,13 @@ func (c *compiled) buildRel(relIdx int, order []string,
 			return nil, err
 		}
 	}
+	var ix trie.Index
+	var err error
 	if lazy {
-		lz, err := trie.NewLazy(in)
-		if err != nil {
-			return nil, fmt.Errorf("exec: building lazy trie for %s: %v", r.Alias, err)
-		}
-		if c.opts.Stats != nil {
-			c.opts.Stats.TriesBuilt++
-		}
-		if cacheable {
-			c.opts.Cache.put(cacheKey, lz)
-		}
-		return newCRelLazy(relIdx, r.Alias, lz, attrs), nil
+		ix, err = trie.NewLazy(in)
+	} else {
+		ix, err = trie.Build(in)
 	}
-	tr, err := trie.Build(in)
 	if err != nil {
 		return nil, fmt.Errorf("exec: building trie for %s: %v", r.Alias, err)
 	}
@@ -625,27 +582,13 @@ func (c *compiled) buildRel(relIdx int, order []string,
 		c.opts.Stats.TriesBuilt++
 	}
 	if cacheable {
-		c.opts.Cache.put(cacheKey, tr)
+		c.opts.Cache.put(cacheKey, ix)
 	}
-	return newCRel(relIdx, r.Alias, tr, attrs), nil
+	return newCRel(relIdx, r.Alias, ix, attrs), nil
 }
 
-// newCRelLazy wraps a lazy trie. Duplicate state is unknown until the
-// leaf level materializes, so it stays conservative: hasDups=true keeps
-// the relation in every sum/count aggregate's multiplicity set, and the
-// __mult buffer bound at run time is an exact identity (all ones) when
-// the input turns out duplicate-free.
-func newCRelLazy(relIdx int, alias string, lz *trie.Lazy, attrs []string) *cRel {
-	return &cRel{relIdx: relIdx, alias: alias, lz: lz, attrs: attrs, hasDups: true}
-}
-
-func newCRel(relIdx int, alias string, tr *trie.Trie, attrs []string) *cRel {
-	cr := &cRel{relIdx: relIdx, alias: alias, tr: tr, attrs: attrs}
-	cr.hasDups = tr.SourceRows != tr.NumTuples
-	if a := tr.Ann(multAnn); a != nil {
-		cr.mult = a.F64
-	}
-	return cr
+func newCRel(relIdx int, alias string, ix trie.Index, attrs []string) *cRel {
+	return &cRel{relIdx: relIdx, alias: alias, ix: ix, attrs: attrs, hasDups: ix.HasDups()}
 }
 
 // keyCodesFor returns the code column for a key or pseudo-vertex column.
@@ -670,17 +613,14 @@ func (c *compiled) pseudoEncode(col *storage.Column) ([]uint32, *pseudoDecoder) 
 	f := col.AnnFloats()
 	// NaN map keys are each distinct (NaN != NaN), so dedup/rank maps
 	// would mint unbounded entries and every rank[NaN] lookup would
-	// miss, silently coding NaN rows as 0. Canonicalize: one trailing
-	// NaN code, and -0.0 folded into +0.0.
+	// miss, silently coding NaN rows as 0. Code dict.CanonFloat classes:
+	// the one NaN gets the trailing code, kept out of the maps.
 	hasNaN := false
 	uniq := map[float64]struct{}{}
 	for _, v := range f {
-		if math.IsNaN(v) {
+		if v = dict.CanonFloat(v); v != v {
 			hasNaN = true
 			continue
-		}
-		if v == 0 {
-			v = 0
 		}
 		uniq[v] = struct{}{}
 	}
@@ -699,12 +639,9 @@ func (c *compiled) pseudoEncode(col *storage.Column) ([]uint32, *pseudoDecoder) 
 	}
 	codes := make([]uint32, len(f))
 	for i, v := range f {
-		if math.IsNaN(v) {
+		if v = dict.CanonFloat(v); v != v {
 			codes[i] = nanCode
 			continue
-		}
-		if v == 0 {
-			v = 0
 		}
 		codes[i] = rank[v]
 	}

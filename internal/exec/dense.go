@@ -35,19 +35,20 @@ func tryDenseDispatch(c *compiled) (*Result, bool, error) {
 	if len(ca.multRels) != 0 {
 		return nil, false, nil // duplicate keys: not a plain matrix
 	}
-	// All trie levels completely dense. A lazily-backed relation (the
-	// classifier chose the binary path for this node) never qualifies:
-	// the dense kernels read fully-built tries.
+	// All trie levels completely dense, read off fully built tries (a
+	// node the classifier put on the binary path never qualifies).
 	for _, cr := range n.rels {
-		if cr.tr == nil {
+		tr := cr.ix.Eager()
+		if tr == nil {
 			return nil, false, nil
 		}
-		for _, l := range cr.tr.Levels {
+		for _, l := range tr.Levels {
 			if !l.Dense || l.NumElems() == 0 {
 				return nil, false, nil
 			}
 		}
 	}
+	n.bind()
 	// Group items must be plain vertices.
 	for _, g := range c.groups {
 		if g.item.Kind != planner.GroupVertex {
@@ -106,11 +107,11 @@ func denseMM(c *compiled, a, b *cRel, aBuf, bBuf []float64) (*Result, bool, erro
 		// Unexpected orientation; let the WCOJ engine handle it.
 		return nil, false, nil
 	}
-	m, k, aRowBase, aColBase, ok := denseDims(a.tr)
+	m, k, aRowBase, aColBase, ok := denseDims(a.ix.Eager())
 	if !ok {
 		return nil, false, nil
 	}
-	nOut, k2, bRowBase, bColBase, ok := denseDims(b.tr)
+	nOut, k2, bRowBase, bColBase, ok := denseDims(b.ix.Eager())
 	if !ok || k2 != k || aColBase != bColBase {
 		return nil, false, nil
 	}
@@ -153,11 +154,11 @@ func denseMV(c *compiled, a, x *cRel, aBuf, xBuf []float64) (*Result, bool, erro
 	if a.attrs[1] != x.attrs[0] {
 		return nil, false, nil
 	}
-	m, k, aRowBase, aColBase, ok := denseDims(a.tr)
+	m, k, aRowBase, aColBase, ok := denseDims(a.ix.Eager())
 	if !ok {
 		return nil, false, nil
 	}
-	xs := x.tr.Levels[0].Sets[0]
+	xs := x.ix.Set(0, 0)
 	if xs.Card() != k || xs.Min() != aColBase {
 		return nil, false, nil
 	}

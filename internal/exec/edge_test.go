@@ -28,12 +28,12 @@ func edgeCatalog(t *testing.T, factRows [][3]interface{}, dimRows [][2]interface
 		t.Fatal(err)
 	}
 	for _, r := range factRows {
-		if err := fact.AppendRow(r[0], r[1], r[2]); err != nil {
+		if err := fact.Append(r[0], r[1], r[2]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, r := range dimRows {
-		if err := dim.AppendRow(r[0], r[1]); err != nil {
+		if err := dim.Append(r[0], r[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,9 +142,9 @@ func TestDimDuplicatesMultiplyCount(t *testing.T) {
 		{Name: "a1", Kind: storage.Int64, Role: storage.Key, Domain: "da"},
 		{Name: "w", Kind: storage.Float64, Role: storage.Annotation},
 	}})
-	_ = fact.AppendRow(int64(1), 3.0)
-	_ = dim.AppendRow(int64(1), 5.0)
-	_ = dim.AppendRow(int64(1), 7.0)
+	_ = fact.Append(int64(1), 3.0)
+	_ = dim.Append(int64(1), 5.0)
+	_ = dim.Append(int64(1), 7.0)
 	if err := cat.Freeze(); err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +180,9 @@ func TestGroupOnStringKeyColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = tab.AppendRow("beta", 1.0)
-	_ = tab.AppendRow("alpha", 2.0)
-	_ = tab.AppendRow("beta", 4.0)
+	_ = tab.Append("beta", 1.0)
+	_ = tab.Append("alpha", 2.0)
+	_ = tab.Append("beta", 4.0)
 	if err := cat.Freeze(); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestTriangleQueryCyclic(t *testing.T) {
 		{0, 3}, {5, 0}, // noise
 	}
 	for _, e := range edges {
-		_ = tab.AppendRow(e[0], e[1])
+		_ = tab.Append(e[0], e[1])
 	}
 	if err := cat.Freeze(); err != nil {
 		t.Fatal(err)
@@ -335,9 +335,9 @@ func TestGroupByDatePseudoVertex(t *testing.T) {
 		{Name: "day", Kind: storage.Date, Role: storage.Annotation},
 		{Name: "x", Kind: storage.Float64, Role: storage.Annotation},
 	}})
-	_ = tab.AppendRow(int64(1), "2020-05-01", 1.0)
-	_ = tab.AppendRow(int64(2), "2020-05-01", 2.0)
-	_ = tab.AppendRow(int64(3), "2021-01-15", 4.0)
+	_ = tab.Append(int64(1), "2020-05-01", 1.0)
+	_ = tab.Append(int64(2), "2020-05-01", 2.0)
+	_ = tab.Append(int64(3), "2021-01-15", 4.0)
 	if err := cat.Freeze(); err != nil {
 		t.Fatal(err)
 	}
@@ -361,9 +361,9 @@ func TestGroupByNumericPseudoVertex(t *testing.T) {
 		{Name: "bucket", Kind: storage.Float64, Role: storage.Annotation},
 		{Name: "x", Kind: storage.Float64, Role: storage.Annotation},
 	}})
-	_ = tab.AppendRow(int64(1), 0.5, 1.0)
-	_ = tab.AppendRow(int64(2), 1.5, 2.0)
-	_ = tab.AppendRow(int64(3), 0.5, 4.0)
+	_ = tab.Append(int64(1), 0.5, 1.0)
+	_ = tab.Append(int64(2), 1.5, 2.0)
+	_ = tab.Append(int64(3), 0.5, 4.0)
 	if err := cat.Freeze(); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -20,6 +19,7 @@ import (
 	"repro/internal/planner"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
+	"repro/internal/trie"
 )
 
 // stTrace extracts the span trace threaded through Options.Stats.
@@ -137,47 +137,55 @@ func (c *Column) Float(row int) float64 {
 	return 0
 }
 
-// TrieCache shares immutable unfiltered tries across queries.
+// TrieCache shares unfiltered query tries across queries.
 type TrieCache struct {
 	mu sync.RWMutex
-	m  map[string]interface{}
+	m  map[trieKey]trie.Index
+}
+
+// trieKey identifies one cached trie: the table generation it was built
+// from, its level order, its leaf annotations (each list joined on NUL),
+// and whether it is the lazily materializing representation.
+type trieKey struct {
+	table  string
+	gen    uint64
+	attrs  string
+	leaves string
+	lazy   bool
 }
 
 // NewTrieCache returns an empty cache.
-func NewTrieCache() *TrieCache { return &TrieCache{m: map[string]interface{}{}} }
+func NewTrieCache() *TrieCache { return &TrieCache{m: map[trieKey]trie.Index{}} }
 
-func (c *TrieCache) get(key string) (interface{}, bool) {
+func (c *TrieCache) get(key trieKey) (trie.Index, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	v, ok := c.m[key]
-	return v, ok
+	ix, ok := c.m[key]
+	return ix, ok
 }
 
-func (c *TrieCache) put(key string, v interface{}) {
+func (c *TrieCache) put(key trieKey, ix trie.Index) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[key] = v
+	c.m[key] = ix
 }
 
 // PurgeTable drops every cached trie of the named table built from a
-// generation other than keep. Cache keys are "<table>@<gen>|..." (see
-// compile.go), so staleness is a prefix test.
+// generation other than keep.
 func (c *TrieCache) PurgeTable(table string, keep uint64) {
 	if c == nil {
 		return
 	}
-	live := fmt.Sprintf("%s@%d|", table, keep)
-	prefix := table + "@"
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k := range c.m {
-		if strings.HasPrefix(k, prefix) && !strings.HasPrefix(k, live) {
+		if k.table == table && k.gen != keep {
 			delete(c.m, k)
 		}
 	}

@@ -99,7 +99,7 @@ func sparseMatrixCatalog(t *testing.T, n, nnz int, seed int64) (*storage.Catalog
 		used[i*n+j] = true
 		v := float64(r.Intn(9) + 1)
 		dense[i*n+j] = v
-		if err := m.AppendRow(int64(i), int64(j), v); err != nil {
+		if err := m.Append(int64(i), int64(j), v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,7 +109,7 @@ func sparseMatrixCatalog(t *testing.T, n, nnz int, seed int64) (*storage.Catalog
 		if !used[d*n+d] {
 			used[d*n+d] = true
 			dense[d*n+d] = 1
-			if err := m.AppendRow(int64(d), int64(d), 1.0); err != nil {
+			if err := m.Append(int64(d), int64(d), 1.0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -227,12 +227,12 @@ func TestSparseMatVec(t *testing.T) {
 		}
 		v := r.Float64()
 		dense[i*n+j] = v
-		_ = m.AppendRow(int64(i), int64(j), v)
+		_ = m.Append(int64(i), int64(j), v)
 	}
 	x := make([]float64, n)
 	for k := 0; k < n; k++ {
 		x[k] = r.Float64()
-		_ = vec.AppendRow(int64(k), x[k])
+		_ = vec.Append(int64(k), x[k])
 	}
 	if err := cat.Freeze(); err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func denseMatrixCatalog(t *testing.T, n int, seed int64) (*storage.Catalog, []fl
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			dense[i*n+j] = r.Float64()
-			_ = m.AppendRow(int64(i), int64(j), dense[i*n+j])
+			_ = m.Append(int64(i), int64(j), dense[i*n+j])
 		}
 	}
 	if err := cat.Freeze(); err != nil {
@@ -308,10 +308,10 @@ func TestDenseMatVecBLASDispatch(t *testing.T) {
 	x := make([]float64, n)
 	for i := 0; i < n; i++ {
 		x[i] = r.Float64()
-		_ = vec.AppendRow(int64(i), x[i])
+		_ = vec.Append(int64(i), x[i])
 		for j := 0; j < n; j++ {
 			a[i*n+j] = r.Float64()
-			_ = m.AppendRow(int64(i), int64(j), a[i*n+j])
+			_ = m.Append(int64(i), int64(j), a[i*n+j])
 		}
 	}
 	if err := cat.Freeze(); err != nil {
@@ -375,22 +375,22 @@ func tpchMiniCatalog(t *testing.T) *storage.Catalog {
 		{Name: "s_nationkey", Kind: storage.Int64, Role: storage.Key, Domain: "nationkey"},
 	}})
 
-	_ = region.AppendRow(int64(0), "ASIA")
-	_ = region.AppendRow(int64(1), "AMERICA")
+	_ = region.Append(int64(0), "ASIA")
+	_ = region.Append(int64(1), "AMERICA")
 	nations := []struct {
 		k, r int64
 		name string
 	}{{0, 0, "JAPAN"}, {1, 0, "CHINA"}, {2, 1, "BRAZIL"}, {3, 1, "CANADA"}}
 	for _, n := range nations {
-		_ = nation.AppendRow(n.k, n.r, n.name)
+		_ = nation.Append(n.k, n.r, n.name)
 	}
 	// 6 customers spread over nations.
 	for ck := int64(0); ck < 6; ck++ {
-		_ = customer.AppendRow(ck, ck%4)
+		_ = customer.Append(ck, ck%4)
 	}
 	// 10 suppliers.
 	for sk := int64(0); sk < 10; sk++ {
-		_ = supplier.AppendRow(sk, sk%4)
+		_ = supplier.Append(sk, sk%4)
 	}
 	// 12 orders, dates alternating inside/outside 1994.
 	for ok := int64(0); ok < 12; ok++ {
@@ -398,7 +398,7 @@ func tpchMiniCatalog(t *testing.T) *storage.Catalog {
 		if ok%3 == 2 {
 			date = "1995-07-01"
 		}
-		_ = orders.AppendRow(ok, ok%6, date)
+		_ = orders.Append(ok, ok%6, date)
 	}
 	// 40 lineitems with duplicate (orderkey, suppkey) pairs.
 	r := rand.New(rand.NewSource(7))
@@ -414,7 +414,7 @@ func tpchMiniCatalog(t *testing.T) *storage.Catalog {
 		if r.Intn(2) == 0 {
 			ship = "1996-02-01"
 		}
-		_ = lineitem.AppendRow(ok, sk, price, disc, qty, flags[r.Intn(3)], status[r.Intn(2)], ship)
+		_ = lineitem.Append(ok, sk, price, disc, qty, flags[r.Intn(3)], status[r.Intn(2)], ship)
 	}
 	if err := cat.Freeze(); err != nil {
 		t.Fatal(err)

@@ -38,13 +38,14 @@ func trySpMVFastPath(c *compiled, opts Options) (*Result, bool, error) {
 	if len(ca.leafRels) != 2 || ca.leafRels[0] == ca.leafRels[1] {
 		return nil, false, nil
 	}
-	// Lazily-backed relations (binary-path node) stay on the generic
-	// navigator; this kernel walks fully-built tries.
+	// This kernel walks fully built tries; a binary-path node's lazily
+	// backed relations stay on the generic recursion.
 	for _, cr := range n.rels {
-		if cr.tr == nil {
+		if cr.ix.Eager() == nil {
 			return nil, false, nil
 		}
 	}
+	n.bind()
 	// Identify matrix (2 levels) and vector (1 level).
 	var mRel, vRel *cRel
 	var mBuf, vBuf []float64
@@ -81,15 +82,15 @@ func trySpMVFastPath(c *compiled, opts Options) (*Result, bool, error) {
 // Requires the vector's set to be a dense contiguous range so values
 // index directly; otherwise falls back.
 func spmvGather(c *compiled, opts Options, m, v *cRel, mBuf, vBuf []float64) (*Result, bool, error) {
-	vs := v.tr.Set(0, 0)
+	vs := v.ix.Set(0, 0)
 	dom := c.vertexDomainSize(v.attrs[0])
 	if vs.Layout() != set.Bitset || vs.Card() == 0 ||
 		int(vs.Max()-vs.Min())+1 != vs.Card() || vs.Min() != 0 || vs.Card() != dom {
 		return nil, false, nil
 	}
 	vBase := vs.Min()
-	l0 := m.tr.Set(0, 0)
-	rows := l0.Values()
+	mt := m.ix.Eager()
+	rows := mt.Set(0, 0).Values()
 	nRows := len(rows)
 	outVals := make([]float64, nRows)
 
@@ -102,9 +103,9 @@ func spmvGather(c *compiled, opts Options, m, v *cRel, mBuf, vBuf []float64) (*R
 	threads := opts.threads()
 	parallelRange(threads, nRows, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			parent := m.tr.GlobalRank(0, 0, r)
-			kids := m.tr.Set(1, parent)
-			base := m.tr.Levels[1].Starts[parent]
+			parent := mt.GlobalRank(0, 0, r)
+			kids := mt.Set(1, parent)
+			base := mt.Levels[1].Starts[parent]
 			sum := 0.0
 			if vals, ok := kids.Uints(); ok {
 				for idx, j := range vals {
@@ -126,7 +127,7 @@ func spmvGather(c *compiled, opts Options, m, v *cRel, mBuf, vBuf []float64) (*R
 // accumulator over i (the 1-attribute union), merging per-worker
 // accumulators.
 func spmvScatter(c *compiled, opts Options, m, v *cRel, mBuf, vBuf []float64) (*Result, bool, error) {
-	vs := v.tr.Set(0, 0)
+	vs := v.ix.Set(0, 0)
 	vdom := c.vertexDomainSize(v.attrs[0])
 	if vs.Layout() != set.Bitset || vs.Card() == 0 ||
 		int(vs.Max()-vs.Min())+1 != vs.Card() || vs.Min() != 0 || vs.Card() != vdom {
@@ -136,8 +137,8 @@ func spmvScatter(c *compiled, opts Options, m, v *cRel, mBuf, vBuf []float64) (*
 	if dom <= 0 {
 		return nil, false, nil
 	}
-	l0 := m.tr.Set(0, 0)
-	js := l0.Values()
+	mt := m.ix.Eager()
+	js := mt.Set(0, 0).Values()
 
 	if opts.Stats != nil {
 		opts.Stats.Dispatch = obs.DispatchSpMVScatter
@@ -155,9 +156,9 @@ func spmvScatter(c *compiled, opts Options, m, v *cRel, mBuf, vBuf []float64) (*
 		for r := lo; r < hi; r++ {
 			j := js[r]
 			x := vBuf[j]
-			parent := m.tr.GlobalRank(0, 0, r)
-			kids := m.tr.Set(1, parent)
-			base := m.tr.Levels[1].Starts[parent]
+			parent := mt.GlobalRank(0, 0, r)
+			kids := mt.Set(1, parent)
+			base := mt.Levels[1].Starts[parent]
 			if vals, ok := kids.Uints(); ok {
 				for idx, i := range vals {
 					acc[i] += mBuf[base+int32(idx)] * x

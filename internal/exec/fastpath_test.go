@@ -30,7 +30,7 @@ func smvCatalog(t *testing.T, n, nnz int, seed int64) (*storage.Catalog, []float
 	// Diagonal guarantees the full domain.
 	for d := 0; d < n; d++ {
 		dense[d*n+d] = r.NormFloat64()
-		_ = m.AppendRow(int64(d), int64(d), dense[d*n+d])
+		_ = m.Append(int64(d), int64(d), dense[d*n+d])
 	}
 	for k := 0; k < nnz; k++ {
 		i, j := r.Intn(n), r.Intn(n)
@@ -38,12 +38,12 @@ func smvCatalog(t *testing.T, n, nnz int, seed int64) (*storage.Catalog, []float
 			continue
 		}
 		dense[i*n+j] = r.NormFloat64()
-		_ = m.AppendRow(int64(i), int64(j), dense[i*n+j])
+		_ = m.Append(int64(i), int64(j), dense[i*n+j])
 	}
 	x := make([]float64, n)
 	for k := 0; k < n; k++ {
 		x[k] = r.NormFloat64()
-		_ = vec.AppendRow(int64(k), x[k])
+		_ = vec.Append(int64(k), x[k])
 	}
 	if err := cat.Freeze(); err != nil {
 		t.Fatal(err)
@@ -131,12 +131,12 @@ func TestSpMVFastPathFallsBackOnPartialVector(t *testing.T) {
 		{Name: "k", Kind: storage.Int64, Role: storage.Key, Domain: "dim"},
 		{Name: "x", Kind: storage.Float64, Role: storage.Annotation},
 	}})
-	_ = m.AppendRow(int64(0), int64(0), 2.0)
-	_ = m.AppendRow(int64(0), int64(3), 5.0)
-	_ = m.AppendRow(int64(2), int64(3), 7.0)
+	_ = m.Append(int64(0), int64(0), 2.0)
+	_ = m.Append(int64(0), int64(3), 5.0)
+	_ = m.Append(int64(2), int64(3), 7.0)
 	// Vector misses k=0 and k=2: only j=3 contributes.
-	_ = vec.AppendRow(int64(3), 10.0)
-	_ = vec.AppendRow(int64(1), 1.0)
+	_ = vec.Append(int64(3), 10.0)
+	_ = vec.Append(int64(1), 1.0)
 	if err := cat.Freeze(); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestDenseDispatchFallsBackOnRaggedMatrix(t *testing.T) {
 				continue // the missing corner
 			}
 			dense[i*n+j] = r.Float64() + 0.1
-			_ = m.AppendRow(int64(i), int64(j), dense[i*n+j])
+			_ = m.Append(int64(i), int64(j), dense[i*n+j])
 		}
 	}
 	if err := cat.Freeze(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/dict"
 	"repro/internal/faultinject"
 	"repro/internal/planner"
 	"repro/internal/sqlparse"
@@ -81,7 +82,7 @@ func assemble(c *compiled, rows *rowsBuf) (*Result, error) {
 					if g.metaCodes != nil {
 						return uint64(g.metaCodes[row]), nil
 					}
-					return floatBits(g.metaVal(row)), nil
+					return dict.CanonFloatBits(g.metaVal(row)), nil
 				}
 			}
 		}

@@ -55,7 +55,7 @@ func TestRandomStarJoinsMatchBruteForce(t *testing.T) {
 				tag := tags[r.Intn(3)]
 				d1w[int64(a)] = w
 				d1tag[int64(a)] = tag
-				if err := dim1.AppendRow(int64(a), w, tag); err != nil {
+				if err := dim1.Append(int64(a), w, tag); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -67,7 +67,7 @@ func TestRandomStarJoinsMatchBruteForce(t *testing.T) {
 				b := int64(r.Intn(nB))
 				y := float64(r.Intn(7))
 				d2rows[b] = append(d2rows[b], d2row{y})
-				if err := dim2.AppendRow(b, y); err != nil {
+				if err := dim2.Append(b, y); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -81,7 +81,7 @@ func TestRandomStarJoinsMatchBruteForce(t *testing.T) {
 			for i := 0; i < nF; i++ {
 				f := frow{int64(r.Intn(nA)), int64(r.Intn(nB)), float64(r.Intn(10))}
 				facts = append(facts, f)
-				if err := fact.AppendRow(f.a, f.b, f.x); err != nil {
+				if err := fact.Append(f.a, f.b, f.x); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -161,13 +161,13 @@ func TestRandomHashEmitMatchesBruteForce(t *testing.T) {
 		for a := 0; a < nA; a++ {
 			tag := tags[r.Intn(3)]
 			tagOf[int64(a)] = tag
-			_ = dim.AppendRow(int64(a), tag)
+			_ = dim.Append(int64(a), tag)
 		}
 		want := map[string]float64{}
 		for i := 0; i < 20+r.Intn(30); i++ {
 			a := int64(r.Intn(nA))
 			x := float64(r.Intn(9))
-			_ = fact.AppendRow(a, x)
+			_ = fact.Append(a, x)
 			want[tagOf[a]] += x
 		}
 		if err := cat.Freeze(); err != nil {

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/costopt"
+	"repro/internal/dict"
 	"repro/internal/faultinject"
 	"repro/internal/governor"
 	"repro/internal/obs"
@@ -31,6 +32,12 @@ const ctxCheckStride = 64
 // check above cannot see — still observes cancellation within
 // microseconds of work, not at the end of the chunk.
 const stepCheckMask = 2048 - 1
+
+// probeBlock is how many candidate values one batched rank lookup
+// covers: per participating relation, one tight loop fills a rank
+// buffer for the whole block before the survivor scan, keeping the
+// lookups branch-predictable and free of per-element call overhead.
+const probeBlock = 512
 
 // rowsBuf is a node's output: materialized key codes and aggregate
 // values, struct-of-arrays.
@@ -310,7 +317,7 @@ func (n *cNode) outKeyAttrs() []string {
 
 // runNode executes a compiled node bottom-up: children first (their
 // results become relations of this node — Yannakakis' algorithm), then
-// the WCOJ recursion with the outermost loop parallelized (parfor,
+// the join recursion with the outermost loop parallelized (parfor,
 // §III-D).
 func runNode(n *cNode, opts Options, parent telemetry.SpanID) (*rowsBuf, *hashAcc, error) {
 	if err := ctxErr(opts.Ctx); err != nil {
@@ -377,10 +384,7 @@ func runNode(n *cNode, opts Options, parent telemetry.SpanID) (*rowsBuf, *hashAc
 		if err != nil {
 			return nil, nil, err
 		}
-		cr.tr = tr
-		if a := tr.Ann(multAnn); a != nil {
-			cr.mult = a.F64
-		}
+		cr.ix = tr
 	}
 
 	nAggs := len(n.aggs)
@@ -388,10 +392,7 @@ func runNode(n *cNode, opts Options, parent telemetry.SpanID) (*rowsBuf, *hashAc
 
 	// Level-0 iteration set (counted against this node's stats directly:
 	// this runs once per node, before the parfor fan-out).
-	vals, err := levelZeroValues(n, &nodeStats)
-	if err != nil {
-		return nil, nil, err
-	}
+	vals := levelZeroValues(n, &nodeStats)
 	if len(vals) == 0 {
 		if n.hashEmit {
 			return out, newHashAcc(n), nil
@@ -407,13 +408,10 @@ func runNode(n *cNode, opts Options, parent telemetry.SpanID) (*rowsBuf, *hashAc
 		}
 		return out, nil, nil
 	}
-	binary := n.path == costopt.PathBinary
-	if binary {
-		// The node's first probe found a non-empty join: materialize the
-		// deeper lazy levels and annotation buffers now (an empty level-0
-		// join returned above without ever building them).
-		prepareBinary(n)
-	}
+	// The level-0 join is non-empty: annotation buffers will be read, so
+	// bind them (an empty join returned above without a lazily backed
+	// relation ever building a deeper level).
+	n.bind()
 
 	threads := opts.threads()
 	if threads > len(vals) {
@@ -451,11 +449,7 @@ func runNode(n *cNode, opts Options, parent telemetry.SpanID) (*rowsBuf, *hashAc
 					errs[w.id] = qerr.CapturePanic(r)
 				}
 			}()
-			if binary {
-				errs[w.id] = w.runChunkBinary(vs)
-			} else {
-				errs[w.id] = w.runChunk(vs)
-			}
+			errs[w.id] = w.runChunk(vs)
 		}(w, vals[lo:hi])
 	}
 	wg.Wait()
@@ -538,81 +532,103 @@ func releaseWorkers(ws []*worker) {
 	}
 }
 
-// levelZeroValues materializes the level-0 iteration set, counting its
-// kernels against stat when non-nil. WCOJ nodes intersect the
-// participating sets; binary nodes scan the smallest participant and
-// membership-probe the rest — the survivor sequence is the same
-// ascending intersection either way. For uint layouts the returned
-// slice aliases the trie (or the intersection/survivor buffer) —
-// callers only read it, so no defensive copy is taken.
-func levelZeroValues(n *cNode, stat *set.Stats) ([]uint32, error) {
-	ps := n.parts[0]
-	if len(ps) == 1 {
-		cr := n.rels[ps[0].rel]
-		if cr.lz != nil {
-			return cr.lz.Values(0, 0), nil
+// lazyLevelsSum counts the materialized levels of the node's base
+// relations; runNode diffs it around execution for the EXPLAIN ANALYZE
+// lazy-build counter (fully built tries contribute a constant).
+func lazyLevelsSum(n *cNode) int {
+	s := 0
+	for _, cr := range n.rels {
+		if cr.child == nil {
+			s += cr.ix.BuiltLevels()
 		}
-		s := cr.tr.Set(ps[0].lvl, 0)
-		if vals, ok := s.Uints(); ok {
-			return vals, nil
-		}
-		return s.Values(), nil
 	}
-	if n.path == costopt.PathBinary {
-		return levelZeroBinary(n, stat)
-	}
-	sets := make([]*set.Set, len(ps))
-	for i, p := range ps {
-		sets[i] = n.rels[p.rel].tr.Set(p.lvl, 0)
-	}
-	b1 := set.Buffer{Stat: stat}
-	b2 := set.Buffer{Stat: stat}
-	isect := set.IntersectMany(&b1, &b2, sets)
-	if vals, ok := isect.Uints(); ok {
-		return vals, nil
-	}
-	return isect.Values(), nil
+	return s
 }
 
-// levelZeroBinary computes the level-0 survivors of a binary node by
-// probing. Lazy participants get their dense probe index built here —
-// level 0 always exists (it is built eagerly) — so a selective filter
-// that empties the join never materializes a deeper level.
-func levelZeroBinary(n *cNode, stat *set.Stats) ([]uint32, error) {
+// parentRank is the global rank, in ranks, of the element that p's
+// relation has bound one trie level above p (0 at its first level).
+func parentRank(ranks [][]int32, p part) int32 {
+	if p.lvl == 0 {
+		return 0
+	}
+	return ranks[p.rel][p.lvl-1]
+}
+
+// candidates is the per-level navigation step of the one join
+// recursion: under the parents bound in ranks it returns the ascending
+// value run node level d iterates. The node's access path picks the
+// navigator. WCOJ intersects the participants' sets (drv = -1: every
+// participant's rank is then looked up). Binary hash join — and any
+// level with a single participant — reads the smallest participant's
+// run as is (drv is that participant, whose ranks are base + position)
+// and leaves the others to be probed, misses dropping out. Either way
+// the values every participant holds come out in the same ascending
+// order, which is what keeps the two paths bit-identical. The run
+// aliases a trie or lb; callers only read it.
+func candidates(n *cNode, d int, ranks [][]int32, lb *levelBufs) (vals []uint32, drv int, base int32) {
+	ps := n.parts[d]
+	if len(ps) > 1 && n.path != costopt.PathBinary {
+		lb.sets = lb.sets[:0]
+		for _, p := range ps {
+			lb.sets = append(lb.sets, n.rels[p.rel].ix.Set(p.lvl, parentRank(ranks, p)))
+		}
+		isect := set.IntersectMany(&lb.b1, &lb.b2, lb.sets)
+		return isect.Run(&lb.vals), -1, 0
+	}
+	if len(ps) > 1 {
+		// Ties go to the lowest part index, so the choice — and the visit
+		// sequence — is deterministic.
+		minCard := math.MaxInt
+		for i, p := range ps {
+			if c := n.rels[p.rel].ix.Card(p.lvl, parentRank(ranks, p)); c < minCard {
+				minCard, drv = c, i
+			}
+		}
+	}
+	p := ps[drv]
+	vals, base = n.rels[p.rel].ix.Run(p.lvl, parentRank(ranks, p), &lb.vals)
+	return vals, drv, base
+}
+
+// levelZeroValues materializes the node's level-0 iteration set once,
+// before the parfor fan-out, counting its kernels against stat: the
+// level-0 candidates, reduced under the binary path to the values every
+// other participant also holds. Only level 0 of any index is touched,
+// so a filter that empties the join never materializes a deeper lazy
+// level.
+func levelZeroValues(n *cNode, stat *set.Stats) []uint32 {
+	lb := &levelBufs{}
+	lb.b1.Stat, lb.b2.Stat = stat, stat
+	vals, drv, _ := candidates(n, 0, nil, lb)
 	ps := n.parts[0]
-	for _, p := range ps {
-		if cr := n.rels[p.rel]; cr.lz != nil {
-			cr.lz.EnsureProbe0()
-		}
+	if drv < 0 || len(ps) == 1 {
+		return vals
 	}
-	drv := 0
-	minCard := lvlCard(n.rels[ps[0].rel], ps[0].lvl, 0)
-	for i := 1; i < len(ps); i++ {
-		if c := lvlCard(n.rels[ps[i].rel], ps[i].lvl, 0); c < minCard {
-			minCard, drv = c, i
-		}
-	}
-	dvals, _, _ := lvlSlice(n.rels[ps[drv].rel], ps[drv].lvl, 0, nil)
-	out := make([]uint32, 0, len(dvals))
-	probes := uint64(0)
-scan:
-	for _, v := range dvals {
+	// Each participant probes only what survived the ones before it.
+	out := make([]uint32, len(vals))
+	rk := make([]int32, probeBlock)
+	k := 0
+	for lo := 0; lo < len(vals); lo += probeBlock {
+		cur := out[k : k+copy(out[k:], vals[lo:min(lo+probeBlock, len(vals))])]
 		for j, p := range ps {
 			if j == drv {
 				continue
 			}
-			probes++
-			if probeRank(n.rels[p.rel], p.lvl, 0, v) < 0 {
-				continue scan
+			n.rels[p.rel].ix.RankBlock(p.lvl, 0, cur, rk)
+			stat.Probes += uint64(len(cur))
+			m := 0
+			for i, v := range cur {
+				if rk[i] >= 0 {
+					cur[m] = v
+					m++
+				}
 			}
+			cur = cur[:m]
 		}
-		out = append(out, v)
+		k += len(cur)
 	}
-	if stat != nil {
-		stat.Probes += probes
-		stat.BytesOut += uint64(len(out)) * 4
-	}
-	return out, nil
+	stat.BytesOut += uint64(k) * 4
+	return out[:k]
 }
 
 // worker executes a chunk of the outermost loop.
@@ -625,7 +641,6 @@ type worker struct {
 	touched bool
 	out     *rowsBuf
 	bufs    []*levelBufs
-	bbufs   []*binBufs // per level: binary-path probe scratch
 	uAcc    *unionAcc
 	scratch []float64
 	curVals []uint32 // per-level bound values (hash-emit mode)
@@ -650,9 +665,15 @@ type worker struct {
 	poisoned bool
 }
 
+// levelBufs is the scratch of one node level: the intersect navigator's
+// operand list and ping-pong buffers, the run a bitset layout expands
+// into, and one rank block per participant. Pooled with the worker, so
+// the steady-state recursion performs zero allocations.
 type levelBufs struct {
 	b1, b2 set.Buffer
 	sets   []*set.Set
+	vals   []uint32
+	ranks  [][]int32
 }
 
 // workerPool recycles workers across parfor chunks, GHD nodes and
@@ -726,10 +747,6 @@ func newWorker(n *cNode, ctx context.Context, mem *governor.Accountant) *worker 
 		w.bufs = append(w.bufs[:cap(w.bufs)], make([]*levelBufs, n.nLevels-cap(w.bufs))...)
 	}
 	w.bufs = w.bufs[:n.nLevels]
-	if cap(w.bbufs) < n.nLevels {
-		w.bbufs = append(w.bbufs[:cap(w.bbufs)], make([]*binBufs, n.nLevels-cap(w.bbufs))...)
-	}
-	w.bbufs = w.bbufs[:n.nLevels]
 	for d := range w.bufs {
 		if w.bufs[d] == nil {
 			w.bufs[d] = &levelBufs{}
@@ -738,6 +755,14 @@ func newWorker(n *cNode, ctx context.Context, mem *governor.Accountant) *worker 
 		lb.sets = lb.sets[:0]
 		lb.b1.Stat = &w.iStats
 		lb.b2.Stat = &w.iStats
+		nParts := len(n.parts[d])
+		if cap(lb.ranks) < nParts {
+			lb.ranks = append(lb.ranks[:cap(lb.ranks)], make([][]int32, nParts-cap(lb.ranks))...)
+		}
+		lb.ranks = lb.ranks[:nParts]
+		for j := range lb.ranks {
+			lb.ranks[j] = resizeI32(lb.ranks[j], probeBlock)
+		}
 	}
 	if n.relaxed {
 		w.uAcc = configureUnionAcc(w.uAcc, n)
@@ -776,155 +801,99 @@ func (w *worker) release() {
 	workerPool.Put(w)
 }
 
-// runChunk processes the assigned level-0 values, checking the context
-// every ctxCheckStride values (the parfor chunk boundary).
+// runChunk is level 0 of the recursion over this worker's share of the
+// node's level-0 values, walked in strides of ctxCheckStride so the
+// context and the memory charge are checked at that cadence whatever
+// the subtree sizes (the parfor chunk boundary).
 func (w *worker) runChunk(vals []uint32) error {
 	faultinject.Fire(faultinject.PointExecWorker)
-	n := w.n
-	ps := n.parts[0]
-	boundary := n.matCount - 1
-	for vi, v := range vals {
-		if vi%ctxCheckStride == 0 {
-			if w.ctx != nil {
-				if err := w.ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if err := w.chargeRetained(); err != nil {
-				return err
-			}
+	for lo := 0; lo < len(vals); lo += ctxCheckStride {
+		if err := w.tick(); err != nil {
+			return err
 		}
-		for _, p := range ps {
-			rk := n.rels[p.rel].tr.RankOf(p.lvl, 0, v)
-			if rk < 0 {
-				return fmt.Errorf("exec: value %d missing from %s level %d", v, n.rels[p.rel].alias, p.lvl)
-			}
-			w.ranks[p.rel][p.lvl] = rk
-		}
-		if 0 < n.matCount {
-			w.curKey[0] = v
-		}
-		if w.curVals != nil {
-			w.curVals[0] = v
-		}
-		if boundary == 0 {
-			w.beginGroup()
-		}
-		if n.nLevels == 1 {
-			w.addTuple(v)
-		} else {
-			if err := w.recurse(1); err != nil {
-				return err
-			}
-		}
-		if boundary == 0 {
-			w.endGroup()
+		if err := w.walk(0, vals[lo:min(lo+ctxCheckStride, len(vals))], -1, 0); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// recurse iterates level d.
-func (w *worker) recurse(d int) error {
+// descend iterates level d under the currently bound parents.
+func (w *worker) descend(d int) error {
+	vals, drv, base := candidates(w.n, d, w.ranks, w.bufs[d])
+	return w.walk(d, vals, drv, base)
+}
+
+// walk iterates one ascending candidate run of level d. Per block, one
+// batched lookup per participant fills its ranks (the driver's are
+// base + position); a value some participant lacks is skipped, every
+// other value binds its ranks and is emitted. Rank lookups count as
+// probes only under the binary path, where they are the join.
+func (w *worker) walk(d int, vals []uint32, drv int, base int32) error {
 	n := w.n
 	ps := n.parts[d]
-	boundary := d == n.matCount-1
-	last := d == n.nLevels-1
-
-	visit := func(v uint32) error {
-		w.steps++
-		if w.steps&stepCheckMask == 0 {
-			if err := w.tick(); err != nil {
-				return err
+	ranks := w.bufs[d].ranks
+	probing := n.path == costopt.PathBinary
+	for lo := 0; lo < len(vals); lo += probeBlock {
+		block := vals[lo:min(lo+probeBlock, len(vals))]
+		for j, p := range ps {
+			if j == drv {
+				continue
+			}
+			n.rels[p.rel].ix.RankBlock(p.lvl, parentRank(w.ranks, p), block, ranks[j])
+			if probing {
+				w.iStats.Probes += uint64(len(block))
 			}
 		}
-		if d < n.matCount {
-			w.curKey[d] = v
-		}
-		if w.curVals != nil {
-			w.curVals[d] = v
-		}
-		if boundary {
-			w.beginGroup()
-		}
-		if last {
-			w.addTuple(v)
-		} else {
-			if err := w.recurse(d + 1); err != nil {
-				return err
-			}
-		}
-		if boundary {
-			w.endGroup()
-		}
-		return nil
-	}
-
-	if len(ps) == 1 {
-		p := ps[0]
-		cr := n.rels[p.rel]
-		parent := w.parentRank(p.rel, p.lvl)
-		s := cr.tr.Set(p.lvl, parent)
-		base := cr.tr.Levels[p.lvl].Starts[parent]
-		// Direct slice iteration for the common uint layout: no
-		// per-element closure in the innermost loops.
-		if vals, ok := s.Uints(); ok {
-			for idx, v := range vals {
-				w.ranks[p.rel][p.lvl] = base + int32(idx)
-				if err := visit(v); err != nil {
-					return err
+	survivors:
+		for i, v := range block {
+			for j, p := range ps {
+				rk := base + int32(lo+i)
+				if j != drv {
+					if rk = ranks[j][i]; rk < 0 {
+						continue survivors
+					}
 				}
+				w.ranks[p.rel][p.lvl] = rk
 			}
-			return nil
+			if err := w.emit(d, v); err != nil {
+				return err
+			}
 		}
-		var err error
-		idx := int32(0)
-		s.ForEachUntil(func(v uint32) bool {
-			w.ranks[p.rel][p.lvl] = base + idx
-			idx++
-			if e := visit(v); e != nil {
-				err = e
-				return false
-			}
-			return true
-		})
+	}
+	return nil
+}
+
+// emit binds v at level d and folds everything below it: the one place
+// a visited trie node turns into output. A method, not a closure, so
+// the recursion stays allocation-free.
+func (w *worker) emit(d int, v uint32) error {
+	n := w.n
+	w.steps++
+	if w.steps&stepCheckMask == 0 {
+		if err := w.tick(); err != nil {
+			return err
+		}
+	}
+	if d < n.matCount {
+		w.curKey[d] = v
+	}
+	if w.curVals != nil {
+		w.curVals[d] = v
+	}
+	boundary := d == n.matCount-1
+	if boundary {
+		w.beginGroup()
+	}
+	if d == n.nLevels-1 {
+		w.addTuple(v)
+	} else if err := w.descend(d + 1); err != nil {
 		return err
 	}
-
-	lb := w.bufs[d]
-	lb.sets = lb.sets[:0]
-	for _, p := range ps {
-		cr := n.rels[p.rel]
-		lb.sets = append(lb.sets, cr.tr.Set(p.lvl, w.parentRank(p.rel, p.lvl)))
+	if boundary {
+		w.endGroup()
 	}
-	isect := set.IntersectMany(&lb.b1, &lb.b2, lb.sets)
-	bind := func(v uint32) error {
-		for _, p := range ps {
-			rk := n.rels[p.rel].tr.RankOf(p.lvl, w.parentRank(p.rel, p.lvl), v)
-			if rk < 0 {
-				return fmt.Errorf("exec: intersection value %d missing from %s", v, n.rels[p.rel].alias)
-			}
-			w.ranks[p.rel][p.lvl] = rk
-		}
-		return visit(v)
-	}
-	if vals, ok := isect.Uints(); ok {
-		for _, v := range vals {
-			if err := bind(v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var err error
-	isect.ForEachUntil(func(v uint32) bool {
-		if e := bind(v); e != nil {
-			err = e
-			return false
-		}
-		return true
-	})
-	return err
+	return nil
 }
 
 // tick is the sampled in-recursion check (every stepCheckMask+1 visited
@@ -962,13 +931,6 @@ func (w *worker) chargeRetained() error {
 	d := ret - w.memCharged
 	w.memCharged = ret
 	return w.mem.Charge(d)
-}
-
-func (w *worker) parentRank(rel, lvl int) int32 {
-	if lvl == 0 {
-		return 0
-	}
-	return w.ranks[rel][lvl-1]
 }
 
 // beginGroup resets accumulators at the materialized-prefix boundary.
@@ -1016,7 +978,7 @@ func (w *worker) addTuple(lastVal uint32) {
 			if hg.metaCodes != nil {
 				w.toks[gi] = uint64(hg.metaCodes[row])
 			} else {
-				w.toks[gi] = floatBits(hg.metaVal(row))
+				w.toks[gi] = dict.CanonFloatBits(hg.metaVal(row))
 			}
 		}
 		if ok {
@@ -1080,19 +1042,6 @@ func (w *worker) evalSkel(a *cAgg, e *planner.EmitNode) float64 {
 		return 0
 	}
 	return 0
-}
-
-// floatBits maps a float64 group value to its hash token. -0.0 folds
-// onto +0.0 and every NaN payload onto one canonical NaN so that values
-// that compare equal (or are all "the" NaN) land in one group.
-func floatBits(f float64) uint64 {
-	if f == 0 {
-		return 0
-	}
-	if f != f {
-		return math.Float64bits(math.NaN())
-	}
-	return math.Float64bits(f)
 }
 
 // combine1 merges one value into an accumulator per aggregate kind.

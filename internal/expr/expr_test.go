@@ -41,7 +41,7 @@ func fixture(t *testing.T) *Binding {
 		{3, 5, 50, 0.00, "1996-01-01", "R", "plain"},
 	}
 	for _, r := range rows {
-		if err := tab.AppendRow(r.ok, r.qty, r.price, r.disc, r.ship, r.flag, r.com); err != nil {
+		if err := tab.Append(r.ok, r.qty, r.price, r.disc, r.ship, r.flag, r.com); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -286,9 +286,9 @@ func TestStringPredicateOnKeyColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = tab.AppendRow("carol", 1.0)
-	_ = tab.AppendRow("alice", 2.0)
-	_ = tab.AppendRow("bob", 3.0)
+	_ = tab.Append("carol", 1.0)
+	_ = tab.Append("alice", 2.0)
+	_ = tab.Append("bob", 3.0)
 	if err := cat.Freeze(); err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,6 @@ const (
 	// anchors them).
 	DispatchDistinctScan = "distinct-scan" // exact hash-set COUNT(DISTINCT) scan
 	DispatchApproxHLL    = "approx-hll"    // HyperLogLog COUNT(DISTINCT) estimate
-	DispatchApproxCMS    = "approx-cms"    // Count-Min heavy-hitter group counts
 	DispatchApproxSample = "approx-sample" // scaled aggregates over a reservoir sample
 )
 

@@ -33,11 +33,11 @@ func laTables(t *testing.T) *Engine {
 		t.Fatal(err)
 	}
 	// [[1 2] [0 3]] and x = [10, 100]
-	_ = m.AppendRow(int64(0), int64(0), 1.0)
-	_ = m.AppendRow(int64(0), int64(1), 2.0)
-	_ = m.AppendRow(int64(1), int64(1), 3.0)
-	_ = vec.AppendRow(int64(0), 10.0)
-	_ = vec.AppendRow(int64(1), 100.0)
+	_ = m.Append(int64(0), int64(0), 1.0)
+	_ = m.Append(int64(0), int64(1), 2.0)
+	_ = m.Append(int64(1), int64(1), 3.0)
+	_ = vec.Append(int64(0), 10.0)
+	_ = vec.Append(int64(1), 100.0)
 	if err := cat.Freeze(); err != nil {
 		t.Fatal(err)
 	}

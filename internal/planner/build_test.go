@@ -57,15 +57,15 @@ func miniCatalog(t *testing.T) *storage.Catalog {
 		{Name: "v", Kind: storage.Float64, Role: storage.Annotation},
 	}})
 
-	_ = region.AppendRow(int64(0), "ASIA")
-	_ = region.AppendRow(int64(1), "AMERICA")
-	_ = nation.AppendRow(int64(0), int64(0), "JAPAN")
-	_ = nation.AppendRow(int64(1), int64(1), "BRAZIL")
-	_ = customer.AppendRow(int64(1), int64(0), "BUILDING")
-	_ = orders.AppendRow(int64(10), int64(1), "1994-05-01")
-	_ = lineitem.AppendRow(int64(10), int64(7), 100.0, 0.1, "R", "F", 10.0)
-	_ = supplier.AppendRow(int64(7), int64(0))
-	_ = matrix.AppendRow(int64(0), int64(1), 0.5)
+	_ = region.Append(int64(0), "ASIA")
+	_ = region.Append(int64(1), "AMERICA")
+	_ = nation.Append(int64(0), int64(0), "JAPAN")
+	_ = nation.Append(int64(1), int64(1), "BRAZIL")
+	_ = customer.Append(int64(1), int64(0), "BUILDING")
+	_ = orders.Append(int64(10), int64(1), "1994-05-01")
+	_ = lineitem.Append(int64(10), int64(7), 100.0, 0.1, "R", "F", 10.0)
+	_ = supplier.Append(int64(7), int64(0))
+	_ = matrix.Append(int64(0), int64(1), 0.5)
 	if err := cat.Freeze(); err != nil {
 		t.Fatal(err)
 	}

@@ -150,6 +150,28 @@ func (s *Set) Values() []uint32 {
 	return out
 }
 
+// Run returns the elements of s as one ascending run for read-only
+// iteration: the uint layout's own value slice, or the bitset layout
+// expanded into *buf (grown to fit and kept by the caller for reuse).
+func (s *Set) Run(buf *[]uint32) []uint32 {
+	if s.layout == Uint {
+		return s.vals
+	}
+	out := (*buf)[:0]
+	if cap(out) < s.card {
+		out = make([]uint32, 0, s.card)
+	}
+	for i, w := range s.words {
+		hi := s.base + uint32(i<<6)
+		for w != 0 {
+			out = append(out, hi+uint32(bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	*buf = out
+	return out
+}
+
 // Contains reports whether v is an element of s.
 func (s *Set) Contains(v uint32) bool {
 	switch s.layout {

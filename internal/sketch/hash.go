@@ -1,18 +1,17 @@
 // Package sketch implements the probabilistic summaries behind the
-// approximate query tier: HyperLogLog for COUNT(DISTINCT), Count-Min
-// for heavy-hitter group counts, and seeded reservoir samples of base
-// rows. In the paper's framing (LevelHeaded §III) these are just
+// approximate query tier: HyperLogLog for COUNT(DISTINCT) and seeded
+// reservoir samples of base rows. In the paper's framing (LevelHeaded §III) these are just
 // another annotation shape over the same relations — a lossy semiring
 // fold that trades bounded error for sublinear evaluation work.
 //
 // Everything here is deterministic: hashing is seeded splitmix64 over
-// canonicalized values (so -0.0 and +0.0 collapse and every NaN payload
-// is one value, matching the engine's group pseudo-encoding), and the
+// dict.CanonFloat classes (so -0.0 and +0.0 collapse and every NaN
+// payload is one value, as everywhere else in the engine), and the
 // reservoir RNG is a seeded splitmix64 stream. Two builds over the same
 // rows produce identical sketches, which the difftest lane relies on.
 package sketch
 
-import "math"
+import "repro/internal/dict"
 
 // splitmix64 is the SplitMix64 finalizer: a fast, well-mixed 64-bit
 // permutation (Steele et al.). Used both as a value-hash finalizer and
@@ -24,27 +23,15 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// canonFloatBits canonicalizes a float64 for hashing: -0.0 folds into
-// +0.0 and every NaN payload maps to one quiet NaN, mirroring
-// refeval.canonGroupVal and the engine's pseudo-encoding.
-func canonFloatBits(f float64) uint64 {
-	if f == 0 {
-		return 0
-	}
-	if math.IsNaN(f) {
-		return math.Float64bits(math.NaN())
-	}
-	return math.Float64bits(f)
-}
-
 // HashInt hashes an int64 value under seed.
 func HashInt(seed uint64, v int64) uint64 {
 	return splitmix64(seed ^ splitmix64(uint64(v)))
 }
 
-// HashFloat hashes a float64 value under seed, canonicalized.
+// HashFloat hashes a float64 value under seed; values of one
+// dict.CanonFloat class hash alike.
 func HashFloat(seed uint64, f float64) uint64 {
-	return splitmix64(seed ^ splitmix64(canonFloatBits(f)))
+	return splitmix64(seed ^ splitmix64(dict.CanonFloatBits(f)))
 }
 
 // HashString hashes a string value under seed (FNV-1a folded through

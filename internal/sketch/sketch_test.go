@@ -75,29 +75,6 @@ func TestHLLMerge(t *testing.T) {
 	}
 }
 
-func TestCMSNeverUndercounts(t *testing.T) {
-	c := NewCMS(DefaultCMSDepth, DefaultCMSWidth)
-	true1 := map[int64]uint64{}
-	for i := 0; i < 20000; i++ {
-		v := int64(i % 97)
-		true1[v]++
-		c.AddHash(HashInt(2, v))
-	}
-	if c.N() != 20000 {
-		t.Fatalf("N = %d", c.N())
-	}
-	bound := c.ErrorBound()
-	for v, want := range true1 {
-		got := c.Count(HashInt(2, v))
-		if got < want {
-			t.Fatalf("undercount for %d: %d < %d", v, got, want)
-		}
-		if float64(got-want) > bound {
-			t.Errorf("overcount for %d: %d vs %d exceeds bound %.1f", v, got, want, bound)
-		}
-	}
-}
-
 func TestReservoirBasics(t *testing.T) {
 	r := NewReservoir(64, 7)
 	for i := 0; i < 10000; i++ {

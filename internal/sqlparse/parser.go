@@ -16,6 +16,7 @@ func Parse(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
+	q.HasDistinctAgg = p.sawDistinct
 	// Optional trailing semicolon.
 	if p.peek().kind == tokSymbol && p.peek().text == ";" {
 		p.next()
@@ -29,6 +30,8 @@ func Parse(src string) (*Query, error) {
 type parser struct {
 	toks []token
 	i    int
+	// sawDistinct: some function call carried the DISTINCT keyword.
+	sawDistinct bool
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -477,7 +480,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 				return fc, nil
 			}
 			if p.acceptKeyword("distinct") {
-				fc.Distinct = true
+				fc.Distinct, p.sawDistinct = true, true
 			}
 			if p.acceptSymbol(")") {
 				if fc.Distinct {

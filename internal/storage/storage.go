@@ -236,11 +236,6 @@ func (t *Table) AppendBatch(rows [][]interface{}) error {
 	return t.appendCells(conv)
 }
 
-// AppendRow appends one row.
-//
-// Deprecated: use Append, which also accepts rows after freeze.
-func (t *Table) AppendRow(vals ...interface{}) error { return t.Append(vals...) }
-
 func (t *Table) convertRow(vals []interface{}) ([]cell, error) {
 	if len(vals) != len(t.Cols) {
 		return nil, fmt.Errorf("storage: %d values for %d columns of %s", len(vals), len(t.Cols), t.Schema.Name)
@@ -310,14 +305,6 @@ func (t *Table) appendCellsID(rows [][]cell, batchID string) error {
 		t.cat.noteMutation()
 	}
 	return nil
-}
-
-// LoadDelimited bulk-loads delimiter-separated rows.
-//
-// Deprecated: use LoadDelimitedContext, which can be cancelled
-// mid-load.
-func (t *Table) LoadDelimited(r io.Reader, delim byte) error {
-	return t.LoadDelimitedContext(context.Background(), r, delim)
 }
 
 // loadChunkRows is how many parsed rows LoadDelimitedContext buffers

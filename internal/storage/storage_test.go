@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -34,10 +35,10 @@ func TestAppendRowAndKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.AppendRow(int64(1), int64(10), "1994-01-02", "hello"); err != nil {
+	if err := tab.Append(int64(1), int64(10), "1994-01-02", "hello"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.AppendRow(2, int64(11), int64(8766), "bye"); err != nil {
+	if err := tab.Append(2, int64(11), int64(8766), "bye"); err != nil {
 		t.Fatal(err)
 	}
 	if tab.NumRows != 2 {
@@ -47,10 +48,10 @@ func TestAppendRowAndKinds(t *testing.T) {
 		t.Fatalf("date = %d", tab.Col("o_orderdate").Ints[0])
 	}
 	// Type errors.
-	if err := tab.AppendRow("x", int64(1), int64(1), "y"); err == nil {
+	if err := tab.Append("x", int64(1), int64(1), "y"); err == nil {
 		t.Error("wrong type should error")
 	}
-	if err := tab.AppendRow(int64(1)); err == nil {
+	if err := tab.Append(int64(1)); err == nil {
 		t.Error("wrong arity should error")
 	}
 }
@@ -82,10 +83,10 @@ func TestFreezeSharedDomain(t *testing.T) {
 	cat := NewCatalog()
 	m, _ := cat.Create(matrixSchema())
 	// Keys 5 and 100 appear in different columns of the shared domain.
-	if err := m.AppendRow(int64(5), int64(100), 1.0); err != nil {
+	if err := m.Append(int64(5), int64(100), 1.0); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AppendRow(int64(100), int64(5), 2.0); err != nil {
+	if err := m.Append(int64(100), int64(5), 2.0); err != nil {
 		t.Fatal(err)
 	}
 	if err := cat.Freeze(); err != nil {
@@ -115,10 +116,10 @@ func TestFreezeSharedDomain(t *testing.T) {
 func TestFreezeAnnotations(t *testing.T) {
 	cat := NewCatalog()
 	o, _ := cat.Create(ordersSchema())
-	if err := o.AppendRow(int64(1), int64(10), "1994-01-01", "beta"); err != nil {
+	if err := o.Append(int64(1), int64(10), "1994-01-01", "beta"); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.AppendRow(int64(2), int64(11), "1995-06-01", "alpha"); err != nil {
+	if err := o.Append(int64(2), int64(11), "1995-06-01", "alpha"); err != nil {
 		t.Fatal(err)
 	}
 	if err := cat.Freeze(); err != nil {
@@ -146,7 +147,7 @@ func TestFreezeAnnotations(t *testing.T) {
 func TestFreezeIdempotentAndLocksCreate(t *testing.T) {
 	cat := NewCatalog()
 	m, _ := cat.Create(matrixSchema())
-	_ = m.AppendRow(int64(0), int64(0), 1.0)
+	_ = m.Append(int64(0), int64(0), 1.0)
 	if err := cat.Freeze(); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestLoadDelimited(t *testing.T) {
 	cat := NewCatalog()
 	o, _ := cat.Create(ordersSchema())
 	data := "1|10|1994-01-01|first order|\n2|11|1994-02-01|second|\n\n3|12|1994-03-01|third|\n"
-	if err := o.LoadDelimited(strings.NewReader(data), '|'); err != nil {
+	if err := o.LoadDelimitedContext(context.Background(), strings.NewReader(data), '|'); err != nil {
 		t.Fatal(err)
 	}
 	if o.NumRows != 3 {
@@ -185,12 +186,12 @@ func TestLoadDelimited(t *testing.T) {
 	}
 	// Field-count mismatch.
 	bad, _ := cat.Create(Schema{Name: "t2", Cols: []ColumnDef{{Name: "x", Kind: Int64, Role: Key}}})
-	if err := bad.LoadDelimited(strings.NewReader("1|2|\n"), '|'); err == nil {
+	if err := bad.LoadDelimitedContext(context.Background(), strings.NewReader("1|2|\n"), '|'); err == nil {
 		t.Error("field mismatch should error")
 	}
 	// Bad int.
 	bad2, _ := cat.Create(Schema{Name: "t3", Cols: []ColumnDef{{Name: "x", Kind: Int64, Role: Key}}})
-	if err := bad2.LoadDelimited(strings.NewReader("zzz\n"), '|'); err == nil {
+	if err := bad2.LoadDelimitedContext(context.Background(), strings.NewReader("zzz\n"), '|'); err == nil {
 		t.Error("bad int should error")
 	}
 }

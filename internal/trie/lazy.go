@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/faultinject"
+	"repro/internal/set"
 )
 
 // Lazy is a COLT-style lazily-built generalized hash trie (Free Join,
@@ -24,10 +25,9 @@ import (
 // are exactly those of Build — Full() on a Lazy yields a Trie
 // bit-identical to Build on the same input.
 //
-// Readers must call EnsureLevels / EnsureAnns before touching a level
-// or annotation buffer; the atomic built counters give the
-// happens-before edge, so already-materialized levels are read without
-// locking.
+// Every Index accessor materializes what it reads on first touch; the
+// atomic built counters give the happens-before edge, so
+// already-materialized state is read without locking.
 type Lazy struct {
 	Attrs []string
 
@@ -57,10 +57,14 @@ type Lazy struct {
 	gvbuf    []uint32
 	cntDirty bool
 
-	// probe0 is an optional dense code->rank+1 index over level 0,
-	// built on demand for the binary hash-join probe loop.
+	// probe0 is a dense code->rank+1 index over level 0, built by the
+	// first level-0 rank lookup (the hash-join probe side).
 	probe0      []int32
 	probe0Ready atomic.Bool
+
+	// eager[d] is level d in set-per-node form, built by the first Set
+	// call on it (or by Full) from the flat run.
+	eager []atomic.Pointer[Level]
 
 	full *Trie
 }
@@ -97,6 +101,7 @@ func NewLazy(in BuildInput) (*Lazy, error) {
 		k:       k,
 		n:       n,
 		levels:  make([]*lazyLevel, k),
+		eager:   make([]atomic.Pointer[Level], k),
 		anns:    make(map[string]*Annotation, len(in.Anns)),
 		annSpec: in.Anns,
 	}
@@ -125,30 +130,11 @@ func NewLazy(in BuildInput) (*Lazy, error) {
 // NumLevels reports the number of key attributes.
 func (l *Lazy) NumLevels() int { return l.k }
 
-// SourceRows reports the number of input rows before deduplication.
-func (l *Lazy) SourceRows() int { return l.n }
-
 // BuiltLevels reports how many levels are currently materialized.
 func (l *Lazy) BuiltLevels() int { return int(l.built.Load()) }
 
-// AnnsBuilt reports whether annotation buffers are materialized.
-func (l *Lazy) AnnsBuilt() bool { return l.annsDone.Load() }
-
-// NumTuples reports the number of distinct key tuples. It requires the
-// last level to be materialized.
-func (l *Lazy) NumTuples() int {
-	lv := l.levels[l.k-1]
-	return int(lv.starts[len(lv.starts)-1])
-}
-
-// EnsureLevels materializes levels [0, upto] if not already built.
-func (l *Lazy) EnsureLevels(upto int) {
-	if upto >= l.k {
-		upto = l.k - 1
-	}
-	if int(l.built.Load()) > upto {
-		return
-	}
+// ensureLevels materializes levels [0, upto] if not already built.
+func (l *Lazy) ensureLevels(upto int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.ensureLevelsLocked(upto)
@@ -162,9 +148,9 @@ func (l *Lazy) ensureLevelsLocked(upto int) {
 	}
 }
 
-// EnsureAnns materializes every annotation buffer (building all key
+// ensureAnns materializes every annotation buffer (building all key
 // levels first if needed).
-func (l *Lazy) EnsureAnns() {
+func (l *Lazy) ensureAnns() {
 	if l.annsDone.Load() {
 		return
 	}
@@ -324,55 +310,85 @@ func (l *Lazy) materializeLocked(d int) {
 	l.rows = newRows
 }
 
-// Values returns the distinct sorted child values under the parent with
-// the given global rank (0 for level 0). The level must be built.
-func (l *Lazy) Values(level int, parentRank int32) []uint32 {
-	lv := l.levels[level]
-	return lv.vals[lv.starts[parentRank]:lv.starts[parentRank+1]]
+// flat returns the flattened form of a level, materializing it (and
+// every level above it) on first touch.
+func (l *Lazy) flat(level int) *lazyLevel {
+	if int(l.built.Load()) <= level {
+		l.ensureLevels(level)
+	}
+	return l.levels[level]
 }
 
-// Start returns the global rank of the first element of the set under
-// parentRank at the given level.
-func (l *Lazy) Start(level int, parentRank int32) int32 {
-	return l.levels[level].starts[parentRank]
-}
+// HasDups implements Index.
+func (l *Lazy) HasDups() bool { return true }
 
-// Card returns the cardinality of the set under parentRank.
+// Eager implements Index.
+func (l *Lazy) Eager() *Trie { return nil }
+
+// Card implements Index.
 func (l *Lazy) Card(level int, parentRank int32) int {
-	lv := l.levels[level]
+	lv := l.flat(level)
 	return int(lv.starts[parentRank+1] - lv.starts[parentRank])
 }
 
-// RankOf locates v in the set under parentRank and returns its global
-// rank, or -1 if absent. Binary search over the flattened value run.
-func (l *Lazy) RankOf(level int, parentRank int32, v uint32) int32 {
-	lv := l.levels[level]
-	lo, hi := lv.starts[parentRank], lv.starts[parentRank+1]
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if lv.vals[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < lv.starts[parentRank+1] && lv.vals[lo] == v {
-		return lo
-	}
-	return -1
+// Run implements Index; the flat run is already the ascending slice.
+func (l *Lazy) Run(level int, parentRank int32, _ *[]uint32) ([]uint32, int32) {
+	lv := l.flat(level)
+	lo := lv.starts[parentRank]
+	return lv.vals[lo:lv.starts[parentRank+1]], lo
 }
 
-// EnsureProbe0 builds the dense code->rank+1 probe index over level 0.
-func (l *Lazy) EnsureProbe0() {
-	if l.probe0Ready.Load() {
+// RankOf implements Index: the dense probe index on level 0, binary
+// search over the flattened value run below it.
+func (l *Lazy) RankOf(level int, parentRank int32, v uint32) int32 {
+	var out [1]int32
+	l.RankBlock(level, parentRank, []uint32{v}, out[:])
+	return out[0]
+}
+
+// RankBlock implements Index.
+func (l *Lazy) RankBlock(level int, parentRank int32, vals []uint32, out []int32) {
+	if level == 0 {
+		idx := l.probeIndex()
+		for i, v := range vals {
+			out[i] = -1
+			if int(v) < len(idx) {
+				out[i] = idx[v] - 1
+			}
+		}
 		return
+	}
+	lv := l.flat(level)
+	end := lv.starts[parentRank+1]
+	for i, v := range vals {
+		lo, hi := lv.starts[parentRank], end
+		for lo < hi {
+			mid := (lo + hi) >> 1
+			if lv.vals[mid] < v {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		out[i] = -1
+		if lo < end && lv.vals[lo] == v {
+			out[i] = lo
+		}
+	}
+}
+
+// probeIndex returns the dense code->rank+1 index over level 0,
+// building it on first use.
+func (l *Lazy) probeIndex() []int32 {
+	if l.probe0Ready.Load() {
+		return l.probe0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.probe0Ready.Load() {
-		return
+		return l.probe0
 	}
-	vals := l.Values(0, 0)
+	vals := l.levels[0].vals
 	var maxV uint32
 	if len(vals) > 0 {
 		maxV = vals[len(vals)-1]
@@ -383,20 +399,41 @@ func (l *Lazy) EnsureProbe0() {
 	}
 	l.probe0 = idx
 	l.probe0Ready.Store(true)
+	return idx
 }
 
-// Probe0 returns the global rank of v on level 0 via the dense index,
-// or -1 if absent. EnsureProbe0 must have been called.
-func (l *Lazy) Probe0(v uint32) int32 {
-	if int(v) >= len(l.probe0) {
-		return -1
+// Set implements Index: the level is converted to set-per-node form
+// once, with the layouts Build would have chosen.
+func (l *Lazy) Set(level int, parentRank int32) *set.Set {
+	lv := l.eager[level].Load()
+	if lv == nil {
+		l.mu.Lock()
+		lv = l.eagerLevelLocked(level, l.in.Threads)
+		l.mu.Unlock()
 	}
-	return l.probe0[v] - 1
+	return &lv.Sets[parentRank]
 }
 
-// Ann returns the named annotation buffer or nil. Buffers are populated
-// only after EnsureAnns.
-func (l *Lazy) Ann(name string) *Annotation { return l.anns[name] }
+func (l *Lazy) eagerLevelLocked(d, threads int) *Level {
+	if lv := l.eager[d].Load(); lv != nil {
+		return lv
+	}
+	l.ensureLevelsLocked(d)
+	ends := l.levels[d].starts[1:]
+	if l.n == 0 {
+		ends = []int32{0}
+	}
+	lv := buildLevel(l.levels[d].vals, ends, threads)
+	l.eager[d].Store(lv)
+	return lv
+}
+
+// Ann implements Index: the first call materializes every annotation
+// buffer (and with them every key level).
+func (l *Lazy) Ann(name string) *Annotation {
+	l.ensureAnns()
+	return l.anns[name]
+}
 
 // Full materializes everything and converts to an immutable Trie,
 // bit-identical to Build on the same input. The result is cached.
@@ -424,14 +461,7 @@ func (l *Lazy) Full(threads int) *Trie {
 		threads = l.in.Threads
 	}
 	for d := 0; d < l.k; d++ {
-		lv := l.levels[d]
-		var ends []int32
-		if l.n == 0 {
-			ends = []int32{0}
-		} else {
-			ends = lv.starts[1:]
-		}
-		t.Levels[d] = buildLevel(lv.vals, ends, threads)
+		t.Levels[d] = l.eagerLevelLocked(d, threads)
 	}
 	t.NumTuples = t.Levels[l.k-1].NumElems()
 	l.full = t

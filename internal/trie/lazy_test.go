@@ -1,8 +1,10 @@
 package trie
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -121,60 +123,125 @@ func TestLazyEquivalence(t *testing.T) {
 		}
 		// Exercise the incremental path before converting.
 		for d := 0; d < k; d++ {
-			lz.EnsureLevels(d)
+			lz.ensureLevels(d)
 			if lz.BuiltLevels() != d+1 {
-				t.Fatalf("BuiltLevels=%d after EnsureLevels(%d)", lz.BuiltLevels(), d)
+				t.Fatalf("BuiltLevels=%d after ensureLevels(%d)", lz.BuiltLevels(), d)
 			}
 		}
-		lz.EnsureAnns()
+		lz.ensureAnns()
 		got := lz.Full(0)
 		requireTrieEqual(t, want, got)
+	}
+}
 
-		// Lazy accessors must agree with the converted trie.
-		for d := 0; d < k; d++ {
-			numParents := 1
-			if d > 0 {
-				numParents = want.Levels[d-1].NumElems()
+// indexDiff walks the whole Index surface of got — every (level,
+// parent): cardinality, value run, base rank, set, scalar and batched
+// rank lookups incl. absent values — plus every annotation buffer, and
+// describes the first disagreement with the eagerly built reference.
+func indexDiff(want *Trie, got Index) string {
+	if want.HasDups() && !got.HasDups() {
+		return "HasDups=false on an input with duplicate tuples"
+	}
+	var buf []uint32
+	for d, lv := range want.Levels {
+		// Reachable parents only: an empty input still carries one
+		// (unaddressable) empty set per deeper eager level.
+		parents := 1
+		if d > 0 {
+			parents = want.Levels[d-1].NumElems()
+		}
+		for p := 0; p < parents; p++ {
+			at := fmt.Sprintf("(%d,%d)", d, p)
+			wvals := lv.Sets[p].Values()
+			if c := got.Card(d, int32(p)); c != len(wvals) {
+				return fmt.Sprintf("Card%s=%d want %d", at, c, len(wvals))
 			}
-			for p := 0; p < numParents; p++ {
-				vals := lz.Values(d, int32(p))
-				wvals := want.Levels[d].Sets[p].Values()
-				if len(vals) != len(wvals) {
-					t.Fatalf("Values(%d,%d) card %d want %d", d, p, len(vals), len(wvals))
+			vals, base := got.Run(d, int32(p), &buf)
+			if !slices.Equal(vals, wvals) || base != lv.Starts[p] {
+				return fmt.Sprintf("Run%s=%v@%d want %v@%d", at, vals, base, wvals, lv.Starts[p])
+			}
+			if sv := got.Set(d, int32(p)).Values(); !slices.Equal(sv, wvals) {
+				return fmt.Sprintf("Set%s=%v want %v", at, sv, wvals)
+			}
+			// Probe block: every present value interleaved with its
+			// (mostly absent) successor, plus an out-of-domain code.
+			probe := []uint32{1 << 31}
+			for _, v := range wvals {
+				probe = append(probe, v, v+1)
+			}
+			ranks := make([]int32, len(probe))
+			got.RankBlock(d, int32(p), probe, ranks)
+			for i, v := range probe {
+				wr := want.RankOf(d, int32(p), v)
+				if ranks[i] != wr {
+					return fmt.Sprintf("RankBlock%s[%d]=%d want %d", at, v, ranks[i], wr)
 				}
-				if lz.Start(d, int32(p)) != want.Levels[d].Starts[p] {
-					t.Fatalf("Start(%d,%d)=%d want %d", d, p, lz.Start(d, int32(p)), want.Levels[d].Starts[p])
-				}
-				for i, v := range vals {
-					if v != wvals[i] {
-						t.Fatalf("Values(%d,%d)[%d]=%d want %d", d, p, i, v, wvals[i])
-					}
-					if rk := lz.RankOf(d, int32(p), v); rk != want.RankOf(d, int32(p), v) {
-						t.Fatalf("RankOf(%d,%d,%d)=%d want %d", d, p, v, rk, want.RankOf(d, int32(p), v))
-					}
-				}
-				if rk := lz.RankOf(d, int32(p), 999999); rk != -1 {
-					t.Fatalf("RankOf absent = %d, want -1", rk)
+				if r := got.RankOf(d, int32(p), v); r != wr {
+					return fmt.Sprintf("RankOf%s[%d]=%d want %d", at, v, r, wr)
 				}
 			}
 		}
-		lz.EnsureProbe0()
-		for _, v := range lz.Values(0, 0) {
-			if lz.Probe0(v) != want.RankOf(0, 0, v) {
-				t.Fatalf("Probe0(%d)=%d want %d", v, lz.Probe0(v), want.RankOf(0, 0, v))
+	}
+	for name, wa := range want.Anns {
+		ga := got.Ann(name)
+		if ga == nil || !slices.Equal(ga.Codes, wa.Codes) || len(ga.F64) != len(wa.F64) {
+			return fmt.Sprintf("Ann(%q) shape mismatch", name)
+		}
+		for i := range wa.F64 {
+			if math.Float64bits(ga.F64[i]) != math.Float64bits(wa.F64[i]) {
+				return fmt.Sprintf("Ann(%q).F64[%d]=%v want %v", name, i, ga.F64[i], wa.F64[i])
 			}
 		}
-		if lz.Probe0(1<<31) != -1 {
-			t.Fatal("Probe0 out-of-domain should be -1")
+	}
+	return ""
+}
+
+// TestIndexSurfaceAgrees is the property behind the one-handle seam:
+// over random inputs — duplicate-heavy, single-level, and empty — the
+// Index surface of NewLazy(in) answers exactly like Build(in)'s, with
+// every lazy level, the probe index, the set form and the annotations
+// first touched concurrently by several goroutines (run under -race).
+func TestIndexSurfaceAgrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for iter := 0; iter < 120; iter++ {
+		k := 1 + rng.Intn(3)
+		n := rng.Intn(300)
+		if iter%10 == 0 {
+			n = 0
 		}
-		if n > 0 && lz.NumTuples() != want.NumTuples {
-			t.Fatalf("NumTuples=%d want %d", lz.NumTuples(), want.NumTuples)
+		in := randBuildInput(rng, k, n)
+		want, err := Build(in)
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		if d := indexDiff(want, want); d != "" {
+			t.Fatalf("iter %d: eager index disagrees with itself: %s", iter, d)
+		}
+		lz, err := NewLazy(in)
+		if err != nil {
+			t.Fatalf("NewLazy: %v", err)
+		}
+		if lz.Eager() != nil || want.Eager() != want {
+			t.Fatal("Eager(): want the trie itself for *Trie, nil for *Lazy")
+		}
+		diffs := make(chan string, 4)
+		for g := 0; g < cap(diffs); g++ {
+			go func() { diffs <- indexDiff(want, lz) }()
+		}
+		for g := 0; g < cap(diffs); g++ {
+			if d := <-diffs; d != "" {
+				t.Fatalf("iter %d (k=%d n=%d): lazy index: %s", iter, k, n, d)
+			}
+		}
+		if lz.BuiltLevels() != k {
+			t.Fatalf("iter %d: BuiltLevels=%d after a full walk, want %d", iter, lz.BuiltLevels(), k)
 		}
 	}
 }
 
-// TestLazyConcurrentEnsure hammers EnsureLevels/EnsureAnns from many
-// goroutines to exercise the single-flight path under -race.
+// TestLazyConcurrentEnsure hammers the level, probe-index, annotation
+// and Full materializers from many goroutines to exercise the
+// single-flight path under -race.
 func TestLazyConcurrentEnsure(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in := randBuildInput(rng, 3, 5000)
@@ -189,9 +256,9 @@ func TestLazyConcurrentEnsure(t *testing.T) {
 	done := make(chan *Trie, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
-			lz.EnsureLevels(g % 3)
-			lz.EnsureProbe0()
-			lz.EnsureAnns()
+			lz.Card(g%3, 0)
+			lz.RankOf(0, 0, 1)
+			lz.Ann("f0")
 			done <- lz.Full(0)
 		}(g)
 	}

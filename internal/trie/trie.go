@@ -73,8 +73,79 @@ type Trie struct {
 	SourceRows int
 }
 
+// Index is the read-side navigation surface of a query trie: everything
+// the join recursion, the cost audit and the dense kernels ask of one.
+// Both physical representations satisfy it — the eager set-per-node
+// *Trie and the lazily bucketed flat-run *Lazy — so which one backs a
+// relation is decided where the trie is built and nowhere else. Sets
+// are addressed by (level, parentRank): the global rank of the parent
+// element one level up, 0 at level 0. A *Lazy materializes the levels,
+// annotation buffers and probe index a call needs on first touch,
+// single-flight; a level nobody navigates is never built.
+type Index interface {
+	// BuiltLevels reports how many levels are materialized right now
+	// (always all of them for a *Trie).
+	BuiltLevels() int
+	// HasDups reports whether duplicate key tuples may have been folded
+	// into the annotations. A *Lazy cannot know before its leaf level
+	// exists and always answers true.
+	HasDups() bool
+	// Card is the cardinality of the set under parent.
+	Card(level int, parent int32) int
+	// Run returns that set as one ascending value run plus the global
+	// rank of its first element. The run aliases the index or *buf (see
+	// set.Set.Run); callers only read it.
+	Run(level int, parent int32, buf *[]uint32) (vals []uint32, base int32)
+	// RankOf returns the global rank of v in that set, or -1.
+	RankOf(level int, parent int32, v uint32) int32
+	// RankBlock is RankOf for a block of probe values: out[i] receives
+	// the rank of vals[i]. One call per block keeps the probe loop tight
+	// and the representation dispatch out of it.
+	RankBlock(level int, parent int32, vals []uint32, out []int32)
+	// Set returns that set in intersectable form.
+	Set(level int, parent int32) *set.Set
+	// Ann returns the named annotation buffer (indexed by the global rank
+	// of the level it hangs off) or nil.
+	Ann(name string) *Annotation
+	// Eager returns the fully built trie when the index is one, else nil:
+	// the dense and SpMV kernels read Levels directly and decline others.
+	Eager() *Trie
+}
+
 // NumLevels reports the number of key attributes.
 func (t *Trie) NumLevels() int { return len(t.Levels) }
+
+// BuiltLevels implements Index.
+func (t *Trie) BuiltLevels() int { return len(t.Levels) }
+
+// HasDups implements Index.
+func (t *Trie) HasDups() bool { return t.SourceRows != t.NumTuples }
+
+// Eager implements Index.
+func (t *Trie) Eager() *Trie { return t }
+
+// Card implements Index.
+func (t *Trie) Card(level int, parentRank int32) int {
+	return t.Levels[level].Sets[parentRank].Card()
+}
+
+// Run implements Index.
+func (t *Trie) Run(level int, parentRank int32, buf *[]uint32) ([]uint32, int32) {
+	l := t.Levels[level]
+	return l.Sets[parentRank].Run(buf), l.Starts[parentRank]
+}
+
+// RankBlock implements Index.
+func (t *Trie) RankBlock(level int, parentRank int32, vals []uint32, out []int32) {
+	l := t.Levels[level]
+	s, base := &l.Sets[parentRank], l.Starts[parentRank]
+	for i, v := range vals {
+		out[i] = -1
+		if r := s.Rank(v); r >= 0 {
+			out[i] = base + int32(r)
+		}
+	}
+}
 
 // LevelOf returns the level index of the named key attribute, or -1.
 func (t *Trie) LevelOf(attr string) int {

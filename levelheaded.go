@@ -261,14 +261,6 @@ func (e *Engine) LoadDelimitedContext(ctx context.Context, table string, r io.Re
 	return t.LoadDelimitedContext(ctx, r, delim)
 }
 
-// LoadDelimited bulk-loads delimiter-separated rows into a table.
-//
-// Deprecated: use LoadDelimitedContext, which can be cancelled
-// mid-load.
-func (e *Engine) LoadDelimited(table string, r io.Reader, delim byte) error {
-	return e.LoadDelimitedContext(context.Background(), table, r, delim)
-}
-
 // Compact folds rows appended since the last compaction into fresh,
 // right-sized base storage and rebuilds cached tries off the hot path.
 // Appended rows are queryable WITHOUT calling Compact (the first query
@@ -279,14 +271,6 @@ func (e *Engine) LoadDelimited(table string, r io.Reader, delim byte) error {
 // single-flight, cancellable, governor-accounted and panic-contained.
 // On a never-queried engine it performs the initial freeze.
 func (e *Engine) Compact(ctx context.Context) error { return e.inner.Compact(ctx) }
-
-// Freeze seals the catalog's base encodings; it runs automatically on
-// the first query.
-//
-// Deprecated: Freeze is no longer a one-way door — tables accept
-// Append before and after it. Use Compact, which performs the initial
-// freeze on a cold engine and folds delta rows on a live one.
-func (e *Engine) Freeze() error { return e.inner.Freeze() }
 
 // QueryOption configures one query (see Query). Options compose left
 // to right.
@@ -345,8 +329,7 @@ func WithWorstCaseOrder() QueryOption {
 	return func(c *queryConfig) { c.qo.WorstOrder = true }
 }
 
-// WithOptions applies a full QueryOptions struct — the escape hatch
-// for callers migrating from the deprecated QueryWith signature.
+// WithOptions applies a full QueryOptions struct at once.
 func WithOptions(qo QueryOptions) QueryOption {
 	return func(c *queryConfig) { c.qo = qo }
 }
@@ -374,28 +357,6 @@ func (e *Engine) Query(ctx context.Context, sql string, opts ...QueryOption) (*R
 		defer cancel()
 	}
 	return e.inner.QueryWithContext(ctx, sql, cfg.qo)
-}
-
-// QueryWith executes a query with per-query overrides.
-//
-// Deprecated: use Query with functional options (WithOptions accepts
-// an existing QueryOptions value).
-func (e *Engine) QueryWith(sql string, qo QueryOptions) (*Result, error) {
-	return e.inner.QueryWithContext(context.Background(), sql, qo)
-}
-
-// QueryContext executes a query under a context.
-//
-// Deprecated: use Query, whose first argument is the context.
-func (e *Engine) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	return e.inner.QueryWithContext(ctx, sql, QueryOptions{})
-}
-
-// QueryWithContext combines QueryContext and QueryWith.
-//
-// Deprecated: use Query with functional options.
-func (e *Engine) QueryWithContext(ctx context.Context, sql string, qo QueryOptions) (*Result, error) {
-	return e.inner.QueryWithContext(ctx, sql, qo)
 }
 
 // IngestRows appends a batch of rows to the named table under governor

@@ -29,7 +29,7 @@ func triangleEngine(t *testing.T) *lh.Engine {
 		{0, 3}, {5, 0},
 	}
 	for _, e := range edges {
-		if err := tab.AppendRow(e[0], e[1]); err != nil {
+		if err := tab.Append(e[0], e[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,7 +119,7 @@ func TestQueryContextPreCanceled(t *testing.T) {
 	eng := triangleEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := eng.QueryContext(ctx, triangleSQL)
+	_, err := eng.Query(ctx, triangleSQL)
 	if err == nil {
 		t.Fatal("canceled context did not fail the query")
 	}
@@ -153,12 +153,12 @@ func TestQueryContextMidQueryCancel(t *testing.T) {
 	const n = 400
 	for i := int64(0); i < n; i++ {
 		for _, d := range []int64{1, 2, 3, 5, 7, 11, 13, 17} {
-			if err := tab.AppendRow(i, (i+d)%n); err != nil {
+			if err := tab.Append(i, (i+d)%n); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := eng.Freeze(); err != nil {
+	if err := eng.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
@@ -167,7 +167,7 @@ func TestQueryContextMidQueryCancel(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 		cancel()
 	}()
-	_, qerr := eng.QueryContext(ctx, triangleSQL)
+	_, qerr := eng.Query(ctx, triangleSQL)
 	if qerr != nil && !errors.Is(qerr, context.Canceled) {
 		t.Fatalf("mid-query cancel error = %v", qerr)
 	}
@@ -213,7 +213,7 @@ func TestFrozenTableTypedErrors(t *testing.T) {
 		t.Fatalf("unknown column error = %#v", err)
 	}
 
-	if err := eng.Freeze(); err != nil {
+	if err := eng.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Appends are no longer refused after freeze: they land in the

@@ -135,7 +135,7 @@ func TestSlowLogCarriesFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range [][2]int64{{0, 1}, {1, 2}, {0, 2}} {
-		if err := tab.AppendRow(e[0], e[1]); err != nil {
+		if err := tab.Append(e[0], e[1]); err != nil {
 			t.Fatal(err)
 		}
 	}

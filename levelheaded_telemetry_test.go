@@ -26,7 +26,7 @@ func TestTraceSpanTree(t *testing.T) {
 	if _, err := tpch.Populate(eng.Catalog(), 0.01, 2026); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.QueryContext(context.Background(), tpch.Queries["q5"])
+	res, err := eng.Query(tpch.Queries["q5"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range [][2]int64{{0, 1}, {1, 2}, {0, 2}} {
-		if err := tab.AppendRow(e[0], e[1]); err != nil {
+		if err := tab.Append(e[0], e[1]); err != nil {
 			t.Fatal(err)
 		}
 	}

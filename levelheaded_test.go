@@ -28,7 +28,7 @@ func matrixEngine(t *testing.T) *lh.Engine {
 		{int64(1), int64(1), 3.0},
 	}
 	for _, c := range cells {
-		if err := m.AppendRow(c[0], c[1], c[2]); err != nil {
+		if err := m.Append(c[0], c[1], c[2]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +70,7 @@ func TestPublicAPILoadDelimited(t *testing.T) {
 		t.Fatal(err)
 	}
 	csv := "1,EAST,10.5,2020-01-01\n2,WEST,4,2020-02-01\n3,EAST,2,2020-03-01\n"
-	if err := eng.LoadDelimited("sales", strings.NewReader(csv), ','); err != nil {
+	if err := eng.LoadDelimitedContext(context.Background(), "sales", strings.NewReader(csv), ','); err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng.Query(context.Background(), `SELECT region, sum(amount) as total FROM sales
@@ -86,7 +86,7 @@ func TestPublicAPILoadDelimited(t *testing.T) {
 		t.Fatalf("groups = %v", got)
 	}
 	// Unknown table errors with the typed error.
-	err = eng.LoadDelimited("missing", strings.NewReader(""), ',')
+	err = eng.LoadDelimitedContext(context.Background(), "missing", strings.NewReader(""), ',')
 	if _, ok := err.(*lh.UnknownTableError); !ok {
 		t.Fatalf("error type = %T", err)
 	}
@@ -135,8 +135,8 @@ func TestPublicAPIOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = m.AppendRow(int64(0), int64(1), 2.0)
-		_ = m.AppendRow(int64(1), int64(0), 3.0)
+		_ = m.Append(int64(0), int64(1), 2.0)
+		_ = m.Append(int64(1), int64(0), 3.0)
 		res, err := eng.Query(context.Background(), `SELECT m1.i, sum(m1.v * m2.v) AS v
 			FROM m AS m1, m AS m2 WHERE m1.j = m2.i GROUP BY m1.i`)
 		if err != nil {
@@ -150,9 +150,9 @@ func TestPublicAPIOptions(t *testing.T) {
 
 func TestPublicAPIQueryWith(t *testing.T) {
 	eng := matrixEngine(t)
-	res, err := eng.QueryWith(`SELECT m1.i, m2.j, sum(m1.v * m2.v) AS v
+	res, err := eng.Query(context.Background(), `SELECT m1.i, m2.j, sum(m1.v * m2.v) AS v
 		FROM matrix AS m1, matrix AS m2 WHERE m1.j = m2.i GROUP BY m1.i, m2.j`,
-		lh.QueryOptions{WorstOrder: true})
+		lh.WithOptions(lh.QueryOptions{WorstOrder: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
