@@ -26,7 +26,7 @@ DIFFTEST_BUDGET ?= 60s
 # crash-recovery harness (acceptance: 50/50 green).
 CRASH_ITERS ?= 50
 
-.PHONY: all build vet lint test race bench-check bench-smoke bench-save bench-compare bench-durable hybrid-ab ingest-ab approx-ab telemetry-race telemetry-smoke chaos crash iocheck difftest difftest-long hybrid-race loc ci clean
+.PHONY: all build vet lint test race flake-check bench-check bench-smoke bench-save bench-compare bench-durable hybrid-ab ingest-ab approx-ab telemetry-race telemetry-smoke chaos crash iocheck difftest difftest-long hybrid-race loc ci clean
 
 all: build
 
@@ -52,6 +52,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The two core tests that once failed about one run in three (a cost tie
+# between join orders; admission timing on a small box): run each 20
+# times so a reintroduced flake shows up in ci rather than at random.
+flake-check:
+	$(GO) test -count=20 -run 'TestLazyTrieCacheInvalidationAcrossCompact|TestGovernorStress' ./internal/core
+
 # bench/ (the BENCHMARK.json benchmark) is its own module, so build,
 # vet and test above never compile it: this is the check that a refactor
 # has not broken the engine API the benchmark is pinned to.
@@ -59,9 +65,9 @@ bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 
 # Short benchmark smoke: one pass over the TPC-H suite at the smallest
-# scale plus the zero-allocation guards on the set-intersection and
-# aggregation inner loops — enough to notice a hot-path regression (or
-# perf plumbing rot) without a full run.
+# scale plus the zero-allocation guards on the set-intersection,
+# aggregation and scan inner loops — enough to notice a hot-path
+# regression (or perf plumbing rot) without a full run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTableII_TPCH' -benchtime 1x .
 	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/set ./internal/exec
@@ -176,7 +182,7 @@ hybrid-race:
 loc:
 	@find internal/exec internal/core internal/approx internal/trie internal/sketch -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | grep -vE '^\s*(//|$$)' | wc -l
 
-ci: vet lint build race bench-check iocheck bench-smoke telemetry-race telemetry-smoke chaos crash difftest hybrid-race bench-compare
+ci: vet lint build race flake-check bench-check iocheck bench-smoke telemetry-race telemetry-smoke chaos crash difftest hybrid-race bench-compare
 
 clean:
 	$(GO) clean ./...

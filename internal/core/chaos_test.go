@@ -167,13 +167,40 @@ func TestGovernorStress(t *testing.T) {
 	if _, err := eng.Query(tpch.Queries["q5"]); err != nil {
 		t.Fatal(err)
 	}
+
+	var ok, shed, exhausted, panicked, cancelled, other int
+	var mu sync.Mutex
+	tally := func(err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case err == nil:
+			ok++
+		case errors.As(err, new(*qerr.OverloadedError)):
+			shed++
+		case errors.As(err, new(*qerr.ResourceExhaustedError)):
+			exhausted++
+		case errors.As(err, new(*qerr.InternalError)):
+			panicked++
+		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+			cancelled++
+		default:
+			other++
+		}
+	}
+	// One admitted and one over-budget query before the storm, so the mix
+	// always holds both classes whatever the storm's admission timing (on
+	// a small box every storm query can be shed).
+	for _, qo := range []QueryOptions{{}, {MemoryBudget: 1}} {
+		_, err := eng.QueryWithContext(context.Background(), tpch.Queries["q5"], qo)
+		tally(err)
+	}
+
 	faultinject.Arm(faultinject.PointExecWorker,
 		faultinject.Fault{Mode: faultinject.ModePanic, Times: 5})
 
 	const n = 48
 	var wg sync.WaitGroup
-	var ok, shed, exhausted, panicked, cancelled, other int
-	var mu sync.Mutex
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -189,22 +216,7 @@ func TestGovernorStress(t *testing.T) {
 				defer cancel()
 			}
 			_, err := eng.QueryWithContext(ctx, tpch.Queries["q5"], qo)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				ok++
-			case errors.As(err, new(*qerr.OverloadedError)):
-				shed++
-			case errors.As(err, new(*qerr.ResourceExhaustedError)):
-				exhausted++
-			case errors.As(err, new(*qerr.InternalError)):
-				panicked++
-			case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-				cancelled++
-			default:
-				other++
-			}
+			tally(err)
 		}(i)
 	}
 	wg.Wait()

@@ -808,6 +808,10 @@ func (e *Engine) execOptions(qo QueryOptions) exec.Options {
 	return opts
 }
 
+// maxCachedPlans bounds Engine.plans, which is keyed on the raw SQL text:
+// without a bound every redrawn literal would add an entry forever.
+const maxCachedPlans = 4096
+
 // preparedPlan caches one compiled (plan, orders) pair. Plans and
 // choices are immutable after construction, so hot-run re-execution
 // (the paper's measurement setup) skips parsing, GHD enumeration and
@@ -895,6 +899,14 @@ func (e *Engine) prepareStats(sql string, qo QueryOptions, st *obs.QueryStats, i
 		recordPlanStats(st, p, ch)
 	}
 	e.mu.Lock()
+	if len(e.plans) >= maxCachedPlans {
+		// Evict one arbitrary entry (map order): a text whose literals are
+		// redrawn per execution never repeats, so recency buys little.
+		for k := range e.plans {
+			delete(e.plans, k)
+			break
+		}
+	}
 	e.plans[key] = &preparedPlan{p: p, ch: ch, fp: fp, fpText: fpText}
 	e.mu.Unlock()
 	return p, e.classifyPaths(p, ch, fp, qo), nil
@@ -957,7 +969,7 @@ func (e *Engine) Explain(sql string) (string, error) {
 	}
 	var b strings.Builder
 	if p.ScalarScan {
-		fmt.Fprintf(&b, "scalar scan over %s\n", p.Rels[0].Alias)
+		explainScan(&b, p)
 		return b.String(), nil
 	}
 	fmt.Fprintf(&b, "hypergraph: %s\n", p.HG)
@@ -973,6 +985,32 @@ func (e *Engine) Explain(sql string) (string, error) {
 	}
 	fmt.Fprintf(&b, "aggregates: %d, groups: %d, outputs: %d\n", len(p.Aggs), len(p.Groups), len(p.Outputs))
 	return b.String(), nil
+}
+
+// explainScan renders a single-relation aggregate scan, e.g.
+// "scan over lineitem: filter …, group by l_returnflag, l_linestatus".
+func explainScan(b *strings.Builder, p *planner.Plan) {
+	r := &p.Rels[0]
+	var parts []string
+	if r.Filter != nil {
+		parts = append(parts, "filter "+r.Filter.String())
+	}
+	if len(p.Groups) > 0 {
+		items := make([]string, len(p.Groups))
+		for i, g := range p.Groups {
+			if g.Expr != nil {
+				items[i] = g.Expr.String()
+			} else {
+				items[i] = g.Col
+			}
+		}
+		parts = append(parts, "group by "+strings.Join(items, ", "))
+	}
+	fmt.Fprintf(b, "scan over %s", r.Alias)
+	if len(parts) > 0 {
+		fmt.Fprintf(b, ": %s", strings.Join(parts, ", "))
+	}
+	b.WriteByte('\n')
 }
 
 // CacheSize reports the number of cached tries.

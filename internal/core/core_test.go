@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -111,8 +112,15 @@ func TestExplainOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(s6, "scalar scan") {
+	if !strings.HasPrefix(s6, "scan over lineitem: filter ") || strings.Contains(s6, "group by") {
 		t.Errorf("q6 explain = %q", s6)
+	}
+	s1, err := eng.Explain(tpch.Queries["q1"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(s1, "scan over lineitem: filter ") || !strings.HasSuffix(s1, ", group by l_returnflag, l_linestatus\n") {
+		t.Errorf("q1 explain = %q", s1)
 	}
 }
 
@@ -208,5 +216,46 @@ func TestParseOnceAndDistinctIsAnASTFlag(t *testing.T) {
 	}
 	if res.Stats.Dispatch != obs.DispatchDistinctScan || parseSpans(res) != 1 {
 		t.Fatalf("count(distinct): dispatch=%q parse spans=%d, want distinct-scan and 1", res.Stats.Dispatch, parseSpans(res))
+	}
+}
+
+// TestPlanCacheBounded redraws a literal 10 000 times — the realistic BI
+// pattern that misses the text-keyed plan cache every execution — and
+// requires the cache to stay within its bound while a repeated text
+// still hits.
+func TestPlanCacheBounded(t *testing.T) {
+	eng := New(WithThreads(1))
+	tab, err := eng.CreateTable(storage.Schema{Name: "t", Cols: []storage.ColumnDef{
+		{Name: "k", Kind: storage.Int64, Role: storage.Key},
+		{Name: "x", Kind: storage.Float64, Role: storage.Annotation},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := tab.Append(int64(i), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10000; i++ {
+		if _, err := eng.Query(fmt.Sprintf("SELECT sum(x) AS s FROM t WHERE x < %d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.mu.Lock()
+	n := len(eng.plans)
+	eng.mu.Unlock()
+	if n > 4096 {
+		t.Fatalf("%d cached plans after 10000 distinct texts, want at most 4096", n)
+	}
+	const again = "SELECT sum(x) AS s FROM t WHERE x < 3"
+	for i := 0; i < 2; i++ {
+		res, err := eng.Query(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 && !res.Stats.PlanCached {
+			t.Fatal("repeated text missed the plan cache")
+		}
 	}
 }

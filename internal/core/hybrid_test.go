@@ -49,11 +49,17 @@ func hybridEngine(t *testing.T) (*Engine, *storage.Table, *storage.Table) {
 
 const hybridJoin = `SELECT sum(x * w) AS v, count(*) AS c FROM fact, dim WHERE fact.a = dim.a1 AND fact.b = dim.b1`
 
-// queryStats runs the query forced onto the binary path and returns the
-// result plus its stats.
+// disjointFirst pins the join order with the initially disjoint key a at
+// level 0: the orders [a b] and [b a] cost the same, and only with a
+// first does an empty join leave every lazy trie at level 0.
+var disjointFirst = []string{"da", "db"}
+
+// queryBinary runs the query forced onto the binary path, in the
+// disjointFirst order, and returns the result plus its stats.
 func queryBinary(t *testing.T, eng *Engine) *exec.Result {
 	t.Helper()
-	res, err := eng.QueryWithContext(context.Background(), hybridJoin, QueryOptions{ForcePath: costopt.PathBinary})
+	res, err := eng.QueryWithContext(context.Background(), hybridJoin,
+		QueryOptions{ForcePath: costopt.PathBinary, ForcedOrder: disjointFirst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +120,8 @@ func TestLazyTrieCacheInvalidationAcrossCompact(t *testing.T) {
 	}
 
 	// Bit-identical to the WCOJ path on the same generation.
-	rw, err := eng.QueryWithContext(context.Background(), hybridJoin, QueryOptions{ForcePath: costopt.PathWCOJ})
+	rw, err := eng.QueryWithContext(context.Background(), hybridJoin,
+		QueryOptions{ForcePath: costopt.PathWCOJ, ForcedOrder: disjointFirst})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -417,9 +417,9 @@ func (c *compiled) vertexDomainSize(vertex string) int {
 
 // buildRel builds (or fetches from cache) the query trie for one
 // relation: key levels in node order (attribute elimination: only the
-// vertices this query touches enter the trie), filters applied per row,
-// leaf and multiplicity annotations pre-aggregated over duplicate key
-// tuples. When lazy is set (binary access path) the relation becomes a
+// vertices this query touches enter the trie), rows selected and leaf
+// values computed by block kernels, leaf and multiplicity annotations
+// pre-aggregated over duplicate key tuples. When lazy is set (binary access path) the relation becomes a
 // lazy generalized hash trie: only level 0 is materialized here, the
 // rest on first probe — the per-query build cost the binary path
 // exists to avoid.
@@ -469,22 +469,23 @@ func (c *compiled) buildRel(relIdx int, order []string,
 	binding := &expr.Binding{Alias: r.Alias, Table: tb}
 	threads := c.opts.threads()
 
-	// Row selection (parallel: the compiled predicate closures only read
-	// immutable column buffers).
+	// Row selection, block at a time per parfor chunk (the kernels only
+	// read immutable column buffers); each chunk's survivors are
+	// ascending and chunks concatenate in order.
 	n := tb.NumRows
 	var rows []int32
 	if r.Filter != nil {
-		f, err := expr.CompileFilter(r.Filter, binding)
+		pred, err := expr.CompilePred(r.Filter, binding)
 		if err != nil {
 			return nil, err
 		}
 		chunks := make([][]int32, threads)
 		parallelRangeID(threads, n, func(id, lo, hi int) {
+			sel := pred.Bind()
+			ids := make([]int32, expr.BlockSize)
 			out := make([]int32, 0, (hi-lo)/4+1)
-			for i := int32(lo); i < int32(hi); i++ {
-				if f(i) {
-					out = append(out, i)
-				}
+			for blk := lo; blk < hi; blk += expr.BlockSize {
+				out = append(out, sel(expr.Rows(ids, blk, min(blk+expr.BlockSize, hi)), ids)...)
 			}
 			chunks[id] = out
 		})
@@ -515,19 +516,23 @@ func (c *compiled) buildRel(relIdx int, order []string,
 
 	lastLvl := len(attrs) - 1
 	for _, key := range leafKeys {
-		val, err := expr.CompileValue(leafAST[key], binding)
+		num, err := expr.CompileNum(leafAST[key], binding)
 		if err != nil {
 			return nil, err
 		}
 		buf := make([]float64, nRows)
 		parallelRange(threads, nRows, func(lo, hi int) {
+			val := num.Bind()
+			var ids []int32
 			if rows == nil {
-				for i := lo; i < hi; i++ {
-					buf[i] = val(int32(i))
-				}
-			} else {
-				for i := lo; i < hi; i++ {
-					buf[i] = val(rows[i])
+				ids = make([]int32, expr.BlockSize)
+			}
+			for blk := lo; blk < hi; blk += expr.BlockSize {
+				end := min(blk+expr.BlockSize, hi)
+				if rows == nil {
+					val(expr.Rows(ids, blk, end), buf[blk:end])
+				} else {
+					val(rows[blk:end], buf[blk:end])
 				}
 			}
 		})

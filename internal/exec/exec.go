@@ -232,12 +232,15 @@ func Run(p *planner.Plan, ch *costopt.Choice, cat *storage.Catalog, opts Options
 		}
 		t0 := time.Now()
 		es := tr.Begin(tr.Root(), telemetry.SpanPhase, "execute")
-		res, err := runScalarScan(p, opts, es)
+		c, rows, err := runScalarScan(p, cat, opts, es)
 		tr.End(es)
+		if err != nil {
+			return nil, err
+		}
 		if st != nil {
 			st.Phases.Execute = time.Since(t0)
 		}
-		return res, err
+		return c.output(rows, nil)
 	}
 	t0 := time.Now()
 	cs := tr.Begin(tr.Root(), telemetry.SpanPhase, "compile")
@@ -306,9 +309,18 @@ func Run(p *planner.Plan, ch *costopt.Choice, cat *storage.Catalog, opts Options
 	if st != nil {
 		st.Phases.Execute = time.Since(t1)
 	}
-	t2 := time.Now()
+	return c.output(rows, hacc)
+}
+
+// output assembles the root's rows (or hash-emit table) into the Result
+// under the output phase, then recycles the row buffer.
+func (c *compiled) output(rows *rowsBuf, hacc *hashAcc) (*Result, error) {
+	st := c.opts.Stats
+	tr := stTrace(st)
+	t0 := time.Now()
 	os := tr.Begin(tr.Root(), telemetry.SpanPhase, "output")
 	var res *Result
+	var err error
 	if hacc != nil {
 		res, err = assembleHash(c, hacc)
 	} else {
@@ -317,7 +329,7 @@ func Run(p *planner.Plan, ch *costopt.Choice, cat *storage.Catalog, opts Options
 	releaseRows(rows) // assemble copies into the Result; recycle the buffer
 	tr.End(os)
 	if st != nil && err == nil {
-		st.Phases.Output = time.Since(t2)
+		st.Phases.Output = time.Since(t0)
 	}
 	return res, err
 }

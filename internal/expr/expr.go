@@ -1,8 +1,17 @@
-// Package expr compiles the scalar sub-expressions of a SQL query into
-// closures over a single relation's columnar buffers. The planner uses
-// it for (1) per-row filter predicates applied while a query trie is
-// built and (2) per-row annotation value expressions (paper §IV-A rule
-// 3, e.g. l_extendedprice * (1 - l_discount)).
+// Package expr compiles the scalar sub-expressions of a SQL query over a
+// single relation's columnar buffers, in two forms:
+//
+//   - block kernels (block.go): predicates compile to selection kernels
+//     and numeric expressions to value kernels over blocks of up to
+//     BlockSize rows. Scans and filtered trie builds use them for row
+//     selection and for per-row annotation values (paper §IV-A rule 3,
+//     e.g. l_extendedprice * (1 - l_discount)).
+//   - row closures (CompileValue): one value at one row, for the
+//     random-access metadata lookups of GROUP BY items resolved through
+//     a primary key.
+//
+// Both forms perform the same float64 operation in the same
+// association for every row, so their values are bit-identical.
 //
 // String predicates are evaluated once per dictionary entry rather than
 // once per row: the compiler materializes a boolean table indexed by the
@@ -18,8 +27,9 @@ import (
 	"repro/internal/storage"
 )
 
-// Filter is a compiled row predicate.
-type Filter func(row int32) bool
+// rowPred is a compiled row predicate (CASE conditions and booleans in
+// numeric context inside a row Value).
+type rowPred func(row int32) bool
 
 // Value is a compiled numeric row expression. Dates evaluate to their
 // day count; booleans to 0/1.
@@ -42,18 +52,7 @@ func (b *Binding) colFor(c sqlparse.ColRef) *storage.Column {
 	return b.Table.Col(c.Name)
 }
 
-// CompileFilter compiles a boolean expression into a Filter. Every
-// column referenced must resolve within the binding.
-func CompileFilter(e sqlparse.Expr, b *Binding) (Filter, error) {
-	c := &compiler{b: b}
-	f, err := c.compileBool(e)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// CompileValue compiles a numeric expression into a Value.
+// CompileValue compiles a numeric expression into a row Value.
 func CompileValue(e sqlparse.Expr, b *Binding) (Value, error) {
 	c := &compiler{b: b}
 	return c.compileNum(e)
@@ -63,7 +62,13 @@ type compiler struct {
 	b *Binding
 }
 
-func (c *compiler) compileBool(e sqlparse.Expr) (Filter, error) {
+func (c *compiler) compileBool(e sqlparse.Expr) (rowPred, error) {
+	if codes, table, ok, err := c.stringPred(e); err != nil || ok {
+		if err != nil {
+			return nil, err
+		}
+		return func(row int32) bool { return table[codes[row]] }, nil
+	}
 	switch v := e.(type) {
 	case sqlparse.BinaryExpr:
 		switch v.Op {
@@ -125,22 +130,32 @@ func (c *compiler) compileBool(e sqlparse.Expr) (Filter, error) {
 			return xv >= lo(row) && xv <= hi(row)
 		}, nil
 	case sqlparse.InExpr:
-		return c.compileIn(v)
-	case sqlparse.LikeExpr:
-		return c.compileLike(v)
+		x, err := c.compileNum(v.X)
+		if err != nil {
+			return nil, err
+		}
+		vals, err := c.inList(v)
+		if err != nil {
+			return nil, err
+		}
+		neg := v.Negate
+		return func(row int32) bool {
+			xv := x(row)
+			for _, val := range vals {
+				if xv == val {
+					return !neg
+				}
+			}
+			return neg
+		}, nil
 	default:
 		return nil, fmt.Errorf("expr: %T is not a boolean expression", e)
 	}
 }
 
-// compileComparison handles numeric–numeric and string-column–literal
-// comparisons.
-func (c *compiler) compileComparison(v sqlparse.BinaryExpr) (Filter, error) {
-	// String comparison path: a string column against a string literal
-	// (either side).
-	if f, ok, err := c.tryStringComparison(v); err != nil || ok {
-		return f, err
-	}
+// compileComparison handles numeric–numeric comparisons (string ones
+// resolved through stringPred before it).
+func (c *compiler) compileComparison(v sqlparse.BinaryExpr) (rowPred, error) {
 	l, err := c.compileNum(v.L)
 	if err != nil {
 		return nil, err
@@ -166,60 +181,112 @@ func (c *compiler) compileComparison(v sqlparse.BinaryExpr) (Filter, error) {
 	return nil, fmt.Errorf("expr: bad comparison %q", v.Op)
 }
 
-func (c *compiler) tryStringComparison(v sqlparse.BinaryExpr) (Filter, bool, error) {
-	colRef, lit, op := sqlparse.ColRef{}, "", v.Op
-	switch l := v.L.(type) {
-	case sqlparse.ColRef:
-		if r, ok := v.R.(sqlparse.StringLit); ok {
-			colRef, lit = l, r.Val
-		} else {
-			return nil, false, nil
+// stringPred resolves the string forms of a predicate — a string column
+// compared with a string literal (either side), IN over string literals
+// on a string column, and LIKE — to the column's code vector and a
+// boolean table indexed by code. ok is false when e is none of them (it
+// is then a numeric predicate or not a predicate at all).
+func (c *compiler) stringPred(e sqlparse.Expr) (codes []uint32, table []bool, ok bool, err error) {
+	var col *storage.Column
+	var pred func(string) bool
+	switch v := e.(type) {
+	case sqlparse.BinaryExpr:
+		if !isComparison(v.Op) {
+			return nil, nil, false, nil
 		}
-	case sqlparse.StringLit:
-		if r, ok := v.R.(sqlparse.ColRef); ok {
+		colRef, lit, op := sqlparse.ColRef{}, "", v.Op
+		switch l := v.L.(type) {
+		case sqlparse.ColRef:
+			r, isLit := v.R.(sqlparse.StringLit)
+			if !isLit {
+				return nil, nil, false, nil
+			}
+			colRef, lit = l, r.Val
+		case sqlparse.StringLit:
+			r, isCol := v.R.(sqlparse.ColRef)
+			if !isCol {
+				return nil, nil, false, nil
+			}
 			colRef, lit = r, l.Val
 			op = flipOp(op)
-		} else {
-			return nil, false, nil
+		default:
+			return nil, nil, false, nil
 		}
+		if col = c.b.colFor(colRef); col == nil {
+			return nil, nil, false, fmt.Errorf("expr: unknown column %s", colRef)
+		}
+		if col.Def.Kind != storage.String {
+			return nil, nil, false, fmt.Errorf("expr: column %s is not a string", colRef)
+		}
+		pred = func(s string) bool {
+			switch op {
+			case "=":
+				return s == lit
+			case "<>":
+				return s != lit
+			case "<":
+				return s < lit
+			case "<=":
+				return s <= lit
+			case ">":
+				return s > lit
+			case ">=":
+				return s >= lit
+			}
+			return false
+		}
+	case sqlparse.InExpr:
+		cr, isCol := v.X.(sqlparse.ColRef)
+		if !isCol {
+			return nil, nil, false, nil
+		}
+		if col = c.b.colFor(cr); col == nil || col.Def.Kind != storage.String {
+			return nil, nil, false, nil
+		}
+		lits := map[string]bool{}
+		for _, e := range v.Vals {
+			sl, isLit := e.(sqlparse.StringLit)
+			if !isLit {
+				return nil, nil, false, fmt.Errorf("expr: IN list on string column %s requires string literals", cr)
+			}
+			lits[sl.Val] = true
+		}
+		pred = func(s string) bool { return lits[s] != v.Negate }
+	case sqlparse.LikeExpr:
+		cr, isCol := v.X.(sqlparse.ColRef)
+		if !isCol {
+			return nil, nil, false, fmt.Errorf("expr: LIKE requires a column reference")
+		}
+		if col = c.b.colFor(cr); col == nil {
+			return nil, nil, false, fmt.Errorf("expr: unknown column %s", cr)
+		}
+		if col.Def.Kind != storage.String {
+			return nil, nil, false, fmt.Errorf("expr: LIKE on non-string column %s", cr)
+		}
+		m := compileLikePattern(v.Pattern)
+		pred = func(s string) bool { return m(s) != v.Negate }
 	default:
-		return nil, false, nil
+		return nil, nil, false, nil
 	}
-	col := c.b.colFor(colRef)
-	if col == nil {
-		return nil, false, fmt.Errorf("expr: unknown column %s", colRef)
+	if table, err = stringPredTable(col, pred); err != nil {
+		return nil, nil, false, err
 	}
-	if col.Def.Kind != storage.String {
-		return nil, false, fmt.Errorf("expr: column %s is not a string", colRef)
-	}
-	table, err := stringPredTable(col, func(s string) bool {
-		switch op {
-		case "=":
-			return s == lit
-		case "<>":
-			return s != lit
-		case "<":
-			return s < lit
-		case "<=":
-			return s <= lit
-		case ">":
-			return s > lit
-		case ">=":
-			return s >= lit
-		}
-		return false
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	codes := col.AnnCodes()
+	codes = col.AnnCodes()
 	if codes == nil {
 		// Key column of string kind: domain codes index a (possibly
 		// larger) shared dictionary, but the table above was sized to it
 		// via Dict(), so the same lookup applies.
 		codes = col.KeyCodes()
 	}
-	return func(row int32) bool { return table[codes[row]] }, true, nil
+	return codes, table, true, nil
+}
+
+func isComparison(op string) bool {
+	switch op {
+	case "=", "<>", "<", "<=", ">", ">=":
+		return true
+	}
+	return false
 }
 
 func flipOp(op string) string {
@@ -249,56 +316,20 @@ func stringPredTable(col *storage.Column, pred func(string) bool) ([]bool, error
 	return table, nil
 }
 
-func (c *compiler) compileIn(v sqlparse.InExpr) (Filter, error) {
-	// String IN-list on a string column.
-	if cr, ok := v.X.(sqlparse.ColRef); ok {
-		if col := c.b.colFor(cr); col != nil && col.Def.Kind == storage.String {
-			lits := map[string]bool{}
-			for _, e := range v.Vals {
-				sl, ok := e.(sqlparse.StringLit)
-				if !ok {
-					return nil, fmt.Errorf("expr: IN list on string column %s requires string literals", cr)
-				}
-				lits[sl.Val] = true
-			}
-			table, err := stringPredTable(col, func(s string) bool { return lits[s] != v.Negate })
-			if err != nil {
-				return nil, err
-			}
-			codes := col.AnnCodes()
-			if codes == nil {
-				// Key column: domain codes index the shared dictionary the
-				// predicate table above was sized to.
-				codes = col.KeyCodes()
-			}
-			return func(row int32) bool { return table[codes[row]] }, nil
-		}
-	}
-	x, err := c.compileNum(v.X)
-	if err != nil {
-		return nil, err
-	}
+// inList evaluates the literal list of a numeric IN.
+func (c *compiler) inList(v sqlparse.InExpr) ([]float64, error) {
 	vals := make([]float64, len(v.Vals))
 	for i, e := range v.Vals {
 		f, err := c.compileNum(e)
 		if err != nil {
 			return nil, err
 		}
-		vals[i] = f(0) // literals only; row-independent
 		if !isConst(e) {
 			return nil, fmt.Errorf("expr: IN list requires literals")
 		}
+		vals[i] = f(0) // literals only; row-independent
 	}
-	neg := v.Negate
-	return func(row int32) bool {
-		xv := x(row)
-		for _, val := range vals {
-			if xv == val {
-				return !neg
-			}
-		}
-		return neg
-	}, nil
+	return vals, nil
 }
 
 func isConst(e sqlparse.Expr) bool {
@@ -313,30 +344,18 @@ func isConst(e sqlparse.Expr) bool {
 	return false
 }
 
-func (c *compiler) compileLike(v sqlparse.LikeExpr) (Filter, error) {
-	cr, ok := v.X.(sqlparse.ColRef)
-	if !ok {
-		return nil, fmt.Errorf("expr: LIKE requires a column reference")
+// constNum evaluates a row-independent numeric expression with the row
+// closure itself, so a folded constant is bit-identical to what the
+// closure yields on every row.
+func (c *compiler) constNum(e sqlparse.Expr) (float64, bool) {
+	if !isConst(e) {
+		return 0, false
 	}
-	col := c.b.colFor(cr)
-	if col == nil {
-		return nil, fmt.Errorf("expr: unknown column %s", cr)
-	}
-	if col.Def.Kind != storage.String {
-		return nil, fmt.Errorf("expr: LIKE on non-string column %s", cr)
-	}
-	m := compileLikePattern(v.Pattern)
-	table, err := stringPredTable(col, func(s string) bool { return m(s) != v.Negate })
+	f, err := c.compileNum(e)
 	if err != nil {
-		return nil, err
+		return 0, false
 	}
-	codes := col.AnnCodes()
-	if codes == nil {
-		// Key column: domain codes index the shared dictionary the
-		// predicate table above was sized to.
-		codes = col.KeyCodes()
-	}
-	return func(row int32) bool { return table[codes[row]] }, nil
+	return f(0), true
 }
 
 // compileLikePattern builds a matcher for SQL LIKE with % and _.
@@ -471,7 +490,7 @@ func (c *compiler) compileNum(e sqlparse.Expr) (Value, error) {
 		return c.boolAsNum(e)
 	case sqlparse.CaseExpr:
 		type arm struct {
-			cond Filter
+			cond rowPred
 			then Value
 		}
 		arms := make([]arm, len(v.Whens))

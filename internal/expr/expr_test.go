@@ -71,13 +71,23 @@ func selectOf(t *testing.T, src string) sqlparse.Expr {
 
 func evalFilter(t *testing.T, b *Binding, src string) []bool {
 	t.Helper()
-	f, err := CompileFilter(whereOf(t, src), b)
+	p, err := CompilePred(whereOf(t, src), b)
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
-	out := make([]bool, b.Table.NumRows)
-	for i := range out {
-		out[i] = f(int32(i))
+	return selected(p, b.Table.NumRows)
+}
+
+// selected runs a compiled predicate block by block over n rows and
+// reports, per row, whether it survived.
+func selected(p *Pred, n int) []bool {
+	sel := p.Bind()
+	out := make([]bool, n)
+	ids := make([]int32, BlockSize)
+	for lo := 0; lo < n; lo += BlockSize {
+		for _, r := range sel(Rows(ids, lo, min(lo+BlockSize, n)), ids) {
+			out[r] = true
+		}
 	}
 	return out
 }
@@ -247,16 +257,16 @@ func TestCompileErrors(t *testing.T) {
 		"l_comment like l_comment", // LIKE without literal handled by parser, this is col-like-col
 	}
 	_ = bad
-	if _, err := CompileFilter(whereOf(t, "zzz = 1"), b); err == nil {
+	if _, err := CompilePred(whereOf(t, "zzz = 1"), b); err == nil {
 		t.Error("unknown column should error")
 	}
-	if _, err := CompileFilter(whereOf(t, "l_returnflag + 1 > 0"), b); err == nil {
+	if _, err := CompilePred(whereOf(t, "l_returnflag + 1 > 0"), b); err == nil {
 		t.Error("string in arithmetic should error")
 	}
 	if _, err := CompileValue(selectOf(t, "l_comment"), b); err == nil {
 		t.Error("string column in numeric context should error")
 	}
-	if _, err := CompileFilter(whereOf(t, "l_quantity in (l_discount)"), b); err == nil {
+	if _, err := CompilePred(whereOf(t, "l_quantity in (l_discount)"), b); err == nil {
 		t.Error("non-literal IN should error")
 	}
 }
@@ -267,7 +277,7 @@ func TestQualifierMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompileFilter(q.Where, b); err == nil {
+	if _, err := CompilePred(q.Where, b); err == nil {
 		t.Error("foreign qualifier should not resolve")
 	}
 }
@@ -297,14 +307,15 @@ func TestStringPredicateOnKeyColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := CompileFilter(q.Where, b)
+	p, err := CompilePred(q.Where, b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := selected(p, tab.NumRows)
 	want := []bool{true, false, true} // carol, alice, bob
 	for i, w := range want {
-		if f(int32(i)) != w {
-			t.Fatalf("row %d = %v, want %v", i, f(int32(i)), w)
+		if got[i] != w {
+			t.Fatalf("row %d = %v, want %v", i, got[i], w)
 		}
 	}
 }

@@ -24,7 +24,7 @@ import (
 
 // Dispatch labels for the execution strategy a query ended up on.
 const (
-	DispatchScalarScan  = "scalar-scan"  // single-relation filtered fold (Q6 shape)
+	DispatchScalarScan  = "scalar-scan"  // single-relation aggregate scan (Q1/Q6 shapes)
 	DispatchDenseMM     = "dense-mm"     // §III-D BLAS matrix–matrix kernel
 	DispatchDenseMV     = "dense-mv"     // §III-D BLAS matrix–vector kernel
 	DispatchSpMVGather  = "spmv-gather"  // specialized CSR-style SpMV kernel

@@ -853,7 +853,7 @@ func constFold(e sqlparse.Expr) (float64, bool) {
 }
 
 // finishHypergraph applies rule 1's edge construction, detects the
-// scalar-scan fast path, and runs GHD selection.
+// single-relation scan, and runs GHD selection.
 func (b *builder) finishHypergraph() error {
 	p := b.plan
 	// Materialized vertices: those needed by group items.
@@ -865,8 +865,12 @@ func (b *builder) finishHypergraph() error {
 		}
 	}
 
-	// Scalar scan: one relation, no vertices at all, no groups.
-	if len(p.Rels) == 1 && len(p.Rels[0].Vertices) == 0 && len(p.Groups) == 0 {
+	// Single-relation aggregate scan: one relation whose every vertex is a
+	// GROUP BY (or pseudo-) vertex, filtered or ungrouped, needs no join
+	// and no trie — a block scan folds it. An unfiltered grouped relation
+	// keeps the trie path, whose cached trie answers in O(groups).
+	if len(p.Rels) == 1 && (p.Rels[0].Filter != nil || len(p.Groups) == 0) &&
+		subset(p.Rels[0].Vertices, p.OutVertices) {
 		p.ScalarScan = true
 		return nil
 	}
@@ -907,7 +911,7 @@ func (b *builder) finishHypergraph() error {
 	}
 	if allMeta {
 		g, err := ghd.Decompose(hg, ghd.Options{SelectionEdges: selEdges})
-		if err == nil && rootCovers(g, p.OutVertices) {
+		if err == nil && subset(p.OutVertices, g.Root.Bag) {
 			p.GHD = g
 			p.HashEmit = true
 			p.OutVertices = nil
@@ -926,12 +930,12 @@ func (b *builder) finishHypergraph() error {
 	return nil
 }
 
-// rootCovers reports whether the root bag contains every vertex.
-func rootCovers(g *ghd.GHD, verts []string) bool {
-	for _, v := range verts {
+// subset reports whether every element of a is in b.
+func subset(a, b []string) bool {
+	for _, x := range a {
 		found := false
-		for _, b := range g.Root.Bag {
-			if b == v {
+		for _, y := range b {
+			if x == y {
 				found = true
 				break
 			}

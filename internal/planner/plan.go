@@ -174,8 +174,9 @@ type Plan struct {
 	// OutVertices are the materialized hypergraph vertices (needed by
 	// group items), which must lead every attribute order.
 	OutVertices []string
-	// ScalarScan marks the single-relation, no-join, no-group-by fast
-	// path (paper Q6): a filtered fold with no trie.
+	// ScalarScan marks a single-relation aggregate that is filtered or
+	// ungrouped (paper Q1 and Q6): a block-at-a-time scan folds it with
+	// no trie, so the plan has no hypergraph or GHD.
 	ScalarScan bool
 	// HashEmit marks plans whose GROUP BY items are all metadata
 	// expressions: instead of materializing their key vertices at the
