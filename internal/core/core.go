@@ -20,7 +20,9 @@ import (
 	"repro/internal/approx"
 	"repro/internal/costopt"
 	"repro/internal/exec"
+	"repro/internal/ghd"
 	"repro/internal/governor"
+	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/planner"
 	"repro/internal/qerr"
@@ -38,7 +40,7 @@ type Engine struct {
 	mu      sync.Mutex
 	cat     *storage.Catalog
 	cache   *exec.TrieCache
-	plans   map[string]*preparedPlan
+	plans   *lru.Cache[string, *preparedPlan]
 	metrics obs.EngineMetrics
 	tel     *telemetry.Collector
 	slow    *slowLog
@@ -168,7 +170,7 @@ func WithApproxSampleRows(n int) Option {
 
 // New creates an empty engine.
 func New(opts ...Option) *Engine {
-	e := &Engine{cat: storage.NewCatalog(), cache: exec.NewTrieCache(), plans: map[string]*preparedPlan{}, summaries: map[string]*approx.Summary{}}
+	e := &Engine{cat: storage.NewCatalog(), cache: exec.NewTrieCache(), plans: lru.New[string, *preparedPlan](maxCachedPlans), summaries: map[string]*approx.Summary{}}
 	// LH_FORCE_PATH pins every GHD node to one access path ("wcoj" or
 	// "binary"), faultinject-style: an env knob for A/B runs and chaos
 	// drills that needs no code changes in the caller. Unknown values are
@@ -809,7 +811,11 @@ func (e *Engine) execOptions(qo QueryOptions) exec.Options {
 }
 
 // maxCachedPlans bounds Engine.plans, which is keyed on the raw SQL text:
-// without a bound every redrawn literal would add an entry forever.
+// without a bound every redrawn literal would add an entry forever. The
+// least recently used text goes first, so a hot text survives a stream
+// of one-off literals. A miss still reuses the memoised GHD and orders
+// (ghd.Decompose, costopt.Choose); this cache skips parsing and
+// planning on exact repeats.
 const maxCachedPlans = 4096
 
 // preparedPlan caches one compiled (plan, orders) pair. Plans and
@@ -853,9 +859,7 @@ func (e *Engine) prepareStats(sql string, qo QueryOptions, st *obs.QueryStats, i
 		}
 	}
 	key := fmt.Sprintf("%s|%v|%v|%v|%v|%v", sql, e.noCostOpt, e.pickWorst || qo.WorstOrder, qo.ForcedOrder, qo.ForcedRelaxed, e.noAttrElim)
-	e.mu.Lock()
-	pp := e.plans[key]
-	e.mu.Unlock()
+	pp, _ := e.plans.Get(key)
 	var q *sqlparse.Query
 	if pp == nil || (qo.ApproxOK && intercept != nil) {
 		var err error
@@ -898,17 +902,7 @@ func (e *Engine) prepareStats(sql string, qo QueryOptions, st *obs.QueryStats, i
 		tr.Add(tr.Root(), telemetry.SpanPhase, "plan", tq, time.Now())
 		recordPlanStats(st, p, ch)
 	}
-	e.mu.Lock()
-	if len(e.plans) >= maxCachedPlans {
-		// Evict one arbitrary entry (map order): a text whose literals are
-		// redrawn per execution never repeats, so recency buys little.
-		for k := range e.plans {
-			delete(e.plans, k)
-			break
-		}
-	}
-	e.plans[key] = &preparedPlan{p: p, ch: ch, fp: fp, fpText: fpText}
-	e.mu.Unlock()
+	e.plans.Put(key, &preparedPlan{p: p, ch: ch, fp: fp, fpText: fpText})
 	return p, e.classifyPaths(p, ch, fp, qo), nil
 }
 
@@ -974,7 +968,8 @@ func (e *Engine) Explain(sql string) (string, error) {
 	}
 	fmt.Fprintf(&b, "hypergraph: %s\n", p.HG)
 	fmt.Fprintf(&b, "%s", p.GHD)
-	for node, ord := range ch.Orders {
+	p.GHD.Walk(func(node *ghd.Node, _ int) {
+		ord := ch.Orders[node]
 		fmt.Fprintf(&b, "node %v: %s\n", node.Bag, ord)
 		if pi := ch.Paths[node]; pi != nil {
 			fmt.Fprintf(&b, "  %s\n", pi)
@@ -982,7 +977,7 @@ func (e *Engine) Explain(sql string) (string, error) {
 		for _, pv := range ord.Per {
 			fmt.Fprintf(&b, "  %-14s icost=%-4d weight=%d\n", pv.Vertex, pv.ICost, pv.Weight)
 		}
-	}
+	})
 	fmt.Fprintf(&b, "aggregates: %d, groups: %d, outputs: %d\n", len(p.Aggs), len(p.Groups), len(p.Outputs))
 	return b.String(), nil
 }

@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"repro/internal/ghd"
+	"repro/internal/lru"
 	"repro/internal/planner"
 	"repro/internal/set"
 )
@@ -90,7 +91,6 @@ type Options struct {
 
 // nodeEdge is one relation (or child-result) edge visible to a node.
 type nodeEdge struct {
-	name     string
 	vertices []string
 	score    int
 	selected bool
@@ -106,48 +106,107 @@ func (e *nodeEdge) covers(v string) bool {
 	return false
 }
 
+// memoCap bounds the order memo. An entry is one Choice of a few orders
+// (a few KB), so the bound is by count.
+const memoCap = 1024
+
+// memo maps a search input's key to the search's result. The search is
+// a pure function of the key, so one memo serves every engine.
+var memo = lru.New[memoKey, *Choice](memoCap)
+
 // Choose selects an attribute order for every node of the plan's GHD.
+// The result is memoised on everything the search reads (input) and
+// shared between callers: it must not be mutated.
 func Choose(p *planner.Plan, opts Options) (*Choice, error) {
 	if p.GHD == nil {
 		return &Choice{Orders: map[*ghd.Node]*Order{}}, nil
 	}
-	c := &chooser{p: p, opts: opts, out: &Choice{Orders: map[*ghd.Node]*Order{}}, globalPos: map[string]int{}}
-	c.relScores()
-	if err := c.walk(p.GHD.Root, nil); err != nil {
+	in := newInput(p, opts)
+	key := in.key()
+	if ch, ok := memo.Get(key); ok {
+		return ch, nil
+	}
+	ch, err := choose(in)
+	if err != nil {
+		return nil, err
+	}
+	memo.Put(key, ch)
+	return ch, nil
+}
+
+// input is everything order selection reads. It is built before the
+// search starts and the search reads nothing else, so the memo key —
+// its encoding — covers every input by construction. No literal value
+// is in it: a filter contributes only whether it is an equality
+// selection and, through density, whether it exists.
+type input struct {
+	g    *ghd.GHD // by identity: the GHD memo shares one per hypergraph shape
+	rels []relInput
+	out  []string // the plan's OutVertices
+	opts Options
+}
+
+// relInput is what order selection reads of one relation.
+type relInput struct {
+	vertices []string
+	score    int  // §V-B cardinality score
+	selected bool // HasEqualitySelection
+	dense    bool // complete density, the icost-0 case (§V-A1)
+}
+
+type memoKey struct {
+	// g holds the GHD itself, not its address, so a collected GHD's
+	// address cannot be reused by another while the entry lives.
+	g   *ghd.GHD
+	enc string
+}
+
+// newInput reads the plan and relation statistics order selection uses.
+func newInput(p *planner.Plan, opts Options) *input {
+	maxCard := 1
+	for i := range p.Rels {
+		if n := p.Rels[i].Table.LiveRows(); n > maxCard {
+			maxCard = n
+		}
+	}
+	in := &input{g: p.GHD, rels: make([]relInput, len(p.Rels)), out: p.OutVertices, opts: opts}
+	for i := range p.Rels {
+		r := &p.Rels[i]
+		score := int(math.Ceil(float64(r.Table.LiveRows()) / float64(maxCard) * 100))
+		if score < 1 {
+			score = 1
+		}
+		in.rels[i] = relInput{vertices: r.Vertices, score: score, selected: r.HasEqualitySelection, dense: relCompletelyDense(r)}
+	}
+	return in
+}
+
+// key encodes the input; %q quotes every name, which keeps the encoding
+// unambiguous.
+func (in *input) key() memoKey {
+	b := fmt.Appendf(nil, "%q", in.out)
+	for _, r := range in.rels {
+		b = fmt.Appendf(b, "%q%d,%t,%t;", r.vertices, r.score, r.selected, r.dense)
+	}
+	o := in.opts
+	b = fmt.Appendf(b, "|%t,%t,%q,%t", o.Disabled, o.PickWorst, o.Forced, o.ForcedRelaxed)
+	return memoKey{g: in.g, enc: string(b)}
+}
+
+// choose is the uncached search behind Choose.
+func choose(in *input) (*Choice, error) {
+	c := &chooser{in: in, out: &Choice{Orders: map[*ghd.Node]*Order{}}, globalPos: map[string]int{}}
+	if err := c.walk(in.g.Root, nil); err != nil {
 		return nil, err
 	}
 	return c.out, nil
 }
 
 type chooser struct {
-	p         *planner.Plan
-	opts      Options
+	in        *input
 	out       *Choice
-	scores    []int
-	dense     []bool
 	globalPos map[string]int
 	globalSeq int
-}
-
-// relScores computes each relation's cardinality score (§V-B) and its
-// complete-density flag.
-func (c *chooser) relScores() {
-	maxCard := 1
-	for i := range c.p.Rels {
-		if n := c.p.Rels[i].Table.LiveRows(); n > maxCard {
-			maxCard = n
-		}
-	}
-	c.scores = make([]int, len(c.p.Rels))
-	c.dense = make([]bool, len(c.p.Rels))
-	for i := range c.p.Rels {
-		r := &c.p.Rels[i]
-		c.scores[i] = int(math.Ceil(float64(r.Table.LiveRows()) / float64(maxCard) * 100))
-		if c.scores[i] < 1 {
-			c.scores[i] = 1
-		}
-		c.dense[i] = relCompletelyDense(r)
-	}
 }
 
 // relCompletelyDense reports whether the relation's key structure is a
@@ -177,19 +236,17 @@ func relCompletelyDense(r *planner.RelInfo) bool {
 func (c *chooser) nodeEdges(n *ghd.Node) []nodeEdge {
 	var edges []nodeEdge
 	for _, ei := range n.Edges {
-		r := &c.p.Rels[ei]
+		r := &c.in.rels[ei]
 		edges = append(edges, nodeEdge{
-			name:     r.Alias,
-			vertices: append([]string(nil), r.Vertices...),
-			score:    c.scores[ei],
-			selected: r.HasEqualitySelection,
-			dense:    c.dense[ei],
+			vertices: r.vertices,
+			score:    r.score,
+			selected: r.selected,
+			dense:    r.dense,
 		})
 	}
 	for _, ch := range n.Children {
 		shared := intersectStrs(n.Bag, ch.Bag)
 		edges = append(edges, nodeEdge{
-			name:     "child",
 			vertices: shared,
 			score:    c.subtreeMinScore(ch),
 			selected: c.subtreeSelected(ch),
@@ -203,8 +260,8 @@ func (c *chooser) subtreeMinScore(n *ghd.Node) int {
 	var rec func(n *ghd.Node)
 	rec = func(n *ghd.Node) {
 		for _, ei := range n.Edges {
-			if c.scores[ei] < s {
-				s = c.scores[ei]
+			if c.in.rels[ei].score < s {
+				s = c.in.rels[ei].score
 			}
 		}
 		for _, ch := range n.Children {
@@ -220,7 +277,7 @@ func (c *chooser) subtreeMinScore(n *ghd.Node) int {
 
 func (c *chooser) subtreeSelected(n *ghd.Node) bool {
 	for _, ei := range n.Edges {
-		if c.p.Rels[ei].HasEqualitySelection {
+		if c.in.rels[ei].selected {
 			return true
 		}
 	}
@@ -238,11 +295,12 @@ func (c *chooser) walk(n *ghd.Node, parent *ghd.Node) error {
 	mat := c.materializedAt(n, parent)
 	edges := c.nodeEdges(n)
 	var chosen *Order
-	if parent == nil && len(c.opts.Forced) > 0 {
-		if err := validatePerm(c.opts.Forced, n.Bag); err != nil {
+	if forced := c.in.opts.Forced; parent == nil && len(forced) > 0 {
+		if err := validatePerm(forced, n.Bag); err != nil {
 			return err
 		}
-		chosen = c.scoreOrder(c.opts.Forced, mat, edges, c.opts.ForcedRelaxed)
+		// The order is memoised: keep no alias to the caller's slice.
+		chosen = c.scoreOrder(append([]string(nil), forced...), mat, edges, c.in.opts.ForcedRelaxed)
 	} else {
 		cands := c.candidates(n, mat, edges)
 		if len(cands) == 0 {
@@ -250,7 +308,7 @@ func (c *chooser) walk(n *ghd.Node, parent *ghd.Node) error {
 		}
 		chosen = cands[0]
 		for _, cand := range cands[1:] {
-			if c.opts.PickWorst {
+			if c.in.opts.PickWorst {
 				if cand.Cost > chosen.Cost {
 					chosen = cand
 				}
@@ -283,7 +341,9 @@ func (c *chooser) walk(n *ghd.Node, parent *ghd.Node) error {
 // lexicographically *descending* preference. (The icost × weight sum is
 // position-independent, so without this tie-break a low-cardinality
 // materialized attribute could land in the outer loop and multiply the
-// work of every inner intersection.)
+// work of every inner intersection.) A full tie returns false, so walk
+// keeps the first-enumerated order; enumeration follows bag order, which
+// the planner's sorted vertex naming makes a function of the query text.
 func better(a, b *Order) bool {
 	if a.Cost != b.Cost {
 		return a.Cost < b.Cost
@@ -305,7 +365,7 @@ func better(a, b *Order) bool {
 func (c *chooser) materializedAt(n *ghd.Node, parent *ghd.Node) map[string]bool {
 	mat := map[string]bool{}
 	if parent == nil {
-		for _, v := range c.p.OutVertices {
+		for _, v := range c.in.out {
 			if containsStr(n.Bag, v) {
 				mat[v] = true
 			}
@@ -330,7 +390,7 @@ func (c *chooser) candidates(n *ghd.Node, mat map[string]bool, edges []nodeEdge)
 		}
 	}
 	var out []*Order
-	if c.opts.Disabled {
+	if c.in.opts.Disabled {
 		// EmptyHeaded-style: bag order, materialized first, no cost model.
 		order := append(append([]string(nil), matAttrs...), projAttrs...)
 		return []*Order{c.scoreOrder(order, mat, edges, false)}

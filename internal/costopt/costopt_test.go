@@ -182,9 +182,10 @@ func TestICostOf(t *testing.T) {
 	}
 }
 
-func TestScoresExample53(t *testing.T) {
-	// Verify the §V-B score formula on the paper's relative cardinalities
-	// (lineitem : orders : customer : supplier ≈ 100 : 26 : 3 : 1).
+// scoreCatalog holds two joinable relations at the paper's relative
+// cardinalities (lineitem : orders ≈ 100 : 26).
+func scoreCatalog(t *testing.T) (*storage.Catalog, *storage.Table) {
+	t.Helper()
 	cat := storage.NewCatalog()
 	li, _ := cat.Create(storage.Schema{Name: "li", Cols: []storage.ColumnDef{
 		{Name: "a", Kind: storage.Int64, Role: storage.Key, Domain: "ka"},
@@ -203,15 +204,86 @@ func TestScoresExample53(t *testing.T) {
 	if err := cat.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	p := planFor(t, cat, `SELECT a, sum(1) as s FROM li, or_t WHERE li.b = or_t.b2 GROUP BY a`)
-	c := &chooser{p: p, out: &Choice{Orders: nil}, globalPos: map[string]int{}}
-	c.relScores()
+	return cat, or
+}
+
+const scoreSQL = `SELECT a, sum(1) as s FROM li, or_t WHERE li.b = or_t.b2 GROUP BY a`
+
+func TestScoresExample53(t *testing.T) {
+	// Verify the §V-B score formula on the paper's relative cardinalities
+	// (lineitem : orders : customer : supplier ≈ 100 : 26 : 3 : 1).
+	cat, _ := scoreCatalog(t)
+	p := planFor(t, cat, scoreSQL)
+	in := newInput(p, Options{})
 	liIdx, orIdx := p.RelIndex("li"), p.RelIndex("or_t")
-	if c.scores[liIdx] != 100 {
-		t.Errorf("lineitem score = %d, want 100", c.scores[liIdx])
+	if s := in.rels[liIdx].score; s != 100 {
+		t.Errorf("lineitem score = %d, want 100", s)
 	}
-	if c.scores[orIdx] != 26 { // ceil(103/400*100) = 26
-		t.Errorf("orders score = %d, want 26", c.scores[orIdx])
+	if s := in.rels[orIdx].score; s != 26 { // ceil(103/400*100) = 26
+		t.Errorf("orders score = %d, want 26", s)
+	}
+}
+
+// TestChooseMemo: a fresh plan of the same text gets the memoised Choice
+// itself; each input the search reads — a relation's score, selection
+// flag or density, and every option — is in the key, so changing one
+// searches again.
+func TestChooseMemo(t *testing.T) {
+	cat, or := scoreCatalog(t)
+	mustChoose := func(p *planner.Plan, opts Options) *Choice {
+		t.Helper()
+		ch, err := Choose(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ch
+	}
+	base := mustChoose(planFor(t, cat, scoreSQL), Options{})
+	if hit := mustChoose(planFor(t, cat, scoreSQL), Options{}); hit != base {
+		t.Fatal("an identical plan missed the memo")
+	}
+	root := base.Orders[planFor(t, cat, scoreSQL).GHD.Root].Attrs
+	reversed := make([]string, len(root))
+	for i, v := range root {
+		reversed[len(root)-1-i] = v
+	}
+	for name, opts := range map[string]Options{
+		"Disabled":  {Disabled: true},
+		"PickWorst": {PickWorst: true},
+		"Forced":    {Forced: reversed},
+	} {
+		if mustChoose(planFor(t, cat, scoreSQL), opts) == base {
+			t.Errorf("option %s hit the memo", name)
+		}
+	}
+	sel := planFor(t, cat, scoreSQL)
+	sel.Rels[0].HasEqualitySelection = true
+	if mustChoose(sel, Options{}) == base {
+		t.Error("a selection flag change hit the memo")
+	}
+
+	// Density: a filter on a completely dense relation clears its flag.
+	la := laCatalog(t)
+	const denseSQL = `SELECT d1.i, d2.j, sum(d1.v * d2.v) as v FROM d as d1, d as d2 WHERE d1.j = d2.i GROUP BY d1.i, d2.j`
+	dense := mustChoose(planFor(t, la, denseSQL), Options{})
+	filtered := planFor(t, la, denseSQL)
+	filtered.Rels[0].Filter = sqlparse.NumberLit{Val: 1}
+	if in := newInput(filtered, Options{}); in.rels[0].dense || in.rels[0].selected {
+		t.Fatalf("filtered relation input = %+v, want only density cleared", in.rels[0])
+	}
+	if mustChoose(filtered, Options{}) == dense {
+		t.Error("a density change hit the memo")
+	}
+
+	// Score: appends published by a snapshot move or_t from 26 to 51.
+	for i := int64(0); i < 100; i++ {
+		if err := or.Append(i%40, i%10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat.Snapshot()
+	if mustChoose(planFor(t, cat, scoreSQL), Options{}) == base {
+		t.Error("a score change hit the memo")
 	}
 }
 

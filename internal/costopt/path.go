@@ -84,8 +84,7 @@ func ClassifyPaths(p *planner.Plan, ch *Choice, drift float64) map[*ghd.Node]*Pa
 	if p.GHD == nil {
 		return out
 	}
-	c := &chooser{p: p}
-	c.relScores()
+	c := &chooser{in: newInput(p, Options{})}
 	corr := 1.0
 	if drift > 0 {
 		corr = drift
@@ -120,8 +119,9 @@ func ClassifyPaths(p *planner.Plan, ch *Choice, drift float64) map[*ghd.Node]*Pa
 			}
 			hasFiltered = true
 			levels := float64(len(r.Vertices))
-			sortBuild += float64(c.scores[ei]) * levels * costSortBuild
-			bucketBuild += float64(c.scores[ei]) * levels * costBucketBuild
+			score := float64(c.in.rels[ei].score)
+			sortBuild += score * levels * costSortBuild
+			bucketBuild += score * levels * costBucketBuild
 		}
 
 		// Exec-side terms: WCOJ pays the §V intersection estimate

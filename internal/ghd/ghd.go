@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"repro/internal/hypergraph"
+	"repro/internal/lru"
 )
 
 // Node is one bag of a GHD. Children are executed before their parent
@@ -67,9 +68,45 @@ type Options struct {
 
 const defaultMaxCandidates = 24
 
+// memoCap bounds the decomposition memo. An entry is one GHD of a few
+// nodes (a few KB), so the bound is by count.
+const memoCap = 1024
+
+// memo maps the encoding of a search's inputs to its result. The search
+// is a pure function of that encoding, so one memo serves every engine.
+var memo = lru.New[string, *GHD](memoCap)
+
 // Decompose enumerates GHDs of h and returns the best one under
-// (FHW, heuristics) ordering.
+// (FHW, heuristics) ordering. The result is memoised on everything the
+// search reads and shared between callers: it must not be mutated.
 func Decompose(h *hypergraph.Hypergraph, opts Options) (*GHD, error) {
+	key := searchKey(h, opts)
+	if g, ok := memo.Get(key); ok {
+		return g, nil
+	}
+	g, err := search(h, opts)
+	if err != nil {
+		return nil, err
+	}
+	memo.Put(key, g)
+	return g, nil
+}
+
+// searchKey encodes the inputs search reads: the vertex list, each
+// edge's vertex list in order, and the options. Edge names and
+// cardinalities are not read, so they are not part of the key. %q
+// quotes every name, which keeps the encoding unambiguous.
+func searchKey(h *hypergraph.Hypergraph, opts Options) string {
+	b := fmt.Appendf(nil, "%q", h.Vertices)
+	for i := range h.Edges {
+		b = fmt.Appendf(b, "%q", h.Edges[i].Vertices)
+	}
+	b = fmt.Appendf(b, "|%q|%v|%d", opts.RootMustContain, opts.SelectionEdges, opts.MaxCandidates)
+	return string(b)
+}
+
+// search is the uncached decomposition behind Decompose.
+func search(h *hypergraph.Hypergraph, opts Options) (*GHD, error) {
 	if len(h.Edges) == 0 {
 		return nil, fmt.Errorf("ghd: empty hypergraph")
 	}

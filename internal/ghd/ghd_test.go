@@ -282,46 +282,47 @@ func TestStringOutput(t *testing.T) {
 	}
 }
 
+// randomEdges draws one hypergraph: even trials a chain of 2-vertex
+// edges (acyclic), odd trials a spanning chain plus random extra edges.
+func randomEdges(r *rand.Rand, trial int) []hypergraph.Edge {
+	vertexName := func(i int) string { return string(rune('a' + i)) }
+	nV := 3 + r.Intn(5)
+	prefix := "e"
+	if trial%2 == 1 {
+		prefix = "c"
+	}
+	var edges []hypergraph.Edge
+	for i := 0; i+1 < nV; i++ {
+		edges = append(edges, hypergraph.Edge{
+			Name:     fmt.Sprintf("%s%d", prefix, i),
+			Vertices: []string{vertexName(i), vertexName(i + 1)},
+			Card:     10 + r.Intn(100),
+		})
+	}
+	if trial%2 == 1 {
+		for k := 0; k < r.Intn(3); k++ {
+			a, b := r.Intn(nV), r.Intn(nV)
+			if a == b {
+				continue
+			}
+			edges = append(edges, hypergraph.Edge{
+				Name:     fmt.Sprintf("x%d", k),
+				Vertices: []string{vertexName(a), vertexName(b)},
+				Card:     10 + r.Intn(100),
+			})
+		}
+	}
+	return edges
+}
+
 // Property: random chain/star (acyclic) hypergraphs always decompose to
 // FHW 1 and compress to a single node; random arbitrary hypergraphs
 // always yield a valid decomposition (edges covered once, running
 // intersection).
 func TestRandomHypergraphProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
-	vertexName := func(i int) string { return string(rune('a' + i)) }
 	for trial := 0; trial < 40; trial++ {
-		nV := 3 + r.Intn(5)
-		var edges []hypergraph.Edge
-		if trial%2 == 0 {
-			// Acyclic: a chain of 2-vertex edges.
-			for i := 0; i+1 < nV; i++ {
-				edges = append(edges, hypergraph.Edge{
-					Name:     fmt.Sprintf("e%d", i),
-					Vertices: []string{vertexName(i), vertexName(i + 1)},
-					Card:     10 + r.Intn(100),
-				})
-			}
-		} else {
-			// Arbitrary random edges plus a spanning chain for coverage.
-			for i := 0; i+1 < nV; i++ {
-				edges = append(edges, hypergraph.Edge{
-					Name:     fmt.Sprintf("c%d", i),
-					Vertices: []string{vertexName(i), vertexName(i + 1)},
-					Card:     10 + r.Intn(100),
-				})
-			}
-			for k := 0; k < r.Intn(3); k++ {
-				a, b := r.Intn(nV), r.Intn(nV)
-				if a == b {
-					continue
-				}
-				edges = append(edges, hypergraph.Edge{
-					Name:     fmt.Sprintf("x%d", k),
-					Vertices: []string{vertexName(a), vertexName(b)},
-					Card:     10 + r.Intn(100),
-				})
-			}
-		}
+		edges := randomEdges(r, trial)
 		h, err := hypergraph.New(edges)
 		if err != nil {
 			t.Fatal(err)
@@ -348,6 +349,67 @@ func TestRandomHypergraphProperties(t *testing.T) {
 			}
 		}
 		checkRunningIntersection(t, g)
+	}
+}
+
+// TestDecomposeMemo: a repeated search over an equal hypergraph returns
+// the memoised GHD itself, equal to an uncached search; edge names and
+// cardinalities are not read, so changing them still hits; changing
+// anything the search reads misses.
+func TestDecomposeMemo(t *testing.T) {
+	r := rand.New(rand.NewSource(99))
+	clone := func(edges []hypergraph.Edge) []hypergraph.Edge {
+		out := make([]hypergraph.Edge, len(edges))
+		for i, e := range edges {
+			e.Vertices = append([]string(nil), e.Vertices...)
+			out[i] = e
+		}
+		return out
+	}
+	for trial := 0; trial < 40; trial++ {
+		edges := randomEdges(r, trial)
+		opts := Options{RootMustContain: []string{edges[0].Vertices[0]}, SelectionEdges: []int{len(edges) - 1}}
+		g, err := Decompose(mustHG(t, edges), opts)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		u, err := search(mustHG(t, edges), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.String() != u.String() {
+			t.Fatalf("trial %d: memoised\n%s\nuncached\n%s", trial, g, u)
+		}
+		renamed := clone(edges)
+		for i := range renamed {
+			renamed[i].Name += "_r"
+			renamed[i].Card *= 7
+		}
+		if hit, _ := Decompose(mustHG(t, renamed), opts); hit != g {
+			t.Fatalf("trial %d: names and cards changed the result identity", trial)
+		}
+
+		moved := clone(edges)
+		moved[0].Vertices[1] = "z"
+		otherRoot, otherSel := opts, opts
+		otherRoot.RootMustContain = []string{edges[0].Vertices[1]}
+		otherSel.SelectionEdges = []int{0}
+		for name, c := range map[string]struct {
+			edges []hypergraph.Edge
+			opts  Options
+		}{
+			"edge vertex":     {moved, opts},
+			"RootMustContain": {edges, otherRoot},
+			"SelectionEdges":  {edges, otherSel},
+		} {
+			miss, err := Decompose(mustHG(t, c.edges), c.opts)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, name, err)
+			}
+			if miss == g {
+				t.Fatalf("trial %d: changed %s hit the memo", trial, name)
+			}
+		}
 	}
 }
 

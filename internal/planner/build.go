@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/ghd"
@@ -290,17 +291,28 @@ func (b *builder) union(a, c colKey) {
 }
 
 // buildVertices names one hypergraph vertex per join group (rule 1) and
-// registers each member column.
+// registers each member column. Groups are visited in order of their
+// least (rel, col) member and members in (rel, col) order, so the
+// "name#2" suffixes, every relation's vertex order and hence the
+// hypergraph are a function of the query text alone — the GHD and
+// attribute-order memos key on them.
 func (b *builder) buildVertices() error {
 	b.vertexOf = map[colKey]string{}
-	groups := map[colKey][]colKey{}
+	byRoot := map[colKey][]colKey{}
 	for k := range b.joinParent {
 		r := b.find(k)
-		groups[r] = append(groups[r], k)
+		byRoot[r] = append(byRoot[r], k)
 	}
+	groups := make([][]colKey, 0, len(byRoot))
+	for _, members := range byRoot {
+		sort.Slice(members, func(i, j int) bool { return colKeyLess(members[i], members[j]) })
+		groups = append(groups, members)
+	}
+	sort.Slice(groups, func(i, j int) bool { return colKeyLess(groups[i][0], groups[j][0]) })
 	usedNames := map[string]int{}
-	for root, members := range groups {
-		col := b.plan.Rels[root.rel].Table.Col(root.col)
+	for _, members := range groups {
+		// Every member shares the group's domain (classifyWhere checks).
+		col := b.plan.Rels[members[0].rel].Table.Col(members[0].col)
 		name := col.Def.DomainName()
 		usedNames[name]++
 		if usedNames[name] > 1 {
@@ -312,6 +324,13 @@ func (b *builder) buildVertices() error {
 		}
 	}
 	return nil
+}
+
+func colKeyLess(a, b colKey) bool {
+	if a.rel != b.rel {
+		return a.rel < b.rel
+	}
+	return a.col < b.col
 }
 
 // vertexForKeyCol returns the vertex of a key column, creating a fresh

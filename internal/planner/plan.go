@@ -21,9 +21,10 @@ type RelInfo struct {
 	// Alias is the unique FROM alias.
 	Alias string
 	Table *storage.Table
-	// Vertices are the hypergraph vertices this relation covers, in the
-	// order of the underlying key columns (join vertices first, then
-	// pseudo-vertices). VertexCol maps vertex → column name.
+	// Vertices are the hypergraph vertices this relation covers: join
+	// vertices first, in the planner's (rel, col)-sorted group order, then
+	// GROUP BY key and pseudo-vertices in GROUP BY order. The layout is a
+	// function of the query text. VertexCol maps vertex → column name.
 	Vertices  []string
 	VertexCol map[string]string
 	// PseudoVertices are GROUP BY annotation columns promoted to trie key
