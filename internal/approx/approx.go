@@ -1,11 +1,13 @@
 // Package approx is the approximate query tier: a scan-shaped
 // evaluator over single-table aggregate queries that can answer from a
-// per-table summary (HyperLogLog cardinalities, a uniform reservoir row
-// sample) instead of the full WCOJ pipeline,
+// per-table summary (HyperLogLog cardinalities, a uniform reservoir
+// sample of row ids) instead of the full WCOJ pipeline,
 // reporting an explicit error bound with every estimate. It also owns
 // the exact hash-set evaluation of COUNT(DISTINCT col) — a shape the
 // trie engine does not execute — so the sketches always have an exact
-// anchor on the same code path.
+// anchor on the same code path. Its WHERE runs through the engine's one
+// scalar evaluator (internal/expr), so the tier accepts exactly the
+// predicates the exact pipeline does.
 //
 // The tier is strictly opt-in (QueryOptions.ApproxOK): without the
 // opt-in the only shape served here is the exact distinct scan, and
@@ -15,6 +17,7 @@ package approx
 import (
 	"fmt"
 
+	"repro/internal/expr"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 )
@@ -36,7 +39,9 @@ type OutCol struct {
 
 // Shape is a supported single-table aggregate query: optional WHERE
 // over the table's columns, plain-column GROUP BY, and SELECT items
-// that are either group columns or bare aggregate calls.
+// that are either group columns or bare aggregate calls. It is bound to
+// the table it was analyzed against: the WHERE is compiled over that
+// table's columns and every Eval reads them.
 type Shape struct {
 	Table   string
 	Where   sqlparse.Expr
@@ -46,13 +51,17 @@ type Shape struct {
 
 	HasDistinct bool
 	HasMinMax   bool
+
+	tab  *storage.Table
+	pred *expr.Pred // compiled Where; nil without one
 }
 
-// Analyze reports whether q is a supported shape over sch. A (nil,
-// false) return means "not this tier's query" — the caller falls
-// through to the normal engine, whose planner produces the
-// authoritative error for unsupported distinct shapes.
-func Analyze(q *sqlparse.Query, sch *storage.Schema) (*Shape, bool) {
+// Analyze reports whether q is a supported shape over the
+// snapshot-resolved table t. A (nil, false) return means "not this
+// tier's query" — the caller falls through to the normal engine, whose
+// planner produces the authoritative error for unsupported distinct
+// shapes and for a WHERE the expression compiler rejects.
+func Analyze(q *sqlparse.Query, t *storage.Table) (*Shape, bool) {
 	if len(q.From) != 1 || q.Having != nil {
 		return nil, false
 	}
@@ -60,7 +69,8 @@ func Analyze(q *sqlparse.Query, sch *storage.Schema) (*Shape, bool) {
 	if alias == "" {
 		alias = q.From[0].Table
 	}
-	sh := &Shape{Table: q.From[0].Table}
+	sh := &Shape{Table: q.From[0].Table, tab: t}
+	sch := &t.Schema
 
 	resolve := func(cr sqlparse.ColRef) (string, bool) {
 		if cr.Qualifier != "" && cr.Qualifier != alias {
@@ -70,13 +80,6 @@ func Analyze(q *sqlparse.Query, sch *storage.Schema) (*Shape, bool) {
 			return "", false
 		}
 		return cr.Name, true
-	}
-
-	if q.Where != nil {
-		if !filterSupported(q.Where, resolve) {
-			return nil, false
-		}
-		sh.Where = q.Where
 	}
 
 	for _, ge := range q.GroupBy {
@@ -142,6 +145,14 @@ func Analyze(q *sqlparse.Query, sch *storage.Schema) (*Shape, bool) {
 			sh.HasMinMax = true
 		}
 	}
+
+	if q.Where != nil {
+		pred, err := expr.CompilePred(q.Where, &expr.Binding{Alias: alias, Table: t})
+		if err != nil {
+			return nil, false
+		}
+		sh.Where, sh.pred = q.Where, pred
+	}
 	return sh, true
 }
 
@@ -184,47 +195,6 @@ func analyzeAgg(fc sqlparse.FuncCall, sch *storage.Schema, resolve func(sqlparse
 		return Agg{Fn: "count", Col: name}, true
 	}
 	return Agg{Fn: fc.Name, Col: name, Distinct: fc.Distinct}, true
-}
-
-// filterSupported walks a WHERE expression and accepts exactly the
-// node set the tier's row evaluator implements, with every column
-// reference resolving into the table.
-func filterSupported(e sqlparse.Expr, resolve func(sqlparse.ColRef) (string, bool)) bool {
-	switch v := e.(type) {
-	case sqlparse.ColRef:
-		_, ok := resolve(v)
-		return ok
-	case sqlparse.NumberLit, sqlparse.StringLit, sqlparse.DateLit:
-		return true
-	case sqlparse.BinaryExpr:
-		return filterSupported(v.L, resolve) && filterSupported(v.R, resolve)
-	case sqlparse.UnaryExpr:
-		return filterSupported(v.X, resolve)
-	case sqlparse.BetweenExpr:
-		return filterSupported(v.X, resolve) && filterSupported(v.Lo, resolve) && filterSupported(v.Hi, resolve)
-	case sqlparse.InExpr:
-		if !filterSupported(v.X, resolve) {
-			return false
-		}
-		for _, x := range v.Vals {
-			if !filterSupported(x, resolve) {
-				return false
-			}
-		}
-		return true
-	case sqlparse.LikeExpr:
-		return filterSupported(v.X, resolve)
-	case sqlparse.ExtractExpr:
-		return filterSupported(v.X, resolve)
-	case sqlparse.CaseExpr:
-		for _, w := range v.Whens {
-			if !filterSupported(w.Cond, resolve) || !filterSupported(w.Then, resolve) {
-				return false
-			}
-		}
-		return v.Else == nil || filterSupported(v.Else, resolve)
-	}
-	return false
 }
 
 func selectName(it sqlparse.SelectItem) string {

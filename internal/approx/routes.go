@@ -63,8 +63,9 @@ func Route(sh *Shape, rows, sampleCap int, drift float64) (string, *costopt.Appr
 }
 
 // EvalHLL answers a scalar count / count-distinct shape from the
-// per-column HLL sketches (n is the covered row count).
-func EvalHLL(sh *Shape, sum *Summary, sch *storage.Schema, n int) (*Answer, error) {
+// per-column HLL sketches of a summary covering the shape's table.
+func EvalHLL(sh *Shape, sum *Summary) *Answer {
+	n := sh.tab.NumRows
 	finals := make([]float64, len(sh.Aggs))
 	bounds := make([]float64, len(sh.Aggs))
 	for i, a := range sh.Aggs {
@@ -72,7 +73,7 @@ func EvalHLL(sh *Shape, sum *Summary, sch *storage.Schema, n int) (*Answer, erro
 			finals[i] = float64(n) // count(*) is exact from coverage
 			continue
 		}
-		ci := colIndex(sch, a.Col)
+		ci := colIndex(&sh.tab.Schema, a.Col)
 		h := sum.HLLs[ci]
 		est := math.Round(h.Estimate())
 		if est > float64(n) {
@@ -82,32 +83,29 @@ func EvalHLL(sh *Shape, sum *Summary, sch *storage.Schema, n int) (*Answer, erro
 		bounds[i] = hllBound(h, est)
 	}
 	a := &Answer{Route: obs.DispatchApproxHLL, Approx: true}
-	a.Res = newResult(sh, sch)
+	a.Res = newResult(sh)
 	appendRow(a.Res, sh, nil, finals)
 	a.ErrorBounds = outBounds(sh, bounds)
-	return finishBounds(a), nil
+	return finishBounds(a)
 }
 
-// EvalSample answers a filtered/grouped count-sum-avg shape by running
-// the shared scan loop over the reservoir rows and scaling by N/k.
-func EvalSample(sh *Shape, rows [][]any, sch *storage.Schema, n int) (*Answer, error) {
-	k := len(rows)
+// EvalSample answers a filtered/grouped count-sum-avg shape from a
+// uniform sample of its table's rows (ids ascending): the shared scan
+// over the sampled rows, scaled by N/k.
+func EvalSample(sh *Shape, ids []int32) *Answer {
+	n, k := sh.tab.NumRows, len(ids)
 	scale := 1.0
 	if k > 0 {
 		scale = float64(n) / float64(k)
 	}
-	sc := NewRowScanner(sch, rows)
-	groups, err := sh.scan(sc)
-	if err != nil {
-		return nil, err
-	}
+	groups := sh.scan(ids)
 	scalar := len(sh.GroupBy) == 0
 	if scalar && len(groups) == 0 {
 		groups = append(groups, newGroupAcc(sh, nil))
 	}
 
 	a := &Answer{Route: obs.DispatchApproxSample, Approx: true}
-	a.Res = newResult(sh, sch)
+	a.Res = newResult(sh)
 	bounds := make([]float64, len(sh.Aggs))
 	for _, g := range groups {
 		finals := make([]float64, len(sh.Aggs))
@@ -130,7 +128,7 @@ func EvalSample(sh *Shape, rows [][]any, sch *storage.Schema, n int) (*Answer, e
 	if !scalar {
 		a.MissBound = MissBound(n, k)
 	}
-	return finishBounds(a), nil
+	return finishBounds(a)
 }
 
 // outBounds spreads per-aggregate bounds onto output-column positions

@@ -7,338 +7,29 @@ import (
 
 	"repro/internal/dict"
 	"repro/internal/exec"
-	"repro/internal/refeval"
-	"repro/internal/sqlparse"
+	"repro/internal/expr"
 	"repro/internal/storage"
 )
 
-// Scanner is row access for the tier's evaluator, over either a
-// table's decoded columnar arrays (the exact scan) or a reservoir
-// sample's row slices (the sample route). Both backends present the
-// same (column, row) → native value view.
-type Scanner struct {
-	sch   *storage.Schema
-	colIx map[string]int
-	cols  []*storage.Column // columnar backend; nil for the row backend
-	rows  [][]any           // row backend
-	n     int
+// cell reads one native value: int64 for Int64 and Date columns,
+// float64 for Float64, string for String.
+func cell(c *storage.Column, r int32) any {
+	switch c.Def.Kind {
+	case storage.Float64:
+		return c.Floats[r]
+	case storage.String:
+		return c.Strs[r]
+	}
+	return c.Ints[r]
 }
 
-// NewTableScanner reads a snapshot-resolved table's raw columnar
-// arrays directly (generations retain them alongside the encodings).
-func NewTableScanner(t *storage.Table) *Scanner {
-	s := &Scanner{sch: &t.Schema, cols: t.Cols, n: t.NumRows, colIx: map[string]int{}}
-	for i := range t.Schema.Cols {
-		s.colIx[t.Schema.Cols[i].Name] = i
+// num reads one numeric value as float64 (Analyze admits no string
+// column under sum/avg/min/max).
+func num(c *storage.Column, r int32) float64 {
+	if c.Def.Kind == storage.Float64 {
+		return c.Floats[r]
 	}
-	return s
-}
-
-// NewRowScanner reads pre-decoded rows (a reservoir sample) under the
-// same schema.
-func NewRowScanner(sch *storage.Schema, rows [][]any) *Scanner {
-	s := &Scanner{sch: sch, rows: rows, n: len(rows), colIx: map[string]int{}}
-	for i := range sch.Cols {
-		s.colIx[sch.Cols[i].Name] = i
-	}
-	return s
-}
-
-// NumRows reports the scan length.
-func (s *Scanner) NumRows() int { return s.n }
-
-func (s *Scanner) value(ci, ri int) any {
-	if s.cols != nil {
-		c := s.cols[ci]
-		switch c.Def.Kind {
-		case storage.Float64:
-			return c.Floats[ri]
-		case storage.String:
-			return c.Strs[ri]
-		default:
-			return c.Ints[ri]
-		}
-	}
-	return s.rows[ri][ci]
-}
-
-// Row materializes row ri as a decoded []any (used when feeding the
-// reservoir).
-func (s *Scanner) Row(ri int) []any {
-	row := make([]any, len(s.sch.Cols))
-	for ci := range row {
-		row[ci] = s.value(ci, ri)
-	}
-	return row
-}
-
-// --- row expression evaluation (mirrors refeval's float64 semantics) ---
-
-func (s *Scanner) colOf(cr sqlparse.ColRef) (int, error) {
-	ci, ok := s.colIx[cr.Name]
-	if !ok {
-		return 0, fmt.Errorf("approx: unknown column %s", cr.Name)
-	}
-	return ci, nil
-}
-
-func (s *Scanner) evalBool(e sqlparse.Expr, ri int) (bool, error) {
-	switch v := e.(type) {
-	case sqlparse.BinaryExpr:
-		switch v.Op {
-		case "and":
-			l, err := s.evalBool(v.L, ri)
-			if err != nil || !l {
-				return false, err
-			}
-			return s.evalBool(v.R, ri)
-		case "or":
-			l, err := s.evalBool(v.L, ri)
-			if err != nil || l {
-				return l, err
-			}
-			return s.evalBool(v.R, ri)
-		case "=", "<>", "<", "<=", ">", ">=":
-			return s.compare(v.Op, v.L, v.R, ri)
-		}
-		return false, fmt.Errorf("approx: boolean op %s", v.Op)
-	case sqlparse.UnaryExpr:
-		if v.Op == "not" {
-			b, err := s.evalBool(v.X, ri)
-			return !b, err
-		}
-		return false, fmt.Errorf("approx: unary %s in boolean context", v.Op)
-	case sqlparse.BetweenExpr:
-		x, err := s.evalNum(v.X, ri)
-		if err != nil {
-			return false, err
-		}
-		lo, err := s.evalNum(v.Lo, ri)
-		if err != nil {
-			return false, err
-		}
-		hi, err := s.evalNum(v.Hi, ri)
-		if err != nil {
-			return false, err
-		}
-		in := x >= lo && x <= hi
-		return in != v.Negate, nil
-	case sqlparse.InExpr:
-		if str, ok, err := s.evalStr(v.X, ri); err != nil {
-			return false, err
-		} else if ok {
-			hit := false
-			for _, ve := range v.Vals {
-				lit, isStr := ve.(sqlparse.StringLit)
-				if !isStr {
-					return false, fmt.Errorf("approx: IN on string needs string literals")
-				}
-				if str == lit.Val {
-					hit = true
-					break
-				}
-			}
-			return hit != v.Negate, nil
-		}
-		x, err := s.evalNum(v.X, ri)
-		if err != nil {
-			return false, err
-		}
-		hit := false
-		for _, ve := range v.Vals {
-			n, err := s.evalNum(ve, ri)
-			if err != nil {
-				return false, err
-			}
-			if x == n {
-				hit = true
-				break
-			}
-		}
-		return hit != v.Negate, nil
-	case sqlparse.LikeExpr:
-		str, ok, err := s.evalStr(v.X, ri)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, fmt.Errorf("approx: LIKE on non-string")
-		}
-		return refeval.LikeMatch(str, v.Pattern) != v.Negate, nil
-	}
-	return false, fmt.Errorf("approx: unsupported boolean expr %T", e)
-}
-
-func (s *Scanner) compare(op string, le, re sqlparse.Expr, ri int) (bool, error) {
-	ls, lok, err := s.evalStr(le, ri)
-	if err != nil {
-		return false, err
-	}
-	rs, rok, err := s.evalStr(re, ri)
-	if err != nil {
-		return false, err
-	}
-	if lok && rok {
-		switch op {
-		case "=":
-			return ls == rs, nil
-		case "<>":
-			return ls != rs, nil
-		case "<":
-			return ls < rs, nil
-		case "<=":
-			return ls <= rs, nil
-		case ">":
-			return ls > rs, nil
-		default:
-			return ls >= rs, nil
-		}
-	}
-	if lok != rok {
-		return false, fmt.Errorf("approx: mixed string/numeric comparison")
-	}
-	l, err := s.evalNum(le, ri)
-	if err != nil {
-		return false, err
-	}
-	r, err := s.evalNum(re, ri)
-	if err != nil {
-		return false, err
-	}
-	switch op {
-	case "=":
-		return l == r, nil
-	case "<>":
-		return l != r, nil
-	case "<":
-		return l < r, nil
-	case "<=":
-		return l <= r, nil
-	case ">":
-		return l > r, nil
-	default:
-		return l >= r, nil
-	}
-}
-
-func (s *Scanner) evalStr(e sqlparse.Expr, ri int) (string, bool, error) {
-	switch v := e.(type) {
-	case sqlparse.StringLit:
-		return v.Val, true, nil
-	case sqlparse.ColRef:
-		ci, err := s.colOf(v)
-		if err != nil {
-			return "", false, err
-		}
-		if s.sch.Cols[ci].Kind == storage.String {
-			return s.value(ci, ri).(string), true, nil
-		}
-	}
-	return "", false, nil
-}
-
-func (s *Scanner) evalNum(e sqlparse.Expr, ri int) (float64, error) {
-	switch v := e.(type) {
-	case sqlparse.NumberLit:
-		return v.Val, nil
-	case sqlparse.DateLit:
-		return float64(v.Days), nil
-	case sqlparse.ColRef:
-		ci, err := s.colOf(v)
-		if err != nil {
-			return 0, err
-		}
-		switch s.sch.Cols[ci].Kind {
-		case storage.String:
-			return 0, fmt.Errorf("approx: string column %s in numeric context", v.Name)
-		case storage.Float64:
-			return s.value(ci, ri).(float64), nil
-		default:
-			return float64(s.value(ci, ri).(int64)), nil
-		}
-	case sqlparse.BinaryExpr:
-		switch v.Op {
-		case "+", "-", "*", "/":
-			l, err := s.evalNum(v.L, ri)
-			if err != nil {
-				return 0, err
-			}
-			r, err := s.evalNum(v.R, ri)
-			if err != nil {
-				return 0, err
-			}
-			switch v.Op {
-			case "+":
-				return l + r, nil
-			case "-":
-				return l - r, nil
-			case "*":
-				return l * r, nil
-			default:
-				return l / r, nil
-			}
-		default:
-			b, err := s.evalBool(v, ri)
-			if err != nil {
-				return 0, err
-			}
-			if b {
-				return 1, nil
-			}
-			return 0, nil
-		}
-	case sqlparse.UnaryExpr:
-		if v.Op == "-" {
-			n, err := s.evalNum(v.X, ri)
-			return -n, err
-		}
-		b, err := s.evalBool(v, ri)
-		if err != nil {
-			return 0, err
-		}
-		if b {
-			return 1, nil
-		}
-		return 0, nil
-	case sqlparse.CaseExpr:
-		for _, w := range v.Whens {
-			c, err := s.evalBool(w.Cond, ri)
-			if err != nil {
-				return 0, err
-			}
-			if c {
-				return s.evalNum(w.Then, ri)
-			}
-		}
-		if v.Else != nil {
-			return s.evalNum(v.Else, ri)
-		}
-		return 0, nil
-	case sqlparse.ExtractExpr:
-		d, err := s.evalNum(v.X, ri)
-		if err != nil {
-			return 0, err
-		}
-		days := int32(d)
-		switch v.Unit {
-		case "year":
-			return float64(sqlparse.DateYear(days)), nil
-		case "month":
-			return float64(sqlparse.DateMonth(days)), nil
-		default:
-			return float64(sqlparse.DateDay(days)), nil
-		}
-	case sqlparse.BetweenExpr, sqlparse.InExpr, sqlparse.LikeExpr:
-		b, err := s.evalBool(e, ri)
-		if err != nil {
-			return 0, err
-		}
-		if b {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	return 0, fmt.Errorf("approx: unsupported numeric expr %T", e)
+	return float64(c.Ints[r])
 }
 
 // --- canonical group/distinct keys (mirror the engine's pseudo-encoding) ---
@@ -364,7 +55,7 @@ func canonKey(v any) string {
 	return fmt.Sprintf("?%v", v)
 }
 
-// --- exact scan evaluation ---
+// --- group/aggregate fold ---
 
 type groupAcc struct {
 	keyVals []any
@@ -378,78 +69,91 @@ type groupAcc struct {
 	maxAbs []float64
 }
 
-// scan runs the shared filter/group/accumulate loop over sc and returns
-// the groups in first-seen order.
-func (sh *Shape) scan(sc *Scanner) ([]*groupAcc, error) {
+// scan folds the rows of the shape's table that satisfy its WHERE into
+// groups, returned in first-seen order. ids (ascending) restricts the
+// candidates to a sample; nil scans every row. Candidates go through the
+// compiled predicate a block at a time, and the fold reads the survivors'
+// values straight from the columns.
+func (sh *Shape) scan(ids []int32) []*groupAcc {
+	t := sh.tab
+	n := t.NumRows
+	if ids != nil {
+		n = len(ids)
+	}
+	gcols := make([]*storage.Column, len(sh.GroupBy))
+	for i, name := range sh.GroupBy {
+		gcols[i] = t.Col(name)
+	}
+	acols := make([]*storage.Column, len(sh.Aggs))
+	for i, a := range sh.Aggs {
+		acols[i] = t.Col(a.Col)
+	}
+	var sel expr.Sel
+	if sh.pred != nil {
+		sel = sh.pred.Bind()
+	}
+
 	groups := map[string]*groupAcc{}
 	var order []*groupAcc
-	for ri := 0; ri < sc.NumRows(); ri++ {
-		if sh.Where != nil {
-			ok, err := sc.evalBool(sh.Where, ri)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
+	buf := make([]int32, expr.BlockSize)
+	for lo := 0; lo < n; lo += expr.BlockSize {
+		hi := min(lo+expr.BlockSize, n)
+		var rows []int32
+		if ids == nil {
+			rows = expr.Rows(buf, lo, hi)
+		} else {
+			rows = buf[:copy(buf, ids[lo:hi])]
 		}
-		key := ""
-		var keyVals []any
-		if len(sh.GroupBy) > 0 {
-			keyVals = make([]any, len(sh.GroupBy))
-			for i, gcol := range sh.GroupBy {
-				v := canonVal(sc.value(sc.colIx[gcol], ri))
-				keyVals[i] = v
-				key += canonKey(v) + "\x00"
-			}
+		if sel != nil {
+			rows = sel(rows, buf)
 		}
-		g := groups[key]
-		if g == nil {
-			g = newGroupAcc(sh, keyVals)
-			groups[key] = g
-			order = append(order, g)
-		}
-		g.rows++
-		for i, a := range sh.Aggs {
-			if a.Distinct {
-				v := canonVal(sc.value(sc.colIx[a.Col], ri))
-				g.sets[i][canonKey(v)] = struct{}{}
-				continue
+		for _, r := range rows {
+			key := ""
+			var keyVals []any
+			if len(gcols) > 0 {
+				keyVals = make([]any, len(gcols))
+				for i, c := range gcols {
+					v := canonVal(cell(c, r))
+					keyVals[i] = v
+					key += canonKey(v) + "\x00"
+				}
 			}
-			switch a.Fn {
-			case "count":
-				g.accs[i]++
-			case "sum", "avg":
-				v, err := sc.evalNum(sqlparse.ColRef{Name: a.Col}, ri)
-				if err != nil {
-					return nil, err
+			g := groups[key]
+			if g == nil {
+				g = newGroupAcc(sh, keyVals)
+				groups[key] = g
+				order = append(order, g)
+			}
+			g.rows++
+			for i, a := range sh.Aggs {
+				if a.Distinct {
+					g.sets[i][canonKey(canonVal(cell(acols[i], r)))] = struct{}{}
+					continue
 				}
-				g.accs[i] += v
-				g.accsSq[i] += v * v
-				g.counts[i]++
-				if av := math.Abs(v); av > g.maxAbs[i] {
-					g.maxAbs[i] = av
-				}
-			case "min":
-				v, err := sc.evalNum(sqlparse.ColRef{Name: a.Col}, ri)
-				if err != nil {
-					return nil, err
-				}
-				if v < g.accs[i] {
-					g.accs[i] = v
-				}
-			case "max":
-				v, err := sc.evalNum(sqlparse.ColRef{Name: a.Col}, ri)
-				if err != nil {
-					return nil, err
-				}
-				if v > g.accs[i] {
-					g.accs[i] = v
+				switch a.Fn {
+				case "count":
+					g.accs[i]++
+				case "sum", "avg":
+					v := num(acols[i], r)
+					g.accs[i] += v
+					g.accsSq[i] += v * v
+					g.counts[i]++
+					if av := math.Abs(v); av > g.maxAbs[i] {
+						g.maxAbs[i] = av
+					}
+				case "min":
+					if v := num(acols[i], r); v < g.accs[i] {
+						g.accs[i] = v
+					}
+				case "max":
+					if v := num(acols[i], r); v > g.accs[i] {
+						g.accs[i] = v
+					}
 				}
 			}
 		}
 	}
-	return order, nil
+	return order
 }
 
 func newGroupAcc(sh *Shape, keyVals []any) *groupAcc {
@@ -489,32 +193,28 @@ func (sh *Shape) finals(g *groupAcc) []float64 {
 	return out
 }
 
-// EvalScan evaluates the shape exactly over a full table scan: the
-// engine's COUNT(DISTINCT) baseline (hash-set evaluation) and the
-// approximate tier's exact fallback route.
-func EvalScan(sh *Shape, sc *Scanner) (*exec.Result, error) {
-	groups, err := sh.scan(sc)
-	if err != nil {
-		return nil, err
-	}
+// EvalScan evaluates the shape exactly over a full scan of its table:
+// the engine's COUNT(DISTINCT) baseline (hash-set evaluation).
+func EvalScan(sh *Shape) *exec.Result {
+	groups := sh.scan(nil)
 	if len(sh.GroupBy) == 0 && len(groups) == 0 {
 		// Scalar convention: one all-zero aggregate row.
 		groups = append(groups, newGroupAcc(sh, nil))
 	}
-	res := newResult(sh, sc.sch)
+	res := newResult(sh)
 	for _, g := range groups {
 		appendRow(res, sh, g.keyVals, sh.finals(g))
 	}
-	return res, nil
+	return res
 }
 
 // newResult allocates the typed output columns for a shape.
-func newResult(sh *Shape, sch *storage.Schema) *exec.Result {
+func newResult(sh *Shape) *exec.Result {
 	res := &exec.Result{}
 	for _, out := range sh.Out {
 		col := &exec.Column{Name: out.Name}
 		if out.Group >= 0 {
-			switch sch.Col(sh.GroupBy[out.Group]).Kind {
+			switch sh.tab.Col(sh.GroupBy[out.Group]).Def.Kind {
 			case storage.Float64:
 				col.Kind = exec.KindFloat
 			case storage.String:

@@ -2,6 +2,7 @@ package approx
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/sketch"
 	"repro/internal/storage"
@@ -16,12 +17,14 @@ const ValueHashSeed = 0x1e7e17ead
 const DefaultSampleRows = 4096
 
 // Summary is one table's approximate-tier state: per-column HLL
-// cardinality sketches and a uniform reservoir sample of decoded rows.
+// cardinality sketches and a uniform reservoir sample of row ids.
 // It is built lazily on first approximate use, extended incrementally
 // as a table's snapshot row count grows (generations fold delta rows
 // strictly after the base prefix, so rows [Rows, n) are exactly the
 // unseen suffix), and invalidated when the covered prefix shrinks or
-// the schema changes.
+// the schema changes. Rows are immutable and appends and compaction
+// keep row order, so a sampled id names the same row in every later
+// generation.
 // Not safe for concurrent mutation — the engine serializes access.
 type Summary struct {
 	Table string
@@ -68,28 +71,29 @@ func (s *Summary) Covers(t *storage.Table) bool {
 // Extend folds rows [s.Rows, t.NumRows) of a snapshot-resolved table
 // into the summary. Building from scratch is Extend on a fresh summary.
 func (s *Summary) Extend(t *storage.Table, epoch uint64) {
-	sc := NewTableScanner(t)
-	for ri := s.Rows; ri < sc.NumRows(); ri++ {
-		row := sc.Row(ri)
-		for ci, v := range row {
-			s.HLLs[ci].AddHash(sketch.HashValue(ValueHashSeed, canonVal(v)))
+	for ri := int32(s.Rows); ri < int32(t.NumRows); ri++ {
+		for ci, c := range t.Cols {
+			s.HLLs[ci].AddHash(sketch.HashValue(ValueHashSeed, canonVal(cell(c, ri))))
 		}
-		s.Sample.Add(row)
+		s.Sample.Add(ri)
 	}
-	s.Rows = sc.NumRows()
+	s.Rows = t.NumRows
 	s.Gen = t.Generation()
 	s.Epoch = epoch
 }
 
-// SampleRows returns a race-free snapshot of the current sample (the
-// row slices themselves are immutable once created).
-func (s *Summary) SampleRows() [][]any {
-	return append([][]any(nil), s.Sample.Rows()...)
+// SampleIDs returns the sampled row ids in ascending order, copied, so
+// the result stays valid across later Extends.
+func (s *Summary) SampleIDs() []int32 {
+	ids := slices.Clone(s.Sample.IDs())
+	slices.Sort(ids)
+	return ids
 }
 
-// Bytes estimates the summary's sketch footprint (sample excluded).
+// Bytes estimates the summary's footprint: the sketches plus 4 bytes per
+// sampled row id.
 func (s *Summary) Bytes() int {
-	n := 0
+	n := 4 * len(s.Sample.IDs())
 	for _, h := range s.HLLs {
 		n += h.Bytes()
 	}

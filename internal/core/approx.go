@@ -7,7 +7,6 @@ import (
 	"repro/internal/approx"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/qerr"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
@@ -99,32 +98,32 @@ func (e *Engine) degrade(sql string, qo QueryOptions, st *obs.QueryStats) (*exec
 	if err != nil {
 		return nil, false
 	}
-	res, ok, err := e.tryApprox(q, sql, qo, st, true)
-	return res, ok && err == nil
+	return e.tryApprox(q, qo, st, true)
 }
 
 // tryApprox is the approximate tier's intercept on a parsed query (the
 // catalog is frozen by then). The returned bool reports whether the
-// tier served (or definitively failed) the query; false falls through
-// to the normal pipeline, whose planner produces the authoritative
-// errors for shapes the tier declined.
+// tier served the query; false falls through to the normal pipeline,
+// whose planner produces the authoritative errors for shapes the tier
+// declined. A shape the tier accepts cannot fail: Analyze has already
+// compiled its WHERE and resolved every column.
 //
 // degraded marks the overload-degrade entry: only bounded-work routes
 // (sketch/sample) are served — the cost gate is waived, since any
-// approximate answer beats a shed — and errors fall through.
-func (e *Engine) tryApprox(q *sqlparse.Query, sql string, qo QueryOptions, st *obs.QueryStats, degraded bool) (*exec.Result, bool, error) {
+// approximate answer beats a shed.
+func (e *Engine) tryApprox(q *sqlparse.Query, qo QueryOptions, st *obs.QueryStats, degraded bool) (*exec.Result, bool) {
 	if len(q.From) != 1 {
-		return nil, false, nil
+		return nil, false
 	}
 	t := e.cat.Table(q.From[0].Table)
 	if t == nil {
-		return nil, false, nil
+		return nil, false
 	}
 	snap := e.cat.Snapshot()
 	g := snap.Resolve(t)
-	sh, ok := approx.Analyze(q, &g.Schema)
+	sh, ok := approx.Analyze(q, g)
 	if !ok {
-		return nil, false, nil
+		return nil, false
 	}
 	if st != nil {
 		st.FingerprintText, st.Fingerprint = sqlparse.Fingerprint(q)
@@ -151,20 +150,15 @@ func (e *Engine) tryApprox(q *sqlparse.Query, sql string, qo QueryOptions, st *o
 	if route == "" && (degraded || !sh.HasDistinct) {
 		// Degrade has no bounded route; non-distinct exact shapes belong
 		// to the normal pipeline.
-		return nil, false, nil
+		return nil, false
 	}
 
 	te := time.Now()
 	var ans *approx.Answer
-	var err error
 	switch route {
 	case "":
 		// Exact distinct scan: the engine's COUNT(DISTINCT) baseline.
-		var res *exec.Result
-		res, err = approx.EvalScan(sh, approx.NewTableScanner(g))
-		if err == nil {
-			ans = &approx.Answer{Res: res, Route: obs.DispatchDistinctScan}
-		}
+		ans = &approx.Answer{Res: approx.EvalScan(sh), Route: obs.DispatchDistinctScan}
 	default:
 		var epoch uint64
 		if snap != nil {
@@ -174,17 +168,11 @@ func (e *Engine) tryApprox(q *sqlparse.Query, sql string, qo QueryOptions, st *o
 		sum := e.summaryFor(q.From[0].Table, g, epoch)
 		switch route {
 		case "hll":
-			ans, err = approx.EvalHLL(sh, sum, &g.Schema, g.NumRows)
+			ans = approx.EvalHLL(sh, sum)
 		default:
-			ans, err = approx.EvalSample(sh, sum.SampleRows(), &g.Schema, g.NumRows)
+			ans = approx.EvalSample(sh, sum.SampleIDs())
 		}
 		e.approxMu.Unlock()
-	}
-	if err != nil {
-		if degraded {
-			return nil, false, nil
-		}
-		return nil, true, &qerr.ExecError{SQL: sql, Err: err}
 	}
 
 	if st != nil {
@@ -206,7 +194,7 @@ func (e *Engine) tryApprox(q *sqlparse.Query, sql string, qo QueryOptions, st *o
 	if ans.Approx {
 		e.approxQueries.Add(1)
 	}
-	return ans.Res, true, nil
+	return ans.Res, true
 }
 
 // explainApprox renders the approximate-tier plan for shapes the tier
@@ -219,11 +207,11 @@ func (e *Engine) explainApprox(sql string) (string, bool) {
 		return "", false
 	}
 	t := e.cat.Table(q.From[0].Table)
-	if t == nil {
+	if t == nil || e.Freeze() != nil {
 		return "", false
 	}
 	g := e.cat.Snapshot().Resolve(t)
-	sh, ok := approx.Analyze(q, &g.Schema)
+	sh, ok := approx.Analyze(q, g)
 	if !ok || !sh.HasDistinct {
 		return "", false
 	}

@@ -337,3 +337,38 @@ func TestDistinctOverJoinRejected(t *testing.T) {
 		t.Fatalf("distinct over join: want PlanError, got %v", qerr2)
 	}
 }
+
+// TestApproxOptInKeepsWhereErrors: a WHERE the exact pipeline rejects —
+// here a string column compared with another string column — fails
+// with the same error under ApproxOK, even on a table large enough for
+// the sample route: the tier accepts only what the expression compiler
+// accepts.
+func TestApproxOptInKeepsWhereErrors(t *testing.T) {
+	eng := New(WithApproxSampleRows(64))
+	tab, err := eng.CreateTable(storage.Schema{Name: "pairs", Cols: []storage.ColumnDef{
+		{Name: "k", Kind: storage.Int64, Role: storage.Key, Domain: "dk"},
+		{Name: "s", Kind: storage.String, Role: storage.Annotation},
+		{Name: "t", Kind: storage.String, Role: storage.Annotation},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"ash", "birch", "cedar", "elm"}
+	for i := 0; i < 2000; i++ {
+		if err := tab.Append(int64(i), names[i%4], names[i/4%4]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const q = "SELECT count(*) AS c FROM pairs WHERE s = t"
+	_, exactErr := eng.QueryWithContext(context.Background(), q, QueryOptions{})
+	if exactErr == nil {
+		t.Fatal("exact pipeline accepted a string-to-string comparison")
+	}
+	res, approxErr := eng.QueryWithContext(context.Background(), q, QueryOptions{ApproxOK: true})
+	if approxErr == nil {
+		t.Fatalf("ApproxOK answered (dispatch %s) where the exact pipeline fails with %v", res.Stats.Dispatch, exactErr)
+	}
+	if approxErr.Error() != exactErr.Error() {
+		t.Fatalf("ApproxOK error %q, exact error %q", approxErr, exactErr)
+	}
+}

@@ -550,15 +550,14 @@ func (e *Engine) runQuery(ctx context.Context, sql string, qo QueryOptions, st *
 	// and, under ApproxOK, sketch/sample routes whose priced win is
 	// decisive. Unhandled shapes fall through to the planner.
 	var handled bool
-	var aerr error
 	p, ch, err := e.prepareStats(sql, qo, st, func(q *sqlparse.Query) bool {
 		if qo.ApproxOK || q.HasDistinctAgg {
-			res, handled, aerr = e.tryApprox(q, sql, qo, st, false)
+			res, handled = e.tryApprox(q, qo, st, false)
 		}
 		return handled
 	})
 	if handled {
-		return res, aerr
+		return res, nil
 	}
 	if err != nil {
 		return nil, err

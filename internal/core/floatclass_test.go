@@ -113,14 +113,11 @@ func TestOneFloatEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := eng.Catalog().Snapshot().Resolve(fact)
-	sh, ok := approx.Analyze(q, &g.Schema)
+	sh, ok := approx.Analyze(q, g)
 	if !ok {
 		t.Fatal("approx.Analyze declined the GROUP BY shape")
 	}
-	res, err := approx.EvalScan(sh, approx.NewTableScanner(g))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := approx.EvalScan(sh)
 	check("approx group keys (canonVal/canonKey)", slices.Clone(res.Col("s").F64))
 	n, err := eng.Query("SELECT count(distinct f) AS c FROM t")
 	if err != nil {

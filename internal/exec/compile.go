@@ -84,7 +84,31 @@ type hashGroup struct {
 	domain    int // token code-space size when known (> 0), else 0
 	metaRows  []int32
 	metaCodes []uint32
-	metaVal   expr.Value
+	metaNum   *expr.Num
+}
+
+// metaLookup evaluates a numeric GroupMeta expression at one metadata
+// row: its user's own bound kernel over a one-row selection, with its own
+// scratch (a bound kernel serves one goroutine).
+type metaLookup struct {
+	vec expr.Vec
+	row [1]int32
+	val [1]float64
+}
+
+// bindMeta binds a lookup for one user; a nil expression (a string item,
+// decoded through metaCodes) yields an unused zero lookup.
+func bindMeta(n *expr.Num) metaLookup {
+	if n == nil {
+		return metaLookup{}
+	}
+	return metaLookup{vec: n.Bind()}
+}
+
+func (m *metaLookup) at(row int32) float64 {
+	m.row[0] = row
+	m.vec(m.row[:], m.val[:])
+	return m.val[0]
 }
 
 // pseudoDecoder decodes pseudo-vertex codes back to values.
@@ -104,7 +128,7 @@ type groupDecoder struct {
 	pseudo *pseudoDecoder
 	// GroupMeta decode (the metadata container M):
 	metaRows  []int32
-	metaVal   expr.Value
+	metaNum   *expr.Num
 	metaCodes []uint32
 	metaDict  *dict.Dictionary
 	metaDate  bool
@@ -744,11 +768,11 @@ func (c *compiled) buildGroupDecoders() error {
 				gd.outKind = KindString
 			} else {
 				binding := &expr.Binding{Alias: r.Alias, Table: tb}
-				val, err := expr.CompileValue(g.Expr, binding)
+				num, err := expr.CompileNum(g.Expr, binding)
 				if err != nil {
 					return err
 				}
-				gd.metaVal = val
+				gd.metaNum = num
 				gd.metaDate = isDate
 				switch {
 				case isDate:
@@ -766,7 +790,7 @@ func (c *compiled) buildGroupDecoders() error {
 				level:     gd.pos,
 				metaRows:  gd.metaRows,
 				metaCodes: gd.metaCodes,
-				metaVal:   gd.metaVal,
+				metaNum:   gd.metaNum,
 			}
 			if gd.metaCodes != nil && gd.metaDict != nil {
 				// Dictionary-coded tokens have a known domain, enabling the

@@ -73,6 +73,7 @@ func assemble(c *compiled, rows *rowsBuf) (*Result, error) {
 			case planner.GroupMeta:
 				pos := g.pos
 				g := g
+				meta := bindMeta(g.metaNum)
 				tokens[gi] = func(r int) (uint64, error) {
 					code := rows.keys[r*rows.kWidth+pos]
 					row := g.metaRows[code]
@@ -82,7 +83,7 @@ func assemble(c *compiled, rows *rowsBuf) (*Result, error) {
 					if g.metaCodes != nil {
 						return uint64(g.metaCodes[row]), nil
 					}
-					return dict.CanonFloatBits(g.metaVal(row)), nil
+					return dict.CanonFloatBits(meta.at(row)), nil
 				}
 			}
 		}
@@ -222,6 +223,7 @@ func decodeGroupColumn(c *compiled, g *groupDecoder, rows *rowsBuf, repr []int, 
 	case KindString:
 		col.Str = make([]string, nOut)
 	}
+	meta := bindMeta(g.metaNum)
 	for i, r := range repr {
 		code := rows.keys[r*rows.kWidth+g.pos]
 		switch g.item.Kind {
@@ -249,11 +251,11 @@ func decodeGroupColumn(c *compiled, g *groupDecoder, rows *rowsBuf, repr []int, 
 			case g.metaCodes != nil:
 				col.Str[i] = g.metaDict.DecodeString(g.metaCodes[row])
 			case g.metaDate:
-				col.Str[i] = sqlparse.DaysToDate(int32(g.metaVal(row)))
+				col.Str[i] = sqlparse.DaysToDate(int32(meta.at(row)))
 			case g.outKind == KindInt:
-				col.I64[i] = int64(g.metaVal(row))
+				col.I64[i] = int64(meta.at(row))
 			default:
-				col.F64[i] = g.metaVal(row)
+				col.F64[i] = meta.at(row)
 			}
 		}
 	}

@@ -646,6 +646,7 @@ type worker struct {
 	curVals []uint32 // per-level bound values (hash-emit mode)
 	hacc    *hashAcc
 	toks    []uint64
+	metas   []metaLookup // per hash group: this worker's numeric lookup
 	// iStats is this worker's private kernel counters; every level's
 	// intersection buffers point at it, and it is merged into the query
 	// stats at the parfor join.
@@ -773,6 +774,10 @@ func newWorker(n *cNode, ctx context.Context, mem *governor.Accountant) *worker 
 		w.curVals = resizeU32(w.curVals, n.nLevels)
 		w.hacc = configureHashAcc(w.hacc, n)
 		w.toks = resizeU64(w.toks, len(n.hgroups))
+		w.metas = w.metas[:0]
+		for _, hg := range n.hgroups {
+			w.metas = append(w.metas, bindMeta(hg.metaNum))
+		}
 	} else {
 		w.curVals = nil
 	}
@@ -787,6 +792,7 @@ func (w *worker) release() {
 	w.n = nil
 	w.ctx = nil
 	w.mem = nil
+	clear(w.metas) // bound kernels reference the query's columns
 	for _, lb := range w.bufs {
 		if lb == nil {
 			continue
@@ -978,7 +984,7 @@ func (w *worker) addTuple(lastVal uint32) {
 			if hg.metaCodes != nil {
 				w.toks[gi] = uint64(hg.metaCodes[row])
 			} else {
-				w.toks[gi] = dict.CanonFloatBits(hg.metaVal(row))
+				w.toks[gi] = dict.CanonFloatBits(w.metas[gi].at(row))
 			}
 		}
 		if ok {

@@ -52,9 +52,9 @@ func CompilePred(e sqlparse.Expr, b *Binding) (*Pred, error) {
 }
 
 // CompileNum compiles a numeric expression into block value kernels.
-// Each operator is one loop over scratch vectors performing, per row,
-// the float64 operation the row Value performs, so the two agree bit for
-// bit.
+// Each operator is one loop over scratch vectors performing one float64
+// operation per row, so a row's value is the same in any block, a
+// one-row selection included.
 func CompileNum(e sqlparse.Expr, b *Binding) (*Num, error) {
 	c := &compiler{b: b}
 	f, err := c.blockNum(e)
@@ -206,12 +206,12 @@ func (c *compiler) blockBool(e sqlparse.Expr) (func() Sel, error) {
 // both sides into vectors and a compare loop.
 func (c *compiler) blockComparison(v sqlparse.BinaryExpr) (func() Sel, error) {
 	op := cmpOps[v.Op]
-	if k, ok := c.constNum(v.R); ok {
+	if k, ok := constNum(v.R); ok {
 		if s := c.colConstSel(v.L, op, k); s != nil {
 			return s, nil
 		}
 	}
-	if k, ok := c.constNum(v.L); ok {
+	if k, ok := constNum(v.L); ok {
 		// c op x ≡ x flip(op) c, NaN included (both false).
 		if s := c.colConstSel(v.R, cmpOps[flipOp(v.Op)], k); s != nil {
 			return s, nil
@@ -254,24 +254,36 @@ func (c *compiler) colConstSel(e sqlparse.Expr, op cmpOp, k float64) func() Sel 
 	}
 }
 
-// numCol resolves e to the raw buffer the row closure reads for it: a
-// key column's int64 values (floats nil) or a numeric annotation's
-// float64s. ok is false when e is anything else, which then compiles
-// through the generic path (reporting any error there).
+// numCol resolves e to the raw buffer a numeric column reference reads.
+// ok is false when e is anything else, which then compiles through the
+// generic path (reporting any error there).
 func (c *compiler) numCol(e sqlparse.Expr) (ints []int64, floats []float64, ok bool) {
 	cr, isCol := e.(sqlparse.ColRef)
 	if !isCol {
 		return nil, nil, false
 	}
+	ints, floats, err := c.colBuf(cr)
+	return ints, floats, err == nil
+}
+
+// colBuf resolves a column reference in numeric context to its raw
+// buffer: a key column's int64 values (floats nil) or a numeric
+// annotation's float64s.
+func (c *compiler) colBuf(cr sqlparse.ColRef) (ints []int64, floats []float64, err error) {
 	col := c.b.colFor(cr)
 	switch {
-	case col == nil || col.Def.Kind == storage.String:
-		return nil, nil, false
+	case col == nil:
+		return nil, nil, fmt.Errorf("expr: unknown column %s", cr)
+	case col.Def.Kind == storage.String:
+		return nil, nil, fmt.Errorf("expr: string column %s in numeric context", cr)
 	case col.Def.Role == storage.Key:
-		return col.Ints, nil, true
+		// Keys participate in numeric expressions via raw values.
+		return col.Ints, nil, nil
 	}
-	f := col.AnnFloats()
-	return nil, f, f != nil
+	if floats = col.AnnFloats(); floats == nil {
+		return nil, nil, fmt.Errorf("expr: column %s has no numeric buffer (catalog not frozen?)", cr)
+	}
+	return nil, floats, nil
 }
 
 func (c *compiler) blockBetween(v sqlparse.BetweenExpr) (func() Sel, error) {
@@ -288,8 +300,8 @@ func (c *compiler) blockBetween(v sqlparse.BetweenExpr) (func() Sel, error) {
 		return nil, err
 	}
 	neg := v.Negate
-	loK, loOK := c.constNum(v.Lo)
-	hiK, hiOK := c.constNum(v.Hi)
+	loK, loOK := constNum(v.Lo)
+	hiK, hiOK := constNum(v.Hi)
 	if ints, floats, ok := c.numCol(v.X); ok && loOK && hiOK {
 		if floats == nil {
 			return func() Sel {
@@ -374,7 +386,7 @@ func keepCmpConst[T int64 | float64](op cmpOp, rows, out []int32, col []T, k flo
 }
 
 // keepBetween keeps the rows whose column value lies in [lo, hi] (outside
-// it when neg), with the row closure's comparisons.
+// it when neg), with the comparisons of the generic BETWEEN kernel.
 func keepBetween[T int64 | float64](rows, out []int32, col []T, lo, hi float64, neg bool) []int32 {
 	n := 0
 	if neg {
@@ -491,7 +503,7 @@ const (
 var ariths = map[string]arith{"+": arAdd, "-": arSub, "*": arMul, "/": arDiv}
 
 func (c *compiler) blockNum(e sqlparse.Expr) (func() Vec, error) {
-	if k, ok := c.constNum(e); ok {
+	if k, ok := constNum(e); ok {
 		return func() Vec {
 			return func(rows []int32, out []float64) {
 				out = out[:len(rows)]
@@ -503,14 +515,12 @@ func (c *compiler) blockNum(e sqlparse.Expr) (func() Vec, error) {
 	}
 	switch v := e.(type) {
 	case sqlparse.ColRef:
-		// Resolve through the row compiler for its errors; then read the
-		// same buffer it reads.
-		if _, err := c.compileNum(v); err != nil {
+		ints, floats, err := c.colBuf(v)
+		if err != nil {
 			return nil, err
 		}
 		// A run of consecutive rows (ascending, so first and last bound it)
 		// reads the column as one contiguous slice.
-		ints, floats, _ := c.numCol(v)
 		if floats == nil {
 			return func() Vec {
 				return func(rows []int32, out []float64) {
@@ -553,7 +563,7 @@ func (c *compiler) blockNum(e sqlparse.Expr) (func() Vec, error) {
 		if err != nil {
 			return nil, err
 		}
-		if k, ok := c.constNum(v.R); ok {
+		if k, ok := constNum(v.R); ok {
 			return func() Vec {
 				lv := l()
 				return func(rows []int32, out []float64) {
@@ -562,7 +572,7 @@ func (c *compiler) blockNum(e sqlparse.Expr) (func() Vec, error) {
 				}
 			}, nil
 		}
-		if k, ok := c.constNum(v.L); ok {
+		if k, ok := constNum(v.L); ok {
 			return func() Vec {
 				rv := r()
 				return func(rows []int32, out []float64) {

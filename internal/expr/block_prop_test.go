@@ -22,7 +22,10 @@ import (
 // rows the reference evaluator selects, and compute values bit-identical
 // to the row-at-a-time reference below. Some tables are replicated past
 // one block so kernels also run across block boundaries, and values are
-// evaluated both over whole blocks and over a strided row subset.
+// evaluated both over whole blocks and over a strided row subset. The
+// generator draws only forms inside the engine's subset, so a compile
+// error is a failure, not a skip: a compiler that starts rejecting valid
+// input fails here rather than thinning the sample.
 func TestBlockKernelsMatchReference(t *testing.T) {
 	const want = 250
 	preds, vals := 0, 0
@@ -73,7 +76,7 @@ func TestBlockKernelsMatchReference(t *testing.T) {
 			where := parseWhere(t, td.Name, src)
 			p, err := expr.CompilePred(where, b)
 			if err != nil {
-				continue // outside the engine's subset; the query would be rejected
+				t.Fatalf("seed %d: %q rejected: %v", seed, src, err)
 			}
 			preds++
 			got := selectRows(p, tab.NumRows)
@@ -103,7 +106,7 @@ func TestBlockKernelsMatchReference(t *testing.T) {
 			}
 			n, err := expr.CompileNum(e, b)
 			if err != nil {
-				continue
+				t.Fatalf("seed %d: %q rejected: %v", seed, src, err)
 			}
 			vals++
 			for _, stride := range []int{1, 3} {

@@ -1,17 +1,17 @@
 // Package expr compiles the scalar sub-expressions of a SQL query over a
-// single relation's columnar buffers, in two forms:
+// single relation's columnar buffers into block kernels (block.go):
+// predicates become selection kernels and numeric expressions value
+// kernels over blocks of up to BlockSize row ids. It is the engine's one
+// scalar evaluator. Scans, filtered trie builds and the approximate tier
+// use it for row selection and per-row annotation values (paper §IV-A
+// rule 3, e.g. l_extendedprice * (1 - l_discount)); the metadata lookups
+// of GROUP BY items resolved through a primary key call a value kernel
+// over a one-row selection.
 //
-//   - block kernels (block.go): predicates compile to selection kernels
-//     and numeric expressions to value kernels over blocks of up to
-//     BlockSize rows. Scans and filtered trie builds use them for row
-//     selection and for per-row annotation values (paper §IV-A rule 3,
-//     e.g. l_extendedprice * (1 - l_discount)).
-//   - row closures (CompileValue): one value at one row, for the
-//     random-access metadata lookups of GROUP BY items resolved through
-//     a primary key.
-//
-// Both forms perform the same float64 operation in the same
-// association for every row, so their values are bit-identical.
+// Every kernel performs, per row, one float64 operation per operator in
+// the expression's own association, and literal subexpressions fold to
+// constants with the same operations, so a value does not depend on the
+// block it was computed in or on folding.
 //
 // String predicates are evaluated once per dictionary entry rather than
 // once per row: the compiler materializes a boolean table indexed by the
@@ -26,14 +26,6 @@ import (
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 )
-
-// rowPred is a compiled row predicate (CASE conditions and booleans in
-// numeric context inside a row Value).
-type rowPred func(row int32) bool
-
-// Value is a compiled numeric row expression. Dates evaluate to their
-// day count; booleans to 0/1.
-type Value func(row int32) float64
 
 // Binding resolves column names for one relation occurrence.
 type Binding struct {
@@ -52,133 +44,8 @@ func (b *Binding) colFor(c sqlparse.ColRef) *storage.Column {
 	return b.Table.Col(c.Name)
 }
 
-// CompileValue compiles a numeric expression into a row Value.
-func CompileValue(e sqlparse.Expr, b *Binding) (Value, error) {
-	c := &compiler{b: b}
-	return c.compileNum(e)
-}
-
 type compiler struct {
 	b *Binding
-}
-
-func (c *compiler) compileBool(e sqlparse.Expr) (rowPred, error) {
-	if codes, table, ok, err := c.stringPred(e); err != nil || ok {
-		if err != nil {
-			return nil, err
-		}
-		return func(row int32) bool { return table[codes[row]] }, nil
-	}
-	switch v := e.(type) {
-	case sqlparse.BinaryExpr:
-		switch v.Op {
-		case "and":
-			l, err := c.compileBool(v.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := c.compileBool(v.R)
-			if err != nil {
-				return nil, err
-			}
-			return func(row int32) bool { return l(row) && r(row) }, nil
-		case "or":
-			l, err := c.compileBool(v.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := c.compileBool(v.R)
-			if err != nil {
-				return nil, err
-			}
-			return func(row int32) bool { return l(row) || r(row) }, nil
-		case "=", "<>", "<", "<=", ">", ">=":
-			return c.compileComparison(v)
-		default:
-			return nil, fmt.Errorf("expr: %q is not a boolean operator", v.Op)
-		}
-	case sqlparse.UnaryExpr:
-		if v.Op == "not" {
-			f, err := c.compileBool(v.X)
-			if err != nil {
-				return nil, err
-			}
-			return func(row int32) bool { return !f(row) }, nil
-		}
-		return nil, fmt.Errorf("expr: unary %q is not boolean", v.Op)
-	case sqlparse.BetweenExpr:
-		x, err := c.compileNum(v.X)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := c.compileNum(v.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := c.compileNum(v.Hi)
-		if err != nil {
-			return nil, err
-		}
-		if v.Negate {
-			return func(row int32) bool {
-				xv := x(row)
-				return xv < lo(row) || xv > hi(row)
-			}, nil
-		}
-		return func(row int32) bool {
-			xv := x(row)
-			return xv >= lo(row) && xv <= hi(row)
-		}, nil
-	case sqlparse.InExpr:
-		x, err := c.compileNum(v.X)
-		if err != nil {
-			return nil, err
-		}
-		vals, err := c.inList(v)
-		if err != nil {
-			return nil, err
-		}
-		neg := v.Negate
-		return func(row int32) bool {
-			xv := x(row)
-			for _, val := range vals {
-				if xv == val {
-					return !neg
-				}
-			}
-			return neg
-		}, nil
-	default:
-		return nil, fmt.Errorf("expr: %T is not a boolean expression", e)
-	}
-}
-
-// compileComparison handles numeric–numeric comparisons (string ones
-// resolved through stringPred before it).
-func (c *compiler) compileComparison(v sqlparse.BinaryExpr) (rowPred, error) {
-	l, err := c.compileNum(v.L)
-	if err != nil {
-		return nil, err
-	}
-	r, err := c.compileNum(v.R)
-	if err != nil {
-		return nil, err
-	}
-	switch v.Op {
-	case "=":
-		return func(row int32) bool { return l(row) == r(row) }, nil
-	case "<>":
-		return func(row int32) bool { return l(row) != r(row) }, nil
-	case "<":
-		return func(row int32) bool { return l(row) < r(row) }, nil
-	case "<=":
-		return func(row int32) bool { return l(row) <= r(row) }, nil
-	case ">":
-		return func(row int32) bool { return l(row) > r(row) }, nil
-	case ">=":
-		return func(row int32) bool { return l(row) >= r(row) }, nil
-	}
-	return nil, fmt.Errorf("expr: bad comparison %q", v.Op)
 }
 
 // stringPred resolves the string forms of a predicate — a string column
@@ -316,46 +183,64 @@ func stringPredTable(col *storage.Column, pred func(string) bool) ([]bool, error
 	return table, nil
 }
 
-// inList evaluates the literal list of a numeric IN.
+// inList folds the literal list of a numeric IN. A member that is not a
+// literal reports its own compile error first, if it has one.
 func (c *compiler) inList(v sqlparse.InExpr) ([]float64, error) {
 	vals := make([]float64, len(v.Vals))
 	for i, e := range v.Vals {
-		f, err := c.compileNum(e)
-		if err != nil {
-			return nil, err
-		}
-		if !isConst(e) {
+		k, ok := constNum(e)
+		if !ok {
+			if _, err := c.blockNum(e); err != nil {
+				return nil, err
+			}
 			return nil, fmt.Errorf("expr: IN list requires literals")
 		}
-		vals[i] = f(0) // literals only; row-independent
+		vals[i] = k
 	}
 	return vals, nil
 }
 
-func isConst(e sqlparse.Expr) bool {
+// constNum folds a row-independent numeric expression — number and date
+// literals under unary minus and + - * / — with the float64 operations
+// and association the value kernels use, so a folded constant is
+// bit-identical to the kernel's value at every row.
+func constNum(e sqlparse.Expr) (float64, bool) {
 	switch v := e.(type) {
-	case sqlparse.NumberLit, sqlparse.StringLit, sqlparse.DateLit:
-		return true
+	case sqlparse.NumberLit:
+		return v.Val, true
+	case sqlparse.DateLit:
+		return float64(v.Days), true
 	case sqlparse.UnaryExpr:
-		return v.Op == "-" && isConst(v.X)
+		if v.Op != "-" {
+			return 0, false
+		}
+		x, ok := constNum(v.X)
+		return -x, ok
 	case sqlparse.BinaryExpr:
-		return isConst(v.L) && isConst(v.R)
+		op, ok := ariths[v.Op]
+		if !ok {
+			return 0, false
+		}
+		l, ok := constNum(v.L)
+		if !ok {
+			return 0, false
+		}
+		r, ok := constNum(v.R)
+		if !ok {
+			return 0, false
+		}
+		switch op {
+		case arAdd:
+			return l + r, true
+		case arSub:
+			return l - r, true
+		case arMul:
+			return l * r, true
+		default:
+			return l / r, true
+		}
 	}
-	return false
-}
-
-// constNum evaluates a row-independent numeric expression with the row
-// closure itself, so a folded constant is bit-identical to what the
-// closure yields on every row.
-func (c *compiler) constNum(e sqlparse.Expr) (float64, bool) {
-	if !isConst(e) {
-		return 0, false
-	}
-	f, err := c.compileNum(e)
-	if err != nil {
-		return 0, false
-	}
-	return f(0), true
+	return 0, false
 }
 
 // compileLikePattern builds a matcher for SQL LIKE with % and _.
@@ -404,138 +289,4 @@ func likeMatch(s, pat string) bool {
 		prev, cur = cur, prev
 	}
 	return prev[n]
-}
-
-// boolAsNum compiles a predicate used in numeric context to 0/1.
-func (c *compiler) boolAsNum(e sqlparse.Expr) (Value, error) {
-	f, err := c.compileBool(e)
-	if err != nil {
-		return nil, err
-	}
-	return func(row int32) float64 {
-		if f(row) {
-			return 1
-		}
-		return 0
-	}, nil
-}
-
-func (c *compiler) compileNum(e sqlparse.Expr) (Value, error) {
-	switch v := e.(type) {
-	case sqlparse.NumberLit:
-		val := v.Val
-		return func(int32) float64 { return val }, nil
-	case sqlparse.DateLit:
-		val := float64(v.Days)
-		return func(int32) float64 { return val }, nil
-	case sqlparse.ColRef:
-		col := c.b.colFor(v)
-		if col == nil {
-			return nil, fmt.Errorf("expr: unknown column %s", v)
-		}
-		switch col.Def.Kind {
-		case storage.String:
-			return nil, fmt.Errorf("expr: string column %s in numeric context", v)
-		}
-		if col.Def.Role == storage.Key {
-			// Keys participate in numeric expressions via raw values.
-			ints := col.Ints
-			return func(row int32) float64 { return float64(ints[row]) }, nil
-		}
-		f := col.AnnFloats()
-		if f == nil {
-			return nil, fmt.Errorf("expr: column %s has no numeric buffer (catalog not frozen?)", v)
-		}
-		return func(row int32) float64 { return f[row] }, nil
-	case sqlparse.BinaryExpr:
-		switch v.Op {
-		case "+", "-", "*", "/":
-			l, err := c.compileNum(v.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := c.compileNum(v.R)
-			if err != nil {
-				return nil, err
-			}
-			switch v.Op {
-			case "+":
-				return func(row int32) float64 { return l(row) + r(row) }, nil
-			case "-":
-				return func(row int32) float64 { return l(row) - r(row) }, nil
-			case "*":
-				return func(row int32) float64 { return l(row) * r(row) }, nil
-			default:
-				return func(row int32) float64 { return l(row) / r(row) }, nil
-			}
-		default:
-			// Boolean in numeric context evaluates to 0/1 (CASE shortcut).
-			return c.boolAsNum(v)
-		}
-	case sqlparse.UnaryExpr:
-		if v.Op == "-" {
-			x, err := c.compileNum(v.X)
-			if err != nil {
-				return nil, err
-			}
-			return func(row int32) float64 { return -x(row) }, nil
-		}
-		if v.Op == "not" {
-			return c.boolAsNum(v)
-		}
-		return nil, fmt.Errorf("expr: unary %q in numeric context", v.Op)
-	case sqlparse.BetweenExpr, sqlparse.InExpr, sqlparse.LikeExpr:
-		// Predicate forms in numeric context (e.g. a decomposed CASE
-		// condition) evaluate to 0/1 like boolean BinaryExprs do.
-		return c.boolAsNum(e)
-	case sqlparse.CaseExpr:
-		type arm struct {
-			cond rowPred
-			then Value
-		}
-		arms := make([]arm, len(v.Whens))
-		for i, w := range v.Whens {
-			cond, err := c.compileBool(w.Cond)
-			if err != nil {
-				return nil, err
-			}
-			then, err := c.compileNum(w.Then)
-			if err != nil {
-				return nil, err
-			}
-			arms[i] = arm{cond, then}
-		}
-		var elseV Value = func(int32) float64 { return 0 }
-		if v.Else != nil {
-			ev, err := c.compileNum(v.Else)
-			if err != nil {
-				return nil, err
-			}
-			elseV = ev
-		}
-		return func(row int32) float64 {
-			for _, a := range arms {
-				if a.cond(row) {
-					return a.then(row)
-				}
-			}
-			return elseV(row)
-		}, nil
-	case sqlparse.ExtractExpr:
-		x, err := c.compileNum(v.X)
-		if err != nil {
-			return nil, err
-		}
-		switch v.Unit {
-		case "year":
-			return func(row int32) float64 { return float64(sqlparse.DateYear(int32(x(row)))) }, nil
-		case "month":
-			return func(row int32) float64 { return float64(sqlparse.DateMonth(int32(x(row)))) }, nil
-		case "day":
-			return func(row int32) float64 { return float64(sqlparse.DateDay(int32(x(row)))) }, nil
-		}
-		return nil, fmt.Errorf("expr: bad EXTRACT unit %q", v.Unit)
-	default:
-		return nil, fmt.Errorf("expr: unsupported expression %T in numeric context", e)
-	}
 }

@@ -177,97 +177,121 @@ func TestAndOrNot(t *testing.T) {
 	eq(t, evalFilter(t, b, "not l_returnflag = 'R'"), []bool{false, true, true, false}, "not")
 }
 
-func TestValueExpressions(t *testing.T) {
-	b := fixture(t)
-	v, err := CompileValue(selectOf(t, "l_extendedprice * (1 - l_discount)"), b)
+// evalValue compiles a numeric SELECT expression and evaluates it at
+// every row of the binding's table, one block at a time.
+func evalValue(t *testing.T, b *Binding, src string) []float64 {
+	t.Helper()
+	n, err := CompileNum(selectOf(t, src), b)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", src, err)
 	}
-	want := []float64{95, 180, 282, 50}
-	for i, w := range want {
-		if got := v(int32(i)); got != w {
-			t.Errorf("row %d = %v, want %v", i, got, w)
+	vec := n.Bind()
+	rows := b.Table.NumRows
+	out := make([]float64, rows)
+	ids := make([]int32, BlockSize)
+	for lo := 0; lo < rows; lo += BlockSize {
+		hi := min(lo+BlockSize, rows)
+		vec(Rows(ids, lo, hi), out[lo:hi])
+	}
+	return out
+}
+
+func eqVals(t *testing.T, got, want []float64, label string) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s: row %d = %v, want %v", label, i, got[i], want[i])
 		}
 	}
 }
 
+func TestValueExpressions(t *testing.T) {
+	b := fixture(t)
+	eqVals(t, evalValue(t, b, "l_extendedprice * (1 - l_discount)"), []float64{95, 180, 282, 50}, "disc price")
+}
+
 func TestKeyColumnInValue(t *testing.T) {
 	b := fixture(t)
-	v, err := CompileValue(selectOf(t, "l_orderkey * 10"), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v(2) != 20 {
-		t.Errorf("key value = %v, want 20", v(2))
+	if v := evalValue(t, b, "l_orderkey * 10"); v[2] != 20 {
+		t.Errorf("key value = %v, want 20", v[2])
 	}
 }
 
 func TestCaseExpression(t *testing.T) {
 	b := fixture(t)
-	v, err := CompileValue(selectOf(t, "case when l_returnflag = 'R' then l_quantity else 0 end"), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{10, 0, 0, 5}
-	for i, w := range want {
-		if got := v(int32(i)); got != w {
-			t.Errorf("case row %d = %v, want %v", i, got, w)
-		}
-	}
+	eqVals(t, evalValue(t, b, "case when l_returnflag = 'R' then l_quantity else 0 end"), []float64{10, 0, 0, 5}, "case")
 	// No else → 0.
-	v2, err := CompileValue(selectOf(t, "case when l_quantity > 100 then 1 end"), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2(0) != 0 {
-		t.Error("missing ELSE should evaluate to 0")
-	}
+	eqVals(t, evalValue(t, b, "case when l_quantity > 100 then 1 end"), []float64{0, 0, 0, 0}, "missing ELSE")
 }
 
 func TestExtractInValue(t *testing.T) {
 	b := fixture(t)
-	v, err := CompileValue(selectOf(t, "extract(year from l_shipdate)"), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1994, 1995, 1994, 1996}
-	for i, w := range want {
-		if got := v(int32(i)); got != w {
-			t.Errorf("year row %d = %v, want %v", i, got, w)
-		}
-	}
+	eqVals(t, evalValue(t, b, "extract(year from l_shipdate)"), []float64{1994, 1995, 1994, 1996}, "year")
 }
 
 func TestBooleanInNumericContext(t *testing.T) {
 	b := fixture(t)
-	v, err := CompileValue(selectOf(t, "l_quantity * (l_returnflag = 'R')"), b)
+	eqVals(t, evalValue(t, b, "l_quantity * (l_returnflag = 'R')"), []float64{10, 0, 0, 5}, "indicator product")
+}
+
+// TestCompileErrors pins the text of every compile error: a query the
+// engine rejects reports the same message whichever caller compiled it.
+func TestCompileErrors(t *testing.T) {
+	b := fixture(t)
+	shipdate := sqlparse.ColRef{Name: "l_shipdate"}
+	cases := []struct {
+		label string
+		pred  bool // compile as a predicate, else as a value
+		e     sqlparse.Expr
+		want  string
+	}{
+		{"unknown column", true, whereOf(t, "zzz = 1"), "expr: unknown column zzz"},
+		{"unknown qualified column", false, selectOf(t, "l.zzz + 1"), "expr: unknown column l.zzz"},
+		{"string in arithmetic", true, whereOf(t, "l_returnflag + 1 > 0"), "expr: string column l_returnflag in numeric context"},
+		{"string column as a value", false, selectOf(t, "l_comment"), "expr: string column l_comment in numeric context"},
+		{"string column against string column", true, whereOf(t, "l_returnflag = l_comment"), "expr: string column l_returnflag in numeric context"},
+		{"bad EXTRACT unit", false, sqlparse.ExtractExpr{Unit: "week", X: shipdate}, `expr: bad EXTRACT unit "week"`},
+		{"IN list of columns", true, whereOf(t, "l_quantity in (l_discount)"), "expr: IN list requires literals"},
+		{"IN list member error", true, whereOf(t, "l_quantity in (zzz)"), "expr: unknown column zzz"},
+		{"string IN list needs string literals", true, whereOf(t, "l_returnflag in ('R', 1)"), "expr: IN list on string column l_returnflag requires string literals"},
+		{"LIKE on a non-string", true, whereOf(t, "l_quantity like '1%'"), "expr: LIKE on non-string column l_quantity"},
+		{"LIKE on an unknown column", true, whereOf(t, "zzz like '1%'"), "expr: unknown column zzz"},
+		{"unsupported value node", false, sqlparse.StringLit{Val: "x"}, "expr: unsupported expression sqlparse.StringLit in numeric context"},
+		{"unsupported predicate node", true, shipdate, "expr: sqlparse.ColRef is not a boolean expression"},
+		{"arithmetic as a predicate", true, whereOf(t, "l_quantity + 1"), `expr: "+" is not a boolean operator`},
+	}
+	for _, c := range cases {
+		var err error
+		if c.pred {
+			_, err = CompilePred(c.e, b)
+		} else {
+			_, err = CompileNum(c.e, b)
+		}
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.label, err, c.want)
+		}
+	}
+
+	// An unfrozen catalog has neither dictionaries nor numeric buffers.
+	cat := storage.NewCatalog()
+	tab, err := cat.Create(storage.Schema{Name: "l", Cols: []storage.ColumnDef{
+		{Name: "l_quantity", Kind: storage.Float64, Role: storage.Annotation},
+		{Name: "l_returnflag", Kind: storage.String, Role: storage.Annotation},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v(0) != 10 || v(1) != 0 {
-		t.Errorf("indicator product = %v, %v", v(0), v(1))
+	if err := tab.Append(1.0, "R"); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestCompileErrors(t *testing.T) {
-	b := fixture(t)
-	bad := []string{
-		"zzz = 1",                  // unknown column
-		"l_returnflag = 1",         // string col vs number → numeric ctx error
-		"l_comment like l_comment", // LIKE without literal handled by parser, this is col-like-col
-	}
-	_ = bad
-	if _, err := CompilePred(whereOf(t, "zzz = 1"), b); err == nil {
-		t.Error("unknown column should error")
-	}
-	if _, err := CompilePred(whereOf(t, "l_returnflag + 1 > 0"), b); err == nil {
-		t.Error("string in arithmetic should error")
-	}
-	if _, err := CompileValue(selectOf(t, "l_comment"), b); err == nil {
-		t.Error("string column in numeric context should error")
-	}
-	if _, err := CompilePred(whereOf(t, "l_quantity in (l_discount)"), b); err == nil {
-		t.Error("non-literal IN should error")
+	raw := &Binding{Alias: "l", Table: tab}
+	for src, want := range map[string]string{
+		"l_quantity < 2":     "expr: column l_quantity has no numeric buffer (catalog not frozen?)",
+		"l_returnflag = 'R'": "expr: column l_returnflag has no dictionary (catalog not frozen?)",
+	} {
+		if _, err := CompilePred(whereOf(t, src), raw); err == nil || err.Error() != want {
+			t.Errorf("unfrozen %q: error %v, want %q", src, err, want)
+		}
 	}
 }
 

@@ -425,7 +425,7 @@ func (ev *evaluator) boolean(e sqlparse.Expr) (bool, error) {
 		if !ok {
 			return false, fmt.Errorf("refeval: LIKE on non-string")
 		}
-		m := LikeMatch(s, v.Pattern)
+		m := likeMatch(s, v.Pattern)
 		if v.Negate {
 			return !m, nil
 		}
@@ -506,7 +506,7 @@ func (ev *evaluator) str(e sqlparse.Expr) (string, bool, error) {
 	return "", false, nil
 }
 
-// num evaluates e in float64, mirroring internal/expr.compileNum: keys
+// num evaluates e in float64, mirroring internal/expr.CompileNum: keys
 // and dates via float64(int64), booleans as 0/1, CASE else defaulting
 // to 0.
 func (ev *evaluator) num(e sqlparse.Expr) (float64, error) {
@@ -998,10 +998,9 @@ func groupKeyPart(v any) string {
 	return fmt.Sprintf("?%v", v)
 }
 
-// LikeMatch reports whether s matches a SQL LIKE pattern with % and _
-// wildcards. Exported for reuse by the differential tester; semantics
-// match the engine's matcher.
-func LikeMatch(s, pat string) bool {
+// likeMatch reports whether s matches a SQL LIKE pattern with % and _
+// wildcards, with the engine's matcher's semantics.
+func likeMatch(s, pat string) bool {
 	n, m := len(s), len(pat)
 	prev := make([]bool, n+1)
 	cur := make([]bool, n+1)

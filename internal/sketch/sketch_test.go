@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -78,31 +79,46 @@ func TestHLLMerge(t *testing.T) {
 func TestReservoirBasics(t *testing.T) {
 	r := NewReservoir(64, 7)
 	for i := 0; i < 10000; i++ {
-		r.Add([]any{int64(i)})
+		r.Add(int32(i))
 	}
-	if len(r.Rows()) != 64 || r.N() != 10000 {
-		t.Fatalf("size=%d n=%d", len(r.Rows()), r.N())
-	}
-	if s := r.Scale(); math.Abs(s-10000.0/64) > 1e-9 {
-		t.Fatalf("scale = %v", s)
+	if len(r.IDs()) != 64 || r.N() != 10000 {
+		t.Fatalf("size=%d n=%d", len(r.IDs()), r.N())
 	}
 	// Determinism: same seed, same stream ⇒ identical sample.
 	r2 := NewReservoir(64, 7)
 	for i := 0; i < 10000; i++ {
-		r2.Add([]any{int64(i)})
+		r2.Add(int32(i))
 	}
-	for i := range r.Rows() {
-		if r.Rows()[i][0] != r2.Rows()[i][0] {
-			t.Fatal("reservoir is not deterministic")
-		}
+	if !slices.Equal(r.IDs(), r2.IDs()) {
+		t.Fatal("reservoir is not deterministic")
 	}
 	// Short streams are kept whole.
 	r3 := NewReservoir(64, 7)
 	for i := 0; i < 10; i++ {
-		r3.Add([]any{int64(i)})
+		r3.Add(int32(i))
 	}
-	if len(r3.Rows()) != 10 || r3.Scale() != 1 {
-		t.Fatalf("short stream: %d rows, scale %v", len(r3.Rows()), r3.Scale())
+	if len(r3.IDs()) != 10 {
+		t.Fatalf("short stream: %d rows kept", len(r3.IDs()))
+	}
+}
+
+// TestReservoirGoldenMembership pins which rows seed 7 keeps out of a
+// 10 000-row stream at k = 64, slot by slot: the ids a reservoir of
+// decoded rows kept before the sample became row ids. A change to the
+// RNG or the replacement rule moves every approximate answer.
+func TestReservoirGoldenMembership(t *testing.T) {
+	golden := []int32{
+		9529, 1730, 2205, 2230, 7725, 2507, 2720, 1502, 8612, 6219, 7060, 7160, 8771, 8287, 6467, 6246,
+		537, 1060, 8188, 3925, 9950, 2055, 2212, 8506, 9609, 5356, 1169, 5786, 726, 7851, 3630, 2020,
+		6214, 4854, 2338, 792, 1816, 37, 7643, 7364, 2393, 7051, 330, 4267, 4378, 9918, 3072, 7698,
+		7462, 6055, 2235, 7539, 8064, 2661, 1401, 9560, 5996, 4588, 312, 5678, 6032, 5454, 9704, 6228,
+	}
+	r := NewReservoir(64, 7)
+	for i := 0; i < 10000; i++ {
+		r.Add(int32(i))
+	}
+	if !slices.Equal(r.IDs(), golden) {
+		t.Fatalf("sample = %v, want %v", r.IDs(), golden)
 	}
 }
 
@@ -116,11 +132,11 @@ func TestReservoirRoughlyUniform(t *testing.T) {
 	for s := 0; s < trials; s++ {
 		r := NewReservoir(k, uint64(s))
 		for i := 0; i < n; i++ {
-			r.Add([]any{int64(i)})
+			r.Add(int32(i))
 		}
-		for _, row := range r.Rows() {
+		for _, id := range r.IDs() {
 			total++
-			if row[0].(int64) < n/2 {
+			if id < n/2 {
 				firstHalf++
 			}
 		}
