@@ -131,7 +131,9 @@ telemetry-smoke:
 # must fail only the query that hit them, over-budget queries abort
 # with ResourceExhausted, overload sheds with Retry-After, and the
 # governor/registry accounting drains to zero — all under -race — plus
-# a short front-end fuzz (malformed SQL must never panic).
+# a short front-end fuzz (malformed SQL must never panic), and the approx
+# lane under -race (the sample route runs exec's scan beside the summary
+# lock).
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestOverload|TestGovernorStress|TestEngineShutdown|TestSkewed' ./internal/core
 	$(GO) test -race -count=1 ./internal/governor ./internal/faultinject
@@ -139,6 +141,7 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestDurable|TestIngestBatch|TestCrashRecoverySIGKILL' ./internal/core
 	$(GO) test -race -count=1 ./internal/wal ./internal/snapshot
 	$(GO) test -count=1 -run TestDifferentialShort ./internal/difftest -difftest.lane recovery
+	$(GO) test -race -count=1 -run TestDifferentialShort ./internal/difftest -difftest.lane approx
 
 # SIGKILL crash-recovery gauntlet: the test binary re-execs itself as
 # an ingesting child, kills it mid-ingest (including mid-compaction and

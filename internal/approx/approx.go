@@ -1,22 +1,20 @@
-// Package approx is the approximate query tier: a scan-shaped
-// evaluator over single-table aggregate queries that can answer from a
-// per-table summary (HyperLogLog cardinalities, a uniform reservoir
-// sample of row ids) instead of the full WCOJ pipeline,
-// reporting an explicit error bound with every estimate. It also owns
-// the exact hash-set evaluation of COUNT(DISTINCT col) — a shape the
-// trie engine does not execute — so the sketches always have an exact
-// anchor on the same code path. Its WHERE runs through the engine's one
-// scalar evaluator (internal/expr), so the tier accepts exactly the
-// predicates the exact pipeline does.
+// Package approx is the approximate query tier: shape analysis, routing
+// and bound math for single-table aggregate queries that can answer from
+// a per-table summary (HyperLogLog cardinalities, a uniform reservoir
+// sample of row ids) instead of exact execution, reporting an explicit
+// error bound with every estimate. It owns no evaluator of its own: a
+// sample answer is the planner's single-relation scan (exec.RunScan)
+// restricted to the sampled row ids and scaled, and an HLL answer reads
+// the sketches. Exact COUNT(DISTINCT) is a scan aggregate of the normal
+// pipeline, so the sketches anchor on the same code path as every
+// other single-table aggregate.
 //
 // The tier is strictly opt-in (QueryOptions.ApproxOK): without the
-// opt-in the only shape served here is the exact distinct scan, and
-// every other query falls through to the normal engine untouched.
+// opt-in nothing is served here, and a declined shape falls through to
+// the normal engine untouched.
 package approx
 
 import (
-	"fmt"
-
 	"repro/internal/expr"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
@@ -40,10 +38,9 @@ type OutCol struct {
 // Shape is a supported single-table aggregate query: optional WHERE
 // over the table's columns, plain-column GROUP BY, and SELECT items
 // that are either group columns or bare aggregate calls. It is bound to
-// the table it was analyzed against: the WHERE is compiled over that
-// table's columns and every Eval reads them.
+// the table it was analyzed against, whose columns its WHERE compiles
+// over.
 type Shape struct {
-	Table   string
 	Where   sqlparse.Expr
 	GroupBy []string
 	Aggs    []Agg
@@ -52,8 +49,8 @@ type Shape struct {
 	HasDistinct bool
 	HasMinMax   bool
 
-	tab  *storage.Table
-	pred *expr.Pred // compiled Where; nil without one
+	tab *storage.Table
+	q   *sqlparse.Query // the analyzed query, re-planned by EvalSample
 }
 
 // Analyze reports whether q is a supported shape over the
@@ -69,7 +66,7 @@ func Analyze(q *sqlparse.Query, t *storage.Table) (*Shape, bool) {
 	if alias == "" {
 		alias = q.From[0].Table
 	}
-	sh := &Shape{Table: q.From[0].Table, tab: t}
+	sh := &Shape{tab: t, q: q}
 	sch := &t.Schema
 
 	resolve := func(cr sqlparse.ColRef) (string, bool) {
@@ -147,11 +144,10 @@ func Analyze(q *sqlparse.Query, t *storage.Table) (*Shape, bool) {
 	}
 
 	if q.Where != nil {
-		pred, err := expr.CompilePred(q.Where, &expr.Binding{Alias: alias, Table: t})
-		if err != nil {
+		if _, err := expr.CompilePred(q.Where, &expr.Binding{Alias: alias, Table: t}); err != nil {
 			return nil, false
 		}
-		sh.Where, sh.pred = q.Where, pred
+		sh.Where = q.Where
 	}
 	return sh, true
 }
@@ -222,12 +218,14 @@ func (sh *Shape) Sketchable() bool {
 
 // Sampleable reports whether the shape can be answered from a uniform
 // row sample: distinct and min/max have no unbiased sample estimator,
-// everything else scales.
+// everything else scales. A primary-key group holds at most one sampled
+// row, so grouping by one is declined too (its metadata decode would
+// also read the whole key column, which a sample read must not).
 func (sh *Shape) Sampleable() bool {
+	for _, g := range sh.GroupBy {
+		if sh.tab.Schema.Col(g).PK {
+			return false
+		}
+	}
 	return !sh.HasDistinct && !sh.HasMinMax
-}
-
-func (sh *Shape) String() string {
-	return fmt.Sprintf("approx shape: table=%s groups=%d aggs=%d distinct=%t",
-		sh.Table, len(sh.GroupBy), len(sh.Aggs), sh.HasDistinct)
 }

@@ -7,15 +7,17 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/planner"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 )
 
 var trees = []string{"ash", "birch", "cedar", "elm", "fir", "oak", "pine", "yew"}
 
-// factTable builds a frozen table t0(k key, v int, s string, u string,
-// f float) with one row per entry i of rows, its values derived from i.
-func factTable(t *testing.T, rows []int) *storage.Table {
+// factTable builds a frozen catalog holding one table t0(k key, v int,
+// s string, u string, f float) with one row per entry i of rows, its
+// values derived from i.
+func factTable(t *testing.T, rows []int) *storage.Catalog {
 	t.Helper()
 	cat := storage.NewCatalog()
 	tab, err := cat.Create(storage.Schema{Name: "t0", Cols: []storage.ColumnDef{
@@ -36,16 +38,21 @@ func factTable(t *testing.T, rows []int) *storage.Table {
 	if err := cat.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	return tab
+	return cat
 }
 
-func shapeOf(t *testing.T, sql string, tab *storage.Table) *Shape {
+func parse(t *testing.T, sql string) *sqlparse.Query {
 	t.Helper()
 	q, err := sqlparse.Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, ok := Analyze(q, tab)
+	return q
+}
+
+func shapeOf(t *testing.T, sql string, cat *storage.Catalog) *Shape {
+	t.Helper()
+	sh, ok := Analyze(parse(t, sql), cat.Table("t0"))
 	if !ok {
 		t.Fatalf("%s: Analyze declined", sql)
 	}
@@ -53,9 +60,9 @@ func shapeOf(t *testing.T, sql string, tab *storage.Table) *Shape {
 }
 
 // TestEvalSampleIsScaledScan: the sample route over a chosen id set is
-// the exact scan of a table holding only those rows, with counts and
-// sums scaled by n/k and averages left as they are — bit for bit, since
-// both fold the same rows in the same order.
+// the engine's scan of a table holding only those rows, with counts and
+// sums scaled by n/k and averages left as they are — bit for bit at one
+// thread, since both fold the same rows in the same order.
 func TestEvalSampleIsScaledScan(t *testing.T) {
 	const n = 1000
 	all := make([]int, n)
@@ -76,14 +83,27 @@ func TestEvalSampleIsScaledScan(t *testing.T) {
 		"SELECT s, count(*), sum(v), avg(f) FROM t0 WHERE f >= 0.5 OR s IN ('ash', 'elm') GROUP BY s",
 		"SELECT u, s, count(*) FROM t0 GROUP BY u, s",
 	} {
-		got := EvalSample(shapeOf(t, sql, full), ids)
-		sh := shapeOf(t, sql, sub)
-		want := EvalScan(sh)
-		if got.Res.NumRows != want.NumRows {
-			t.Fatalf("%s: %d groups, scan of the sample has %d", sql, got.Res.NumRows, want.NumRows)
+		sh := shapeOf(t, sql, full)
+		got, err := EvalSample(sh, full, nil, ids)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		p, err := planner.Build(parse(t, sql), sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := exec.RunScan(p, sub, exec.Options{Threads: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Res.NumRows != want.NumRows || len(got.Res.Cols) != len(want.Cols) {
+			t.Fatalf("%s: %d×%d, scan of the sample is %d×%d", sql, got.Res.NumRows, len(got.Res.Cols), want.NumRows, len(want.Cols))
 		}
 		for ci, out := range sh.Out {
 			gc, wc := got.Res.Cols[ci], want.Cols[ci]
+			if gc.Name != wc.Name || gc.Kind != wc.Kind {
+				t.Fatalf("%s: column %d is %s/%d, want %s/%d", sql, ci, gc.Name, gc.Kind, wc.Name, wc.Kind)
+			}
 			for r := 0; r < want.NumRows; r++ {
 				if out.Group >= 0 {
 					if cellString(gc, r) != cellString(wc, r) {
@@ -165,7 +185,7 @@ func TestBoundsClosedForms(t *testing.T) {
 // clauses the expression compiler takes, so a query it declines falls
 // through to the exact pipeline and gets that pipeline's error.
 func TestAnalyzeDeclinesRejectedWhere(t *testing.T) {
-	tab := factTable(t, []int{0, 1, 2, 3})
+	cat := factTable(t, []int{0, 1, 2, 3})
 	for _, where := range []string{
 		"s = u",         // string column against string column
 		"v IN (k, 1)",   // non-literal IN member
@@ -177,11 +197,11 @@ func TestAnalyzeDeclinesRejectedWhere(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := Analyze(q, tab); ok {
+		if _, ok := Analyze(q, cat.Table("t0")); ok {
 			t.Errorf("Analyze accepted WHERE %s", where)
 		}
 	}
-	shapeOf(t, "SELECT count(*) FROM t0 WHERE s = 'oak' AND v IN (1, 2) AND u LIKE 'b%'", tab)
+	shapeOf(t, "SELECT count(*) FROM t0 WHERE s = 'oak' AND v IN (1, 2) AND u LIKE 'b%'", cat)
 }
 
 // TestSummarySampleIDs: the summary samples row ids, hands them out
@@ -192,7 +212,7 @@ func TestSummarySampleIDs(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	tab := factTable(t, all)
+	tab := factTable(t, all).Table("t0")
 	s := NewSummary(&tab.Schema, k)
 	s.Extend(tab, 0)
 	ids := s.SampleIDs()

@@ -2,11 +2,14 @@ package approx
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/costopt"
 	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/planner"
 	"repro/internal/sketch"
+	"repro/internal/sqlparse"
 	"repro/internal/storage"
 )
 
@@ -15,8 +18,6 @@ import (
 type Answer struct {
 	Res   *exec.Result
 	Route string // obs.Dispatch* label
-	// Approx is false only for the exact distinct scan.
-	Approx bool
 	// ErrorBound is the largest per-column bound; ErrorBounds has one
 	// entry per output column (0 for group columns and exact values).
 	ErrorBound  float64
@@ -33,9 +34,7 @@ func finishBounds(a *Answer) *Answer {
 			a.ErrorBound = b
 		}
 	}
-	if a.Approx {
-		a.Confidence = Confidence
-	}
+	a.Confidence = Confidence
 	return a
 }
 
@@ -82,53 +81,103 @@ func EvalHLL(sh *Shape, sum *Summary) *Answer {
 		finals[i] = est
 		bounds[i] = hllBound(h, est)
 	}
-	a := &Answer{Route: obs.DispatchApproxHLL, Approx: true}
-	a.Res = newResult(sh)
-	appendRow(a.Res, sh, nil, finals)
-	a.ErrorBounds = outBounds(sh, bounds)
-	return finishBounds(a)
+	res := &exec.Result{NumRows: 1}
+	for _, out := range sh.Out {
+		res.Cols = append(res.Cols, &exec.Column{Name: out.Name, Kind: exec.KindFloat, F64: []float64{finals[out.Agg]}})
+	}
+	return finishBounds(&Answer{Res: res, Route: obs.DispatchApproxHLL, ErrorBounds: outBounds(sh, bounds)})
 }
 
-// EvalSample answers a filtered/grouped count-sum-avg shape from a
-// uniform sample of its table's rows (ids ascending): the shared scan
-// over the sampled rows, scaled by N/k.
-func EvalSample(sh *Shape, ids []int32) *Answer {
+// EvalSample answers a count-sum-avg shape from a uniform sample of its
+// table's rows (ids ascending): the planner's scan of the shape's query
+// over the sampled rows at one thread, scaled by N/k. The query gains
+// helper aggregates — per sum/avg argument v, Σv, Σv², min v and max v,
+// and the group's row count — that feed the bounds and are dropped from
+// the answer. An error means the exact pipeline rejects the shape too.
+func EvalSample(sh *Shape, cat *storage.Catalog, snap *storage.Snapshot, ids []int32) (*Answer, error) {
 	n, k := sh.tab.NumRows, len(ids)
 	scale := 1.0
 	if k > 0 {
 		scale = float64(n) / float64(k)
 	}
-	groups := sh.scan(ids)
-	scalar := len(sh.GroupBy) == 0
-	if scalar && len(groups) == 0 {
-		groups = append(groups, newGroupAcc(sh, nil))
+	q := *sh.q
+	q.Select = slices.Clone(q.Select)
+	nOut := len(q.Select)
+	helper := func(fn string, arg sqlparse.Expr) int {
+		fc := sqlparse.FuncCall{Name: fn, Star: arg == nil}
+		if arg != nil {
+			fc.Args = []sqlparse.Expr{arg}
+		}
+		q.Select = append(q.Select, sqlparse.SelectItem{Expr: fc})
+		return len(q.Select) - 1
+	}
+	// moments[i] is the first of aggregate i's four helper columns (0:
+	// none; helpers follow the answer's columns).
+	moments := make([]int, len(sh.Aggs))
+	rowsCol := -1
+	for i, a := range sh.Aggs {
+		if a.Fn != "sum" && a.Fn != "avg" {
+			continue
+		}
+		v := sqlparse.ColRef{Name: a.Col}
+		moments[i] = helper("sum", v)
+		helper("sum", sqlparse.BinaryExpr{Op: "*", L: v, R: v})
+		helper("min", v)
+		helper("max", v)
+		if a.Fn == "avg" && rowsCol < 0 {
+			rowsCol = helper("count", nil)
+		}
+	}
+	p, err := planner.Build(&q, cat)
+	if err != nil {
+		return nil, err
+	}
+	p.StoredGroupKinds = true
+	res, err := exec.RunScan(p, cat, exec.Options{Threads: 1, Snap: snap}, ids)
+	if err != nil {
+		return nil, err
 	}
 
-	a := &Answer{Route: obs.DispatchApproxSample, Approx: true}
-	a.Res = newResult(sh)
 	bounds := make([]float64, len(sh.Aggs))
-	for _, g := range groups {
-		finals := make([]float64, len(sh.Aggs))
-		for i, agg := range sh.Aggs {
-			switch agg.Fn {
+	for r := 0; r < res.NumRows; r++ {
+		for i, a := range sh.Aggs {
+			var sum, sq, maxAbs float64
+			if m := moments[i]; m > 0 {
+				sum, sq = res.Cols[m].F64[r], res.Cols[m+1].F64[r]
+				maxAbs = math.Max(math.Abs(res.Cols[m+2].F64[r]), math.Abs(res.Cols[m+3].F64[r]))
+			}
+			switch a.Fn {
 			case "count":
-				finals[i] = math.Round(g.accs[i] * scale)
 				bounds[i] = math.Max(bounds[i], countBound(n, k))
 			case "sum":
-				finals[i] = g.accs[i] * scale
-				bounds[i] = math.Max(bounds[i], sumBound(n, k, g.accs[i], g.accsSq[i], g.maxAbs[i]))
+				bounds[i] = math.Max(bounds[i], sumBound(n, k, sum, sq, maxAbs))
 			case "avg":
-				finals[i] = g.accs[i] / g.counts[i]
-				bounds[i] = math.Max(bounds[i], avgBound(int(g.counts[i]), g.accs[i], g.accsSq[i], g.maxAbs[i]))
+				bounds[i] = math.Max(bounds[i], avgBound(int(res.Cols[rowsCol].F64[r]), sum, sq, maxAbs))
 			}
 		}
-		appendRow(a.Res, sh, g.keyVals, finals)
 	}
-	a.ErrorBounds = outBounds(sh, bounds)
-	if !scalar {
+	res.Cols = res.Cols[:nOut]
+	for ci, out := range sh.Out {
+		if out.Agg < 0 {
+			continue
+		}
+		vs := res.Cols[ci].F64
+		switch sh.Aggs[out.Agg].Fn {
+		case "count":
+			for r := range vs {
+				vs[r] = math.Round(vs[r] * scale)
+			}
+		case "sum":
+			for r := range vs {
+				vs[r] *= scale
+			}
+		}
+	}
+	a := &Answer{Res: res, Route: obs.DispatchApproxSample, ErrorBounds: outBounds(sh, bounds)}
+	if len(sh.GroupBy) > 0 {
 		a.MissBound = MissBound(n, k)
 	}
-	return finishBounds(a)
+	return finishBounds(a), nil
 }
 
 // outBounds spreads per-aggregate bounds onto output-column positions

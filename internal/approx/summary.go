@@ -73,13 +73,25 @@ func (s *Summary) Covers(t *storage.Table) bool {
 func (s *Summary) Extend(t *storage.Table, epoch uint64) {
 	for ri := int32(s.Rows); ri < int32(t.NumRows); ri++ {
 		for ci, c := range t.Cols {
-			s.HLLs[ci].AddHash(sketch.HashValue(ValueHashSeed, canonVal(cell(c, ri))))
+			s.HLLs[ci].AddHash(hashCell(c, ri))
 		}
 		s.Sample.Add(ri)
 	}
 	s.Rows = t.NumRows
 	s.Gen = t.Generation()
 	s.Epoch = epoch
+}
+
+// hashCell hashes one typed cell under ValueHashSeed; floats hash by
+// their dict.CanonFloat class, as the engine's codes compare them.
+func hashCell(c *storage.Column, r int32) uint64 {
+	switch c.Def.Kind {
+	case storage.Float64:
+		return sketch.HashFloat(ValueHashSeed, c.Floats[r])
+	case storage.String:
+		return sketch.HashString(ValueHashSeed, c.Strs[r])
+	}
+	return sketch.HashInt(ValueHashSeed, c.Ints[r])
 }
 
 // SampleIDs returns the sampled row ids in ascending order, copied, so

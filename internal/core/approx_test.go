@@ -3,10 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/qerr"
 	"repro/internal/storage"
@@ -55,10 +59,10 @@ func TestCountDistinctExactDefault(t *testing.T) {
 		t.Fatalf("count(distinct v) = %v, want 50", got)
 	}
 	if st.Approx {
-		t.Fatal("exact distinct scan reported Approx=true")
+		t.Fatal("exact distinct count reported Approx=true")
 	}
-	if st.Dispatch != obs.DispatchDistinctScan {
-		t.Fatalf("dispatch = %q, want %q", st.Dispatch, obs.DispatchDistinctScan)
+	if st.Dispatch != obs.DispatchScalarScan {
+		t.Fatalf("dispatch = %q, want %q", st.Dispatch, obs.DispatchScalarScan)
 	}
 	if st.ErrorBound != 0 || st.Confidence != 0 {
 		t.Fatalf("exact answer advertised bounds: %v / %v", st.ErrorBound, st.Confidence)
@@ -70,13 +74,20 @@ func TestCountDistinctExactDefault(t *testing.T) {
 		t.Fatalf("filtered distinct = %v approx=%t, want 10 exact", got, st.Approx)
 	}
 
-	// Grouped distinct works through the same scan.
-	res, err := eng.Query("SELECT s, count(distinct v) AS c FROM facts GROUP BY s")
+	// Grouped distinct works through the same scan, over keys too, with
+	// groups in ascending code order.
+	res, err := eng.Query("SELECT s, count(distinct v) AS c, count(distinct k) AS kc FROM facts GROUP BY s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NumRows != 8 {
-		t.Fatalf("grouped distinct rows = %d, want 8", res.NumRows)
+	if res.NumRows != 8 || res.Stats.Dispatch != obs.DispatchScalarScan {
+		t.Fatalf("grouped distinct rows = %d on %s, want 8 on the scan", res.NumRows, res.Stats.Dispatch)
+	}
+	for i, name := range []string{"ash", "birch", "cedar", "elm", "fir", "oak", "pine", "yew"} {
+		// Rows j ≡ i (mod 8) carry name i: v = j%50 takes 25 values, k one per row.
+		if got := res.Col("s").Str[i]; got != name || res.Col("c").F64[i] != 25 || res.Col("kc").F64[i] != float64((500-i+7)/8) {
+			t.Fatalf("group %d = %s: %v distinct v, %v distinct k", i, got, res.Col("c").F64[i], res.Col("kc").F64[i])
+		}
 	}
 }
 
@@ -142,6 +153,53 @@ func TestApproxSampleRoute(t *testing.T) {
 	}
 	if mres.Col("m").F64[0] != 9 {
 		t.Fatalf("max(f) = %v", mres.Col("m").F64[0])
+	}
+}
+
+// TestApproxSampleConcurrent runs sample-route queries from several
+// goroutines while rows are appended: each copies the reservoir's ids
+// under the summary lock and scans after releasing it, so the scans and
+// the summary extensions interleave (run it under -race).
+func TestApproxSampleConcurrent(t *testing.T) {
+	eng := approxEngine(t, 2000, WithApproxSampleRows(64))
+	const q = "SELECT s, count(*) AS c, sum(f) AS sf FROM facts WHERE v < 40 GROUP BY s"
+	if _, err := eng.Query(q); err != nil { // freeze: appends go to the delta store
+		t.Fatal(err)
+	}
+	tab := eng.Catalog().Table("facts")
+	var wg sync.WaitGroup
+	errs := make(chan error, 5)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 2000; i < 2400; i++ {
+			if err := tab.Append(int64(i), int64(i%50), "oak", 2.5); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				res, err := eng.QueryWithContext(context.Background(), q, QueryOptions{ApproxOK: true})
+				if err != nil {
+					errs <- err
+					return
+				}
+				if res.Stats.Dispatch != obs.DispatchApproxSample || res.NumRows != 8 {
+					errs <- fmt.Errorf("dispatch %s, %d groups; want the sample route over 8", res.Stats.Dispatch, res.NumRows)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 
@@ -305,21 +363,24 @@ func TestApproxDegradeUnderOverload(t *testing.T) {
 	}
 }
 
+// TestExplainApproxShapes: EXPLAIN of a distinct shape is the scan plan
+// every single-table aggregate gets, and the executed dispatch is the
+// scan's.
 func TestExplainApproxShapes(t *testing.T) {
 	eng := approxEngine(t, 4000)
-	plan, err := eng.Explain("SELECT count(distinct k) AS c FROM facts")
+	plan, err := eng.Explain("SELECT count(distinct k) AS c FROM facts WHERE v < 10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "approx shape") || !strings.Contains(plan, "route") {
-		t.Fatalf("explain missing approx tier info:\n%s", plan)
+	if plan != "scan over facts: filter (v < 10)\n" {
+		t.Fatalf("explain = %q, want the scan plan", plan)
 	}
 	out, err := eng.ExplainAnalyze("SELECT count(distinct k) AS c FROM facts")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "distinct-scan") {
-		t.Fatalf("explain analyze missing dispatch:\n%s", out)
+	if !strings.Contains(out, "scan over facts") || !strings.Contains(out, obs.DispatchScalarScan) {
+		t.Fatalf("explain analyze missing the scan plan or dispatch:\n%s", out)
 	}
 }
 
@@ -370,5 +431,37 @@ func TestApproxOptInKeepsWhereErrors(t *testing.T) {
 	}
 	if approxErr.Error() != exactErr.Error() {
 		t.Fatalf("ApproxOK error %q, exact error %q", approxErr, exactErr)
+	}
+}
+
+// TestApproxSampleWorkIsBounded groups a sample by an int annotation
+// column. The scan codes the group column over the sampled rows alone,
+// so the query allocates about as much over ten times the rows; coding
+// the whole column would allocate four bytes a row.
+func TestApproxSampleWorkIsBounded(t *testing.T) {
+	const q = "SELECT v, count(*) AS c, sum(f) AS sf FROM facts WHERE s <> 'oak' GROUP BY v"
+	alloc := func(n int) uint64 {
+		eng := approxEngine(t, n, WithApproxSampleRows(256))
+		best := uint64(math.MaxUint64)
+		for i := 0; i < 4; i++ { // the first run builds the summary
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := eng.QueryWithContext(context.Background(), q, QueryOptions{ApproxOK: true})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Dispatch != obs.DispatchApproxSample || res.Col("v").Kind != exec.KindInt {
+				t.Fatalf("%d rows: dispatch %s, v is %v; want the sample route with int groups", n, res.Stats.Dispatch, res.Col("v").Kind)
+			}
+			if i > 0 {
+				best = min(best, after.TotalAlloc-before.TotalAlloc)
+			}
+		}
+		return best
+	}
+	small, large := alloc(20000), alloc(200000)
+	if large > 2*small {
+		t.Fatalf("sample query allocated %d bytes over 20000 rows and %d over 200000", small, large)
 	}
 }

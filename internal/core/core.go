@@ -453,7 +453,7 @@ func (e *Engine) QueryWithContext(ctx context.Context, sql string, qo QueryOptio
 		var oe *qerr.OverloadedError
 		if qo.ApproxOK && errors.As(aerr, &oe) {
 			aq.SetPhase("degraded")
-			if res, ok := e.degrade(sql, qo, st); ok {
+			if res, ok := e.degrade(sql, st); ok {
 				st.Degraded = true
 				e.approxDegraded.Add(1)
 				st.Phases.Total = time.Since(t0)
@@ -545,14 +545,13 @@ func (e *Engine) runQuery(ctx context.Context, sql string, qo QueryOptions, st *
 		}
 	}()
 	aq.SetPhase("prepare")
-	// Approximate-tier intercept, on the one parse the query gets:
-	// COUNT(DISTINCT) shapes (which the WCOJ pipeline does not execute)
-	// and, under ApproxOK, sketch/sample routes whose priced win is
-	// decisive. Unhandled shapes fall through to the planner.
+	// Approximate-tier intercept, on the one parse the query gets: under
+	// ApproxOK, sketch/sample routes whose priced win is decisive.
+	// Unhandled shapes fall through to the planner.
 	var handled bool
 	p, ch, err := e.prepareStats(sql, qo, st, func(q *sqlparse.Query) bool {
-		if qo.ApproxOK || q.HasDistinctAgg {
-			res, handled = e.tryApprox(q, qo, st, false)
+		if qo.ApproxOK {
+			res, handled = e.tryApprox(q, st, false)
 		}
 		return handled
 	})
@@ -951,11 +950,6 @@ func recordPlanStats(st *obs.QueryStats, p *planner.Plan, ch *costopt.Choice) {
 // Explain renders the query plan: hypergraph, GHD, per-node attribute
 // orders with their §V cost terms.
 func (e *Engine) Explain(sql string) (string, error) {
-	// Distinct-bearing single-table aggregates are served by the
-	// approximate tier (the WCOJ planner rejects them); render its plan.
-	if s, ok := e.explainApprox(sql); ok {
-		return s, nil
-	}
 	p, ch, err := e.prepare(sql, QueryOptions{})
 	if err != nil {
 		return "", err

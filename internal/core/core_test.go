@@ -173,12 +173,12 @@ func parseSpans(res *exec.Result) int {
 	return n
 }
 
-// TestParseOnceAndDistinctIsAnASTFlag: whether a query belongs to the
-// distinct-scan tier is read off the parsed AST, not sniffed from the
-// text, and no query is parsed twice. A LIKE literal that merely spells
+// TestParseOnceAndDistinctIsAnASTFlag: no query is parsed twice, and
+// none is routed by sniffing its text. A LIKE literal that merely spells
 // "distinct" takes the normal pipeline with one parse on a plan-cache
 // miss and none on a hit; ApproxOK costs exactly the one parse its shape
-// analysis needs; a real COUNT(DISTINCT) is still served by the tier.
+// analysis needs; a real COUNT(DISTINCT) is a scan aggregate of the
+// normal pipeline, so its plan-cache hit parses nothing either.
 func TestParseOnceAndDistinctIsAnASTFlag(t *testing.T) {
 	eng := tpchEngine(t)
 	ctx := context.Background()
@@ -188,8 +188,8 @@ func TestParseOnceAndDistinctIsAnASTFlag(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := res.Stats.Dispatch; d == obs.DispatchDistinctScan || res.Stats.ApproxRoute != "" {
-			t.Fatalf("run %d: a LIKE literal routed the query to the approximate tier (%q)", run, d)
+		if res.Stats.ApproxRoute != "" {
+			t.Fatalf("run %d: a LIKE literal routed the query to the approximate tier (%q)", run, res.Stats.Dispatch)
 		}
 		if res.Stats.PlanCached != (run == 1) {
 			t.Fatalf("run %d: PlanCached=%t", run, res.Stats.PlanCached)
@@ -210,12 +210,15 @@ func TestParseOnceAndDistinctIsAnASTFlag(t *testing.T) {
 			t.Fatalf("ApproxOK run %d: %d parse spans, want 1", run, got)
 		}
 	}
-	res, err := eng.Query("SELECT count(distinct c_nationkey) AS c FROM customer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Dispatch != obs.DispatchDistinctScan || parseSpans(res) != 1 {
-		t.Fatalf("count(distinct): dispatch=%q parse spans=%d, want distinct-scan and 1", res.Stats.Dispatch, parseSpans(res))
+	for run, wantParses := range []int{1, 0} {
+		res, err := eng.Query("SELECT count(distinct c_nationkey) AS c FROM customer")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Dispatch != obs.DispatchScalarScan || parseSpans(res) != wantParses {
+			t.Fatalf("count(distinct) run %d: dispatch=%q parse spans=%d, want scalar-scan and %d",
+				run, res.Stats.Dispatch, parseSpans(res), wantParses)
+		}
 	}
 }
 

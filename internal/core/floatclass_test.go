@@ -5,18 +5,17 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/approx"
 	"repro/internal/dict"
+	"repro/internal/obs"
 	"repro/internal/sketch"
-	"repro/internal/sqlparse"
 	"repro/internal/storage"
 )
 
 // TestOneFloatEquivalence feeds one table of awkward floats through
 // every layer that keys on a float — dictionary codes, the executor's
 // pseudo-vertex codes and emit-time group tokens, the sketch hash, and
-// the approximate tier's group/distinct keys — and requires them all to
-// induce the same classes: ±0 together, every NaN payload together,
+// the scan's GROUP BY and COUNT(DISTINCT) codes — and requires them all
+// to induce the same classes: ±0 together, every NaN payload together,
 // everything else alone. Value i carries weight 2^i, so a class is
 // identified exactly by the sum of its members' weights.
 func TestOneFloatEquivalence(t *testing.T) {
@@ -108,22 +107,12 @@ func TestOneFloatEquivalence(t *testing.T) {
 	sums("exec pseudo-vertex codes (pseudoEncode)", groupBy)
 	sums("exec emit-time group tokens", "SELECT d.g, sum(t.w) AS s FROM t, d WHERE t.k = d.k GROUP BY d.g")
 
-	q, err := sqlparse.Parse(groupBy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := eng.Catalog().Snapshot().Resolve(fact)
-	sh, ok := approx.Analyze(q, g)
-	if !ok {
-		t.Fatal("approx.Analyze declined the GROUP BY shape")
-	}
-	res := approx.EvalScan(sh)
-	check("approx group keys (canonVal/canonKey)", slices.Clone(res.Col("s").F64))
 	n, err := eng.Query("SELECT count(distinct f) AS c FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := n.Col("c").Float(0); got != float64(len(want)) {
-		t.Errorf("approx distinct keys: count(distinct f) = %v, want %d", got, len(want))
+	if got := n.Col("c").Float(0); got != float64(len(want)) || n.Stats.Dispatch != obs.DispatchScalarScan {
+		t.Errorf("scan distinct codes: count(distinct f) = %v on %s, want %d on the scan", got, n.Stats.Dispatch, len(want))
 	}
+	sums("scan group codes (pseudoEncode)", "SELECT f, sum(w) AS s FROM t WHERE w > 0 GROUP BY f")
 }

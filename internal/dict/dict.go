@@ -119,8 +119,8 @@ func (d *Dictionary) EncodeInt(v int64) (uint32, bool) {
 // CanonFloat maps f to the representative of its class under the
 // engine's one float equivalence: -0.0 is +0.0, and every NaN payload is
 // the one quiet NaN that math.NaN returns. Everything that keys on a
-// float — dictionary codes, pseudo-vertex codes, group tokens, sketch
-// hashes, the approximate tier's group and distinct keys — goes through
+// float — dictionary codes, pseudo-vertex codes, group tokens, the
+// scan's COUNT(DISTINCT) tokens, sketch hashes — goes through
 // it, so "same value" means the same thing at every layer.
 func CanonFloat(f float64) float64 {
 	if f == 0 {

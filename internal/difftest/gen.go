@@ -529,6 +529,13 @@ func (g *Gen) genAgg(bound []boundTable, single bool) string {
 		}
 	}
 
+	if single && r.Intn(6) == 0 {
+		// COUNT(DISTINCT) over any column, key or annotation: a scan
+		// aggregate of a single relation.
+		bt := bound[0]
+		c := bt.t.cols[r.Intn(len(bt.t.cols))]
+		return fmt.Sprintf("count(distinct %s.%s)", bt.alias, c.def.Name)
+	}
 	if single && len(mmCols) > 0 && r.Intn(5) == 0 {
 		fn := "min"
 		if r.Intn(2) == 0 {

@@ -141,6 +141,9 @@ type compiled struct {
 	opts   Options
 	root   *cNode
 	groups []groupDecoder
+	// pseudo holds the numeric pseudo-vertex decoders a scan built with
+	// its code columns, by column name; the group decoders reuse them.
+	pseudo map[string]*pseudoDecoder
 	// execSpan is the execute-phase span the dispatch kernels parent
 	// their kernel spans under (SpanID(0) when telemetry is off).
 	execSpan telemetry.SpanID
@@ -425,7 +428,7 @@ func (c *compiled) vertexDomainSize(vertex string) int {
 				if col.Def.Kind == storage.String && col.Dict() != nil {
 					return col.Dict().Len()
 				}
-				codes, _ := c.pseudoEncode(col)
+				codes, _ := pseudoEncode(col, nil)
 				max := uint32(0)
 				for _, x := range codes {
 					if x > max {
@@ -632,14 +635,16 @@ func (c *compiled) keyCodesFor(r *planner.RelInfo, col *storage.Column) ([]uint3
 	if col.Def.Kind == storage.String {
 		return col.AnnCodes(), nil
 	}
-	codes, _ := c.pseudoEncode(col)
+	codes, _ := pseudoEncode(col, nil)
 	return codes, nil
 }
 
 // pseudoEncode builds an ad-hoc order-preserving code space for a
-// numeric annotation column promoted to a trie level.
-func (c *compiled) pseudoEncode(col *storage.Column) ([]uint32, *pseudoDecoder) {
-	f := col.AnnFloats()
+// numeric annotation column promoted to a trie level, over the rows at
+// the given ids (codes[i] is the code of row rows[i]), or over every row
+// when rows is nil.
+func pseudoEncode(col *storage.Column, rows []int32) ([]uint32, *pseudoDecoder) {
+	f := gatherF64(col.AnnFloats(), rows)
 	// NaN map keys are each distinct (NaN != NaN), so dedup/rank maps
 	// would mint unbounded entries and every rank[NaN] lookup would
 	// miss, silently coding NaN rows as 0. Code dict.CanonFloat classes:
@@ -742,11 +747,17 @@ func (c *compiled) buildGroupDecoders() error {
 				gd.pseudo = &pseudoDecoder{strDict: col.Dict()}
 				gd.outKind = KindString
 			} else {
-				_, dec := c.pseudoEncode(col)
+				dec := c.pseudo[g.Col]
+				if dec == nil {
+					_, dec = pseudoEncode(col, nil)
+				}
 				gd.pseudo = dec
-				if dec.isDate {
+				switch {
+				case c.p.StoredGroupKinds && col.Def.Kind != storage.Float64:
+					gd.outKind = KindInt
+				case dec.isDate:
 					gd.outKind = KindString
-				} else {
+				default:
 					gd.outKind = KindFloat
 				}
 			}
@@ -773,11 +784,11 @@ func (c *compiled) buildGroupDecoders() error {
 					return err
 				}
 				gd.metaNum = num
-				gd.metaDate = isDate
+				gd.metaDate = isDate && !c.p.StoredGroupKinds
 				switch {
-				case isDate:
+				case gd.metaDate:
 					gd.outKind = KindString
-				case ok && col.Def.Kind == storage.Int64:
+				case ok && col.Def.Kind != storage.Float64:
 					gd.outKind = KindInt
 				default:
 					gd.outKind = KindFloat

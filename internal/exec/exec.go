@@ -225,23 +225,10 @@ func Run(p *planner.Plan, ch *costopt.Choice, cat *storage.Catalog, opts Options
 	if st != nil {
 		st.Threads = opts.threads()
 	}
-	tr := stTrace(st)
 	if p.ScalarScan {
-		if st != nil {
-			st.Dispatch = obs.DispatchScalarScan
-		}
-		t0 := time.Now()
-		es := tr.Begin(tr.Root(), telemetry.SpanPhase, "execute")
-		c, rows, err := runScalarScan(p, cat, opts, es)
-		tr.End(es)
-		if err != nil {
-			return nil, err
-		}
-		if st != nil {
-			st.Phases.Execute = time.Since(t0)
-		}
-		return c.output(rows, nil)
+		return RunScan(p, cat, opts, nil)
 	}
+	tr := stTrace(st)
 	t0 := time.Now()
 	cs := tr.Begin(tr.Root(), telemetry.SpanPhase, "compile")
 	c, err := compile(p, ch, cat, opts)

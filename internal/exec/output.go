@@ -237,6 +237,8 @@ func decodeGroupColumn(c *compiled, g *groupDecoder, rows *rowsBuf, repr []int, 
 			switch {
 			case g.pseudo.strDict != nil:
 				col.Str[i] = g.pseudo.strDict.DecodeString(code)
+			case g.outKind == KindInt:
+				col.I64[i] = int64(g.pseudo.numVals[code])
 			case g.pseudo.isDate:
 				col.Str[i] = sqlparse.DaysToDate(int32(g.pseudo.numVals[code]))
 			default:

@@ -3,9 +3,12 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"time"
 
+	"repro/internal/dict"
 	"repro/internal/expr"
 	"repro/internal/governor"
 	"repro/internal/obs"
@@ -22,26 +25,32 @@ import (
 const scanCtxStride = 8192
 
 // scan is a compiled single-relation aggregate (plan.ScalarScan: the
-// relation is filtered, or there is no GROUP BY): a fold over the base
-// columns with no trie — the |V| = 0 base case of the recursion. Each
-// thread folds its static chunk block by block (select, evaluate the
+// relation is filtered, ungrouped or counts distinct values): a fold over
+// the base columns with no trie — the |V| = 0 base case of the recursion.
+// Each thread folds its static chunk block by block (select, evaluate the
 // leaf vectors, fold into its own accumulators); partials merge in
 // thread order. Chunk bounds depend only on the row and thread counts,
 // so a result is reproducible bit for bit across compaction and
 // recovery.
 type scan struct {
 	c      *compiled   // root node and group decoders, as assemble reads them
-	n      int         // rows
+	n      int         // candidate rows
+	rows   []int32     // ascending candidate row ids; nil: rows [0, n)
 	filter *expr.Pred  // nil: every row qualifies
 	leaves []*expr.Num // distinct aggregate argument expressions
 	// folds are the distinct (kind, leaf) accumulations — sum(x) under
 	// avg(x) and every count(*) fold once — and slot maps each plan
 	// aggregate to its fold. fnode carries the folds' kinds for the
-	// shared accumulator helpers.
+	// shared accumulator helpers. The first plain folds accumulate row by
+	// row; the rest are the count slots of distinct, filled at merge.
 	folds []scanFold
+	plain int
 	slot  []int
 	fnode *cNode
-	// keys holds the code column of each group vertex, in group order.
+	// distinct has one entry per COUNT(DISTINCT x) column.
+	distinct []scanDistinct
+	// keys holds the code column of each group vertex, in group order,
+	// indexed by row id, or under a candidate list by position in rows.
 	// When their code space is small, strides lay it out mixed-radix and
 	// each worker folds into a dense table of size groups × folds (an
 	// ungrouped aggregate is the one-group table); otherwise size is 0
@@ -62,15 +71,48 @@ type scanFold struct {
 	leaf int
 }
 
-// runScalarScan folds a single-relation aggregate plan into its output
-// rows: one row per group in ascending code-tuple order (the order the
-// join path emits), or one row for an ungrouped aggregate. The returned
-// compiled form decodes them.
-func runScalarScan(p *planner.Plan, cat *storage.Catalog, opts Options, parent telemetry.SpanID) (*compiled, *rowsBuf, error) {
-	tr := stTrace(opts.Stats)
-	ks := tr.Begin(parent, telemetry.SpanKernel, obs.DispatchScalarScan)
-	defer tr.End(ks)
-	s, err := compileScan(p, cat, opts)
+// scanDistinct is one COUNT(DISTINCT x) and the layout of the set of
+// (group codes…, x token) tuples each worker collects; a group's count
+// is its number of tuples. x's token is its dictionary code for a key or
+// string column, or for a numeric annotation its dict.CanonFloatBits, so
+// counting builds no code space over the column.
+type scanDistinct struct {
+	codes  []uint32  // key or string: codes, indexed like the scan's keys
+	floats []float64 // numeric annotation: values, by row id
+	set    *cNode    // hgroups: the group domains, then x's; no aggregates
+	fold   int
+}
+
+// RunScan folds a single-relation aggregate plan with the block scan —
+// Run's path for plan.ScalarScan — over the ascending row ids in rows,
+// or over every row when rows is nil. Its output has one row per group
+// in ascending code-tuple order (the order the join path emits), or one
+// row for an ungrouped aggregate.
+func RunScan(p *planner.Plan, cat *storage.Catalog, opts Options, rows []int32) (*Result, error) {
+	st := opts.Stats
+	tr := stTrace(st)
+	if st != nil {
+		st.Dispatch = obs.DispatchScalarScan
+	}
+	t0 := time.Now()
+	es := tr.Begin(tr.Root(), telemetry.SpanPhase, "execute")
+	ks := tr.Begin(es, telemetry.SpanKernel, obs.DispatchScalarScan)
+	s, out, err := foldScan(p, cat, opts, rows)
+	tr.End(ks)
+	tr.End(es)
+	if err != nil {
+		return nil, err
+	}
+	if st != nil {
+		st.Phases.Execute = time.Since(t0)
+	}
+	return s.c.output(out, nil)
+}
+
+// foldScan compiles the scan, folds every thread's chunk and merges the
+// partials into output rows.
+func foldScan(p *planner.Plan, cat *storage.Catalog, opts Options, rows []int32) (*scan, *rowsBuf, error) {
+	s, err := compileScan(p, cat, opts, rows)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -91,17 +133,17 @@ func runScalarScan(p *planner.Plan, cat *storage.Catalog, opts Options, parent t
 			return nil, nil, err
 		}
 	}
-	rows, err := s.merge(ws, opts.Mem)
+	out, err := s.merge(ws, opts.Mem)
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.c, rows, nil
+	return s, out, nil
 }
 
 // compileScan resolves the relation's predicate, aggregate leaves and
 // group code columns, and the group decoders over a root node whose
 // materialized key is the group vertices in group order.
-func compileScan(p *planner.Plan, cat *storage.Catalog, opts Options) (*scan, error) {
+func compileScan(p *planner.Plan, cat *storage.Catalog, opts Options, rows []int32) (*scan, error) {
 	if len(p.Rels) != 1 {
 		return nil, fmt.Errorf("exec: scan requires one relation")
 	}
@@ -109,7 +151,11 @@ func compileScan(p *planner.Plan, cat *storage.Catalog, opts Options) (*scan, er
 	tb := opts.table(r.Table)
 	binding := &expr.Binding{Alias: r.Alias, Table: tb}
 	root := &cNode{order: p.OutVertices, nLevels: len(p.OutVertices), matCount: len(p.OutVertices)}
-	s := &scan{c: &compiled{p: p, cat: cat, opts: opts, root: root}, n: tb.NumRows, fnode: &cNode{}}
+	c := &compiled{p: p, cat: cat, opts: opts, root: root, pseudo: map[string]*pseudoDecoder{}}
+	s := &scan{c: c, n: tb.NumRows, rows: rows, fnode: &cNode{}}
+	if rows != nil {
+		s.n = len(rows)
+	}
 
 	if r.Filter != nil {
 		f, err := expr.CompilePred(r.Filter, binding)
@@ -119,15 +165,28 @@ func compileScan(p *planner.Plan, cat *storage.Catalog, opts Options) (*scan, er
 		s.filter = f
 	}
 
+	addFold := func(f scanFold) int {
+		s.folds = append(s.folds, f)
+		s.fnode.aggs = append(s.fnode.aggs, cAgg{kind: f.kind})
+		s.fnode.aggKinds = append(s.fnode.aggKinds, f.kind)
+		return len(s.folds) - 1
+	}
+
 	// Aggregates: a single relation's aggregate argument is one leaf
 	// expression or a constant (§IV-A rule 3), evaluated per qualifying
 	// row. Identical arguments share one vector, identical folds one
-	// accumulator.
+	// accumulator. Distinct counts take the folds after the plain ones.
 	leafOf := map[string]int{}
 	foldOf := map[scanFold]int{}
+	var distinct []int
 	for ai := range p.Aggs {
 		spec := &p.Aggs[ai]
 		root.aggs = append(root.aggs, cAgg{kind: spec.Kind, skel: spec.Skeleton})
+		s.slot = append(s.slot, -1)
+		if spec.Distinct {
+			distinct = append(distinct, ai)
+			continue
+		}
 		f := scanFold{kind: spec.Kind, leaf: -1}
 		if spec.Kind != planner.AggCount {
 			var e sqlparse.Expr
@@ -156,32 +215,18 @@ func compileScan(p *planner.Plan, cat *storage.Catalog, opts Options) (*scan, er
 		}
 		fi, ok := foldOf[f]
 		if !ok {
-			fi = len(s.folds)
+			fi = addFold(f)
 			foldOf[f] = fi
-			s.folds = append(s.folds, f)
-			s.fnode.aggs = append(s.fnode.aggs, cAgg{kind: f.kind})
-			s.fnode.aggKinds = append(s.fnode.aggKinds, f.kind)
 		}
-		s.slot = append(s.slot, fi)
+		s.slot[ai] = fi
 	}
+	s.plain = len(s.folds)
 
 	// Group code columns and their code-space sizes.
 	for _, v := range p.OutVertices {
-		col := tb.Col(r.VertexCol[v])
-		if col == nil {
-			return nil, fmt.Errorf("exec: scan group vertex %s is not a column of %s", v, r.Alias)
-		}
-		codes, err := s.c.keyCodesFor(r, col)
+		codes, dom, err := s.codeColumn(r, tb, r.VertexCol[v])
 		if err != nil {
 			return nil, err
-		}
-		dom := 1
-		if d := col.Dict(); d != nil {
-			dom = max(dom, d.Len())
-		} else {
-			for _, x := range codes {
-				dom = max(dom, int(x)+1)
-			}
 		}
 		s.keys = append(s.keys, codes)
 		s.fnode.hgroups = append(s.fnode.hgroups, hashGroup{domain: dom})
@@ -193,6 +238,31 @@ func compileScan(p *planner.Plan, cat *storage.Catalog, opts Options) (*scan, er
 		}
 	} else if len(s.keys) == 0 {
 		s.size = 1
+	}
+
+	// Distinct counts: one tuple set per counted column.
+	distinctOf := map[string]int{}
+	for _, ai := range distinct {
+		name := p.Aggs[ai].Leaves[0].Expr.(sqlparse.ColRef).Name
+		fi, ok := distinctOf[name]
+		if !ok {
+			var d scanDistinct
+			dom := 0 // a float token's domain is unknown: open addressing
+			if col := tb.Col(name); col != nil && numericAnn(col) {
+				d.floats = col.AnnFloats()
+			} else {
+				var err error
+				if d.codes, dom, err = s.codeColumn(r, tb, name); err != nil {
+					return nil, err
+				}
+			}
+			d.fold = addFold(scanFold{kind: planner.AggCount, leaf: -1})
+			d.set = &cNode{hgroups: append(slices.Clip(s.fnode.hgroups), hashGroup{domain: dom})}
+			fi = d.fold
+			distinctOf[name] = fi
+			s.distinct = append(s.distinct, d)
+		}
+		s.slot[ai] = fi
 	}
 
 	if opts.NoAttrElim {
@@ -210,14 +280,43 @@ func compileScan(p *planner.Plan, cat *storage.Catalog, opts Options) (*scan, er
 	return s, nil
 }
 
+// codeColumn returns the code column of a group or distinct-counted
+// column, indexed like the candidates (by row id, or by position in
+// s.rows), and the size of its code space. A numeric annotation is
+// encoded over the candidates alone, so a scan of a few sampled rows
+// does work in their number; its decoder is kept for the group decoders.
+func (s *scan) codeColumn(r *planner.RelInfo, tb *storage.Table, name string) ([]uint32, int, error) {
+	col := tb.Col(name)
+	if col == nil {
+		return nil, 0, fmt.Errorf("exec: scan column %s is not a column of %s", name, r.Alias)
+	}
+	if numericAnn(col) {
+		codes, dec := pseudoEncode(col, s.rows)
+		s.c.pseudo[name] = dec
+		return codes, max(1, len(dec.numVals)), nil
+	}
+	codes, err := s.c.keyCodesFor(r, col)
+	if err != nil {
+		return nil, 0, err
+	}
+	return gatherU32(codes, s.rows), max(1, col.Dict().Len()), nil
+}
+
+// numericAnn reports whether col is an int, date or float annotation.
+func numericAnn(col *storage.Column) bool {
+	return col.Def.Role != storage.Key && col.Def.Kind != storage.String
+}
+
 // scanWorker is one thread's bound kernels, block scratch and
-// accumulators: a dense table of groups × folds, or a hashAcc.
+// accumulators: a dense table of groups × folds, or a hashAcc, plus one
+// tuple set per distinct count.
 type scanWorker struct {
 	s    *scan
 	sel  expr.Sel    // nil when unfiltered
 	vals []expr.Vec  // per leaf
 	lv   [][]float64 // per leaf: its vector over the block's qualifying rows
 	ids  []int32     // the block's candidate, then qualifying, row ids
+	pos  []int32     // under a candidate list: the qualifying rows' positions
 
 	acc   []float64 // dense: size × folds
 	seen  []bool    // dense: group touched
@@ -225,8 +324,11 @@ type scanWorker struct {
 
 	h    *hashAcc
 	toks []uint64  // hash: the row's group codes
-	tv   []float64 // hash: the row's fold values
+	tv   []float64 // hash: the row's fold values; distinct slots stay 0
 	id   []float64 // hash: fold identities
+
+	dsets []*hashAcc // per scan.distinct: the tuples seen
+	dtoks []uint64   // a row's group codes, then its counted code
 
 	sink float64 // NoAttrElim column touches land here
 }
@@ -234,12 +336,19 @@ type scanWorker struct {
 func (s *scan) newWorker() *scanWorker {
 	nF := len(s.folds)
 	w := &scanWorker{s: s, ids: make([]int32, expr.BlockSize)}
+	if s.rows != nil {
+		w.pos = make([]int32, expr.BlockSize)
+	}
 	if s.filter != nil {
 		w.sel = s.filter.Bind()
 	}
 	for _, l := range s.leaves {
 		w.vals = append(w.vals, l.Bind())
 		w.lv = append(w.lv, make([]float64, expr.BlockSize))
+	}
+	for _, d := range s.distinct {
+		w.dsets = append(w.dsets, newHashAcc(d.set))
+		w.dtoks = make([]uint64, len(s.keys)+1)
 	}
 	if s.size == 0 {
 		w.h = newHashAcc(s.fnode)
@@ -262,10 +371,14 @@ func (s *scan) newWorker() *scanWorker {
 
 // retained is the memory the worker's accumulators hold.
 func (w *scanWorker) retained() int64 {
+	n := int64(len(w.acc))*8 + int64(len(w.seen))
 	if w.h != nil {
-		return hashAccBytes(w.h)
+		n = hashAccBytes(w.h)
 	}
-	return int64(len(w.acc))*8 + int64(len(w.seen))
+	for _, d := range w.dsets {
+		n += hashAccBytes(d)
+	}
+	return n
 }
 
 // hashAccBytes is the memory h holds, counted as the join workers do.
@@ -274,32 +387,44 @@ func hashAccBytes(h *hashAcc) int64 {
 }
 
 // fold folds rows [lo, hi) block by block, checking ctx and charging
-// the accumulators (and a hash table's growth) to mem every
-// scanCtxStride rows.
+// the accumulators' growth to mem every scanCtxStride rows and at the
+// end, so the charge is what the worker finally holds.
 func (w *scanWorker) fold(lo, hi int, ctx context.Context, mem *governor.Accountant) error {
 	var charged int64
+	charge := func() error {
+		ret := w.retained()
+		if ret <= charged {
+			return nil
+		}
+		err := mem.Charge(ret - charged)
+		charged = ret
+		return err
+	}
 	for blk := lo; blk < hi; blk += expr.BlockSize {
 		if (blk-lo)%scanCtxStride == 0 {
 			if err := ctxErr(ctx); err != nil {
 				return err
 			}
-			if ret := w.retained(); ret > charged {
-				if err := mem.Charge(ret - charged); err != nil {
-					return err
-				}
-				charged = ret
+			if err := charge(); err != nil {
+				return err
 			}
 		}
 		w.block(blk, min(blk+expr.BlockSize, hi))
 	}
-	return nil
+	return charge()
 }
 
-// block folds rows [lo, hi) (at most expr.BlockSize). Once the worker is
-// bound it allocates nothing, except a group table growing for new groups.
+// block folds candidates [lo, hi) (at most expr.BlockSize). Once the
+// worker is bound it allocates nothing, except a group table or tuple
+// set growing for new entries.
 func (w *scanWorker) block(lo, hi int) {
 	s := w.s
-	rows := expr.Rows(w.ids, lo, hi)
+	var rows []int32
+	if s.rows != nil {
+		rows = w.ids[:copy(w.ids, s.rows[lo:hi])]
+	} else {
+		rows = expr.Rows(w.ids, lo, hi)
+	}
 	for _, col := range s.touch {
 		for _, r := range rows {
 			w.sink += col[r]
@@ -313,13 +438,29 @@ func (w *scanWorker) block(lo, hi int) {
 	for i, v := range w.vals {
 		v(rows, w.lv[i])
 	}
+	// at indexes the code columns: the row ids, or under a candidate list
+	// each qualifying row's position in it (both lists ascend).
+	at := rows
+	if s.rows != nil {
+		at = w.pos[:len(rows)]
+		j := lo
+		for i, r := range rows {
+			for s.rows[j] != r {
+				j++
+			}
+			at[i] = int32(j)
+		}
+	}
 	switch {
 	case len(s.keys) == 0:
 		w.foldRow(len(rows))
 	case s.size > 0:
-		w.foldDense(rows)
+		w.foldDense(at)
 	default:
-		w.foldHash(rows)
+		w.foldHash(at)
+	}
+	if len(s.distinct) > 0 {
+		w.foldDistinct(rows, at)
 	}
 }
 
@@ -327,7 +468,7 @@ func (w *scanWorker) block(lo, hi int) {
 // by row in ascending order.
 func (w *scanWorker) foldRow(m int) {
 	w.seen[0] = true
-	for fi, f := range w.s.folds {
+	for fi, f := range w.s.folds[:w.s.plain] {
 		acc := w.acc[fi]
 		switch f.kind {
 		case planner.AggCount:
@@ -345,15 +486,16 @@ func (w *scanWorker) foldRow(m int) {
 	}
 }
 
-// foldDense folds the qualifying rows into the dense group table, one
-// fold at a time, each group's rows in ascending order.
-func (w *scanWorker) foldDense(rows []int32) {
+// foldDense folds the qualifying rows (their code indexes at) into the
+// dense group table, one fold at a time, each group's rows in ascending
+// order.
+func (w *scanWorker) foldDense(at []int32) {
 	s := w.s
-	gc := w.gcode[:len(rows)]
+	gc := w.gcode[:len(at)]
 	clear(gc)
 	for g, codes := range s.keys {
 		st := s.strides[g]
-		for i, r := range rows {
+		for i, r := range at {
 			gc[i] += int(codes[r]) * st
 		}
 	}
@@ -361,7 +503,7 @@ func (w *scanWorker) foldDense(rows []int32) {
 		w.seen[c] = true
 	}
 	nF := len(s.folds)
-	for fi, f := range s.folds {
+	for fi, f := range s.folds[:s.plain] {
 		acc := w.acc[fi:]
 		if f.kind == planner.AggCount {
 			for _, c := range gc {
@@ -376,16 +518,16 @@ func (w *scanWorker) foldDense(rows []int32) {
 	}
 }
 
-// foldHash folds the qualifying rows into the group table. Each value is
-// first combined into its fold's identity, so a group's first row lands
-// exactly as every later row combines.
-func (w *scanWorker) foldHash(rows []int32) {
+// foldHash folds the qualifying rows (their code indexes at) into the
+// group table. Each value is first combined into its fold's identity, so
+// a group's first row lands exactly as every later row combines.
+func (w *scanWorker) foldHash(at []int32) {
 	s := w.s
-	for i, r := range rows {
+	for i, r := range at {
 		for g, codes := range s.keys {
 			w.toks[g] = uint64(codes[r])
 		}
-		for fi, f := range s.folds {
+		for fi, f := range s.folds[:s.plain] {
 			v := 1.0
 			if f.kind != planner.AggCount {
 				v = w.lv[f.leaf][i]
@@ -396,12 +538,47 @@ func (w *scanWorker) foldHash(rows []int32) {
 	}
 }
 
+// foldDistinct adds each qualifying row's (group codes…, counted token)
+// tuple to the set of every distinct count; at holds the rows' code
+// indexes.
+func (w *scanWorker) foldDistinct(rows, at []int32) {
+	s := w.s
+	nG := len(s.keys)
+	for di, d := range s.distinct {
+		set := w.dsets[di]
+		for i, r := range rows {
+			for g, codes := range s.keys {
+				w.dtoks[g] = uint64(codes[at[i]])
+			}
+			if d.floats != nil {
+				w.dtoks[nG] = dict.CanonFloatBits(d.floats[r])
+			} else {
+				w.dtoks[nG] = uint64(d.codes[at[i]])
+			}
+			set.add(w.dtoks, nil)
+		}
+	}
+}
+
 // merge combines the workers' partials in thread order into the output
 // rows: groups in ascending code-tuple order with empty min/max zeroed
-// (an ungrouped aggregate always has its one row). The merged table is
-// charged to mem.
+// (an ungrouped aggregate always has its one row). A distinct count adds
+// 1 to its group's slot per tuple in the union of the workers' sets.
+// The merged table and sets are charged to mem.
 func (s *scan) merge(ws []*scanWorker, mem *governor.Accountant) (*rowsBuf, error) {
 	nF, nG := len(s.folds), len(s.keys)
+	sets := make([]*hashAcc, len(s.distinct))
+	for di, d := range s.distinct {
+		sets[di] = newHashAcc(d.set)
+		for _, w := range ws {
+			if w != nil {
+				sets[di].merge(w.dsets[di])
+			}
+		}
+		if err := mem.Charge(hashAccBytes(sets[di])); err != nil {
+			return nil, err
+		}
+	}
 	out := getRowsBuf(nG, len(s.slot))
 	row := make([]float64, len(s.slot))
 	key := make([]uint32, nG)
@@ -433,6 +610,16 @@ func (s *scan) merge(ws []*scanWorker, mem *governor.Accountant) (*rowsBuf, erro
 				}
 			}
 		}
+		for di, set := range sets {
+			fi := s.distinct[di].fold
+			for t := range set.n() {
+				g := 0
+				for k, st := range s.strides {
+					g += int(set.tokens[t*(nG+1)+k]) * st
+				}
+				acc[g*nF+fi]++
+			}
+		}
 		seen[0] = seen[0] || nG == 0
 		for g, ok := range seen {
 			if !ok {
@@ -451,6 +638,16 @@ func (s *scan) merge(ws []*scanWorker, mem *governor.Accountant) (*rowsBuf, erro
 	for _, w := range ws {
 		if w != nil {
 			h.merge(w.h)
+		}
+	}
+	for di, set := range sets {
+		// The tuple's group exists, so adding identities elsewhere leaves
+		// every other fold as it is.
+		inc := make([]float64, nF)
+		resetAcc(s.fnode, inc)
+		inc[s.distinct[di].fold] = 1
+		for t := range set.n() {
+			h.add(set.tokens[t*(nG+1):t*(nG+1)+nG], inc)
 		}
 	}
 	if err := mem.Charge(hashAccBytes(h)); err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
@@ -15,6 +16,8 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/planner"
 	"repro/internal/qerr"
+	"repro/internal/refeval"
+	"repro/internal/sqlparse"
 	"repro/internal/storage"
 )
 
@@ -183,8 +186,9 @@ func cellOf(c *Column, r int) any {
 // worker's kernels are bound and its groups exist, folding a block —
 // selection, leaf vectors, accumulation — allocates nothing, for the
 // ungrouped row, the dense group table (flag × status) and the hash
-// table (the id domain is past the dense cap). (bench-smoke runs it with
-// the other zero-allocation guards.)
+// table (the id domain is past the dense cap), with distinct counts whose
+// tuple sets are dense (flag × part) and open-addressed (id). (bench-smoke
+// runs it with the other zero-allocation guards.)
 func TestScanBlockZeroAllocs(t *testing.T) {
 	cat := scanCatalog(t, 40000)
 	for _, tc := range []struct {
@@ -194,9 +198,11 @@ func TestScanBlockZeroAllocs(t *testing.T) {
 		{`SELECT sum(price * disc) as r, count(*) as c FROM li WHERE ship >= date '1995-01-01' AND disc between 0.02 and 0.08`, false},
 		{`SELECT flag, status, sum(qty) as s, avg(price * (1 - disc)) as a, min(disc) as m FROM li WHERE price > 1000 GROUP BY flag, status`, false},
 		{`SELECT id, sum(price) as s FROM li WHERE qty < 40 GROUP BY id`, true},
+		{`SELECT flag, count(distinct part) as d, sum(qty) as s FROM li WHERE price > 1000 GROUP BY flag`, false},
+		{`SELECT count(distinct id) as d, count(distinct qty) as q FROM li WHERE disc > 0.02`, false},
 	} {
 		p, _ := planFor(t, cat, tc.sql)
-		s, err := compileScan(p, cat, Options{})
+		s, err := compileScan(p, cat, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,41 +222,78 @@ func TestScanBlockZeroAllocs(t *testing.T) {
 // (part × flag × status, a dense table) at 4 threads. The scan charges
 // what it holds: one table per worker that ran, the merged table and the
 // output. A budget of exactly that admits the query and one byte less
-// refuses it.
+// refuses it. A distinct count over a smaller table is charged its
+// tuple sets on top: each worker's and their union.
 func TestScanMemBudget(t *testing.T) {
 	cat := scanCatalog(t, 40000)
-	sql := `SELECT part, flag, status, sum(price) as s, count(*) as c FROM li WHERE disc > 0.02 GROUP BY part, flag, status`
-	p, ch := planFor(t, cat, sql)
-	s, err := compileScan(p, cat, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.size < 200 {
-		t.Fatalf("dense table of %d groups, want a few hundred", s.size)
-	}
 	const threads = 4
-	table := int64(s.size) * int64(8*len(s.folds)+1)
-	run := func(budget int64) (*Result, int64, error) {
-		a := governor.New(governor.Config{MemoryBudget: budget}).NewAccountant(sql, 0)
-		defer a.Close()
-		res, err := Run(p, ch, cat, Options{Threads: threads, Mem: a})
-		return res, a.Used(), err
+	for _, tc := range []struct {
+		sql       string
+		minGroups int
+	}{
+		{`SELECT part, flag, status, sum(price) as s, count(*) as c FROM li WHERE disc > 0.02 GROUP BY part, flag, status`, 200},
+		{`SELECT flag, status, count(distinct part) as d, sum(price) as s FROM li WHERE disc > 0.02 GROUP BY flag, status`, 6},
+	} {
+		p, ch := planFor(t, cat, tc.sql)
+		s, err := compileScan(p, cat, Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.size < tc.minGroups {
+			t.Fatalf("%q: dense table of %d groups, want at least %d", tc.sql, s.size, tc.minGroups)
+		}
+		table := int64(s.size) * int64(8*len(s.folds)+1)
+		sets := distinctSetBytes(t, s, threads)
+		run := func(budget int64) (*Result, int64, error) {
+			a := governor.New(governor.Config{MemoryBudget: budget}).NewAccountant(tc.sql, 0)
+			defer a.Close()
+			res, err := Run(p, ch, cat, Options{Threads: threads, Mem: a})
+			return res, a.Used(), err
+		}
+		res, used, err := run(1 << 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := (threads+1)*table + sets + int64(res.NumRows*len(res.Cols)*16)
+		if used != want {
+			t.Fatalf("%q: charged %d bytes, want %d (%d tables of %d bytes, %d bytes of tuple sets and the output)",
+				tc.sql, used, want, threads+1, table, sets)
+		}
+		if _, _, err := run(want); err != nil {
+			t.Fatalf("%q: budget %d: %v", tc.sql, want, err)
+		}
+		var re *qerr.ResourceExhaustedError
+		if _, _, err := run(want - 1); !errors.As(err, &re) {
+			t.Fatalf("%q: budget %d: err = %v, want ResourceExhausted", tc.sql, want-1, err)
+		}
 	}
-	res, used, err := run(1 << 40)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// distinctSetBytes replays the scan's thread chunks to size the tuple
+// sets its distinct counts hold: every worker's as it finally stands,
+// and their union.
+func distinctSetBytes(t *testing.T, s *scan, threads int) int64 {
+	t.Helper()
+	var n int64
+	unions := make([]*hashAcc, len(s.distinct))
+	for di, d := range s.distinct {
+		unions[di] = newHashAcc(d.set)
 	}
-	want := (threads+1)*table + int64(res.NumRows*len(res.Cols)*16)
-	if used != want {
-		t.Fatalf("charged %d bytes, want %d (%d tables of %d bytes and the output)", used, want, threads+1, table)
+	chunk := (s.n + threads - 1) / threads
+	for lo := 0; lo < s.n; lo += chunk {
+		w := s.newWorker()
+		if err := w.fold(lo, min(lo+chunk, s.n), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		for di, set := range w.dsets {
+			n += hashAccBytes(set)
+			unions[di].merge(set)
+		}
 	}
-	if _, _, err := run(want); err != nil {
-		t.Fatalf("budget %d: %v", want, err)
+	for _, u := range unions {
+		n += hashAccBytes(u)
 	}
-	var re *qerr.ResourceExhaustedError
-	if _, _, err := run(want - 1); !errors.As(err, &re) {
-		t.Fatalf("budget %d: err = %v, want ResourceExhausted", want-1, err)
-	}
+	return n
 }
 
 // countdownCtx is a context whose Err turns to context.Canceled after a
@@ -274,6 +317,7 @@ func TestScanCancelMidScan(t *testing.T) {
 	for _, sql := range []string{
 		`SELECT sum(price) as s FROM li WHERE disc > 0.01`,
 		`SELECT flag, sum(price) as s FROM li WHERE disc > 0.01 GROUP BY flag`,
+		`SELECT flag, count(distinct part) as d FROM li WHERE disc > 0.01 GROUP BY flag`,
 	} {
 		p, ch := planFor(t, cat, sql)
 		ctx := &countdownCtx{Context: context.Background()}
@@ -284,6 +328,131 @@ func TestScanCancelMidScan(t *testing.T) {
 		}
 		if n := ctx.left.Load(); n != -1 {
 			t.Fatalf("%q: %d checks after cancellation, want the scan to stop at the first", sql, -1-n)
+		}
+	}
+}
+
+// distinctCatalog builds one table for COUNT(DISTINCT): a primary key
+// past the dense cap, a small key, int, string, date and float
+// annotations. The floats mix NaN payloads, ±0 and duplicates, so one
+// distinct float value is one dict.CanonFloat class.
+func distinctCatalog(t *testing.T, n int) *storage.Catalog {
+	t.Helper()
+	cat := storage.NewCatalog()
+	tb, err := cat.Create(storage.Schema{Name: "t", Cols: []storage.ColumnDef{
+		{Name: "id", Kind: storage.Int64, Role: storage.Key, Domain: "id", PK: true},
+		{Name: "part", Kind: storage.Int64, Role: storage.Key, Domain: "part"},
+		{Name: "n", Kind: storage.Int64, Role: storage.Annotation},
+		{Name: "s", Kind: storage.String, Role: storage.Annotation},
+		{Name: "d", Kind: storage.Date, Role: storage.Annotation},
+		{Name: "f", Kind: storage.Float64, Role: storage.Annotation},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := []float64{math.NaN(), math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000123),
+		0, math.Copysign(0, -1), math.Inf(1)}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < n; i++ {
+		f := float64(r.Intn(400)) / 4
+		if r.Intn(8) == 0 {
+			f = odd[r.Intn(len(odd))]
+		}
+		if err := tb.Append(int64(i), int64(r.Intn(40)), int64(r.Intn(1000)), trees[r.Intn(len(trees))],
+			int64(9000+r.Intn(200)), f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cat.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+var trees = []string{"ash", "birch", "cedar", "elm", "fir", "oak", "pine", "yew"}
+
+// TestScanDistinctMatchesReference checks COUNT(DISTINCT) over key, int,
+// string, date and float columns against the reference evaluator:
+// ungrouped, grouped into the dense table and into the hash table (part ×
+// n is past the dense cap), filtered and not, at 1 and 4 threads, whose
+// per-worker tuple sets must union, not add.
+func TestScanDistinctMatchesReference(t *testing.T) {
+	cat := distinctCatalog(t, 30000)
+	rels := refRelations(cat, "t")
+	const counts = `count(distinct id) AS a, count(distinct part) AS b, count(distinct n) AS c,
+		count(distinct s) AS e, count(distinct d) AS g, count(distinct f) AS h, count(*) AS k`
+	queries := []struct {
+		sql  string
+		hash bool
+	}{
+		{`SELECT ` + counts + ` FROM t`, false},
+		{`SELECT ` + counts + ` FROM t WHERE n < 400 AND s <> 'oak'`, false},
+		{`SELECT ` + counts + ` FROM t WHERE n > 5000`, false},
+		{`SELECT s, ` + counts + `, sum(n) AS z FROM t GROUP BY s`, false},
+		{`SELECT part, s, count(distinct f) AS h, count(distinct n) AS c FROM t WHERE f >= 10 GROUP BY part, s`, false},
+		{`SELECT part, n, count(distinct s) AS e, count(distinct f) AS h, min(d) AS lo FROM t GROUP BY part, n`, true},
+		{`SELECT part, n, count(distinct id) AS a FROM t WHERE d < date '1995-01-01' GROUP BY part, n`, true},
+	}
+	for _, q := range queries {
+		want, err := refeval.Eval(q.sql, rels)
+		if err != nil {
+			t.Fatalf("reference: %s: %v", q.sql, err)
+		}
+		wantRows := resultRows(len(want.Cols), want.NumRows, func(c, r int) any { return want.Cols[c].Vals[r] })
+		p, ch := planFor(t, cat, q.sql)
+		if !p.ScalarScan {
+			t.Fatalf("%s: not planned as a scan", q.sql)
+		}
+		s, err := compileScan(p, cat, Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (s.size == 0) != q.hash {
+			t.Fatalf("%s: dense table of %d groups, want hash table %v", q.sql, s.size, q.hash)
+		}
+		for _, threads := range []int{1, 4} {
+			got, err := Run(p, ch, cat, Options{Threads: threads})
+			if err != nil {
+				t.Fatalf("%s: %v", q.sql, err)
+			}
+			gotRows := resultRows(len(got.Cols), got.NumRows, func(c, r int) any { return cellOf(got.Cols[c], r) })
+			if fmt.Sprint(gotRows) != fmt.Sprint(wantRows) {
+				t.Fatalf("%s at %d threads:\n got %v\nwant %v", q.sql, threads, gotRows, wantRows)
+			}
+		}
+	}
+}
+
+// TestScanDistinctGroupKinds pins the kinds of int and date annotation
+// group columns: a COUNT(DISTINCT) plan decodes them to their stored
+// int64 values (a date as its day count), and the same groups under a
+// plain aggregate decode to float64 values and YYYY-MM-DD strings.
+func TestScanDistinctGroupKinds(t *testing.T) {
+	cat := distinctCatalog(t, 3000)
+	run := func(sql string) *Result {
+		t.Helper()
+		p, ch := planFor(t, cat, sql)
+		res, err := Run(p, ch, cat, Options{Threads: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res
+	}
+	stored := run(`SELECT n, d, count(distinct s) AS e FROM t WHERE n < 20 GROUP BY n, d`)
+	plain := run(`SELECT n, d, count(*) AS e FROM t WHERE n < 20 GROUP BY n, d`)
+	if stored.Cols[0].Kind != KindInt || stored.Cols[1].Kind != KindInt {
+		t.Fatalf("distinct plan: n is %v, d is %v; want KindInt for both", stored.Cols[0].Kind, stored.Cols[1].Kind)
+	}
+	if plain.Cols[0].Kind != KindFloat || plain.Cols[1].Kind != KindString {
+		t.Fatalf("plain plan: n is %v, d is %v; want KindFloat and KindString", plain.Cols[0].Kind, plain.Cols[1].Kind)
+	}
+	if stored.NumRows == 0 || stored.NumRows != plain.NumRows {
+		t.Fatalf("%d distinct-plan groups, %d plain groups", stored.NumRows, plain.NumRows)
+	}
+	for i := 0; i < stored.NumRows; i++ {
+		n, d := stored.Cols[0].I64[i], stored.Cols[1].I64[i]
+		if float64(n) != plain.Cols[0].F64[i] || sqlparse.DaysToDate(int32(d)) != plain.Cols[1].Str[i] {
+			t.Fatalf("group %d: (%d, %d) vs (%v, %s)", i, n, d, plain.Cols[0].F64[i], plain.Cols[1].Str[i])
 		}
 	}
 }

@@ -189,7 +189,8 @@ func valueExprs(t *testing.T, td *difftest.TableDef, alias string, spec *difftes
 		walk = func(e sqlparse.Expr) {
 			switch v := e.(type) {
 			case sqlparse.FuncCall:
-				if !v.Star && len(v.Args) == 1 {
+				// A distinct count's argument is counted, not evaluated.
+				if !v.Star && !v.Distinct && len(v.Args) == 1 {
 					out = append(out, v.Args[0].String())
 				}
 			case sqlparse.BinaryExpr:

@@ -24,7 +24,7 @@ import (
 
 // Dispatch labels for the execution strategy a query ended up on.
 const (
-	DispatchScalarScan  = "scalar-scan"  // single-relation aggregate scan (Q1/Q6 shapes)
+	DispatchScalarScan  = "scalar-scan"  // single-relation aggregate scan (Q1/Q6 shapes, COUNT(DISTINCT))
 	DispatchDenseMM     = "dense-mm"     // §III-D BLAS matrix–matrix kernel
 	DispatchDenseMV     = "dense-mv"     // §III-D BLAS matrix–vector kernel
 	DispatchSpMVGather  = "spmv-gather"  // specialized CSR-style SpMV kernel
@@ -32,11 +32,10 @@ const (
 	DispatchWCOJ        = "generic-wcoj" // generic worst-case optimal join interpreter
 	DispatchHybrid      = "hybrid"       // mixed binary/WCOJ access paths across GHD nodes
 
-	// Approximate-tier dispatches (and the exact distinct scan that
-	// anchors them).
-	DispatchDistinctScan = "distinct-scan" // exact hash-set COUNT(DISTINCT) scan
+	// Approximate-tier dispatches (opt-in only; exact COUNT(DISTINCT) is
+	// a scalar-scan aggregate).
 	DispatchApproxHLL    = "approx-hll"    // HyperLogLog COUNT(DISTINCT) estimate
-	DispatchApproxSample = "approx-sample" // scaled aggregates over a reservoir sample
+	DispatchApproxSample = "approx-sample" // the scalar scan over a reservoir sample, scaled
 )
 
 // Phases holds one duration per query-lifecycle phase. Freeze is only

@@ -492,8 +492,13 @@ func (b *builder) expandAlias(e sqlparse.Expr) sqlparse.Expr {
 
 // nameFor derives an output column name from an expression.
 func (b *builder) nameFor(e sqlparse.Expr) string {
-	if cr, ok := e.(sqlparse.ColRef); ok {
-		return cr.Name
+	switch v := e.(type) {
+	case sqlparse.ColRef:
+		return v.Name
+	case sqlparse.FuncCall:
+		if v.Distinct {
+			return v.String() // "count(distinct x)": the keyword keeps its space
+		}
 	}
 	return strings.ReplaceAll(e.String(), " ", "")
 }
@@ -655,11 +660,27 @@ func (b *builder) buildAggExpr(e sqlparse.Expr) (*EmitNode, int, error) {
 // index, or -1 when AVG expanded into two aggregates.
 func (b *builder) addAggregate(fc sqlparse.FuncCall) (int, error) {
 	if fc.Distinct {
-		// Distinct aggregation is served by the approximate tier's scan
-		// evaluator (exact hash-set or HLL), not the WCOJ pipeline: a
-		// distinct call reaching the planner means the front-end could not
-		// handle the query shape.
-		return 0, fmt.Errorf("planner: %s(distinct) is only supported over a single table without joins", fc.Name)
+		// COUNT(DISTINCT col) over one relation is a scan aggregate: the
+		// column is its leaf, not a vertex, so keys may be counted too.
+		// Over a join the recursion would need the column as a vertex.
+		if len(b.plan.Rels) != 1 {
+			return 0, fmt.Errorf("planner: %s(distinct) is only supported over a single table without joins", fc.Name)
+		}
+		var cr sqlparse.ColRef
+		ok := len(fc.Args) == 1
+		if ok {
+			cr, ok = fc.Args[0].(sqlparse.ColRef)
+		}
+		if fc.Name != "count" || !ok {
+			return 0, fmt.Errorf("planner: %s(distinct) is only supported as count over a column", fc.Name)
+		}
+		ri, _, err := b.resolveCol(cr)
+		if err != nil {
+			return 0, err
+		}
+		b.plan.Aggs = append(b.plan.Aggs, AggSpec{Name: "count", Kind: AggCount, Distinct: true,
+			Leaves: []AggLeaf{{Rel: ri, Expr: cr}}})
+		return len(b.plan.Aggs) - 1, nil
 	}
 	switch fc.Name {
 	case "count":
@@ -885,12 +906,18 @@ func (b *builder) finishHypergraph() error {
 	}
 
 	// Single-relation aggregate scan: one relation whose every vertex is a
-	// GROUP BY (or pseudo-) vertex, filtered or ungrouped, needs no join
-	// and no trie — a block scan folds it. An unfiltered grouped relation
-	// keeps the trie path, whose cached trie answers in O(groups).
-	if len(p.Rels) == 1 && (p.Rels[0].Filter != nil || len(p.Groups) == 0) &&
+	// GROUP BY (or pseudo-) vertex, filtered, ungrouped or counting
+	// distinct values, needs no join and no trie — a block scan folds it.
+	// An unfiltered grouped relation keeps the trie path, whose cached
+	// trie answers in O(groups).
+	distinct := false
+	for _, a := range p.Aggs {
+		distinct = distinct || a.Distinct
+	}
+	if len(p.Rels) == 1 && (p.Rels[0].Filter != nil || len(p.Groups) == 0 || distinct) &&
 		subset(p.Rels[0].Vertices, p.OutVertices) {
 		p.ScalarScan = true
+		p.StoredGroupKinds = distinct
 		return nil
 	}
 

@@ -104,6 +104,10 @@ type AggSpec struct {
 	Kind     AggKind
 	Leaves   []AggLeaf
 	Skeleton *EmitNode
+	// Distinct marks COUNT(DISTINCT col) over a single relation: an
+	// AggCount whose one leaf is the column, counted once per distinct
+	// value in each group. The column is not a vertex.
+	Distinct bool
 }
 
 // GroupKind classifies a GROUP BY item.
@@ -175,10 +179,17 @@ type Plan struct {
 	// OutVertices are the materialized hypergraph vertices (needed by
 	// group items), which must lead every attribute order.
 	OutVertices []string
-	// ScalarScan marks a single-relation aggregate that is filtered or
-	// ungrouped (paper Q1 and Q6): a block-at-a-time scan folds it with
-	// no trie, so the plan has no hypergraph or GHD.
+	// ScalarScan marks a single-relation aggregate that is filtered,
+	// ungrouped (paper Q1 and Q6) or counts distinct values: a
+	// block-at-a-time scan folds it with no trie, so the plan has no
+	// hypergraph or GHD.
 	ScalarScan bool
+	// StoredGroupKinds decodes int and date annotation GROUP BY columns
+	// to their stored int64 values (KindInt, a date as its day count)
+	// instead of float64 values and YYYY-MM-DD strings. The planner sets
+	// it on COUNT(DISTINCT) plans and the approximate tier on its sample
+	// plans: the kinds those answers carry.
+	StoredGroupKinds bool
 	// HashEmit marks plans whose GROUP BY items are all metadata
 	// expressions: instead of materializing their key vertices at the
 	// front of the attribute order (which can force a low-cardinality

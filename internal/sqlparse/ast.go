@@ -13,10 +13,6 @@ type Query struct {
 	Where   Expr // nil when absent; otherwise a boolean expression
 	GroupBy []Expr
 	Having  Expr // nil when absent; boolean over aggregates
-	// HasDistinctAgg reports that some aggregate call in the query is
-	// DISTINCT — the shape the engine routes to the distinct-scan tier
-	// instead of the join pipeline.
-	HasDistinctAgg bool
 }
 
 // SelectItem is one output expression with an optional alias.

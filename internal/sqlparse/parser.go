@@ -16,7 +16,6 @@ func Parse(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	q.HasDistinctAgg = p.sawDistinct
 	// Optional trailing semicolon.
 	if p.peek().kind == tokSymbol && p.peek().text == ";" {
 		p.next()
@@ -30,8 +29,6 @@ func Parse(src string) (*Query, error) {
 type parser struct {
 	toks []token
 	i    int
-	// sawDistinct: some function call carried the DISTINCT keyword.
-	sawDistinct bool
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -480,7 +477,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 				return fc, nil
 			}
 			if p.acceptKeyword("distinct") {
-				fc.Distinct, p.sawDistinct = true, true
+				fc.Distinct = true
 			}
 			if p.acceptSymbol(")") {
 				if fc.Distinct {
