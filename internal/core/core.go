@@ -103,8 +103,9 @@ func WithWorstOrder(on bool) Option { return func(e *Engine) { e.pickWorst = on 
 // WithBLAS toggles the dense-kernel dispatch of §III-D.
 func WithBLAS(on bool) Option { return func(e *Engine) { e.noBLAS = !on } }
 
-// WithTrieCache toggles reuse of unfiltered query tries across queries
-// (the physical index whose creation the paper's timings exclude).
+// WithTrieCache toggles reuse of unfiltered query tries, and of the base
+// orders filtered tries derive from, across queries (the physical index
+// whose creation the paper's timings exclude).
 func WithTrieCache(on bool) Option { return func(e *Engine) { e.noCache = !on } }
 
 // WithTelemetry shares a telemetry collector with this engine instead

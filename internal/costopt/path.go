@@ -4,9 +4,13 @@
 // vertex weights but membership-probe constants plus a build-side term:
 // a WCOJ node pays the full radix-sort trie build for every relation it
 // touches, while the binary path pays only the counting-bucket lazy
-// build of the levels it actually probes. Since filtered relations are
-// never trie-cached, the build term counts only them — cached builds
-// amortize to zero across queries.
+// build of the levels it actually probes. The build term counts only
+// filtered relations: an unfiltered trie is cached whole and amortizes
+// to zero across queries. A filtered relation pays a build per query,
+// cold a direct build and warm a one-pass derive from its cached base
+// order (on either path); the term prices the direct build, so it
+// overstates the warm case, and the constants stay as calibrated until
+// the cost model is refit.
 package costopt
 
 import (
@@ -107,9 +111,10 @@ func ClassifyPaths(p *planner.Plan, ch *Choice, drift float64) map[*ghd.Node]*Pa
 		}
 		pi := &PathInfo{Path: PathWCOJ, Acyclic: ghd.AcyclicHyper(verts), Drift: corr}
 
-		// Build-side terms: only uncacheable (filtered) base relations
-		// pay a per-query build; each costs score × levels in the chosen
-		// representation.
+		// Build-side terms: only filtered base relations pay a
+		// per-query build (a direct build cold, a derive from the cached
+		// base order warm; priced as the direct build); each costs
+		// score × levels in the chosen representation.
 		var sortBuild, bucketBuild float64
 		hasFiltered := false
 		for _, ei := range n.Edges {

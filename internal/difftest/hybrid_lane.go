@@ -1,7 +1,8 @@
 // The hybrid lane pits the two access paths of the hybrid executor
-// against each other: every generated query runs once with all GHD
-// nodes forced onto the WCOJ recursion and once forced onto the binary
-// hash-join chain over lazy tries, and the results must be
+// against each other: every generated query runs with all GHD nodes
+// forced onto the WCOJ recursion and forced onto the binary hash-join
+// chain over lazy tries, each twice (cold, then with filtered tries
+// derived from cached base orders), and the results must be
 // bit-identical — same row order, same column order, float aggregates
 // equal down to the last bit (so accumulation order, duplicate
 // multiplicities, and -0/NaN handling all match, not just values up to
@@ -20,7 +21,10 @@ import (
 )
 
 // RunHybridLane executes the case's SQL under both forced access paths
-// and compares bitwise.
+// and cost-based, compares bitwise, then runs both forced paths again
+// on the same engine: the repeat finds every filtered relation's base
+// order admitted and derives its trie from it, so the derived build is
+// held to the direct build's bits on both paths.
 func RunHybridLane(c *Case) Outcome {
 	eng, err := c.BuildEngine()
 	if err != nil {
@@ -33,21 +37,25 @@ func RunHybridLane(c *Case) Outcome {
 		}
 		return disagree("forced-wcoj run failed: %v", err)
 	}
-	rb, err := eng.QueryWithContext(context.Background(), c.SQL, core.QueryOptions{ForcePath: costopt.PathBinary})
-	if err != nil {
-		return disagree("forced-binary run failed after wcoj succeeded: %v", err)
-	}
-	if detail := diffBitwise(rw, rb); detail != "" {
-		return disagree("wcoj vs binary: %s", detail)
-	}
 	// The cost-based default must agree too — whatever mix the
 	// classifier picks per node, the answer may not move.
-	rd, err := eng.Query(c.SQL)
-	if err != nil {
-		return disagree("default run failed after forced runs succeeded: %v", err)
+	runs := []struct {
+		name string
+		opts core.QueryOptions
+	}{
+		{"forced-binary", core.QueryOptions{ForcePath: costopt.PathBinary}},
+		{"cost-based hybrid", core.QueryOptions{}},
+		{"repeated forced-wcoj", core.QueryOptions{ForcePath: costopt.PathWCOJ}},
+		{"repeated forced-binary", core.QueryOptions{ForcePath: costopt.PathBinary}},
 	}
-	if detail := diffBitwise(rw, rd); detail != "" {
-		return disagree("wcoj vs cost-based hybrid: %s", detail)
+	for _, r := range runs {
+		res, err := eng.QueryWithContext(context.Background(), c.SQL, r.opts)
+		if err != nil {
+			return disagree("%s run failed after wcoj succeeded: %v", r.name, err)
+		}
+		if detail := diffBitwise(rw, res); detail != "" {
+			return disagree("wcoj vs %s: %s", r.name, detail)
+		}
 	}
 	return Outcome{Verdict: Agree}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dict"
 	"repro/internal/expr"
 	"repro/internal/ghd"
+	"repro/internal/obs"
 	"repro/internal/planner"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
@@ -446,10 +447,19 @@ func (c *compiled) vertexDomainSize(vertex string) int {
 // relation: key levels in node order (attribute elimination: only the
 // vertices this query touches enter the trie), rows selected and leaf
 // values computed by block kernels, leaf and multiplicity annotations
-// pre-aggregated over duplicate key tuples. When lazy is set (binary access path) the relation becomes a
-// lazy generalized hash trie: only level 0 is materialized here, the
-// rest on first probe — the per-query build cost the binary path
-// exists to avoid.
+// pre-aggregated over duplicate key tuples. When lazy is set (binary
+// access path) the relation becomes a lazy generalized hash trie.
+//
+// Both reusable pieces are the physical index whose creation the
+// paper's measurements exclude, cached per table generation so an
+// append never serves a stale one. An unfiltered relation's whole trie
+// is cached (a lazy entry's deeper levels materialize across queries,
+// so it never aliases a fully built one). A filtered relation derives
+// its trie from a cached filter-free sort order of its key columns: one
+// pass keeps the survivors, already in key order. That base is built on
+// the second filtered miss of its key, so a table appended between
+// every query keeps building directly over its survivors. Derived and
+// direct builds are bit-identical.
 func (c *compiled) buildRel(relIdx int, order []string,
 	leafAST map[string]sqlparse.Expr, combines map[string]trie.CombineFunc, lazy bool) (*cRel, error) {
 
@@ -470,26 +480,27 @@ func (c *compiled) buildRel(relIdx int, order []string,
 		return nil, err
 	}
 
-	// Only unfiltered builds are cached: they are the reusable physical
-	// index whose creation the paper's measurements exclude. The key
-	// carries the generation sequence, so appends (which publish a new
-	// generation) never serve a stale trie, and the representation: a
-	// lazy entry's deeper levels materialize across queries
-	// (single-flight), so it must never alias a fully built trie.
-	cacheable := r.Filter == nil && !c.opts.NoAttrElim && c.opts.Cache != nil
-	cacheKey := trieKey{
-		table: tb.Schema.Name, gen: tb.Generation(),
-		attrs: strings.Join(attrs, "\x00"), leaves: strings.Join(leafKeys, "\x00"), lazy: lazy,
+	st := c.opts.Stats
+	cache := c.opts.Cache
+	if c.opts.NoAttrElim {
+		cache = nil
 	}
-	if cacheable {
-		if ix, ok := c.opts.Cache.get(cacheKey); ok {
-			if c.opts.Stats != nil {
-				c.opts.Stats.TrieCacheHits++
-			}
+	// Level names come from the query's join domains, so one name can
+	// stand for different columns of a table (a self-join binding i and
+	// j the other way round): cached pieces are keyed on the columns.
+	cols := make([]string, len(attrs))
+	for i, v := range attrs {
+		cols[i] = r.VertexCol[v]
+	}
+	cacheKey := trieKey{
+		baseKey: baseKey{table: tb.Schema.Name, gen: tb.Generation(), cols: strings.Join(cols, "\x00")},
+		leaves:  strings.Join(leafKeys, "\x00"), lazy: lazy,
+	}
+	if r.Filter == nil && cache != nil {
+		ix, ok := cache.get(cacheKey)
+		countLookup(st, ok)
+		if ok {
 			return newCRel(relIdx, r.Alias, ix, attrs), nil
-		}
-		if c.opts.Stats != nil {
-			c.opts.Stats.TrieCacheMisses++
 		}
 	}
 
@@ -497,8 +508,9 @@ func (c *compiled) buildRel(relIdx int, order []string,
 	threads := c.opts.threads()
 
 	// Row selection, block at a time per parfor chunk (the kernels only
-	// read immutable column buffers); each chunk's survivors are
-	// ascending and chunks concatenate in order.
+	// read immutable column buffers). Each chunk writes its ascending
+	// survivors over the front of its own row range of one n-row buffer;
+	// packing the chunks in order leaves them ascending.
 	n := tb.NumRows
 	var rows []int32
 	if r.Filter != nil {
@@ -506,42 +518,56 @@ func (c *compiled) buildRel(relIdx int, order []string,
 		if err != nil {
 			return nil, err
 		}
-		chunks := make([][]int32, threads)
+		buf := make([]int32, n)
+		spans := make([][2]int, threads)
 		parallelRangeID(threads, n, func(id, lo, hi int) {
 			sel := pred.Bind()
 			ids := make([]int32, expr.BlockSize)
-			out := make([]int32, 0, (hi-lo)/4+1)
+			k := lo
 			for blk := lo; blk < hi; blk += expr.BlockSize {
-				out = append(out, sel(expr.Rows(ids, blk, min(blk+expr.BlockSize, hi)), ids)...)
+				k += copy(buf[k:], sel(expr.Rows(ids, blk, min(blk+expr.BlockSize, hi)), ids))
 			}
-			chunks[id] = out
+			spans[id] = [2]int{lo, k}
 		})
-		rows = make([]int32, 0, n/4+1)
-		for _, ch := range chunks {
-			rows = append(rows, ch...)
+		m := 0
+		for _, sp := range spans {
+			m += copy(buf[m:], buf[sp[0]:sp[1]])
 		}
+		rows = buf[:m:m]
 	}
 	nRows := n
 	if rows != nil {
 		nRows = len(rows)
 	}
 
-	// Key columns in node order.
-	in := trie.BuildInput{Attrs: attrs, Threads: threads}
-	for _, v := range attrs {
-		colName := r.VertexCol[v]
-		col := tb.Col(colName)
-		if col == nil {
-			return nil, fmt.Errorf("exec: missing column %s.%s", r.Alias, colName)
+	// A filtered relation derives from its base order when one is
+	// cached; its key's second miss builds the base. The base belongs to
+	// the cache, not to the query that happens to build it: it is built
+	// only when it fits the query's remaining budget, and not charged to
+	// it, so building one never pushes a query over its budget.
+	var base *trie.Lazy
+	if r.Filter != nil && cache != nil {
+		var admit bool
+		base, admit = cache.base(cacheKey.baseKey)
+		countLookup(st, base != nil)
+		if admit && c.opts.Mem.Fits(trie.BaseBytes(n, len(cols))) {
+			keys, err := c.keyColumns(r, tb, cols)
+			if err != nil {
+				return nil, err
+			}
+			if base, err = trie.NewBase(trie.BuildInput{Attrs: cols, Keys: keys, Threads: threads}); err != nil {
+				return nil, fmt.Errorf("exec: building base order for %s: %v", r.Alias, err)
+			}
+			cache.putBase(cacheKey.baseKey, base)
+			if st != nil {
+				st.TriesBuilt++
+			}
 		}
-		codes, err := c.keyCodesFor(r, col)
-		if err != nil {
-			return nil, err
-		}
-		in.Keys = append(in.Keys, gatherU32(codes, rows))
 	}
 
+	// Leaf values over the selected rows, indexed by position in rows.
 	lastLvl := len(attrs) - 1
+	var anns []trie.AnnSpec
 	for _, key := range leafKeys {
 		num, err := expr.CompileNum(leafAST[key], binding)
 		if err != nil {
@@ -563,10 +589,48 @@ func (c *compiled) buildRel(relIdx int, order []string,
 				}
 			}
 		})
-		in.Anns = append(in.Anns, trie.AnnSpec{
+		anns = append(anns, trie.AnnSpec{
 			Name: key, Level: lastLvl, Kind: trie.F64, F64: buf,
 			Combine: combines[key],
 		})
+	}
+
+	// The selection bitsets, the leaf buffers and every output the pass
+	// appends to: what a derived build really holds. Under a memory
+	// budget a relation derives only when that charges no more than its
+	// direct build would, so a later run of a query never charges more
+	// than its first and a budget that admits the first admits them all.
+	var deriveEst int64
+	if base != nil {
+		deriveEst = int64(8*len(anns))*int64(nRows) + base.DeriveBytes(nRows, len(anns)+1)
+		if c.opts.Mem != nil && deriveEst > directBytes(nRows, len(attrs), len(anns)+1) {
+			base = nil
+		}
+	}
+	if base != nil {
+		if err := c.opts.Mem.Charge(deriveEst); err != nil {
+			return nil, err
+		}
+		d, err := base.Derive(trie.DeriveInput{Sel: rows, Anns: anns, Count: multAnn, Threads: threads})
+		if err != nil {
+			return nil, fmt.Errorf("exec: deriving trie for %s: %v", r.Alias, err)
+		}
+		if st != nil {
+			st.TriesDerived++
+		}
+		if lazy {
+			return newCRel(relIdx, r.Alias, d, attrs), nil
+		}
+		return newCRel(relIdx, r.Alias, d.Full(threads), attrs), nil
+	}
+
+	keys, err := c.keyColumns(r, tb, cols)
+	if err != nil {
+		return nil, err
+	}
+	in := trie.BuildInput{Attrs: attrs, Threads: threads, Anns: anns}
+	for _, codes := range keys {
+		in.Keys = append(in.Keys, gatherU32(codes, rows))
 	}
 	ones := make([]float64, nRows)
 	for i := range ones {
@@ -591,17 +655,12 @@ func (c *compiled) buildRel(relIdx int, order []string,
 		}
 	}
 
-	// Charge the query-trie build before running it: the build retains
-	// roughly twice the input columns (sort scratch plus trie levels), and
-	// an over-budget query should abort here rather than OOM inside Build.
-	if c.opts.Mem != nil {
-		est := int64(nRows) * int64(4*len(in.Keys)+8*len(in.Anns)) * 2
-		if err := c.opts.Mem.Charge(est); err != nil {
-			return nil, err
-		}
+	// Charge the query-trie build before running it, so an over-budget
+	// query aborts here rather than OOM inside Build.
+	if err := c.opts.Mem.Charge(directBytes(nRows, len(in.Keys), len(in.Anns))); err != nil {
+		return nil, err
 	}
 	var ix trie.Index
-	var err error
 	if lazy {
 		ix, err = trie.NewLazy(in)
 	} else {
@@ -610,13 +669,49 @@ func (c *compiled) buildRel(relIdx int, order []string,
 	if err != nil {
 		return nil, fmt.Errorf("exec: building trie for %s: %v", r.Alias, err)
 	}
-	if c.opts.Stats != nil {
-		c.opts.Stats.TriesBuilt++
+	if st != nil {
+		st.TriesBuilt++
 	}
-	if cacheable {
-		c.opts.Cache.put(cacheKey, ix)
+	if r.Filter == nil && cache != nil {
+		cache.put(cacheKey, ix)
 	}
 	return newCRel(relIdx, r.Alias, ix, attrs), nil
+}
+
+// directBytes is what a direct trie build over nRows rows with k key
+// columns and nAnns annotations is charged: roughly twice its input
+// columns (sort scratch plus trie levels).
+func directBytes(nRows, k, nAnns int) int64 {
+	return int64(nRows) * int64(4*k+8*nAnns) * 2
+}
+
+// keyColumns returns the code columns of the named key columns, over
+// every row of the table.
+func (c *compiled) keyColumns(r *planner.RelInfo, tb *storage.Table, cols []string) ([][]uint32, error) {
+	keys := make([][]uint32, len(cols))
+	for i, name := range cols {
+		col := tb.Col(name)
+		if col == nil {
+			return nil, fmt.Errorf("exec: missing column %s.%s", r.Alias, name)
+		}
+		codes, err := c.keyCodesFor(r, col)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = codes
+	}
+	return keys, nil
+}
+
+// countLookup records one trie-cache lookup in the query stats.
+func countLookup(st *obs.QueryStats, hit bool) {
+	switch {
+	case st == nil:
+	case hit:
+		st.TrieCacheHits++
+	default:
+		st.TrieCacheMisses++
+	}
 }
 
 func newCRel(relIdx int, alias string, ix trie.Index, attrs []string) *cRel {

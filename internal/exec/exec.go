@@ -9,6 +9,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
 	"time"
@@ -42,8 +43,9 @@ type Options struct {
 	// NoBLAS disables only the dense-kernel dispatch (§III-D), forcing
 	// dense LA to run as a pure aggregate-join in the WCOJ engine.
 	NoBLAS bool
-	// Cache holds reusable unfiltered tries (the "index creation" the
-	// paper's measurements exclude). Nil disables caching.
+	// Cache holds reusable unfiltered tries and the base orders filtered
+	// tries derive from (the "index creation" the paper's measurements
+	// exclude). Nil disables caching.
 	Cache *TrieCache
 	// NoFastPath disables the specialized kernels and forces the generic
 	// WCOJ interpreter (used with forced/worst attribute orders so
@@ -137,25 +139,45 @@ func (c *Column) Float(row int) float64 {
 	return 0
 }
 
-// TrieCache shares unfiltered query tries across queries.
+// TrieCache holds the query-trie pieces reusable across queries: the
+// whole trie of an unfiltered relation, and the filter-free base sort
+// order a filtered relation's trie is derived from. Every entry is
+// keyed on its table generation and purged when the table moves on.
 type TrieCache struct {
-	mu sync.RWMutex
-	m  map[trieKey]trie.Index
+	mu    sync.RWMutex
+	m     map[trieKey]trie.Index
+	bases map[baseKey]*trie.Lazy
+	// missed records base keys that missed once: the next miss builds
+	// the base. Bounded by maxMissed (cleared when full, which at worst
+	// delays an admission by one miss).
+	missed map[baseKey]struct{}
 }
 
-// trieKey identifies one cached trie: the table generation it was built
-// from, its level order, its leaf annotations (each list joined on NUL),
-// and whether it is the lazily materializing representation.
+// baseKey identifies one base order: the table generation it was built
+// from and its key columns in level order (joined on NUL). It carries no
+// leaves, filter or representation, so one base serves every leaf set,
+// both paths and every alias of the table.
+type baseKey struct {
+	table string
+	gen   uint64
+	cols  string
+}
+
+// trieKey identifies one cached trie: its base key, its leaf
+// annotations (joined on NUL), and whether it is the lazily
+// materializing representation.
 type trieKey struct {
-	table  string
-	gen    uint64
-	attrs  string
+	baseKey
 	leaves string
 	lazy   bool
 }
 
+const maxMissed = 256
+
 // NewTrieCache returns an empty cache.
-func NewTrieCache() *TrieCache { return &TrieCache{m: map[trieKey]trie.Index{}} }
+func NewTrieCache() *TrieCache {
+	return &TrieCache{m: map[trieKey]trie.Index{}, bases: map[baseKey]*trie.Lazy{}, missed: map[baseKey]struct{}{}}
+}
 
 func (c *TrieCache) get(key trieKey) (trie.Index, bool) {
 	if c == nil {
@@ -176,29 +198,53 @@ func (c *TrieCache) put(key trieKey, ix trie.Index) {
 	c.m[key] = ix
 }
 
-// PurgeTable drops every cached trie of the named table built from a
-// generation other than keep.
+// base returns the cached base under key, or nil and whether this miss
+// admits building one (the key's second miss).
+func (c *TrieCache) base(key baseKey) (b *trie.Lazy, admit bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if b := c.bases[key]; b != nil {
+		return b, false
+	}
+	if _, ok := c.missed[key]; ok {
+		delete(c.missed, key)
+		return nil, true
+	}
+	if len(c.missed) >= maxMissed {
+		clear(c.missed)
+	}
+	c.missed[key] = struct{}{}
+	return nil, false
+}
+
+func (c *TrieCache) putBase(key baseKey, b *trie.Lazy) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bases[key] = b
+}
+
+// PurgeTable drops every cached trie, base and miss record of the named
+// table from a generation other than keep.
 func (c *TrieCache) PurgeTable(table string, keep uint64) {
 	if c == nil {
 		return
 	}
+	stale := func(k baseKey) bool { return k.table == table && k.gen != keep }
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k := range c.m {
-		if k.table == table && k.gen != keep {
-			delete(c.m, k)
-		}
-	}
+	maps.DeleteFunc(c.m, func(k trieKey, _ trie.Index) bool { return stale(k.baseKey) })
+	maps.DeleteFunc(c.bases, func(k baseKey, _ *trie.Lazy) bool { return stale(k) })
+	maps.DeleteFunc(c.missed, func(k baseKey, _ struct{}) bool { return stale(k) })
 }
 
-// Len reports the number of cached tries.
+// Len reports the number of cached tries and bases.
 func (c *TrieCache) Len() int {
 	if c == nil {
 		return 0
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.m)
+	return len(c.m) + len(c.bases)
 }
 
 // collectPaths lists the compiled tree's access paths in pre-order.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/costopt"
@@ -174,12 +175,12 @@ func assertResultsEqual(t *testing.T, sql string, a, b *Result) {
 			case KindInt:
 				same = ca.I64[ri] == cb.I64[ri]
 			case KindFloat:
-				same = ca.F64[ri] == cb.F64[ri]
+				same = math.Float64bits(ca.F64[ri]) == math.Float64bits(cb.F64[ri])
 			case KindString:
 				same = ca.Str[ri] == cb.Str[ri]
 			}
 			if !same {
-				t.Fatalf("%q: col %s row %d differs from the forced-wcoj result", sql, ca.Name, ri)
+				t.Fatalf("%q: col %s row %d differs", sql, ca.Name, ri)
 			}
 		}
 	}

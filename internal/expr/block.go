@@ -18,7 +18,10 @@ const BlockSize = 2048
 type Sel func(rows, out []int32) []int32
 
 // Vec is a bound value kernel: out[i] = the expression at row rows[i],
-// for every i < len(rows) ≤ BlockSize.
+// for every i < len(rows) ≤ BlockSize. Like Sel, it takes strictly
+// ascending row ids: a block whose first and last ids lie len(rows)-1
+// apart is read as the run [rows[0], rows[0]+len(rows)), so a permuted
+// or repeated block such as [0 2 1 3] would silently read rows 0..3.
 type Vec func(rows []int32, out []float64)
 
 // Pred is a compiled predicate. It is immutable and safe to share; every
@@ -74,8 +77,8 @@ func Rows(ids []int32, lo, hi int) []int32 {
 	return ids
 }
 
-// contiguous reports whether ascending row ids form one run, and its
-// first row.
+// contiguous reports whether strictly ascending row ids form one run,
+// and its first row.
 func contiguous(rows []int32) (int, bool) {
 	n := len(rows)
 	if n == 0 {

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sqlparse"
@@ -340,6 +341,47 @@ func TestStringPredicateOnKeyColumn(t *testing.T) {
 	for i, w := range want {
 		if got[i] != w {
 			t.Fatalf("row %d = %v, want %v", i, got[i], w)
+		}
+	}
+}
+
+// TestVecAscendingContract pins the Vec contract: over every strictly
+// ascending selection of the fixture's rows — gapped and consecutive —
+// a kernel's value at each row is bit-identical to the same kernel over
+// that row alone, and only a consecutive run takes the contiguous read.
+// (A permuted block such as [0 2 1 3] spans a run too and would be read
+// as rows 0..3: it is outside the contract, which is why it is stated.)
+func TestVecAscendingContract(t *testing.T) {
+	b := fixture(t)
+	n := b.Table.NumRows
+	for _, src := range []string{"l_quantity", "l_shipdate", "l_extendedprice * (1 - l_discount)"} {
+		num, err := CompileNum(selectOf(t, src), b)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		vec := num.Bind()
+		want := make([]float64, n)
+		for r := range want {
+			vec([]int32{int32(r)}, want[r:r+1])
+		}
+		for mask := 1; mask < 1<<n; mask++ {
+			var rows []int32
+			for r := 0; r < n; r++ {
+				if mask&(1<<r) != 0 {
+					rows = append(rows, int32(r))
+				}
+			}
+			run := int(rows[len(rows)-1]-rows[0]) == len(rows)-1
+			if _, ok := contiguous(rows); ok != run {
+				t.Fatalf("contiguous(%v) = %v, want %v", rows, ok, run)
+			}
+			out := make([]float64, len(rows))
+			vec(rows, out)
+			for i, r := range rows {
+				if math.Float64bits(out[i]) != math.Float64bits(want[r]) {
+					t.Fatalf("%s over %v: row %d = %v, want %v", src, rows, r, out[i], want[r])
+				}
+			}
 		}
 	}
 }

@@ -413,6 +413,20 @@ func (a *Accountant) Charge(n int64) error {
 	return nil
 }
 
+// Fits reports whether n more bytes would stay within the query's
+// budget and the engine soft limit, charging nothing: the test for
+// optional work a query skips when memory is short.
+func (a *Accountant) Fits(n int64) bool {
+	if a == nil {
+		return true
+	}
+	if a.budget > 0 && a.used.Load()+n > a.budget {
+		return false
+	}
+	soft := a.g.cfg.SoftLimit
+	return soft <= 0 || (a.g.charged.Load()+n <= soft && a.g.sampleHeap()+n <= soft)
+}
+
 // Used reports the bytes charged so far.
 func (a *Accountant) Used() int64 {
 	if a == nil {

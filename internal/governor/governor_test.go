@@ -152,6 +152,30 @@ func TestMemoryBudget(t *testing.T) {
 	}
 }
 
+// TestFits: Fits answers against the query budget and the engine soft
+// limit without charging either.
+func TestFits(t *testing.T) {
+	var nilAcc *Accountant
+	if !nilAcc.Fits(1 << 62) {
+		t.Fatal("nil accountant refused")
+	}
+	g := New(Config{MemoryBudget: 1000, SoftLimit: 1 << 50})
+	a := g.NewAccountant("q", 0)
+	if err := a.Charge(600); err != nil {
+		t.Fatal(err)
+	}
+	if !a.Fits(400) || a.Fits(401) {
+		t.Fatal("Fits disagrees with the query budget")
+	}
+	b := g.NewAccountant("q2", 1<<60)
+	if b.Fits(1<<50) || !b.Fits(1<<40) {
+		t.Fatal("Fits disagrees with the engine soft limit")
+	}
+	if a.Used() != 600 || b.Used() != 0 || g.Charged() != 600 {
+		t.Fatalf("Fits charged: used %d and %d, engine %d", a.Used(), b.Used(), g.Charged())
+	}
+}
+
 func TestEngineSoftLimit(t *testing.T) {
 	g := New(Config{SoftLimit: 1 << 50}) // heap check can't trip in tests
 	a := g.NewAccountant("q1", 0)

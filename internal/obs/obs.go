@@ -112,10 +112,13 @@ type QueryStats struct {
 	// merged from all parfor workers.
 	Intersect set.Stats
 
-	// Query-trie construction: cache behavior and builds performed.
+	// Query-trie construction: cache behavior, builds that sorted or
+	// bucketed rows (cold direct builds and the base orders filtered
+	// tries derive from), and tries derived from a cached base.
 	TrieCacheHits   int
 	TrieCacheMisses int
 	TriesBuilt      int
+	TriesDerived    int
 
 	// Heap traffic attributed to the query: bytes allocated and GC
 	// cycles started while it ran (runtime/metrics deltas taken around
@@ -198,7 +201,7 @@ func (q *QueryStats) String() string {
 		fmt.Fprintf(&b, "cost audit [%s]:%s est=%.0f actual=%.0f ratio=%.2f (isect=%d, %s)\n",
 			strings.Join(nc.Order, " "), path, nc.Est, nc.Actual, nc.Ratio, nc.Isect, fmtBytes(nc.Bytes))
 	}
-	fmt.Fprintf(&b, "tries: built=%d cache hit=%d miss=%d\n", q.TriesBuilt, q.TrieCacheHits, q.TrieCacheMisses)
+	fmt.Fprintf(&b, "tries: built=%d derived=%d cache hit=%d miss=%d\n", q.TriesBuilt, q.TriesDerived, q.TrieCacheHits, q.TrieCacheMisses)
 	fmt.Fprintf(&b, "heap: %s allocated, %d gc cycles\n", fmtBytes(q.AllocBytes), q.GCCycles)
 	if q.MemHighWater > 0 {
 		fmt.Fprintf(&b, "mem high-water: %s\n", fmtBytes(uint64(q.MemHighWater)))
@@ -273,6 +276,7 @@ type EngineMetrics struct {
 	TrieCacheHits   atomic.Uint64
 	TrieCacheMisses atomic.Uint64
 	TriesBuilt      atomic.Uint64
+	TriesDerived    atomic.Uint64
 	PlanCacheHits   atomic.Uint64
 
 	AllocBytes atomic.Uint64
@@ -310,6 +314,7 @@ func (m *EngineMetrics) Record(q *QueryStats) {
 	m.TrieCacheHits.Add(uint64(q.TrieCacheHits))
 	m.TrieCacheMisses.Add(uint64(q.TrieCacheMisses))
 	m.TriesBuilt.Add(uint64(q.TriesBuilt))
+	m.TriesDerived.Add(uint64(q.TriesDerived))
 	m.AllocBytes.Add(q.AllocBytes)
 	m.GCCycles.Add(q.GCCycles)
 	if q.PlanCached {
@@ -354,6 +359,7 @@ func (m *EngineMetrics) SnapshotCounters() map[string]int64 {
 		"trie_cache_hits":          int64(m.TrieCacheHits.Load()),
 		"trie_cache_misses":        int64(m.TrieCacheMisses.Load()),
 		"tries_built":              int64(m.TriesBuilt.Load()),
+		"tries_derived":            int64(m.TriesDerived.Load()),
 		"plan_cache_hits":          int64(m.PlanCacheHits.Load()),
 		"alloc_bytes":              int64(m.AllocBytes.Load()),
 		"gc_cycles":                int64(m.GCCycles.Load()),

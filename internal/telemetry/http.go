@@ -128,6 +128,8 @@ var counterHelp = map[string]string{
 	"delta_rows":       "Appended rows not yet folded by compaction.",
 	"snapshot_epoch":   "Latest published snapshot/compaction epoch.",
 	"inflight_queries": "Queries currently executing or queued.",
+	"tries_built":      "Query tries built by sorting rows: cold direct builds and the base orders filtered tries derive from.",
+	"tries_derived":    "Filtered query tries derived from a cached base order without a sort.",
 }
 
 func helpFor(k string) string {

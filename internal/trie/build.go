@@ -61,16 +61,8 @@ func Build(in BuildInput) (*Trie, error) {
 			return nil, fmt.Errorf("trie: key column %d has %d rows, want %d", i, len(col), n)
 		}
 	}
-	for _, a := range in.Anns {
-		if a.Level < 0 || a.Level >= k {
-			return nil, fmt.Errorf("trie: annotation %q at level %d of %d", a.Name, a.Level, k)
-		}
-		if a.Kind == F64 && len(a.F64) != n {
-			return nil, fmt.Errorf("trie: annotation %q has %d values, want %d", a.Name, len(a.F64), n)
-		}
-		if a.Kind == Code && len(a.Codes) != n {
-			return nil, fmt.Errorf("trie: annotation %q has %d codes, want %d", a.Name, len(a.Codes), n)
-		}
+	if err := checkAnns(in.Anns, k, n, ""); err != nil {
+		return nil, err
 	}
 
 	order := sortRows(in.Keys, n, in.Threads)
@@ -93,9 +85,6 @@ func Build(in BuildInput) (*Trie, error) {
 		combines[i] = a.Combine
 		if combines[i] == nil {
 			combines[i] = Sum
-		}
-		if _, dup := t.Anns[a.Name]; dup {
-			return nil, fmt.Errorf("trie: duplicate annotation %q", a.Name)
 		}
 		t.Anns[a.Name] = anns[i]
 	}
@@ -204,6 +193,29 @@ func Build(in BuildInput) (*Trie, error) {
 		}
 	}
 	return t, nil
+}
+
+// checkAnns validates annotation specs against k key levels and n
+// input rows: a level in range, one value per row, and a name no other
+// annotation (nor reserved, when non-empty) has.
+func checkAnns(anns []AnnSpec, k, n int, reserved string) error {
+	names := make(map[string]bool, len(anns))
+	for _, a := range anns {
+		if a.Level < 0 || a.Level >= k {
+			return fmt.Errorf("trie: annotation %q at level %d of %d", a.Name, a.Level, k)
+		}
+		if a.Kind == F64 && len(a.F64) != n {
+			return fmt.Errorf("trie: annotation %q has %d values, want %d", a.Name, len(a.F64), n)
+		}
+		if a.Kind == Code && len(a.Codes) != n {
+			return fmt.Errorf("trie: annotation %q has %d codes, want %d", a.Name, len(a.Codes), n)
+		}
+		if names[a.Name] || (reserved != "" && a.Name == reserved) {
+			return fmt.Errorf("trie: duplicate annotation %q", a.Name)
+		}
+		names[a.Name] = true
+	}
+	return nil
 }
 
 // buildThreads resolves the parallelism bound for Build's scans.

@@ -46,6 +46,9 @@ type Lazy struct {
 	// deepest built level. rowOff boundaries recorded per level stay
 	// valid forever because deeper bucketing only permutes within groups.
 	rows []int32
+	// pos inverts rows (source row -> frontier position); only a base
+	// (NewBase) holds it, for Derive.
+	pos []int32
 
 	anns    map[string]*Annotation
 	annSpec []AnnSpec
@@ -105,19 +108,10 @@ func NewLazy(in BuildInput) (*Lazy, error) {
 		anns:    make(map[string]*Annotation, len(in.Anns)),
 		annSpec: in.Anns,
 	}
+	if err := checkAnns(in.Anns, k, n, ""); err != nil {
+		return nil, err
+	}
 	for _, a := range in.Anns {
-		if a.Level < 0 || a.Level >= k {
-			return nil, fmt.Errorf("trie: annotation %q at level %d of %d", a.Name, a.Level, k)
-		}
-		if a.Kind == F64 && len(a.F64) != n {
-			return nil, fmt.Errorf("trie: annotation %q has %d values, want %d", a.Name, len(a.F64), n)
-		}
-		if a.Kind == Code && len(a.Codes) != n {
-			return nil, fmt.Errorf("trie: annotation %q has %d codes, want %d", a.Name, len(a.Codes), n)
-		}
-		if _, dup := l.anns[a.Name]; dup {
-			return nil, fmt.Errorf("trie: duplicate annotation %q", a.Name)
-		}
 		l.anns[a.Name] = &Annotation{Name: a.Name, Level: a.Level, Kind: a.Kind}
 	}
 	l.mu.Lock()
@@ -471,7 +465,7 @@ func (l *Lazy) Full(threads int) *Trie {
 
 // MemBytes estimates the heap footprint of the materialized state.
 func (l *Lazy) MemBytes() int {
-	n := len(l.rows)*4 + len(l.cnt)*4 + len(l.probe0)*4
+	n := len(l.rows)*4 + len(l.pos)*4 + len(l.cnt)*4 + len(l.probe0)*4
 	for _, lv := range l.levels {
 		if lv == nil {
 			continue

@@ -155,7 +155,8 @@ var (
 	WithWorstOrder = core.WithWorstOrder
 	// WithBLAS toggles the dense-kernel dispatch of §III-D.
 	WithBLAS = core.WithBLAS
-	// WithTrieCache toggles cross-query reuse of unfiltered tries.
+	// WithTrieCache toggles cross-query reuse of unfiltered tries and of
+	// the base orders filtered tries derive from.
 	WithTrieCache = core.WithTrieCache
 	// WithTelemetry shares an existing telemetry collector with the
 	// engine (instead of the private one every engine otherwise gets).
