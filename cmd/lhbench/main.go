@@ -1000,22 +1000,18 @@ func fig5c() {
 		{"orderkey", "nationkey", "suppkey", "custkey"},
 		{"custkey", "orderkey", "nationkey", "suppkey"},
 		{"nationkey", "suppkey", "custkey", "orderkey"},
+		{"nationkey", "custkey", "orderkey", "suppkey"},
 	}
-	fmt.Printf("%-12s %6s %12s\n", "order", "cost", "runtime")
+	fmt.Printf("%-12s %6s %8s %12s\n", "order", "cost", "est", "runtime")
 	for _, ord := range orders {
 		if len(ord) != len(bag) {
 			continue
 		}
-		_, ch, err := eng.Prepare(tpch.Queries["q5"], core.QueryOptions{ForcedOrder: ord})
+		fp, ch, err := eng.Prepare(tpch.Queries["q5"], core.QueryOptions{ForcedOrder: ord})
 		if err != nil {
 			log.Fatal(err)
 		}
-		cost := 0.0
-		for _, o := range ch.Orders {
-			if len(o.Attrs) == len(ord) && o.Attrs[0] == ord[0] {
-				cost = o.Cost
-			}
-		}
+		root := ch.Orders[fp.GHD.Root]
 		d := best(func() {
 			if _, err := eng.QueryWithContext(context.Background(), tpch.Queries["q5"], core.QueryOptions{ForcedOrder: ord}); err != nil {
 				log.Fatal(err)
@@ -1025,7 +1021,7 @@ func fig5c() {
 		for i, v := range ord {
 			short[i] = label[v]
 		}
-		fmt.Printf("%-12s %6.0f %12s\n", strings.Join(short, ","), cost, d.Round(time.Microsecond))
+		fmt.Printf("%-12s %6.0f %8.0f %12s\n", strings.Join(short, ","), root.Cost, root.Est, d.Round(time.Microsecond))
 	}
 }
 

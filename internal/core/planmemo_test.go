@@ -20,19 +20,25 @@ var (
 		"GERMANY", "INDIA", "INDONESIA", "IRAN", "IRAQ", "JAPAN", "JORDAN", "KENYA", "MOROCCO",
 		"MOZAMBIQUE", "PERU", "CHINA", "ROMANIA", "SAUDI ARABIA", "VIETNAM", "RUSSIA",
 		"UNITED KINGDOM", "UNITED STATES"}
-	bindTypes  = []string{"STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"}
-	bindColors = []string{"almond", "azure", "beige", "black", "blue", "brown", "coral", "cream",
+	bindTypes    = []string{"STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"}
+	bindSegments = []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD"}
+	bindColors   = []string{"almond", "azure", "beige", "black", "blue", "brown", "coral", "cream",
 		"cyan", "dark", "drab", "forest", "ghost", "green", "grey", "ivory", "khaki", "lace",
 		"lemon", "lime", "linen", "navy", "olive", "orange", "peach", "pink", "plum", "red",
 		"rose", "tan"}
 )
 
-// boundQuery is TPC-H query name (q5, q8 or q9) under literal binding i
-// (distinct for i < 30): one text shape with literals redrawn per
-// execution, the pattern that misses the text-keyed plan cache.
+// boundQuery is TPC-H query name (q3, q5, q8, q9 or q10) under literal
+// binding i (distinct for i < 30): one text shape with literals redrawn
+// per execution, the pattern that misses the text-keyed plan cache.
 func boundQuery(name string, i int) string {
 	var r *strings.Replacer
 	switch name {
+	case "q3":
+		r = strings.NewReplacer("'BUILDING'", "'"+bindSegments[i%5]+"'",
+			"1995-03-15", fmt.Sprintf("1995-03-%02d", 1+i))
+	case "q10":
+		r = strings.NewReplacer("1993-10-01", fmt.Sprintf("%d-%02d-01", 1993+(i+1)/12, 1+(i+1)%12))
 	case "q5":
 		r = strings.NewReplacer("'ASIA'", "'"+bindRegions[i%5]+"'",
 			"1994-01-01", fmt.Sprintf("%d-01-01", 1993+(i/5)%6))
@@ -130,12 +136,13 @@ func TestPlanShapeSharedAcrossLiterals(t *testing.T) {
 	}
 }
 
-// TestNoPlanDriftAcrossLiterals runs q5, q8 and q9 under 30 literal
-// bindings each through one engine: every binding plans the same shape,
-// so no fingerprint may record a root-order change.
+// TestNoPlanDriftAcrossLiterals runs q3, q5, q8, q9 and q10 under 30
+// literal bindings each through one engine: every binding plans the same
+// shape, so no fingerprint may record a root-order change. The binding
+// estimate reads no literal, so its ties cannot flap across bindings.
 func TestNoPlanDriftAcrossLiterals(t *testing.T) {
 	eng := tpchEngine(t)
-	names := []string{"q5", "q8", "q9"}
+	names := []string{"q3", "q5", "q8", "q9", "q10"}
 	for _, name := range names {
 		for i := 0; i < 30; i++ {
 			if _, err := eng.Query(boundQuery(name, i)); err != nil {

@@ -1,8 +1,12 @@
 // Package costopt implements LevelHeaded's cost-based optimizer for
-// WCOJ attribute ordering (paper §V) — the first of its kind. For each
-// GHD node it enumerates the attribute orders that satisfy the
-// materialized-attributes-first rule (plus the §V-A2 one-attribute-union
-// relaxation) and scores each with
+// WCOJ attribute ordering (paper §V). For each GHD node it enumerates
+// the attribute orders that satisfy the materialized-attributes-first
+// rule (plus the §V-A2 one-attribute-union relaxation) and picks the
+// one with the fewest estimated prefix bindings (estimate.go): the trie
+// nodes the join recursion visits, Σ_k B_k over the order's depths,
+// from literal-free row and domain statistics.
+//
+// That estimate is a deviation from the paper. §V scores an order with
 //
 //	cost = Σ_i icost(v_i) × weight(v_i)
 //
@@ -12,13 +16,22 @@
 // follows Observation 5.2 (highest-cardinality attributes first:
 // relation scores are cardinalities relative to the heaviest relation,
 // a vertex takes its max-score edge under an equality selection and its
-// min-score edge otherwise).
+// min-score edge otherwise). That sum does not depend on position, so it
+// cannot see that an attribute's intersection runs once per binding of
+// the prefix above it: it chose a cross product for TPC-H q10 (orderkey
+// bound under nationkey, which shares no relation with it) and let q5
+// enumerate orders before the region selection cut its nations. The §V
+// cost is kept as Order.Cost: it breaks exact ties between estimates
+// (every order of a one-edge node, the orders of a dense join), and it
+// is what access-path classification, its drift correction and the
+// cost audit price.
 package costopt
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/ghd"
 	"repro/internal/lru"
@@ -51,13 +64,19 @@ type Order struct {
 	// the second-to-last projected away, executed with a 1-attribute
 	// union.
 	Relaxed bool
-	Cost    float64
-	Per     []VertexCost
+	// Est is the estimated number of prefix bindings the order
+	// enumerates, the key order selection minimises. It is 0 on a node
+	// with one edge: nothing is intersected there, so every order ties
+	// and the §V comparator decides.
+	Est float64
+	// Cost is the §V sum Σ icost × weight, with Per its terms.
+	Cost float64
+	Per  []VertexCost
 }
 
 // String renders the order for EXPLAIN output.
 func (o *Order) String() string {
-	s := fmt.Sprintf("order=%v cost=%.0f", o.Attrs, o.Cost)
+	s := fmt.Sprintf("order=%v cost=%.0f est=%.0f", o.Attrs, o.Cost, o.Est)
 	if o.Relaxed {
 		s += " (relaxed: 1-attr union)"
 	}
@@ -95,6 +114,7 @@ type nodeEdge struct {
 	score    int
 	selected bool
 	dense    bool
+	rows     float64 // estimated rows (a child's estimated result size)
 }
 
 func (e *nodeEdge) covers(v string) bool {
@@ -137,8 +157,9 @@ func Choose(p *planner.Plan, opts Options) (*Choice, error) {
 // input is everything order selection reads. It is built before the
 // search starts and the search reads nothing else, so the memo key —
 // its encoding — covers every input by construction. No literal value
-// is in it: a filter contributes only whether it is an equality
-// selection and, through density, whether it exists.
+// is in it: a filter contributes whether it is an equality selection,
+// through density whether it exists, and through the row estimate the
+// classes of its conjuncts.
 type input struct {
 	g    *ghd.GHD // by identity: the GHD memo shares one per hypergraph shape
 	rels []relInput
@@ -149,9 +170,11 @@ type input struct {
 // relInput is what order selection reads of one relation.
 type relInput struct {
 	vertices []string
-	score    int  // §V-B cardinality score
-	selected bool // HasEqualitySelection
-	dense    bool // complete density, the icost-0 case (§V-A1)
+	score    int   // §V-B cardinality score
+	selected bool  // HasEqualitySelection
+	dense    bool  // complete density, the icost-0 case (§V-A1)
+	rows     int   // log2 of the estimated rows after the filter
+	doms     []int // log2 of each vertex's domain size
 }
 
 type memoKey struct {
@@ -163,39 +186,69 @@ type memoKey struct {
 
 // newInput reads the plan and relation statistics order selection uses.
 func newInput(p *planner.Plan, opts Options) *input {
+	scores := relScores(p)
+	in := &input{g: p.GHD, rels: make([]relInput, len(p.Rels)), out: p.OutVertices, opts: opts}
+	for i := range p.Rels {
+		r := &p.Rels[i]
+		rows, doms := relStats(r)
+		in.rels[i] = relInput{vertices: r.Vertices, score: scores[i], selected: r.HasEqualitySelection,
+			dense: relCompletelyDense(r), rows: rows, doms: doms}
+	}
+	return in
+}
+
+// relScores returns each relation's §V-B cardinality score: its live
+// rows as a percentage of the heaviest relation's, rounded up, at
+// least 1.
+func relScores(p *planner.Plan) []int {
 	maxCard := 1
 	for i := range p.Rels {
 		if n := p.Rels[i].Table.LiveRows(); n > maxCard {
 			maxCard = n
 		}
 	}
-	in := &input{g: p.GHD, rels: make([]relInput, len(p.Rels)), out: p.OutVertices, opts: opts}
+	scores := make([]int, len(p.Rels))
 	for i := range p.Rels {
-		r := &p.Rels[i]
-		score := int(math.Ceil(float64(r.Table.LiveRows()) / float64(maxCard) * 100))
-		if score < 1 {
-			score = 1
-		}
-		in.rels[i] = relInput{vertices: r.Vertices, score: score, selected: r.HasEqualitySelection, dense: relCompletelyDense(r)}
+		scores[i] = max(1, int(math.Ceil(float64(p.Rels[i].Table.LiveRows())/float64(maxCard)*100)))
 	}
-	return in
+	return scores
 }
 
-// key encodes the input; %q quotes every name, which keeps the encoding
-// unambiguous.
+// key encodes the input. Every name is quoted and every name list
+// bracketed, which keeps the encoding unambiguous; a relation has one
+// domain exponent per vertex. It is built with strconv, not fmt: it is
+// encoded on every Choose call, memo hit or not.
 func (in *input) key() memoKey {
-	b := fmt.Appendf(nil, "%q", in.out)
+	b := appendNames(nil, in.out)
 	for _, r := range in.rels {
-		b = fmt.Appendf(b, "%q%d,%t,%t;", r.vertices, r.score, r.selected, r.dense)
+		b = appendNames(b, r.vertices)
+		b = strconv.AppendInt(b, int64(r.score), 10)
+		b = strconv.AppendBool(append(b, ','), r.selected)
+		b = strconv.AppendBool(append(b, ','), r.dense)
+		b = strconv.AppendInt(append(b, ','), int64(r.rows), 10)
+		for _, d := range r.doms {
+			b = strconv.AppendInt(append(b, ','), int64(d), 10)
+		}
+		b = append(b, ';')
 	}
 	o := in.opts
-	b = fmt.Appendf(b, "|%t,%t,%q,%t", o.Disabled, o.PickWorst, o.Forced, o.ForcedRelaxed)
+	b = strconv.AppendBool(append(b, '|'), o.Disabled)
+	b = strconv.AppendBool(append(b, ','), o.PickWorst)
+	b = strconv.AppendBool(append(appendNames(append(b, ','), o.Forced), ','), o.ForcedRelaxed)
 	return memoKey{g: in.g, enc: string(b)}
+}
+
+func appendNames(b []byte, names []string) []byte {
+	b = append(b, '[')
+	for _, n := range names {
+		b = strconv.AppendQuote(b, n)
+	}
+	return append(b, ']')
 }
 
 // choose is the uncached search behind Choose.
 func choose(in *input) (*Choice, error) {
-	c := &chooser{in: in, out: &Choice{Orders: map[*ghd.Node]*Order{}}, globalPos: map[string]int{}}
+	c := newChooser(in)
 	if err := c.walk(in.g.Root, nil); err != nil {
 		return nil, err
 	}
@@ -207,6 +260,21 @@ type chooser struct {
 	out       *Choice
 	globalPos map[string]int
 	globalSeq int
+	// domain is N_v: the largest quantized domain size any relation
+	// covering v reports (relations sharing a vertex share its domain
+	// dictionary).
+	domain map[string]float64
+}
+
+func newChooser(in *input) *chooser {
+	c := &chooser{in: in, out: &Choice{Orders: map[*ghd.Node]*Order{}}, globalPos: map[string]int{},
+		domain: map[string]float64{}}
+	for _, r := range in.rels {
+		for i, v := range r.vertices {
+			c.domain[v] = math.Max(c.domain[v], pow2(r.doms[i]))
+		}
+	}
+	return c
 }
 
 // relCompletelyDense reports whether the relation's key structure is a
@@ -242,6 +310,7 @@ func (c *chooser) nodeEdges(n *ghd.Node) []nodeEdge {
 			score:    r.score,
 			selected: r.selected,
 			dense:    r.dense,
+			rows:     pow2(r.rows),
 		})
 	}
 	for _, ch := range n.Children {
@@ -250,6 +319,7 @@ func (c *chooser) nodeEdges(n *ghd.Node) []nodeEdge {
 			vertices: shared,
 			score:    c.subtreeMinScore(ch),
 			selected: c.subtreeSelected(ch),
+			rows:     c.resultRows(ch),
 		})
 	}
 	return edges
@@ -309,7 +379,7 @@ func (c *chooser) walk(n *ghd.Node, parent *ghd.Node) error {
 		chosen = cands[0]
 		for _, cand := range cands[1:] {
 			if c.in.opts.PickWorst {
-				if cand.Cost > chosen.Cost {
+				if better(chosen, cand) {
 					chosen = cand
 				}
 			} else if better(cand, chosen) {
@@ -335,16 +405,20 @@ func (c *chooser) walk(n *ghd.Node, parent *ghd.Node) error {
 	return nil
 }
 
-// better orders candidates: primarily by cost; cost ties break by
-// Observation 5.2 directly — the heavier (higher-weight) attributes
-// should come first, so the weight sequence is compared for
-// lexicographically *descending* preference. (The icost × weight sum is
-// position-independent, so without this tie-break a low-cardinality
-// materialized attribute could land in the outer loop and multiply the
-// work of every inner intersection.) A full tie returns false, so walk
-// keeps the first-enumerated order; enumeration follows bag order, which
-// the planner's sorted vertex naming makes a function of the query text.
+// better orders candidates: primarily by estimated prefix bindings
+// (Est), the deviation from §V that sees where in the order each
+// intersection runs. An exact Est tie — a one-edge node, the orders of
+// a dense join, symmetric LA shapes — falls back to the paper's
+// comparator: the §V cost, then Observation 5.2 directly, the heavier
+// (higher-weight) attributes first, so the weight sequence is compared
+// for lexicographically *descending* preference. A full tie returns
+// false, so walk keeps the first-enumerated order; enumeration follows
+// bag order, which the planner's sorted vertex naming makes a function
+// of the query text. PickWorst maximises the same key.
 func better(a, b *Order) bool {
+	if a.Est != b.Est {
+		return a.Est < b.Est
+	}
 	if a.Cost != b.Cost {
 		return a.Cost < b.Cost
 	}
@@ -414,9 +488,13 @@ func (c *chooser) candidates(n *ghd.Node, mat map[string]bool, edges []nodeEdge)
 	return out
 }
 
-// scoreOrder computes the §V cost of one attribute order.
+// scoreOrder computes the binding estimate and the §V cost of one
+// attribute order.
 func (c *chooser) scoreOrder(order []string, mat map[string]bool, edges []nodeEdge, relaxed bool) *Order {
 	o := &Order{Attrs: order, MatSet: mat, Relaxed: relaxed}
+	if len(edges) > 1 {
+		o.Est, _ = c.bindings(order, edges)
+	}
 	seen := make([]bool, len(edges))
 	for _, v := range order {
 		var layouts []int // 0 = bs, 1 = uint

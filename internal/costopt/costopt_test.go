@@ -1,6 +1,7 @@
 package costopt
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -145,8 +146,9 @@ func TestPickWorstIsWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if worst.Orders[p.GHD.Root].Cost < best.Orders[p.GHD.Root].Cost {
-		t.Fatalf("worst cost %v < best cost %v", worst.Orders[p.GHD.Root].Cost, best.Orders[p.GHD.Root].Cost)
+	w, b := worst.Orders[p.GHD.Root], best.Orders[p.GHD.Root]
+	if !better(b, w) {
+		t.Fatalf("worst order %s does not rank below the best %s", w, b)
 	}
 }
 
@@ -287,6 +289,74 @@ func TestChooseMemo(t *testing.T) {
 	}
 }
 
+// TestMemoKeyQuantized: the binding estimate's statistics enter the
+// memo key as power-of-two steps, so appends that stay within a step
+// keep the key — and the memo hit — while crossing one searches again.
+func TestMemoKeyQuantized(t *testing.T) {
+	cat := storage.NewCatalog()
+	li, _ := cat.Create(storage.Schema{Name: "li", Cols: []storage.ColumnDef{
+		{Name: "a", Kind: storage.Int64, Role: storage.Key, Domain: "ka"},
+		{Name: "b", Kind: storage.Int64, Role: storage.Key, Domain: "kb"},
+	}})
+	or, _ := cat.Create(storage.Schema{Name: "or_t", Cols: []storage.ColumnDef{
+		{Name: "b2", Kind: storage.Int64, Role: storage.Key, Domain: "kb"},
+		{Name: "c", Kind: storage.Int64, Role: storage.Key, Domain: "kc"},
+	}})
+	for i := int64(0); i < 400; i++ {
+		_ = li.Append(i%20, i%40)
+	}
+	for i := int64(0); i < 177; i++ {
+		_ = or.Append(i%40, i%10)
+	}
+	if err := cat.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	// appendOr publishes or_t rows [from, to) with existing key values,
+	// so only its row count moves.
+	appendOr := func(from, to int64) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := or.Append(i%40, i%10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cat.Snapshot()
+	}
+	state := func() (memoKey, *Choice, relInput) {
+		t.Helper()
+		p := planFor(t, cat, scoreSQL)
+		ch, err := Choose(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := newInput(p, Options{})
+		return in.key(), ch, in.rels[p.RelIndex("or_t")]
+	}
+
+	// 177 → 178 rows: 2^7 either way, and the score stays 45.
+	k0, ch0, r0 := state()
+	appendOr(177, 178)
+	k1, ch1, r1 := state()
+	if r0.rows != 7 || r1.rows != 7 || r0.score != r1.score {
+		t.Fatalf("or_t inputs %+v → %+v, want rows 2^7 and one score", r0, r1)
+	}
+	if k1 != k0 || ch1 != ch0 {
+		t.Error("an append within one quantization step changed the key")
+	}
+
+	// 181 → 182 rows crosses 2^7.5 (rows 2^7 → 2^8); the score stays 46.
+	appendOr(178, 181)
+	k2, ch2, r2 := state()
+	appendOr(181, 182)
+	k3, ch3, r3 := state()
+	if r2.rows != 7 || r3.rows != 8 || r2.score != r3.score {
+		t.Fatalf("or_t inputs %+v → %+v, want rows 2^7 → 2^8 and one score", r2, r3)
+	}
+	if k3 == k2 || ch3 == ch2 {
+		t.Error("an append across a quantization step kept the key")
+	}
+}
+
 func TestHighestCardinalityFirst(t *testing.T) {
 	// Observation 5.2 on a Q5-like two-relation join: the heavy shared
 	// vertex should come first in the chosen order.
@@ -351,6 +421,39 @@ func TestRelaxedValid(t *testing.T) {
 	short := &Order{Attrs: []string{"i"}, MatSet: mat}
 	if RelaxedValid(short) {
 		t.Error("single attribute cannot be relaxed")
+	}
+}
+
+// TestSelectivityClasses pins the literal-free Selinger defaults the
+// row estimate multiplies in, one conjunct class at a time.
+func TestSelectivityClasses(t *testing.T) {
+	cat, _ := scoreCatalog(t)
+	li := cat.Table("li") // key column a holds 20 distinct values
+	col := func(n string) sqlparse.Expr { return sqlparse.ColRef{Name: n} }
+	lit := sqlparse.NumberLit{Val: 3, IsInt: true}
+	eqA := sqlparse.BinaryExpr{Op: "=", L: col("a"), R: lit}
+	cases := []struct {
+		name string
+		e    sqlparse.Expr
+		want float64
+	}{
+		{"none", nil, 1},
+		{"= on a dictionary column", eqA, 1.0 / 20},
+		{"= between columns", sqlparse.BinaryExpr{Op: "=", L: col("a"), R: col("b")}, 1.0 / 10},
+		{"range", sqlparse.BinaryExpr{Op: "<", L: col("a"), R: lit}, 1.0 / 3},
+		{"between", sqlparse.BetweenExpr{X: col("a"), Lo: lit, Hi: lit}, 1.0 / 4},
+		{"like", sqlparse.LikeExpr{X: col("a"), Pattern: "%x%"}, 1.0 / 10},
+		{"in", sqlparse.InExpr{X: col("a"), Vals: []sqlparse.Expr{lit, lit}}, 2.0 / 20},
+		{"and", sqlparse.BinaryExpr{Op: "and", L: eqA, R: sqlparse.LikeExpr{X: col("a"), Pattern: "%x%"}}, 1.0 / 200},
+		{"or", sqlparse.BinaryExpr{Op: "or", L: eqA, R: eqA}, 2.0 / 20},
+		{"not like", sqlparse.LikeExpr{X: col("a"), Pattern: "%x%", Negate: true}, 9.0 / 10},
+		{"or capped", sqlparse.BinaryExpr{Op: "or", L: sqlparse.LikeExpr{X: col("a"), Pattern: "%x%", Negate: true},
+			R: sqlparse.BinaryExpr{Op: ">", L: col("a"), R: lit}}, 1},
+	}
+	for _, c := range cases {
+		if got := selectivity(c.e, li); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: selectivity %g, want %g", c.name, got, c.want)
+		}
 	}
 }
 

@@ -1,5 +1,7 @@
-// Access-path selection for the hybrid binary/WCOJ executor. The §V
-// icost model prices the generic WCOJ path; the binary hash-join path
+// Access-path selection for the hybrid binary/WCOJ executor. It runs on
+// the order Choose picked by its binding estimate, and prices the two
+// paths of that order on the §V scale, not on the estimate: the §V
+// icost sum prices the generic WCOJ path; the binary hash-join path
 // over lazily-built generalized hash tries is priced with the same
 // vertex weights but membership-probe constants plus a build-side term:
 // a WCOJ node pays the full radix-sort trie build for every relation it
@@ -88,7 +90,7 @@ func ClassifyPaths(p *planner.Plan, ch *Choice, drift float64) map[*ghd.Node]*Pa
 	if p.GHD == nil {
 		return out
 	}
-	c := &chooser{in: newInput(p, Options{})}
+	scores := relScores(p)
 	corr := 1.0
 	if drift > 0 {
 		corr = drift
@@ -104,10 +106,13 @@ func ClassifyPaths(p *planner.Plan, ch *Choice, drift float64) map[*ghd.Node]*Pa
 		if ord == nil {
 			return
 		}
-		edges := c.nodeEdges(n)
-		verts := make([][]string, len(edges))
-		for i := range edges {
-			verts[i] = edges[i].vertices
+		// The node's edges: its relations and one per child result.
+		verts := make([][]string, 0, len(n.Edges)+len(n.Children))
+		for _, ei := range n.Edges {
+			verts = append(verts, p.Rels[ei].Vertices)
+		}
+		for _, ch := range n.Children {
+			verts = append(verts, intersectStrs(n.Bag, ch.Bag))
 		}
 		pi := &PathInfo{Path: PathWCOJ, Acyclic: ghd.AcyclicHyper(verts), Drift: corr}
 
@@ -124,7 +129,7 @@ func ClassifyPaths(p *planner.Plan, ch *Choice, drift float64) map[*ghd.Node]*Pa
 			}
 			hasFiltered = true
 			levels := float64(len(r.Vertices))
-			score := float64(c.in.rels[ei].score)
+			score := float64(scores[ei])
 			sortBuild += score * levels * costSortBuild
 			bucketBuild += score * levels * costBucketBuild
 		}
@@ -135,8 +140,8 @@ func ClassifyPaths(p *planner.Plan, ch *Choice, drift float64) map[*ghd.Node]*Pa
 		var probe float64
 		for _, vc := range ord.Per {
 			m := 0
-			for i := range edges {
-				if edges[i].covers(vc.Vertex) {
+			for _, vs := range verts {
+				if containsStr(vs, vc.Vertex) {
 					m++
 				}
 			}

@@ -55,7 +55,7 @@ type cAgg struct {
 type cNode struct {
 	gnode      *ghd.Node
 	order      []string
-	est        *costopt.Order // the chosen order with its §V cost terms (est-vs-actual audit)
+	est        *costopt.Order // the chosen order with its estimates (est-vs-actual audit)
 	relaxed    bool
 	rels       []*cRel
 	parts      [][]part

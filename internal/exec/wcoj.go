@@ -331,6 +331,7 @@ func runNode(n *cNode, opts Options, parent telemetry.SpanID) (*rowsBuf, *hashAc
 	// the sum over node spans. Child nodes fold separately, so counts are
 	// attributed exactly once.
 	var nodeStats set.Stats
+	var bindings uint64 // trie nodes the workers visited (their steps)
 	lazyBefore := lazyLevelsSum(n)
 	defer func() {
 		tr.EndWithStats(sp, &nodeStats)
@@ -338,7 +339,8 @@ func runNode(n *cNode, opts Options, parent telemetry.SpanID) (*rowsBuf, *hashAc
 			opts.Stats.Intersect.Add(&nodeStats)
 			// Estimate-vs-actual audit: the §V model's predicted cost for
 			// this node against the observed kernel counts repriced with the
-			// same icost constants. Node recursion is single-goroutine (the
+			// same icost constants, and the order's binding estimate against
+			// the trie nodes visited. Node recursion is single-goroutine (the
 			// parfor is within a node), so the append is race-free. Binary
 			// nodes audit against the probe-side estimate so the ratio
 			// calibrates the model of the path that actually ran.
@@ -347,8 +349,12 @@ func runNode(n *cNode, opts Options, parent telemetry.SpanID) (*rowsBuf, *hashAc
 				Actual:     costopt.ObservedCost(&nodeStats),
 				Isect:      nodeStats.Total(),
 				Bytes:      nodeStats.BytesOut,
+				Bindings:   bindings,
 				Path:       n.path,
 				LazyLevels: lazyLevelsSum(n) - lazyBefore,
+			}
+			if n.est != nil {
+				nc.EstBindings = n.est.Est
 			}
 			if n.path == costopt.PathBinary && n.pinfo != nil {
 				nc.Est = n.pinfo.ProbeCost
@@ -458,6 +464,7 @@ func runNode(n *cNode, opts Options, parent telemetry.SpanID) (*rowsBuf, *hashAc
 	for _, w := range workers {
 		if w != nil {
 			nodeStats.Add(&w.iStats)
+			bindings += uint64(w.steps)
 		}
 	}
 	for _, e := range errs {

@@ -52,19 +52,28 @@ type Phases struct {
 	Total   time.Duration
 }
 
-// NodeCost is the estimate-vs-actual cost audit for one GHD node: the
-// §V model's predicted cost (Σ icost×weight over the chosen order)
-// against the observed work (the node's measured kernel counts repriced
-// with the same icost constants). Ratio is Actual/Est — the optimizer's
-// calibration signal per node; 0 when the estimate was 0 (dense
-// relations, trivial nodes).
+// NodeCost is the estimate-vs-actual cost audit for one GHD node, on
+// two scales. Est is the §V icost sum that prices the node's access
+// path (Σ icost×weight over the chosen order on the WCOJ path, the probe
+// term on the binary path), against Actual, the node's measured kernel
+// counts repriced with the same icost constants; Ratio is Actual/Est,
+// the per-node calibration signal the access-path drift correction
+// reads, 0 when Est was 0 (dense relations, trivial nodes). Order
+// selection does not read that scale: it minimises EstBindings, the
+// estimated prefix bindings of the order, which Bindings — the trie
+// nodes the join recursion visited — measures.
 type NodeCost struct {
 	Order  []string // the node's executed attribute order
-	Est    float64  // predicted §V cost of the chosen access path
+	Est    float64  // §V icost estimate of the chosen access path
 	Actual float64  // icost-weighted observed intersections/probes
 	Ratio  float64  // Actual/Est (0 when Est == 0)
 	Isect  uint64   // raw intersection+probe count at this node
 	Bytes  uint64   // bytes materialized at this node
+	// EstBindings is the order's estimated prefix bindings
+	// (costopt.Order.Est; 0 on a one-edge node) and Bindings the trie
+	// nodes the workers visited, summed at the parfor join.
+	EstBindings float64
+	Bindings    uint64
 	// Path is the access path the node executed (costopt.PathWCOJ or
 	// costopt.PathBinary); LazyLevels counts the lazy-trie levels this
 	// node materialized during execution (0 on the WCOJ path and on
@@ -198,8 +207,8 @@ func (q *QueryStats) String() string {
 		if nc.Path != "" {
 			path = fmt.Sprintf(" path=%s lazy-levels=%d", nc.Path, nc.LazyLevels)
 		}
-		fmt.Fprintf(&b, "cost audit [%s]:%s est=%.0f actual=%.0f ratio=%.2f (isect=%d, %s)\n",
-			strings.Join(nc.Order, " "), path, nc.Est, nc.Actual, nc.Ratio, nc.Isect, fmtBytes(nc.Bytes))
+		fmt.Fprintf(&b, "cost audit [%s]:%s est=%.0f actual=%.0f ratio=%.2f bindings est=%.0f actual=%d (isect=%d, %s)\n",
+			strings.Join(nc.Order, " "), path, nc.Est, nc.Actual, nc.Ratio, nc.EstBindings, nc.Bindings, nc.Isect, fmtBytes(nc.Bytes))
 	}
 	fmt.Fprintf(&b, "tries: built=%d derived=%d cache hit=%d miss=%d\n", q.TriesBuilt, q.TriesDerived, q.TrieCacheHits, q.TrieCacheMisses)
 	fmt.Fprintf(&b, "heap: %s allocated, %d gc cycles\n", fmtBytes(q.AllocBytes), q.GCCycles)

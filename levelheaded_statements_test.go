@@ -75,8 +75,8 @@ func TestStatementsEndToEnd(t *testing.T) {
 
 // TestStatementFingerprintOnStats checks the per-query surfaces: the
 // fingerprint rides Result.Stats (cold and plan-cache-hit runs agree),
-// the WCOJ path records per-node NodeCosts, and EXPLAIN ANALYZE renders
-// both.
+// the WCOJ path records per-node NodeCosts on both estimate scales,
+// and EXPLAIN ANALYZE renders them.
 func TestStatementFingerprintOnStats(t *testing.T) {
 	eng := triangleEngine(t)
 	ctx := context.Background()
@@ -91,7 +91,7 @@ func TestStatementFingerprintOnStats(t *testing.T) {
 		t.Fatal("generic WCOJ run recorded no NodeCosts")
 	}
 	for _, nc := range res1.Stats.NodeCosts {
-		if len(nc.Order) == 0 || nc.Est <= 0 || nc.Actual <= 0 {
+		if len(nc.Order) == 0 || nc.Est <= 0 || nc.Actual <= 0 || nc.EstBindings <= 0 || nc.Bindings == 0 {
 			t.Errorf("node cost audit incomplete: %+v", nc)
 		}
 		if nc.Ratio <= 0 {
@@ -114,7 +114,7 @@ func TestStatementFingerprintOnStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"fingerprint: ", "cost audit [", "ratio="} {
+	for _, want := range []string{"fingerprint: ", "cost audit [", "ratio=", "bindings est="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("EXPLAIN ANALYZE missing %q:\n%s", want, out)
 		}
