@@ -51,6 +51,30 @@ type cAgg struct {
 	multRels []int       // rels whose multiplicity multiplies in
 }
 
+// leafFactor is one factor of an aggregate's per-tuple value at a
+// compiled leaf: a constant (rel < 0), or an annotation buffer read at
+// rel's last-level rank.
+type leafFactor struct {
+	c    float64
+	buf  []float64 // bound by cNode.bind
+	rel  int       // index into cNode.rels; -1 for a constant
+	lvl  int       // rel's last trie level
+	leaf int       // the cAgg leaf whose buffer this is; -1 for a multiplicity
+	part int       // rel's participant index at the leaf level; -1 when bound above it
+}
+
+// leafChain is one aggregate's per-tuple value at a compiled leaf: the
+// product of fs, left-associated in the order evalAgg multiplies. The
+// factors before split stay fixed along a leaf run.
+type leafChain struct {
+	fs    []leafFactor
+	split int // index of the first factor read at a leaf rank (len(fs) when none is)
+}
+
+// leafKernelOff makes compile leave every leaf to the per-tuple emit
+// path (tests compare the two).
+var leafKernelOff bool
+
 // cNode is a compiled GHD node.
 type cNode struct {
 	gnode      *ghd.Node
@@ -77,6 +101,10 @@ type cNode struct {
 	// classifier ran (nil under ablations/forced orders).
 	path  string
 	pinfo *costopt.PathInfo
+	// leaf, one chain per aggregate, is the compiled leaf level: when
+	// set, the last level folds each candidate block in one loop
+	// (worker.foldLeaf) instead of emitting tuple by tuple.
+	leaf []leafChain
 }
 
 // hashGroup computes the emit-time group token of one GROUP BY item.
@@ -182,7 +210,85 @@ func compile(p *planner.Plan, ch *costopt.Choice, cat *storage.Catalog, opts Opt
 	if err := c.buildGroupDecoders(); err != nil {
 		return nil, err
 	}
+	if !leafKernelOff {
+		root.compileLeaf()
+	}
 	return c, nil
+}
+
+// compileLeaf decides, for this node and its children, whether the last
+// level runs the compiled leaf: it must be relaxed or aggregated away
+// (below the group boundary), the node must not hash-emit, and every
+// aggregate must be COUNT, or SUM of a leaf, a constant or the product
+// of two of them; multiplicities may multiply in.
+func (cn *cNode) compileLeaf() {
+	for _, ch := range cn.children {
+		ch.compileLeaf()
+	}
+	if cn.hashEmit || cn.nLevels-1 < cn.matCount {
+		return
+	}
+	chains := make([]leafChain, len(cn.aggs))
+	for ai := range cn.aggs {
+		fs, ok := cn.leafFactors(&cn.aggs[ai])
+		if !ok {
+			return
+		}
+		split := len(fs)
+		for fi, f := range fs {
+			if f.part >= 0 {
+				split = fi
+				break
+			}
+		}
+		chains[ai] = leafChain{fs: fs, split: split}
+	}
+	cn.leaf = chains
+}
+
+// leafFactors lists an aggregate's per-tuple product in evalAgg's
+// order: the skeleton's operands, then each multiplicity. ok is false
+// for MIN/MAX and for any other skeleton shape.
+func (cn *cNode) leafFactors(a *cAgg) (fs []leafFactor, ok bool) {
+	operand := func(e *planner.EmitNode) bool {
+		switch e.Op {
+		case planner.EmitConst:
+			fs = append(fs, leafFactor{c: e.Const, rel: -1, leaf: -1, part: -1})
+		case planner.EmitLeaf:
+			fs = append(fs, cn.relFactor(a.leafRels[e.Leaf], e.Leaf))
+		default:
+			return false
+		}
+		return true
+	}
+	switch {
+	case a.kind == planner.AggCount:
+		fs = append(fs, leafFactor{c: 1, rel: -1, leaf: -1, part: -1})
+	case a.kind != planner.AggSum || a.skel == nil:
+		return nil, false
+	case a.skel.Op == planner.EmitMul:
+		if !operand(a.skel.L) || !operand(a.skel.R) {
+			return nil, false
+		}
+	case !operand(a.skel):
+		return nil, false
+	}
+	for _, rel := range a.multRels {
+		fs = append(fs, cn.relFactor(rel, -1))
+	}
+	return fs, true
+}
+
+// relFactor is the factor read from rel's annotation buffer: leaf li of
+// the aggregate, or rel's multiplicity when li < 0.
+func (cn *cNode) relFactor(rel, li int) leafFactor {
+	f := leafFactor{rel: rel, lvl: len(cn.rels[rel].attrs) - 1, leaf: li, part: -1}
+	for j, p := range cn.parts[cn.nLevels-1] {
+		if p.rel == rel {
+			f.part = j
+		}
+	}
+	return f
 }
 
 // tbl resolves a relation's table handle through the execution's
@@ -370,6 +476,17 @@ func (cn *cNode) bind() {
 		a := &cn.aggs[ai]
 		for li, name := range a.leafAnns {
 			a.leafBufs[li] = cn.rels[a.leafRels[li]].ix.Ann(name).F64
+		}
+	}
+	for ai := range cn.leaf {
+		for fi := range cn.leaf[ai].fs {
+			f := &cn.leaf[ai].fs[fi]
+			switch {
+			case f.leaf >= 0:
+				f.buf = cn.aggs[ai].leafBufs[f.leaf]
+			case f.rel >= 0:
+				f.buf = cn.rels[f.rel].mult
+			}
 		}
 	}
 }

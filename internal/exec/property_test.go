@@ -10,115 +10,123 @@ import (
 	"repro/internal/storage"
 )
 
-// TestRandomStarJoinsMatchBruteForce generates random 3-relation star
-// joins (fact(a, b) ⋈ dim1(a) ⋈ dim2(b)) with duplicates and filters and
-// checks the engine against a brute-force nested-loop evaluation, over
-// many seeds and both optimizer modes.
+// starSQL filters dim1 by tag, groups by a, and sums fact.x * dim2.y
+// next to count(*) over a randomStarJoin catalog.
+const starSQL = `SELECT a1, sum(x * y) as s, count(*) as c
+	FROM fact, dim1, dim2
+	WHERE fact.a = dim1.a1 AND fact.b = dim2.b2 AND tag <> 'red'
+	GROUP BY a1`
+
+// starGroup is one group of starSQL's brute-force answer.
+type starGroup struct{ s, c float64 }
+
+// randomStarJoin generates a random 3-relation star join (fact(a, b) ⋈
+// dim1(a) ⋈ dim2(b)) with duplicates and filters, and evaluates starSQL
+// over it by brute-force nested loops.
+func randomStarJoin(t *testing.T, seed int64) (*storage.Catalog, map[int64]*starGroup) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	cat := storage.NewCatalog()
+	fact, err := cat.Create(storage.Schema{Name: "fact", Cols: []storage.ColumnDef{
+		{Name: "a", Kind: storage.Int64, Role: storage.Key, Domain: "da"},
+		{Name: "b", Kind: storage.Int64, Role: storage.Key, Domain: "db"},
+		{Name: "x", Kind: storage.Float64, Role: storage.Annotation},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dim1, err := cat.Create(storage.Schema{Name: "dim1", Cols: []storage.ColumnDef{
+		{Name: "a1", Kind: storage.Int64, Role: storage.Key, Domain: "da", PK: true},
+		{Name: "w", Kind: storage.Float64, Role: storage.Annotation},
+		{Name: "tag", Kind: storage.String, Role: storage.Annotation},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dim2, err := cat.Create(storage.Schema{Name: "dim2", Cols: []storage.ColumnDef{
+		{Name: "b2", Kind: storage.Int64, Role: storage.Key, Domain: "db"},
+		{Name: "y", Kind: storage.Float64, Role: storage.Annotation},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	nA := 3 + r.Intn(8)
+	nB := 3 + r.Intn(8)
+	// dim1: unique keys, a tag used both for filtering and grouping.
+	tags := []string{"red", "green", "blue"}
+	d1w := map[int64]float64{}
+	d1tag := map[int64]string{}
+	for a := 0; a < nA; a++ {
+		w := float64(r.Intn(5) + 1)
+		tag := tags[r.Intn(3)]
+		d1w[int64(a)] = w
+		d1tag[int64(a)] = tag
+		if err := dim1.Append(int64(a), w, tag); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// dim2: may contain duplicate keys (multiplicities).
+	type d2row struct{ y float64 }
+	d2rows := map[int64][]d2row{}
+	nD2 := nB + r.Intn(nB+1)
+	for i := 0; i < nD2; i++ {
+		b := int64(r.Intn(nB))
+		y := float64(r.Intn(7))
+		d2rows[b] = append(d2rows[b], d2row{y})
+		if err := dim2.Append(b, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// fact: duplicates everywhere.
+	type frow struct {
+		a, b int64
+		x    float64
+	}
+	var facts []frow
+	nF := 10 + r.Intn(40)
+	for i := 0; i < nF; i++ {
+		f := frow{int64(r.Intn(nA)), int64(r.Intn(nB)), float64(r.Intn(10))}
+		facts = append(facts, f)
+		if err := fact.Append(f.a, f.b, f.x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cat.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[int64]*starGroup{}
+	for _, f := range facts {
+		if d1tag[f.a] == "red" {
+			continue
+		}
+		if _, ok := d1w[f.a]; !ok {
+			continue
+		}
+		for _, d2 := range d2rows[f.b] {
+			a := want[f.a]
+			if a == nil {
+				a = &starGroup{}
+				want[f.a] = a
+			}
+			a.s += f.x * d2.y
+			a.c++
+		}
+	}
+	return cat, want
+}
+
+// TestRandomStarJoinsMatchBruteForce checks the engine against the
+// brute-force evaluation of random star joins, over many seeds and
+// optimizer modes.
 func TestRandomStarJoinsMatchBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			r := rand.New(rand.NewSource(seed))
-			cat := storage.NewCatalog()
-			fact, err := cat.Create(storage.Schema{Name: "fact", Cols: []storage.ColumnDef{
-				{Name: "a", Kind: storage.Int64, Role: storage.Key, Domain: "da"},
-				{Name: "b", Kind: storage.Int64, Role: storage.Key, Domain: "db"},
-				{Name: "x", Kind: storage.Float64, Role: storage.Annotation},
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			dim1, err := cat.Create(storage.Schema{Name: "dim1", Cols: []storage.ColumnDef{
-				{Name: "a1", Kind: storage.Int64, Role: storage.Key, Domain: "da", PK: true},
-				{Name: "w", Kind: storage.Float64, Role: storage.Annotation},
-				{Name: "tag", Kind: storage.String, Role: storage.Annotation},
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			dim2, err := cat.Create(storage.Schema{Name: "dim2", Cols: []storage.ColumnDef{
-				{Name: "b2", Kind: storage.Int64, Role: storage.Key, Domain: "db"},
-				{Name: "y", Kind: storage.Float64, Role: storage.Annotation},
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			nA := 3 + r.Intn(8)
-			nB := 3 + r.Intn(8)
-			// dim1: unique keys, a tag used both for filtering and grouping.
-			tags := []string{"red", "green", "blue"}
-			d1w := map[int64]float64{}
-			d1tag := map[int64]string{}
-			for a := 0; a < nA; a++ {
-				w := float64(r.Intn(5) + 1)
-				tag := tags[r.Intn(3)]
-				d1w[int64(a)] = w
-				d1tag[int64(a)] = tag
-				if err := dim1.Append(int64(a), w, tag); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// dim2: may contain duplicate keys (multiplicities).
-			type d2row struct{ y float64 }
-			d2rows := map[int64][]d2row{}
-			nD2 := nB + r.Intn(nB+1)
-			for i := 0; i < nD2; i++ {
-				b := int64(r.Intn(nB))
-				y := float64(r.Intn(7))
-				d2rows[b] = append(d2rows[b], d2row{y})
-				if err := dim2.Append(b, y); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// fact: duplicates everywhere.
-			type frow struct {
-				a, b int64
-				x    float64
-			}
-			var facts []frow
-			nF := 10 + r.Intn(40)
-			for i := 0; i < nF; i++ {
-				f := frow{int64(r.Intn(nA)), int64(r.Intn(nB)), float64(r.Intn(10))}
-				facts = append(facts, f)
-				if err := fact.Append(f.a, f.b, f.x); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := cat.Freeze(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Query: filter dim1 by tag, group by a, sum fact.x * dim2.y,
-			// count(*).
-			sql := `SELECT a1, sum(x * y) as s, count(*) as c
-				FROM fact, dim1, dim2
-				WHERE fact.a = dim1.a1 AND fact.b = dim2.b2 AND tag <> 'red'
-				GROUP BY a1`
-
-			// Brute force.
-			type acc struct{ s, c float64 }
-			want := map[int64]*acc{}
-			for _, f := range facts {
-				if d1tag[f.a] == "red" {
-					continue
-				}
-				if _, ok := d1w[f.a]; !ok {
-					continue
-				}
-				for _, d2 := range d2rows[f.b] {
-					a := want[f.a]
-					if a == nil {
-						a = &acc{}
-						want[f.a] = a
-					}
-					a.s += f.x * d2.y
-					a.c++
-				}
-			}
-
+			cat, want := randomStarJoin(t, seed)
 			for _, copts := range []costopt.Options{{}, {Disabled: true}, {PickWorst: true}} {
-				res, err := runErr(cat, sql, Options{}, copts)
+				res, err := runErr(cat, starSQL, Options{}, copts)
 				if err != nil {
 					t.Fatalf("opts %+v: %v", copts, err)
 				}

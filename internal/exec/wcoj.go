@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 
@@ -507,7 +508,7 @@ func runNode(n *cNode, opts Options, parent telemetry.SpanID) (*rowsBuf, *hashAc
 			}
 		}
 		if touchedAny {
-			merged.flushInto(n, out, nil)
+			merged.flushInto(out, nil)
 		}
 	default:
 		// Grand aggregate: merge scalar accumulators.
@@ -654,6 +655,10 @@ type worker struct {
 	hacc    *hashAcc
 	toks    []uint64
 	metas   []metaLookup // per hash group: this worker's numeric lookup
+	// leafKeys and leafVals are the compiled leaf's block scratch: the
+	// surviving values and, per aggregate, their tuple values.
+	leafKeys []uint32
+	leafVals []float64
 	// iStats is this worker's private kernel counters; every level's
 	// intersection buffers point at it, and it is merged into the query
 	// stats at the parfor join.
@@ -775,6 +780,10 @@ func newWorker(n *cNode, ctx context.Context, mem *governor.Accountant) *worker 
 	if n.relaxed {
 		w.uAcc = configureUnionAcc(w.uAcc, n)
 	}
+	if n.leaf != nil {
+		w.leafKeys = resizeU32(w.leafKeys, probeBlock)
+		w.leafVals = resizeF64(w.leafVals, nA*probeBlock)
+	}
 	if n.hashEmit {
 		// curVals doubles as the hash-emit mode flag in the recursion
 		// (checked against nil), so it is sized here and nilled otherwise.
@@ -840,13 +849,15 @@ func (w *worker) descend(d int) error {
 // walk iterates one ascending candidate run of level d. Per block, one
 // batched lookup per participant fills its ranks (the driver's are
 // base + position); a value some participant lacks is skipped, every
-// other value binds its ranks and is emitted. Rank lookups count as
-// probes only under the binary path, where they are the join.
+// other value binds its ranks and is emitted — or, at a compiled leaf,
+// the block is folded whole. Rank lookups count as probes only under
+// the binary path, where they are the join.
 func (w *worker) walk(d int, vals []uint32, drv int, base int32) error {
 	n := w.n
 	ps := n.parts[d]
 	ranks := w.bufs[d].ranks
 	probing := n.path == costopt.PathBinary
+	fold := n.leaf != nil && d == n.nLevels-1
 	for lo := 0; lo < len(vals); lo += probeBlock {
 		block := vals[lo:min(lo+probeBlock, len(vals))]
 		for j, p := range ps {
@@ -857,6 +868,12 @@ func (w *worker) walk(d int, vals []uint32, drv int, base int32) error {
 			if probing {
 				w.iStats.Probes += uint64(len(block))
 			}
+		}
+		if fold {
+			if err := w.foldLeaf(block, ranks, drv, base+int32(lo)); err != nil {
+				return err
+			}
+			continue
 		}
 	survivors:
 		for i, v := range block {
@@ -875,6 +892,118 @@ func (w *worker) walk(d int, vals []uint32, drv int, base int32) error {
 		}
 	}
 	return nil
+}
+
+// foldLeaf is the compiled leaf level (cNode.leaf): it folds one block
+// of the last level's candidates, whose non-driver ranks walk has
+// filled, straight into the accumulators. It computes what emit →
+// addTuple → evalAgg would for each survivor, in the same order and
+// with the same left-associated products, so results are bit-identical;
+// it counts the same steps and ticks at the same cadence.
+func (w *worker) foldLeaf(block []uint32, ranks [][]int32, drv int, base int32) error {
+	n := w.n
+	// Keep the survivors: their values, and every participant's ranks
+	// compacted in place (the driver's are base + position). A lone
+	// driver keeps the whole block.
+	keys, m := block, len(block)
+	if len(ranks) == 1 && drv == 0 {
+		for i := range ranks[0][:m] {
+			ranks[0][i] = base + int32(i)
+		}
+	} else {
+		keys, m = w.leafKeys, 0
+	survivors:
+		for i, v := range block {
+			for j := range ranks {
+				if j != drv && ranks[j][i] < 0 {
+					continue survivors
+				}
+			}
+			for j := range ranks {
+				if j == drv {
+					ranks[j][m] = base + int32(i)
+				} else {
+					ranks[j][m] = ranks[j][i]
+				}
+			}
+			keys[m] = v
+			m++
+		}
+	}
+	// Each aggregate's tuple values, one pass per factor: the leading
+	// factors that stay fixed along the run multiply once, then every
+	// later factor multiplies in, in chain order.
+	for ai := range n.leaf {
+		ch := &n.leaf[ai]
+		fs := ch.fs
+		out := w.leafVals[ai*probeBlock : ai*probeBlock+m]
+		if ch.split == 0 {
+			f := &fs[0]
+			for k, rk := range ranks[f.part][:m] {
+				out[k] = f.buf[rk]
+			}
+		} else {
+			pre := w.fixedFactor(&fs[0])
+			for fi := 1; fi < ch.split; fi++ {
+				pre *= w.fixedFactor(&fs[fi])
+			}
+			for k := range out {
+				out[k] = pre
+			}
+		}
+		for fi := max(ch.split, 1); fi < len(fs); fi++ {
+			f := &fs[fi]
+			if f.part < 0 {
+				c := w.fixedFactor(f)
+				for k := range out {
+					out[k] *= c
+				}
+				continue
+			}
+			for k, rk := range ranks[f.part][:m] {
+				out[k] *= f.buf[rk]
+			}
+		}
+	}
+	// Fold tuple by tuple into the union slot (zeroed on first touch,
+	// then added to, as unionAcc.add does) or the scalar accumulator.
+	nA := len(n.leaf)
+	u := w.uAcc
+	for k := 0; k < m; k++ {
+		w.steps++
+		if w.steps&stepCheckMask == 0 {
+			if err := w.tick(); err != nil {
+				return err
+			}
+		}
+		acc := w.acc
+		if n.relaxed {
+			j := keys[k]
+			acc = u.vals[int(j)*nA : (int(j)+1)*nA]
+			if u.mark[j] != u.epoch {
+				u.mark[j] = u.epoch
+				u.touched = append(u.touched, j)
+				for ai := 0; ai < nA; ai++ {
+					acc[ai] = 0
+				}
+			}
+		} else {
+			w.touched = true
+		}
+		for ai := 0; ai < nA; ai++ {
+			acc[ai] += w.leafVals[ai*probeBlock+k]
+		}
+	}
+	return nil
+}
+
+// fixedFactor reads a factor that stays fixed along a leaf run: a
+// constant, or a buffer at the rank its relation bound above the leaf.
+func (w *worker) fixedFactor(f *leafFactor) float64 {
+	if f.rel < 0 {
+		return f.c
+	}
+	return f.buf[w.ranks[f.rel][f.lvl]]
 }
 
 // emit binds v at level d and folds everything below it: the one place
@@ -960,7 +1089,7 @@ func (w *worker) endGroup() {
 	n := w.n
 	if n.relaxed {
 		if len(w.uAcc.touched) > 0 {
-			w.uAcc.flushInto(n, w.out, w.curKey[:n.matCount])
+			w.uAcc.flushInto(w.out, w.curKey[:n.matCount])
 		}
 		return
 	}
@@ -1196,28 +1325,27 @@ func (u *unionAcc) combineFrom(n *cNode, src *unionAcc, j uint32) {
 	}
 }
 
-// flushInto appends one row per touched last-attribute value. When
-// prefix has a spare capacity slot (the worker's curKey does — it is
-// sized to the output width, which includes the relaxed tail), the row
-// is built in place without allocating.
-func (u *unionAcc) flushInto(n *cNode, out *rowsBuf, prefix []uint32) {
-	var row []uint32
-	if cap(prefix) > len(prefix) {
-		row = prefix[:len(prefix)+1]
-	} else {
-		row = make([]uint32, len(prefix)+1)
-		copy(row, prefix)
-	}
-	for _, j := range u.touched {
-		row[len(prefix)] = j
-		base := int(j) * u.nAggs
-		vals := u.vals[base : base+u.nAggs]
-		for i := range vals {
-			if math.IsInf(vals[i], 0) {
-				vals[i] = 0
-			}
+// flushInto appends one row per touched last-attribute value, written
+// in place after growing out once for all of them.
+func (u *unionAcc) flushInto(out *rowsBuf, prefix []uint32) {
+	kw, nA, nT := len(prefix)+1, u.nAggs, len(u.touched)
+	k0, a0 := len(out.keys), len(out.aggs)
+	out.keys = slices.Grow(out.keys, nT*kw)[:k0+nT*kw]
+	out.aggs = slices.Grow(out.aggs, nT*nA)[:a0+nT*nA]
+	keys, aggs := out.keys[k0:], out.aggs[a0:]
+	for t, j := range u.touched {
+		row := keys[t*kw : (t+1)*kw]
+		for i, p := range prefix {
+			row[i] = p
 		}
-		out.appendRow(row, vals)
+		row[kw-1] = j
+		dst := aggs[t*nA : (t+1)*nA]
+		for i, v := range u.vals[int(j)*nA : (int(j)+1)*nA] {
+			if math.IsInf(v, 0) {
+				v = 0
+			}
+			dst[i] = v
+		}
 	}
 }
 
