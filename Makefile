@@ -122,7 +122,7 @@ bench-durable:
 # Focused race check on the lock-free telemetry paths (histogram
 # recording, span buffers, registry) and their integration points.
 telemetry-race:
-	$(GO) test -race -count=1 ./internal/telemetry/... ./internal/obs/... .
+	$(GO) test -race -count=1 ./internal/obs/... .
 
 # Debug-server smoke: boot lhserve on a random port, run the query mix,
 # and scrape /metrics and a trace dump through the real listener.

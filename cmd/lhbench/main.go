@@ -34,10 +34,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/lagen"
+	"repro/internal/obs"
 	"repro/internal/pairwise"
 	"repro/internal/set"
 	"repro/internal/storage"
-	"repro/internal/telemetry"
 	"repro/internal/tpch"
 	"repro/internal/voter"
 	"repro/internal/wal"
@@ -68,7 +68,7 @@ var (
 // into so the debug server sees the whole benchmark fleet. allEngines
 // tracks every engine built, for the cumulative -stats dump.
 var (
-	sharedTel  *telemetry.Collector
+	sharedTel  *obs.Collector
 	allEngines []*core.Engine
 )
 
@@ -128,8 +128,8 @@ func main() {
 		}()
 	}
 	if *flagHTTP != "" {
-		sharedTel = telemetry.NewCollector()
-		srv, err := telemetry.Serve(*flagHTTP, sharedTel)
+		sharedTel = obs.NewCollector()
+		srv, err := obs.Serve(*flagHTTP, sharedTel)
 		if err != nil {
 			log.Fatal(err)
 		}

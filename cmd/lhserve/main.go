@@ -57,9 +57,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lagen"
+	"repro/internal/obs"
 	"repro/internal/qerr"
 	"repro/internal/storage"
-	"repro/internal/telemetry"
 	"repro/internal/tpch"
 	"repro/internal/voter"
 	"repro/internal/wal"
@@ -144,7 +144,7 @@ func main() {
 		}
 		json.NewEncoder(w).Encode(resp)
 	})
-	mux.Handle("/", telemetry.Handler(eng.Telemetry()))
+	mux.Handle("/", obs.Handler(eng.Telemetry()))
 	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
 		handleQuery(eng, w, r)
 	})

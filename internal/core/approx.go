@@ -8,7 +8,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
-	"repro/internal/telemetry"
 )
 
 // This file wires the approximate query tier (internal/approx) into the
@@ -165,7 +164,7 @@ func (e *Engine) tryApprox(q *sqlparse.Query, st *obs.QueryStats, degraded bool)
 	if st != nil {
 		st.Phases.Execute = time.Since(te)
 		tr := st.Trace
-		tr.Add(tr.Root(), telemetry.SpanPhase, "approx", te, time.Now())
+		tr.Add(tr.Root(), obs.SpanPhase, "approx", te, time.Now())
 		st.Dispatch = ans.Route
 		st.ApproxRoute = ans.Route
 		st.Approx = true

@@ -154,6 +154,12 @@ func TestOverloadShedWithRetryAfter(t *testing.T) {
 	if c["gov_shed"] == 0 {
 		t.Fatal("gov_shed not incremented")
 	}
+	// The shed query is observed like every other failure: whole-query
+	// latency counts each query and each error exactly once.
+	m := eng.Metrics().SnapshotCounters()
+	if n := eng.Telemetry().PhaseSnapshot("total").Count; n != uint64(m["queries"]+m["errors"]) {
+		t.Fatalf("total-latency observations = %d, want queries+errors = %d", n, m["queries"]+m["errors"])
+	}
 }
 
 // TestGovernorStress runs admitted, queued, shed, over-budget,

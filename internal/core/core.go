@@ -7,7 +7,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -26,10 +25,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/planner"
 	"repro/internal/qerr"
-	"repro/internal/set"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
-	"repro/internal/telemetry"
 )
 
 // Engine is a LevelHeaded instance: a catalog plus query machinery.
@@ -41,9 +38,10 @@ type Engine struct {
 	cat     *storage.Catalog
 	cache   *exec.TrieCache
 	plans   *lru.Cache[string, *preparedPlan]
-	metrics obs.EngineMetrics
-	tel     *telemetry.Collector
-	slow    *slowLog
+	metrics *obs.EngineMetrics
+	tel     *obs.Collector
+	slow    io.Writer
+	slowAt  time.Duration
 	gov     *governor.Governor
 
 	threads    int
@@ -113,13 +111,13 @@ func WithTrieCache(on bool) Option { return func(e *Engine) { e.noCache = !on } 
 // the /metrics counter export then aggregate over every engine bound
 // to the collector (lhbench runs a fleet of engines behind one debug
 // server).
-func WithTelemetry(c *telemetry.Collector) Option { return func(e *Engine) { e.tel = c } }
+func WithTelemetry(c *obs.Collector) Option { return func(e *Engine) { e.tel = c } }
 
 // WithSlowQueryLog emits one JSON line per query whose total latency
 // reaches threshold (phase breakdown, dispatch class, rows, error).
 // The writer is serialized internally; pass os.Stderr or a log file.
 func WithSlowQueryLog(w io.Writer, threshold time.Duration) Option {
-	return func(e *Engine) { e.slow = &slowLog{w: w, threshold: threshold} }
+	return func(e *Engine) { e.slow, e.slowAt = w, threshold }
 }
 
 // WithMemoryBudget caps the tracked memory (query tries, worker
@@ -181,15 +179,14 @@ func New(opts ...Option) *Engine {
 		o(e)
 	}
 	if e.tel == nil {
-		e.tel = telemetry.NewCollector()
+		e.tel = obs.NewCollector()
 	}
+	e.metrics = obs.NewEngineMetrics(e.tel, e.slow, e.slowAt)
 	e.gov = governor.New(e.govCfg)
 	e.bgCtx, e.bgCancel = context.WithCancel(context.Background())
-	e.tel.AddCounterSource(e.metrics.SnapshotCounters)
 	e.tel.AddCounterSource(e.gov.Counters)
 	e.tel.AddCounterSource(e.deltaCounters)
 	e.tel.AddCounterSource(e.approxCounters)
-	e.metrics.SetExtra(e.tel.Quantiles)
 	if e.dur != nil {
 		// Recovery runs before the engine is visible to any caller, so
 		// the first query already sees the restored state; failures are
@@ -435,7 +432,7 @@ func (e *Engine) Query(sql string) (*exec.Result, error) {
 // engine metrics and latency histograms, and the returned Result
 // carries its QueryStats (including the span trace).
 func (e *Engine) QueryWithContext(ctx context.Context, sql string, qo QueryOptions) (*exec.Result, error) {
-	st := &obs.QueryStats{SQL: sql, Trace: telemetry.NewTrace(sql)}
+	st := &obs.QueryStats{SQL: sql, Trace: obs.NewTrace(sql)}
 	// The derived cancel is what makes an in-flight query killable from
 	// the registry (and the debug server's cancel endpoint).
 	ctx, cancel := context.WithCancel(ctx)
@@ -445,95 +442,47 @@ func (e *Engine) QueryWithContext(ctx context.Context, sql string, qo QueryOptio
 	// Admission control: registered first so a queued query is visible in
 	// the live registry (phase "queued"), then admitted or shed.
 	aq.SetPhase("queued")
-	release, aerr := e.gov.Acquire(ctx, 1)
-	if aerr != nil {
+	var res *exec.Result
+	var oe *qerr.OverloadedError
+	release, err := e.gov.Acquire(ctx, 1)
+	switch {
+	case err == nil:
+		defer release()
+		a0, g0 := obs.HeapCounters()
+		res, err = e.runQuery(ctx, sql, qo, st, aq)
+		a1, g1 := obs.HeapCounters()
+		st.AllocBytes, st.GCCycles = a1-a0, g1-g0
+	case qo.ApproxOK && errors.As(err, &oe):
 		// Overload degrade: an opted-in (ApproxOK) query shed by the
 		// governor retries on the approximate tier without admission — a
 		// bounded sketch/sample read — instead of surfacing the shed.
 		// Shapes the tier cannot bound fall through to the original error.
-		var oe *qerr.OverloadedError
-		if qo.ApproxOK && errors.As(aerr, &oe) {
-			aq.SetPhase("degraded")
-			if res, ok := e.degrade(sql, st); ok {
-				st.Degraded = true
-				e.approxDegraded.Add(1)
-				st.Phases.Total = time.Since(t0)
-				st.Trace.Finish()
-				e.tel.Registry.Finish(aq)
-				e.observeLatency(st, nil)
-				st.RowsOut = res.NumRows
-				res.Stats = st
-				e.metrics.Record(st)
-				e.recordStatement(st, nil)
-				e.logSlow(st, nil)
-				return res, nil
-			}
+		aq.SetPhase("degraded")
+		if r, ok := e.degrade(sql, st); ok {
+			st.Degraded = true
+			e.approxDegraded.Add(1)
+			res, err = r, nil
 		}
-		st.Phases.Total = time.Since(t0)
-		st.Trace.Finish()
-		e.tel.Registry.Finish(aq)
-		e.metrics.RecordError()
-		e.logSlow(st, aerr)
-		return nil, aerr
 	}
-	defer release()
-	a0, g0 := obs.HeapCounters()
-	res, err := e.runQuery(ctx, sql, qo, st, aq)
 	st.Phases.Total = time.Since(t0)
-	a1, g1 := obs.HeapCounters()
-	st.AllocBytes, st.GCCycles = a1-a0, g1-g0
-	st.Trace.Finish()
-	e.tel.Registry.Finish(aq)
-	e.observeLatency(st, err)
+	if err == nil {
+		st.RowsOut = res.NumRows
+		res.Stats = st
+	}
+	e.metrics.Finish(st, aq, err)
 	if err != nil {
-		e.metrics.RecordError()
-		e.recordStatement(st, err)
-		e.logSlow(st, err)
 		return nil, err
 	}
-	st.RowsOut = res.NumRows
-	res.Stats = st
-	e.metrics.Record(st)
-	e.recordStatement(st, nil)
-	e.logSlow(st, nil)
 	return res, nil
 }
 
-// recordStatement folds one finished query into the collector's
-// per-fingerprint statement store. Queries that never parsed
-// (fingerprint 0) are skipped inside Record.
-func (e *Engine) recordStatement(st *obs.QueryStats, err error) {
-	var est, actual float64
-	for _, nc := range st.NodeCosts {
-		est += nc.Est
-		actual += nc.Actual
-	}
-	e.tel.Statements.Record(telemetry.StatementObservation{
-		Fingerprint: st.Fingerprint,
-		Text:        st.FingerprintText,
-		DurNs:       int64(st.Phases.Total),
-		Err:         err != nil,
-		Rows:        st.RowsOut,
-		AllocBytes:  st.AllocBytes,
-		MemBytes:    st.MemHighWater,
-		DeltaRows:   st.DeltaRowsFolded,
-		Epoch:       st.SnapshotEpoch,
-		Order:       st.RootOrder,
-		Paths:       st.AccessPaths,
-		EstCost:     est,
-		ActualCost:  actual,
-		Approx:      st.Approx,
-		ErrorBound:  st.ErrorBound,
-	})
-}
-
 // Statements exports the per-fingerprint statement statistics, sorted
-// by the given key (see telemetry.StatementSortKeys; "" = total time).
-func (e *Engine) Statements(by string, limit int) []telemetry.StatementSnapshot {
+// by the given key (see obs.StatementSortKeys; "" = total time).
+func (e *Engine) Statements(by string, limit int) []obs.StatementSnapshot {
 	return e.tel.Statements.Snapshots(by, limit)
 }
 
-func (e *Engine) runQuery(ctx context.Context, sql string, qo QueryOptions, st *obs.QueryStats, aq *telemetry.ActiveQuery) (res *exec.Result, err error) {
+func (e *Engine) runQuery(ctx context.Context, sql string, qo QueryOptions, st *obs.QueryStats, aq *obs.ActiveQuery) (res *exec.Result, err error) {
 	// Query-boundary panic barrier: a crash anywhere in the lifecycle
 	// below (or re-raised from a parallel section's PanicCell) fails only
 	// this query, as qerr.InternalError with the captured stack.
@@ -645,101 +594,6 @@ func (e *Engine) Drain(ctx context.Context) int {
 	return cancelled
 }
 
-// observeLatency feeds one finished query into the latency histograms:
-// every nonzero phase, plus whole-query latency under the dispatch
-// class the query ended on (error'd queries have no class).
-func (e *Engine) observeLatency(st *obs.QueryStats, err error) {
-	c := e.tel
-	c.ObservePhase("total", st.Phases.Total)
-	for _, p := range [...]struct {
-		name string
-		d    time.Duration
-	}{
-		{"parse", st.Phases.Parse}, {"plan", st.Phases.Plan},
-		{"freeze", st.Phases.Freeze}, {"compile", st.Phases.Compile},
-		{"execute", st.Phases.Execute}, {"output", st.Phases.Output},
-	} {
-		if p.d > 0 {
-			c.ObservePhase(p.name, p.d)
-		}
-	}
-	if err == nil {
-		c.ObserveClass(st.Dispatch, st.Phases.Total)
-	}
-	// Per-kernel latency estimates: the set kernels time one in every
-	// sampleStride invocations; a query that sampled a kernel at least
-	// once contributes its mean sampled latency under a kernel: class,
-	// so /metrics exports p50/p95/p99 per intersection kernel.
-	for k := 0; k < set.NumKernels; k++ {
-		if ns, ok := st.Intersect.SampledMeanNs(k); ok {
-			c.ObserveClass("kernel:"+set.KernelNames[k], time.Duration(ns))
-		}
-	}
-}
-
-// slowLog is the structured slow-query log: JSON lines for every query
-// at or above the threshold, serialized on one writer.
-type slowLog struct {
-	mu        sync.Mutex
-	w         io.Writer
-	threshold time.Duration
-}
-
-// slowEntry is one slow-query log line.
-type slowEntry struct {
-	TS          string `json:"ts"`
-	QueryID     uint64 `json:"query_id"`
-	SQL         string `json:"sql"`
-	Fingerprint string `json:"fingerprint,omitempty"`
-	Epoch       uint64 `json:"snapshot_epoch,omitempty"`
-	TotalNs     int64  `json:"total_ns"`
-	ParseNs     int64  `json:"parse_ns,omitempty"`
-	PlanNs      int64  `json:"plan_ns,omitempty"`
-	FreezeNs    int64  `json:"freeze_ns,omitempty"`
-	CompileNs   int64  `json:"compile_ns,omitempty"`
-	ExecNs      int64  `json:"execute_ns,omitempty"`
-	OutputNs    int64  `json:"output_ns,omitempty"`
-	Dispatch    string `json:"dispatch,omitempty"`
-	Rows        int    `json:"rows"`
-	Error       string `json:"error,omitempty"`
-}
-
-// logSlow emits a slow-query line when configured and over threshold.
-func (e *Engine) logSlow(st *obs.QueryStats, err error) {
-	if e.slow == nil || st.Phases.Total < e.slow.threshold {
-		return
-	}
-	ent := slowEntry{
-		TS:        time.Now().UTC().Format(time.RFC3339Nano),
-		QueryID:   st.Trace.ID(),
-		SQL:       st.SQL,
-		Epoch:     st.SnapshotEpoch,
-		TotalNs:   int64(st.Phases.Total),
-		ParseNs:   int64(st.Phases.Parse),
-		PlanNs:    int64(st.Phases.Plan),
-		FreezeNs:  int64(st.Phases.Freeze),
-		CompileNs: int64(st.Phases.Compile),
-		ExecNs:    int64(st.Phases.Execute),
-		OutputNs:  int64(st.Phases.Output),
-		Dispatch:  st.Dispatch,
-		Rows:      st.RowsOut,
-	}
-	if st.Fingerprint != 0 {
-		ent.Fingerprint = telemetry.FingerprintHex(st.Fingerprint)
-	}
-	if err != nil {
-		ent.Error = err.Error()
-	}
-	line, jerr := json.Marshal(ent)
-	if jerr != nil {
-		return
-	}
-	line = append(line, '\n')
-	e.slow.mu.Lock()
-	e.slow.w.Write(line)
-	e.slow.mu.Unlock()
-}
-
 // ExplainAnalyze runs the query and renders the plan followed by the
 // measured per-phase timings, kernel counts and dispatch decision.
 func (e *Engine) ExplainAnalyze(sql string) (string, error) {
@@ -764,12 +618,12 @@ func (e *Engine) ExplainAnalyzeContext(ctx context.Context, sql string) (string,
 }
 
 // Metrics exposes the engine's cumulative observability counters.
-func (e *Engine) Metrics() *obs.EngineMetrics { return &e.metrics }
+func (e *Engine) Metrics() *obs.EngineMetrics { return e.metrics }
 
 // Telemetry exposes the engine's telemetry collector: latency
 // histograms, the live query registry, and the counter aggregation
 // behind the debug HTTP server's /metrics.
-func (e *Engine) Telemetry() *telemetry.Collector { return e.tel }
+func (e *Engine) Telemetry() *obs.Collector { return e.tel }
 
 // Prepare compiles a query without running it, returning the logical
 // plan and chosen orders (used by EXPLAIN and by benchmarks that want
@@ -841,7 +695,7 @@ func (e *Engine) prepare(sql string, qo QueryOptions) (*planner.Plan, *costopt.C
 // that one parse before the planner does; returning true claims the
 // query and prepareStats returns nothing.
 func (e *Engine) prepareStats(sql string, qo QueryOptions, st *obs.QueryStats, intercept func(*sqlparse.Query) bool) (*planner.Plan, *costopt.Choice, error) {
-	var tr *telemetry.Trace
+	var tr *obs.Trace
 	if st != nil {
 		tr = st.Trace
 	}
@@ -854,7 +708,7 @@ func (e *Engine) prepareStats(sql string, qo QueryOptions, st *obs.QueryStats, i
 		if st.Phases.Freeze > time.Millisecond {
 			// Only a first-query freeze is worth a span; a no-op
 			// freeze check would just be tree noise.
-			tr.Add(tr.Root(), telemetry.SpanPhase, "freeze", tf, time.Now())
+			tr.Add(tr.Root(), obs.SpanPhase, "freeze", tf, time.Now())
 		}
 	}
 	key := fmt.Sprintf("%s|%v|%v|%v|%v|%v", sql, e.noCostOpt, e.pickWorst || qo.WorstOrder, qo.ForcedOrder, qo.ForcedRelaxed, e.noAttrElim)
@@ -898,7 +752,7 @@ func (e *Engine) prepareStats(sql string, qo QueryOptions, st *obs.QueryStats, i
 	}
 	if st != nil {
 		st.Phases.Plan = time.Since(tq)
-		tr.Add(tr.Root(), telemetry.SpanPhase, "plan", tq, time.Now())
+		tr.Add(tr.Root(), obs.SpanPhase, "plan", tq, time.Now())
 		recordPlanStats(st, p, ch)
 	}
 	e.plans.Put(key, &preparedPlan{p: p, ch: ch, fp: fp, fpText: fpText})
@@ -912,7 +766,7 @@ func parseStats(sql string, st *obs.QueryStats) (*sqlparse.Query, error) {
 	q, err := sqlparse.Parse(sql)
 	if err == nil && st != nil {
 		st.Phases.Parse = time.Since(tp)
-		st.Trace.Add(st.Trace.Root(), telemetry.SpanPhase, "parse", tp, time.Now())
+		st.Trace.Add(st.Trace.Root(), obs.SpanPhase, "parse", tp, time.Now())
 	}
 	return q, err
 }

@@ -7,10 +7,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/qerr"
 	"repro/internal/snapshot"
 	"repro/internal/storage"
-	"repro/internal/telemetry"
 	"repro/internal/wal"
 )
 
@@ -38,7 +38,7 @@ type durState struct {
 	dedup    map[string]struct{}
 	dedupLRU []string // FIFO eviction order
 
-	flushHist telemetry.Histogram
+	flushHist obs.Histogram
 
 	// Recovery + runtime counters.
 	recovered        atomic.Bool // recovery restored at least one table

@@ -14,7 +14,6 @@ import (
 	"repro/internal/planner"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
-	"repro/internal/telemetry"
 	"repro/internal/trie"
 )
 
@@ -175,7 +174,7 @@ type compiled struct {
 	pseudo map[string]*pseudoDecoder
 	// execSpan is the execute-phase span the dispatch kernels parent
 	// their kernel spans under (SpanID(0) when telemetry is off).
-	execSpan telemetry.SpanID
+	execSpan obs.SpanID
 }
 
 // compile builds query tries for every relation of every GHD node and

@@ -4,7 +4,6 @@ import (
 	"repro/internal/blas"
 	"repro/internal/obs"
 	"repro/internal/planner"
-	"repro/internal/telemetry"
 	"repro/internal/trie"
 )
 
@@ -119,7 +118,7 @@ func denseMM(c *compiled, a, b *cRel, aBuf, bBuf []float64) (*Result, bool, erro
 		c.opts.Stats.Dispatch = obs.DispatchDenseMM
 	}
 	tr := stTrace(c.opts.Stats)
-	ks := tr.Begin(c.execSpan, telemetry.SpanKernel, obs.DispatchDenseMM)
+	ks := tr.Begin(c.execSpan, obs.SpanKernel, obs.DispatchDenseMM)
 	cBuf := make([]float64, m*nOut)
 	gemmNT(m, k, nOut, aBuf, bBuf, cBuf)
 	tr.End(ks)
@@ -170,7 +169,7 @@ func denseMV(c *compiled, a, x *cRel, aBuf, xBuf []float64) (*Result, bool, erro
 		c.opts.Stats.Dispatch = obs.DispatchDenseMV
 	}
 	tr := stTrace(c.opts.Stats)
-	ks := tr.Begin(c.execSpan, telemetry.SpanKernel, obs.DispatchDenseMV)
+	ks := tr.Begin(c.execSpan, obs.SpanKernel, obs.DispatchDenseMV)
 	y := make([]float64, m)
 	blas.Gemv(m, k, aBuf, xBuf, y)
 	tr.End(ks)

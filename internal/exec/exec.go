@@ -19,13 +19,12 @@ import (
 	"repro/internal/obs"
 	"repro/internal/planner"
 	"repro/internal/storage"
-	"repro/internal/telemetry"
 	"repro/internal/trie"
 )
 
 // stTrace extracts the span trace threaded through Options.Stats.
 // Both layers are nil-safe, so executors record spans unconditionally.
-func stTrace(st *obs.QueryStats) *telemetry.Trace {
+func stTrace(st *obs.QueryStats) *obs.Trace {
 	if st == nil {
 		return nil
 	}
@@ -276,7 +275,7 @@ func Run(p *planner.Plan, ch *costopt.Choice, cat *storage.Catalog, opts Options
 	}
 	tr := stTrace(st)
 	t0 := time.Now()
-	cs := tr.Begin(tr.Root(), telemetry.SpanPhase, "compile")
+	cs := tr.Begin(tr.Root(), obs.SpanPhase, "compile")
 	c, err := compile(p, ch, cat, opts)
 	tr.End(cs)
 	if st != nil {
@@ -288,7 +287,7 @@ func Run(p *planner.Plan, ch *costopt.Choice, cat *storage.Catalog, opts Options
 	// One execute span covers whichever dispatch commits (its kernel
 	// span identifies the strategy; an unmatched fast-path probe costs
 	// microseconds and stays inside the same interval).
-	es := tr.Begin(tr.Root(), telemetry.SpanPhase, "execute")
+	es := tr.Begin(tr.Root(), obs.SpanPhase, "execute")
 	c.execSpan = es
 	// Dense LA dispatch (§III-D): attribute elimination leaves dense
 	// annotation buffers BLAS-compatible; call the kernel opaquely.
@@ -351,7 +350,7 @@ func (c *compiled) output(rows *rowsBuf, hacc *hashAcc) (*Result, error) {
 	st := c.opts.Stats
 	tr := stTrace(st)
 	t0 := time.Now()
-	os := tr.Begin(tr.Root(), telemetry.SpanPhase, "output")
+	os := tr.Begin(tr.Root(), obs.SpanPhase, "output")
 	var res *Result
 	var err error
 	if hacc != nil {

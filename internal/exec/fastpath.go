@@ -7,7 +7,6 @@ import (
 	"repro/internal/planner"
 	"repro/internal/qerr"
 	"repro/internal/set"
-	"repro/internal/telemetry"
 )
 
 // trySpMVFastPath recognizes the two-relation matrix–vector pattern —
@@ -98,7 +97,7 @@ func spmvGather(c *compiled, opts Options, m, v *cRel, mBuf, vBuf []float64) (*R
 		opts.Stats.Dispatch = obs.DispatchSpMVGather
 	}
 	tr := stTrace(opts.Stats)
-	ks := tr.Begin(c.execSpan, telemetry.SpanKernel, obs.DispatchSpMVGather)
+	ks := tr.Begin(c.execSpan, obs.SpanKernel, obs.DispatchSpMVGather)
 	defer tr.End(ks)
 	threads := opts.threads()
 	parallelRange(threads, nRows, func(lo, hi int) {
@@ -144,7 +143,7 @@ func spmvScatter(c *compiled, opts Options, m, v *cRel, mBuf, vBuf []float64) (*
 		opts.Stats.Dispatch = obs.DispatchSpMVScatter
 	}
 	tr := stTrace(opts.Stats)
-	ks := tr.Begin(c.execSpan, telemetry.SpanKernel, obs.DispatchSpMVScatter)
+	ks := tr.Begin(c.execSpan, obs.SpanKernel, obs.DispatchSpMVScatter)
 	defer tr.End(ks)
 	threads := opts.threads()
 	accs := make([][]float64, threads)

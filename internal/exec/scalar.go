@@ -16,7 +16,6 @@ import (
 	"repro/internal/qerr"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
-	"repro/internal/telemetry"
 )
 
 // scanCtxStride is the scan's cancellation granularity in rows: cheap
@@ -95,8 +94,8 @@ func RunScan(p *planner.Plan, cat *storage.Catalog, opts Options, rows []int32) 
 		st.Dispatch = obs.DispatchScalarScan
 	}
 	t0 := time.Now()
-	es := tr.Begin(tr.Root(), telemetry.SpanPhase, "execute")
-	ks := tr.Begin(es, telemetry.SpanKernel, obs.DispatchScalarScan)
+	es := tr.Begin(tr.Root(), obs.SpanPhase, "execute")
+	ks := tr.Begin(es, obs.SpanKernel, obs.DispatchScalarScan)
 	s, out, err := foldScan(p, cat, opts, rows)
 	tr.End(ks)
 	tr.End(es)

@@ -17,7 +17,6 @@ import (
 	"repro/internal/planner"
 	"repro/internal/qerr"
 	"repro/internal/set"
-	"repro/internal/telemetry"
 	"repro/internal/trie"
 )
 
@@ -320,12 +319,12 @@ func (n *cNode) outKeyAttrs() []string {
 // results become relations of this node — Yannakakis' algorithm), then
 // the join recursion with the outermost loop parallelized (parfor,
 // §III-D).
-func runNode(n *cNode, opts Options, parent telemetry.SpanID) (*rowsBuf, *hashAcc, error) {
+func runNode(n *cNode, opts Options, parent obs.SpanID) (*rowsBuf, *hashAcc, error) {
 	if err := ctxErr(opts.Ctx); err != nil {
 		return nil, nil, err
 	}
 	tr := stTrace(opts.Stats)
-	sp := tr.Begin(parent, telemetry.SpanNode, "node ["+strings.Join(n.order, " ")+"]")
+	sp := tr.Begin(parent, obs.SpanNode, "node ["+strings.Join(n.order, " ")+"]")
 	// nodeStats collects only this node's kernel counters — the level-0
 	// intersection plus the parfor workers' merge. The span carries that
 	// per-node view; the fold below keeps QueryStats.Intersect equal to

@@ -1,25 +1,34 @@
-// Package obs is the observability layer threaded through the query
-// lifecycle: per-query QueryStats (phase timers, per-kernel
+// Package obs is the engine's observability layer, threaded through
+// the query lifecycle: per-query QueryStats (phase timers, per-kernel
 // intersection counts, trie-cache behavior, dispatch decisions) and
-// engine-level cumulative EngineMetrics with an exportable
-// expvar-style snapshot.
+// its hierarchical trace spans (query → phase → GHD node → kernel);
+// per-engine cumulative EngineMetrics; and the Collector one or more
+// engines share — log-linear latency histograms with lock-free
+// recording, the live registry of in-flight queries, the
+// per-fingerprint statement store, and the HTTP debug server exposing
+// Prometheus metrics, the registry, span dumps and pprof.
 //
-// Hot-path discipline: nothing here is touched per-tuple. Intersection
+// Hot-path discipline: nothing here is touched per tuple. Intersection
 // counters live in set.Stats values owned by one parfor worker each
 // (see set.Buffer.Stat) and are folded into a QueryStats once, at the
-// parfor join; phase timers are a handful of time.Now calls per query;
-// EngineMetrics is updated once per query with atomics.
+// parfor join; phase timers and spans are a monotonic clock read plus
+// a short critical section on a per-query buffer, at query, phase and
+// GHD-node granularity; EngineMetrics, the histograms and the
+// statement store are updated once per finished query
+// (EngineMetrics.Finish), with atomics or one short mutex hold.
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/set"
-	"repro/internal/telemetry"
 )
 
 // Dispatch labels for the execution strategy a query ended up on.
@@ -98,7 +107,7 @@ type QueryStats struct {
 	// (e.g. the bare Prepare/Execute benchmark path). All telemetry
 	// span operations are nil-safe, so executors record through this
 	// field unconditionally.
-	Trace *telemetry.Trace
+	Trace *Trace
 
 	// PlanCached reports whether the (plan, orders) pair came from the
 	// prepared-plan cache (parse/plan phases then read ~0).
@@ -261,7 +270,7 @@ func fmtBytes(n uint64) string {
 }
 
 // EngineMetrics accumulates per-engine totals across queries. All
-// fields are atomics: Record is one query-granularity update, and
+// counters are atomics: Record is one query-granularity update, and
 // Snapshot can be read concurrently with running queries.
 type EngineMetrics struct {
 	Queries atomic.Uint64
@@ -291,17 +300,44 @@ type EngineMetrics struct {
 	AllocBytes atomic.Uint64
 	GCCycles   atomic.Uint64
 
-	// extra, when set, supplies derived gauges (the telemetry
-	// collector's latency quantiles) merged into Snapshot. Counters
-	// alone are exported by SnapshotCounters so fleet-level
-	// aggregation never double-counts derived values.
-	extra atomic.Pointer[func() map[string]int64]
+	// c is the collector the engine reports to (nil on a bare
+	// EngineMetrics, which then only counts); slow is the optional
+	// slow-query log.
+	c    *Collector
+	slow *slowLog
 }
 
-// SetExtra installs a derived-gauge source merged into Snapshot (the
-// engine wires the telemetry collector's p50/p95/p99 here).
-func (m *EngineMetrics) SetExtra(f func() map[string]int64) {
-	m.extra.Store(&f)
+// NewEngineMetrics returns one engine's metrics bound to collector c:
+// c sums SnapshotCounters into its /metrics export, Snapshot adds c's
+// latency quantiles, and Finish records each query into c as well.
+// When slow is non-nil, Finish writes a JSON line to it for every
+// query whose total latency reaches slowAt.
+func NewEngineMetrics(c *Collector, slow io.Writer, slowAt time.Duration) *EngineMetrics {
+	m := &EngineMetrics{c: c}
+	if slow != nil {
+		m.slow = &slowLog{w: slow, threshold: slowAt}
+	}
+	c.AddCounterSource(m.SnapshotCounters)
+	return m
+}
+
+// Finish is the one end-of-query bookkeeping step, whatever way the
+// query ended (success, error, admission shed, overload degrade): it
+// closes the trace, retires the query from the live registry, records
+// its latencies, counts it as a query or an error, folds it into the
+// statement store and, when configured, the slow-query log. st must
+// carry Phases.Total (and RowsOut on success).
+func (m *EngineMetrics) Finish(st *QueryStats, aq *ActiveQuery, err error) {
+	st.Trace.Finish()
+	m.c.Registry.Finish(aq)
+	m.c.observe(st, err)
+	if err != nil {
+		m.RecordError()
+	} else {
+		m.Record(st)
+	}
+	m.c.Statements.Record(st, err)
+	m.slow.log(st, err)
 }
 
 // Record folds one finished query's stats into the totals.
@@ -334,12 +370,12 @@ func (m *EngineMetrics) Record(q *QueryStats) {
 // RecordError counts a failed query.
 func (m *EngineMetrics) RecordError() { m.Errors.Add(1) }
 
-// Snapshot exports the totals as an expvar-style flat map, including
-// any derived gauges installed with SetExtra (latency quantiles).
+// Snapshot exports the totals as an expvar-style flat map, plus the
+// bound collector's latency quantiles (lat_<name>_p50_ns, ...).
 func (m *EngineMetrics) Snapshot() map[string]int64 {
 	snap := m.SnapshotCounters()
-	if f := m.extra.Load(); f != nil {
-		for k, v := range (*f)() {
+	if m.c != nil {
+		for k, v := range m.c.Quantiles() {
 			snap[k] = v
 		}
 	}
@@ -376,16 +412,83 @@ func (m *EngineMetrics) SnapshotCounters() map[string]int64 {
 }
 
 // SnapshotString renders the snapshot with sorted keys, one per line.
-func (m *EngineMetrics) SnapshotString() string {
-	snap := m.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
+func (m *EngineMetrics) SnapshotString() string { return sortedLines(m.Snapshot()) }
+
+// sortedLines renders a flat metric map as "key value" lines sorted by
+// key (the \metrics views).
+func sortedLines(m map[string]int64) string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	var b strings.Builder
 	for _, k := range keys {
-		fmt.Fprintf(&b, "%-26s %d\n", k, snap[k])
+		fmt.Fprintf(&b, "%-26s %d\n", k, m[k])
 	}
 	return b.String()
+}
+
+// slowLog is the structured slow-query log: JSON lines for every query
+// at or above the threshold, serialized on one writer.
+type slowLog struct {
+	mu        sync.Mutex
+	w         io.Writer
+	threshold time.Duration
+}
+
+// slowEntry is one slow-query log line.
+type slowEntry struct {
+	TS          string `json:"ts"`
+	QueryID     uint64 `json:"query_id"`
+	SQL         string `json:"sql"`
+	Fingerprint string `json:"fingerprint,omitempty"`
+	Epoch       uint64 `json:"snapshot_epoch,omitempty"`
+	TotalNs     int64  `json:"total_ns"`
+	ParseNs     int64  `json:"parse_ns,omitempty"`
+	PlanNs      int64  `json:"plan_ns,omitempty"`
+	FreezeNs    int64  `json:"freeze_ns,omitempty"`
+	CompileNs   int64  `json:"compile_ns,omitempty"`
+	ExecNs      int64  `json:"execute_ns,omitempty"`
+	OutputNs    int64  `json:"output_ns,omitempty"`
+	Dispatch    string `json:"dispatch,omitempty"`
+	Rows        int    `json:"rows"`
+	Error       string `json:"error,omitempty"`
+}
+
+// log emits a slow-query line when configured (non-nil) and over
+// threshold.
+func (l *slowLog) log(st *QueryStats, err error) {
+	if l == nil || st.Phases.Total < l.threshold {
+		return
+	}
+	ent := slowEntry{
+		TS:        time.Now().UTC().Format(time.RFC3339Nano),
+		QueryID:   st.Trace.ID(),
+		SQL:       st.SQL,
+		Epoch:     st.SnapshotEpoch,
+		TotalNs:   int64(st.Phases.Total),
+		ParseNs:   int64(st.Phases.Parse),
+		PlanNs:    int64(st.Phases.Plan),
+		FreezeNs:  int64(st.Phases.Freeze),
+		CompileNs: int64(st.Phases.Compile),
+		ExecNs:    int64(st.Phases.Execute),
+		OutputNs:  int64(st.Phases.Output),
+		Dispatch:  st.Dispatch,
+		Rows:      st.RowsOut,
+	}
+	if st.Fingerprint != 0 {
+		ent.Fingerprint = FingerprintHex(st.Fingerprint)
+	}
+	if err != nil {
+		ent.Error = err.Error()
+	}
+	line, jerr := json.Marshal(ent)
+	if jerr != nil {
+		return
+	}
+	line = append(line, '\n')
+	l.mu.Lock()
+	l.w.Write(line)
+	l.mu.Unlock()
 }

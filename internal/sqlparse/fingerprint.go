@@ -3,7 +3,7 @@
 // fingerprint exactly when they are the same query *shape* — same
 // tables, joins, projections, grouping and predicate structure — no
 // matter how their literals, IN-list lengths, whitespace or keyword
-// case differ. The per-fingerprint statement store (internal/telemetry)
+// case differ. The per-fingerprint statement store (internal/obs)
 // keys on this, the slow-query log carries it, and /debug/statements
 // groups workload history by it (the pg_stat_statements model).
 //

@@ -41,7 +41,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/qerr"
 	"repro/internal/storage"
-	"repro/internal/telemetry"
 	"repro/internal/wal"
 )
 
@@ -75,20 +74,20 @@ type (
 	// histograms per phase and dispatch class, the live query registry,
 	// and retained traces. Share one across engines with WithTelemetry
 	// to aggregate a fleet behind a single debug server.
-	Telemetry = telemetry.Collector
+	Telemetry = obs.Collector
 	// Trace is one query's hierarchical span record (query → phase →
 	// GHD node → kernel), reachable from QueryStats.Trace; render it
 	// with TreeString or export it with ChromeTraceJSON.
-	Trace = telemetry.Trace
+	Trace = obs.Trace
 	// QueryInfo describes one in-flight (or recently finished) query in
 	// the live registry.
-	QueryInfo = telemetry.QueryInfo
+	QueryInfo = obs.QueryInfo
 	// StatementSnapshot is one fingerprint's cumulative statement
 	// statistics (the pg_stat_statements row analog), from
 	// Engine.Statements or /debug/statements.
-	StatementSnapshot = telemetry.StatementSnapshot
+	StatementSnapshot = obs.StatementSnapshot
 	// DebugServer is a running telemetry HTTP server (see ServeDebug).
-	DebugServer = telemetry.Server
+	DebugServer = obs.Server
 )
 
 // Typed errors. All are errors.Is/As-compatible and carry the offending
@@ -217,14 +216,14 @@ var (
 
 // NewTelemetry creates a standalone telemetry collector to share across
 // engines via WithTelemetry.
-func NewTelemetry() *Telemetry { return telemetry.NewCollector() }
+func NewTelemetry() *Telemetry { return obs.NewCollector() }
 
 // ServeDebug starts the telemetry HTTP server on addr (host:port;
 // port 0 picks a free one) exposing /metrics in Prometheus text format,
 // /debug/queries, /debug/trace/<id>, and /debug/pprof. Close the
 // returned server to stop it.
 func ServeDebug(addr string, t *Telemetry) (*DebugServer, error) {
-	return telemetry.Serve(addr, t)
+	return obs.Serve(addr, t)
 }
 
 // Engine is a LevelHeaded database instance.
@@ -422,7 +421,7 @@ func (e *Engine) Telemetry() *Telemetry { return e.inner.Telemetry() }
 
 // Statements exports per-fingerprint statement statistics sorted
 // descending by the given key ("" or "time" = total latency; see
-// telemetry.StatementSortKeys for the rest); limit <= 0 returns all.
+// obs.StatementSortKeys for the rest); limit <= 0 returns all.
 func (e *Engine) Statements(by string, limit int) []StatementSnapshot {
 	return e.inner.Statements(by, limit)
 }

@@ -13,7 +13,7 @@ import (
 
 	lh "repro"
 	"repro/internal/core"
-	"repro/internal/telemetry"
+	"repro/internal/obs"
 	"repro/internal/tpch"
 )
 
@@ -39,12 +39,12 @@ func TestTraceSpanTree(t *testing.T) {
 		t.Fatalf("expected query+phases+nodes, got %d spans", len(spans))
 	}
 
-	byID := map[telemetry.SpanID]*telemetry.Span{}
+	byID := map[obs.SpanID]*obs.Span{}
 	for i := range spans {
 		byID[spans[i].ID] = &spans[i]
 	}
 
-	var root *telemetry.Span
+	var root *obs.Span
 	nodeSpans := 0
 	var nodeTotal, nodeBytes uint64
 	for i := range spans {
@@ -68,13 +68,13 @@ func TestTraceSpanTree(t *testing.T) {
 			t.Fatalf("span %q [%d,%d] escapes parent %q [%d,%d]",
 				sp.Name, sp.Start, sp.End, parent.Name, parent.Start, parent.End)
 		}
-		if sp.Kind == telemetry.SpanNode {
+		if sp.Kind == obs.SpanNode {
 			nodeSpans++
 			nodeTotal += sp.Stats.Total()
 			nodeBytes += sp.Stats.BytesOut
 		}
 	}
-	if root == nil || root.Kind != telemetry.SpanQuery {
+	if root == nil || root.Kind != obs.SpanQuery {
 		t.Fatalf("no query root span (root=%+v)", root)
 	}
 	if st.GHDNodes < 2 {
