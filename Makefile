@@ -178,11 +178,14 @@ difftest-long:
 # The hybrid lane alone under the race detector: forced-WCOJ vs
 # forced-binary vs cost-based over shared lazily materializing tries is
 # the executor's one concurrent seam; so is deriving filtered tries from
-# one cached base order in many queries at once. The compiled leaf's
-# bit-identity check runs here too, at 1 and 4 threads.
+# one cached base order in many queries at once, each with its own tail
+# of appended rows (the ingest lane runs every stage twice, the second
+# run deriving). The compiled leaf's bit-identity check runs here too,
+# at 1 and 4 threads.
 hybrid-race:
 	$(GO) test -race -count=1 -run TestDifferentialShort ./internal/difftest -difftest.lane hybrid
-	$(GO) test -race -count=1 -run 'TestDeriveConcurrent|TestDeriveParallelRegions|TestConcurrentDerive|TestLeafKernelBitIdentical' ./internal/trie ./internal/exec
+	$(GO) test -race -count=1 -run TestDifferentialShort ./internal/difftest -difftest.lane ingest
+	$(GO) test -race -count=1 -run 'TestDeriveConcurrent|TestDeriveParallelRegions|TestConcurrentDerive|TestConcurrentAppendDerive|TestLeafKernelBitIdentical' ./internal/trie ./internal/exec
 
 # Non-blank, non-comment lines of non-test Go in the packages the
 # "one executor" and "one scalar evaluator" work is held to (ROADMAP

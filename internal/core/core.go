@@ -856,5 +856,5 @@ func explainScan(b *strings.Builder, p *planner.Plan) {
 	b.WriteByte('\n')
 }
 
-// CacheSize reports the number of cached tries.
+// CacheSize reports the number of cached tries and base orders.
 func (e *Engine) CacheSize() int { return e.cache.Len() }

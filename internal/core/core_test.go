@@ -137,6 +137,75 @@ func TestTrieCacheGrows(t *testing.T) {
 	}
 }
 
+// lineitemRow copies row i of the table's live generation as an
+// IngestRows row.
+func lineitemRow(eng *Engine, i int) []interface{} {
+	tb := eng.Catalog().Table("lineitem").Live()
+	row := make([]interface{}, len(tb.Cols))
+	for c, col := range tb.Cols {
+		switch col.Def.Kind {
+		case storage.Int64, storage.Date:
+			row[c] = col.Ints[i]
+		case storage.Float64:
+			row[c] = col.Floats[i]
+		case storage.String:
+			row[c] = col.Strs[i]
+		}
+	}
+	return row
+}
+
+// TestTrieCacheBoundedUnderAppends: a table appended between queries
+// mints a generation per query, and the cache keeps only the newest
+// generation's tries of it, so its size stays flat without a Compact.
+func TestTrieCacheBoundedUnderAppends(t *testing.T) {
+	eng := tpchEngine(t)
+	const sql = "SELECT sum(l_extendedprice) AS s FROM lineitem, orders WHERE l_orderkey = o_orderkey"
+	ctx := context.Background()
+	for i := 0; i < 40; i++ {
+		if _, err := eng.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+		if n := eng.CacheSize(); n > 2 {
+			t.Fatalf("after %d appends the cache holds %d tries, want at most 2", i, n)
+		}
+		if _, err := eng.IngestRows(ctx, "lineitem", [][]interface{}{lineitemRow(eng, i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBasesSurviveCompact: a filtered query's base orders outlive
+// appends and Compact (which keeps row order and codes), so the next run
+// after either derives every filtered relation and builds nothing.
+func TestBasesSurviveCompact(t *testing.T) {
+	eng := tpchEngine(t)
+	ctx := context.Background()
+	q3 := func() *obs.QueryStats {
+		t.Helper()
+		res, err := eng.Query(tpch.Queries["q3"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats
+	}
+	for i := 0; i < 3; i++ {
+		q3()
+	}
+	for _, step := range []string{"append", "compact"} {
+		if step == "append" {
+			if _, err := eng.IngestRows(ctx, "lineitem", [][]interface{}{lineitemRow(eng, 7)}); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := eng.Compact(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if st := q3(); st.TriesBuilt != 0 || st.TriesDerived != 3 {
+			t.Fatalf("q3 after %s: built %d, derived %d; want 0 and 3", step, st.TriesBuilt, st.TriesDerived)
+		}
+	}
+}
+
 func TestPrepareExecuteSplit(t *testing.T) {
 	eng := tpchEngine(t)
 	p, ch, err := eng.Prepare(tpch.Queries["q5"], QueryOptions{})

@@ -567,15 +567,15 @@ func (c *compiled) vertexDomainSize(vertex string) int {
 // access path) the relation becomes a lazy generalized hash trie.
 //
 // Both reusable pieces are the physical index whose creation the
-// paper's measurements exclude, cached per table generation so an
-// append never serves a stale one. An unfiltered relation's whole trie
-// is cached (a lazy entry's deeper levels materialize across queries,
-// so it never aliases a fully built one). A filtered relation derives
-// its trie from a cached filter-free sort order of its key columns: one
-// pass keeps the survivors, already in key order. That base is built on
-// the second filtered miss of its key, so a table appended between
-// every query keeps building directly over its survivors. Derived and
-// direct builds are bit-identical.
+// paper's measurements exclude. An unfiltered relation's whole trie is
+// cached per table generation, so an append never serves a stale one (a
+// lazy entry's deeper levels materialize across queries, so it never
+// aliases a fully built one). A filtered relation derives its trie from
+// a cached filter-free sort order of its key columns: one pass keeps
+// the survivors, already in key order. That base is built on the second
+// filtered miss of its table and columns and serves later generations
+// too: rows appended since are a tail, sorted and merged in by Derive.
+// Derived and direct builds are bit-identical.
 func (c *compiled) buildRel(relIdx int, order []string,
 	leafAST map[string]sqlparse.Expr, combines map[string]trie.CombineFunc, lazy bool) (*cRel, error) {
 
@@ -609,8 +609,8 @@ func (c *compiled) buildRel(relIdx int, order []string,
 		cols[i] = r.VertexCol[v]
 	}
 	cacheKey := trieKey{
-		baseKey: baseKey{table: tb.Schema.Name, gen: tb.Generation(), cols: strings.Join(cols, "\x00")},
-		leaves:  strings.Join(leafKeys, "\x00"), lazy: lazy,
+		baseKey: baseKey{table: tb.Schema.Name, cols: strings.Join(cols, "\x00")},
+		gen:     tb.Generation(), leaves: strings.Join(leafKeys, "\x00"), lazy: lazy,
 	}
 	if r.Filter == nil && cache != nil {
 		ix, ok := cache.get(cacheKey)
@@ -661,19 +661,22 @@ func (c *compiled) buildRel(relIdx int, order []string,
 	// the cache, not to the query that happens to build it: it is built
 	// only when it fits the query's remaining budget, and not charged to
 	// it, so building one never pushes a query over its budget.
-	var base *trie.Lazy
+	var base *cachedBase
 	if r.Filter != nil && cache != nil {
 		var admit bool
-		base, admit = cache.base(cacheKey.baseKey)
+		gen := tb.Generation()
+		base, admit = cache.base(cacheKey.baseKey, gen, n, stableCodes(tb, cols))
 		countLookup(st, base != nil)
 		if admit && c.opts.Mem.Fits(trie.BaseBytes(n, len(cols))) {
 			keys, err := c.keyColumns(r, tb, cols)
 			if err != nil {
 				return nil, err
 			}
-			if base, err = trie.NewBase(trie.BuildInput{Attrs: cols, Keys: keys, Threads: threads}); err != nil {
+			lz, err := trie.NewBase(trie.BuildInput{Attrs: cols, Keys: keys, Threads: threads})
+			if err != nil {
 				return nil, fmt.Errorf("exec: building base order for %s: %v", r.Alias, err)
 			}
+			base = &cachedBase{Lazy: lz, gen: gen, rows: n}
 			cache.putBase(cacheKey.baseKey, base)
 			if st != nil {
 				st.TriesBuilt++
@@ -717,8 +720,10 @@ func (c *compiled) buildRel(relIdx int, order []string,
 	// direct build would, so a later run of a query never charges more
 	// than its first and a budget that admits the first admits them all.
 	var deriveEst int64
+	var tail int // survivors past the base's rows
 	if base != nil {
-		deriveEst = int64(8*len(anns))*int64(nRows) + base.DeriveBytes(nRows, len(anns)+1)
+		tail = nRows - sort.Search(nRows, func(i int) bool { return rows[i] >= int32(base.rows) })
+		deriveEst = int64(8*len(anns))*int64(nRows) + base.DeriveBytes(nRows, tail, len(anns)+1)
 		if c.opts.Mem != nil && deriveEst > directBytes(nRows, len(attrs), len(anns)+1) {
 			base = nil
 		}
@@ -727,7 +732,14 @@ func (c *compiled) buildRel(relIdx int, order []string,
 		if err := c.opts.Mem.Charge(deriveEst); err != nil {
 			return nil, err
 		}
-		d, err := base.Derive(trie.DeriveInput{Sel: rows, Anns: anns, Count: multAnn, Threads: threads})
+		var keys [][]uint32
+		if tail > 0 {
+			var err error
+			if keys, err = c.keyColumns(r, tb, cols); err != nil {
+				return nil, err
+			}
+		}
+		d, err := base.Derive(trie.DeriveInput{Sel: rows, Keys: keys, Anns: anns, Count: multAnn, Threads: threads})
 		if err != nil {
 			return nil, fmt.Errorf("exec: deriving trie for %s: %v", r.Alias, err)
 		}
@@ -817,6 +829,19 @@ func (c *compiled) keyColumns(r *planner.RelInfo, tb *storage.Table, cols []stri
 		keys[i] = codes
 	}
 	return keys, nil
+}
+
+// stableCodes reports whether the named columns keep their rows' codes
+// as the table grows: a key column's or a string column's dictionary
+// only ever adds codes, while a numeric column on a trie level is
+// re-ranked over the whole column on every build.
+func stableCodes(tb *storage.Table, cols []string) bool {
+	for _, name := range cols {
+		if col := tb.Col(name); col == nil || col.Def.Role != storage.Key && col.Def.Kind != storage.String {
+			return false
+		}
+	}
+	return true
 }
 
 // countLookup records one trie-cache lookup in the query stats.

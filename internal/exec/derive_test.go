@@ -1,8 +1,11 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -124,31 +127,85 @@ func TestConcurrentDerive(t *testing.T) {
 var errNoDerive = errors.New("warm run derived no trie")
 
 // TestBaseAdmission: the first filtered miss builds directly and caches
-// nothing; the second builds the base; purging the table drops both the
-// base and a pending miss record.
+// nothing; the second builds the base. A base then serves its own
+// generation, and later ones while its columns' codes are stable and the
+// tail stays within 1/rebaseFrac of its rows; past that, lookups miss
+// again and the second such miss admits a rebuild. A snapshot older than
+// the base neither derives nor counts a miss, and purging the table
+// keeps the base.
 func TestBaseAdmission(t *testing.T) {
 	c := NewTrieCache()
-	k := baseKey{table: "t", gen: 1, cols: "a"}
-	if b, admit := c.base(k); b != nil || admit {
+	k := baseKey{table: "t", cols: "a"}
+	if b, admit := c.base(k, 1, 6400, true); b != nil || admit {
 		t.Fatal("first miss admitted a base")
 	}
-	if b, admit := c.base(k); b != nil || !admit {
+	if b, admit := c.base(k, 1, 6400, true); b != nil || !admit {
 		t.Fatal("second miss did not admit a base")
 	}
-	c.putBase(k, new(trie.Lazy))
-	c.base(baseKey{table: "t", gen: 1, cols: "b"})
-	if b, _ := c.base(k); b == nil {
-		t.Fatal("cached base not returned")
+	c.putBase(k, &cachedBase{Lazy: new(trie.Lazy), gen: 1, rows: 6400})
+	c.base(baseKey{table: "t", cols: "b"}, 1, 6400, true)
+	for _, tc := range []struct {
+		gen        uint64
+		rows       int
+		stable     bool
+		hit, admit bool
+	}{
+		{1, 6400, false, true, false},
+		{2, 6400, true, true, false},   // compacted: same rows
+		{3, 6500, true, true, false},   // a tail of 100 = 6400/rebaseFrac
+		{3, 6500, false, false, false}, // a re-ranked column never extends
+		{4, 6501, true, false, true},   // tail past 6400/rebaseFrac: second miss
+	} {
+		if b, admit := c.base(k, tc.gen, tc.rows, tc.stable); (b != nil) != tc.hit || admit != tc.admit {
+			t.Fatalf("gen %d rows %d stable %v: hit %v admit %v, want %v %v",
+				tc.gen, tc.rows, tc.stable, b != nil, admit, tc.hit, tc.admit)
+		}
 	}
-	c.PurgeTable("t", 2)
-	if len(c.missed) != 0 || len(c.bases) != 0 || c.Len() != 0 {
-		t.Fatalf("purge left %d miss records and %d bases", len(c.missed), len(c.bases))
+	// The rebuilt base replaces the old one; an older snapshot's base
+	// does not replace it, nor does that snapshot derive or miss.
+	c.putBase(k, &cachedBase{Lazy: new(trie.Lazy), gen: 4, rows: 6501})
+	c.putBase(k, &cachedBase{Lazy: new(trie.Lazy), gen: 3, rows: 6500})
+	if b, admit := c.base(k, 3, 6500, true); b != nil || admit || c.bases[k].gen != 4 {
+		t.Fatal("a snapshot older than the base derived, was admitted, or replaced it")
+	}
+	// A small base admits a tail of rebaseFrac rows.
+	small := baseKey{table: "t", cols: "c"}
+	c.putBase(small, &cachedBase{Lazy: new(trie.Lazy), gen: 4, rows: 10})
+	if b, _ := c.base(small, 5, 10+rebaseFrac, true); b == nil {
+		t.Fatal("a small base did not take a tail of rebaseFrac rows")
+	}
+	c.put(trieKey{baseKey: k, gen: 4}, new(trie.Lazy))
+	c.PurgeTable("t", 5)
+	if len(c.m) != 0 || len(c.bases) != 2 {
+		t.Fatalf("purge left %d tries and %d bases, want 0 and 2", len(c.m), len(c.bases))
 	}
 	for i := 0; i < 2*maxMissed; i++ {
-		c.base(baseKey{table: "u", gen: uint64(i)})
+		c.base(baseKey{table: "u", cols: fmt.Sprint(i)}, 1, 1, true)
 	}
 	if len(c.missed) > maxMissed {
 		t.Fatalf("miss record holds %d keys, bound %d", len(c.missed), maxMissed)
+	}
+}
+
+// TestTrieCacheKeepsNewestGeneration: caching a table's trie of a newer
+// generation drops its older ones, and an older one is not cached over a
+// newer one, so an appended table holds one generation's tries.
+func TestTrieCacheKeepsNewestGeneration(t *testing.T) {
+	c := NewTrieCache()
+	for gen := uint64(1); gen <= 5; gen++ {
+		for _, cols := range []string{"a", "b"} {
+			c.put(trieKey{baseKey: baseKey{table: "t", cols: cols}, gen: gen}, new(trie.Lazy))
+		}
+		c.put(trieKey{baseKey: baseKey{table: "u", cols: "a"}, gen: 1}, new(trie.Lazy))
+	}
+	c.put(trieKey{baseKey: baseKey{table: "t", cols: "c"}, gen: 2}, new(trie.Lazy))
+	if c.Len() != 3 {
+		t.Fatalf("cache holds %d tries, want 3", c.Len())
+	}
+	for k := range c.m {
+		if k.table == "t" && k.gen != 5 {
+			t.Fatalf("stale trie %+v kept", k)
+		}
 	}
 }
 
@@ -226,6 +283,231 @@ func TestBudgetAdmitsWarmRuns(t *testing.T) {
 					t.Fatalf("%s/%s: %d tries derived under an unbounded budget", name, path, derived)
 				}
 			}
+		}
+	}
+}
+
+// appendCopies appends n rows to the named table, each a copy of a
+// random row of its current generation; when fresh, each Int64 key of
+// a copy moves to a value the table lacks with probability 1/3, so the
+// tail holds repeats of base key tuples, tuples new at an inner level
+// and tuples new at level 0.
+func appendCopies(t *testing.T, cat *storage.Catalog, rng *rand.Rand, name string, n int, fresh bool) {
+	t.Helper()
+	h := cat.Table(name)
+	tb := cat.Snapshot().Resolve(h)
+	rows := make([][]any, n)
+	for i := range rows {
+		rows[i] = copyRow(tb, rng.Intn(tb.NumRows))
+		for c, col := range tb.Cols {
+			if fresh && col.Def.Role == storage.Key && col.Def.Kind == storage.Int64 && rng.Intn(3) == 0 {
+				rows[i][c] = int64(1_000_000 + rng.Intn(1_000_000))
+			}
+		}
+	}
+	if err := h.AppendBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyRow returns row i of a table generation as Append values.
+func copyRow(tb *storage.Table, i int) []any {
+	row := make([]any, len(tb.Cols))
+	for c, col := range tb.Cols {
+		switch col.Def.Kind {
+		case storage.Int64, storage.Date:
+			row[c] = col.Ints[i]
+		case storage.Float64:
+			row[c] = col.Floats[i]
+		case storage.String:
+			row[c] = col.Strs[i]
+		}
+	}
+	return row
+}
+
+// warmBases runs every filtered shape until its bases are cached and
+// returns how many tries each shape's warm run derives.
+func warmBases(t *testing.T, cat *storage.Catalog, cache *TrieCache, shapes map[string]string) map[string]int {
+	t.Helper()
+	warm := map[string]int{}
+	for name, sql := range shapes {
+		for round := 0; round < 3; round++ {
+			st := &obs.QueryStats{}
+			run(t, cat, sql, Options{Threads: 2, Cache: cache, Stats: st, Snap: cat.Snapshot()}, costopt.Options{})
+			warm[name] = st.TriesDerived
+		}
+	}
+	return warm
+}
+
+// TestDeriveAcrossAppends: bases cached before appends to lineitem and
+// orders keep serving every filtered shape after each append and after
+// Compact, never rebuilt: each relation that derived before still
+// derives (base plus a tail of the appended rows), a second run builds
+// nothing, and every result is bit-identical to a cache-less run on the
+// same snapshot. Once the tail outgrows the base the second miss
+// rebuilds it, and a query pinned to a snapshot older than the rebuilt
+// base builds that relation directly and still reads its own snapshot.
+func TestDeriveAcrossAppends(t *testing.T) {
+	cat := tpchCatalog(t, 0.002)
+	rng := rand.New(rand.NewSource(33))
+	shapes := filteredShapes()
+	cache := NewTrieCache()
+	warm := warmBases(t, cat, cache, shapes)
+	bases := maps.Clone(cache.bases)
+	check := func(stage string, snap *storage.Snapshot) {
+		t.Helper()
+		for name, sql := range shapes {
+			ref := run(t, cat, sql, Options{Threads: 2, Snap: snap}, costopt.Options{})
+			for round := 0; round < 2; round++ {
+				st := &obs.QueryStats{}
+				res := run(t, cat, sql, Options{Threads: 2, Snap: snap, Cache: cache, Stats: st}, costopt.Options{})
+				assertResultsEqual(t, stage+"/"+name, ref, res)
+				if st.TriesDerived != warm[name] || round == 1 && st.TriesBuilt != 0 {
+					t.Fatalf("%s/%s run %d: derived %d (warm %d), built %d", stage, name, round, st.TriesDerived, warm[name], st.TriesBuilt)
+				}
+			}
+		}
+		for k, b := range bases {
+			if cache.bases[k] != b {
+				t.Fatalf("%s: base %q rebuilt", stage, k)
+			}
+		}
+	}
+	var pinned *storage.Snapshot
+	for i := 0; i < 3; i++ {
+		appendCopies(t, cat, rng, "lineitem", 20, i > 0)
+		appendCopies(t, cat, rng, "orders", 8, true)
+		snap := cat.Snapshot()
+		if pinned == nil {
+			pinned = snap
+		}
+		check(fmt.Sprintf("append %d", i), snap)
+	}
+	if _, _, err := cat.Compact(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	check("compacted", cat.Snapshot())
+
+	// Outgrow lineitem's base: the first miss builds directly, the
+	// second rebuilds the base over the current generation.
+	appendCopies(t, cat, rng, "lineitem", cat.Table("lineitem").LiveRows()/rebaseFrac+rebaseFrac, true)
+	snap := cat.Snapshot()
+	for round := 0; round < 2; round++ {
+		run(t, cat, shapes["q3"], Options{Threads: 2, Snap: snap, Cache: cache}, costopt.Options{})
+	}
+	rebuilt := false
+	for k, b := range cache.bases {
+		if k.table == "lineitem" && b.gen == snap.Resolve(cat.Table("lineitem")).Generation() {
+			rebuilt = true
+		}
+	}
+	if !rebuilt {
+		t.Fatal("a tail past the bound did not rebuild lineitem's base")
+	}
+	ref := run(t, cat, shapes["q3"], Options{Threads: 2, Snap: pinned}, costopt.Options{})
+	st := &obs.QueryStats{}
+	res := run(t, cat, shapes["q3"], Options{Threads: 2, Snap: pinned, Cache: cache, Stats: st}, costopt.Options{})
+	assertResultsEqual(t, "pinned q3", ref, res)
+	if st.TriesBuilt == 0 || st.TriesDerived >= warm["q3"] {
+		t.Fatalf("pinned q3 built %d and derived %d of %d: want lineitem built directly", st.TriesBuilt, st.TriesDerived, warm["q3"])
+	}
+}
+
+// TestPseudoLevelsNeverExtend: a numeric column on a trie level is
+// re-ranked over the whole column per build, so its base serves only
+// its own generation: after an append the relation builds directly
+// until its base is rebuilt, and the result matches a cache-less run.
+func TestPseudoLevelsNeverExtend(t *testing.T) {
+	cat := tpchCatalog(t, 0.002)
+	const sql = `SELECT l_quantity, sum(o_totalprice) AS s FROM lineitem, orders
+		WHERE l_orderkey = o_orderkey AND l_shipdate > date '1995-03-15' AND o_orderdate < date '1995-03-15'
+		GROUP BY l_quantity`
+	shapes := map[string]string{"pseudo": sql}
+	cache := NewTrieCache()
+	warm := warmBases(t, cat, cache, shapes)
+	pseudo := false
+	for k := range cache.bases {
+		pseudo = pseudo || strings.Contains(k.cols, "l_quantity")
+	}
+	if !pseudo || warm["pseudo"] != 2 {
+		t.Fatalf("no base over the pseudo level l_quantity (warm run derived %d)", warm["pseudo"])
+	}
+	appendCopies(t, cat, rand.New(rand.NewSource(4)), "lineitem", 5, false)
+	snap := cat.Snapshot()
+	ref := run(t, cat, sql, Options{Threads: 2, Snap: snap}, costopt.Options{})
+	st := &obs.QueryStats{}
+	res := run(t, cat, sql, Options{Threads: 2, Snap: snap, Cache: cache, Stats: st}, costopt.Options{})
+	assertResultsEqual(t, "pseudo after append", ref, res)
+	if st.TriesDerived != 1 {
+		t.Fatalf("after an append derived %d tries, want 1 (orders only)", st.TriesDerived)
+	}
+}
+
+// TestConcurrentAppendDerive runs the filtered shapes from several
+// goroutines, each on the snapshot current when it starts, while
+// another goroutine appends to lineitem and orders: queries derive from
+// shared bases with different tails at once, and every result matches a
+// cache-less run on its snapshot (run under -race by make hybrid-race).
+func TestConcurrentAppendDerive(t *testing.T) {
+	cat := tpchCatalog(t, 0.002)
+	shapes := filteredShapes()
+	cache := NewTrieCache()
+	warmBases(t, cat, cache, shapes)
+	// The appender's rows are copied up front, so it calls nothing but
+	// AppendBatch (appendCopies would t.Fatal off the test goroutine).
+	tb := cat.Snapshot().Resolve(cat.Table("lineitem"))
+	lineRows := make([][]any, 24)
+	for i := range lineRows {
+		lineRows[i] = copyRow(tb, i*7)
+	}
+	done := make(chan struct{})
+	var appendErr error
+	go func() {
+		defer close(done)
+		for i := 0; i < len(lineRows) && appendErr == nil; i += 4 {
+			appendErr = cat.Table("lineitem").AppendBatch(lineRows[i : i+4])
+		}
+	}()
+	type out struct {
+		name string
+		err  error
+	}
+	outs := make(chan out, 3*len(shapes))
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for name, sql := range shapes {
+				snap := cat.Snapshot()
+				ref, err := runErr(cat, sql, Options{Threads: 2, Snap: snap}, costopt.Options{})
+				if err != nil {
+					outs <- out{name, err}
+					continue
+				}
+				st := &obs.QueryStats{}
+				res, err := runErr(cat, sql, Options{Threads: 2, Snap: snap, Cache: cache, Stats: st}, costopt.Options{})
+				if err == nil && st.TriesDerived == 0 {
+					err = errNoDerive
+				}
+				if err == nil {
+					err = sameResult(ref, res)
+				}
+				outs <- out{name, err}
+			}
+		}()
+	}
+	wg.Wait()
+	<-done
+	close(outs)
+	if appendErr != nil {
+		t.Fatal(appendErr)
+	}
+	for o := range outs {
+		if o.err != nil {
+			t.Fatalf("%s: %v", o.name, o.err)
 		}
 	}
 }

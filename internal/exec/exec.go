@@ -139,43 +139,62 @@ func (c *Column) Float(row int) float64 {
 }
 
 // TrieCache holds the query-trie pieces reusable across queries: the
-// whole trie of an unfiltered relation, and the filter-free base sort
-// order a filtered relation's trie is derived from. Every entry is
-// keyed on its table generation and purged when the table moves on.
+// whole trie of an unfiltered relation, keyed on its table generation,
+// and the filter-free base sort order a filtered relation's trie is
+// derived from, which stays valid while its table only grows.
 type TrieCache struct {
-	mu    sync.RWMutex
+	mu sync.RWMutex
+	// m holds tries of at most one generation per table: caching a
+	// newer generation's trie drops the table's older ones.
 	m     map[trieKey]trie.Index
-	bases map[baseKey]*trie.Lazy
+	bases map[baseKey]*cachedBase
 	// missed records base keys that missed once: the next miss builds
 	// the base. Bounded by maxMissed (cleared when full, which at worst
 	// delays an admission by one miss).
 	missed map[baseKey]struct{}
 }
 
-// baseKey identifies one base order: the table generation it was built
-// from and its key columns in level order (joined on NUL). It carries no
-// leaves, filter or representation, so one base serves every leaf set,
-// both paths and every alias of the table.
+// baseKey identifies one base order: its table and its key columns in
+// level order (joined on NUL). It carries no generation, leaves, filter
+// or representation, so one base serves every later generation of the
+// table, every leaf set, both paths and every alias of the table.
 type baseKey struct {
 	table string
-	gen   uint64
 	cols  string
 }
 
-// trieKey identifies one cached trie: its base key, its leaf
-// annotations (joined on NUL), and whether it is the lazily
-// materializing representation.
+// trieKey identifies one cached trie: its table, key columns and
+// generation, its leaf annotations (joined on NUL), and whether it is
+// the lazily materializing representation.
 type trieKey struct {
 	baseKey
+	gen    uint64
 	leaves string
 	lazy   bool
 }
 
+// cachedBase is a base order with the table generation and the number
+// of leading rows it was built over. Rows only ever append (compaction
+// keeps their order) and key codes of stable columns never change, so
+// it orders rows [0, rows) of every later generation too; the rows past
+// it are the tail Derive sorts and merges in.
+type cachedBase struct {
+	*trie.Lazy
+	gen  uint64
+	rows int
+}
+
 const maxMissed = 256
+
+// rebaseFrac bounds a base's tail: once it passes 1/rebaseFrac of the
+// base's rows (or rebaseFrac rows, for a base under rebaseFrac² rows),
+// lookups count as misses and the key's next admitted miss rebuilds the
+// base over the current generation.
+const rebaseFrac = 64
 
 // NewTrieCache returns an empty cache.
 func NewTrieCache() *TrieCache {
-	return &TrieCache{m: map[trieKey]trie.Index{}, bases: map[baseKey]*trie.Lazy{}, missed: map[baseKey]struct{}{}}
+	return &TrieCache{m: map[trieKey]trie.Index{}, bases: map[baseKey]*cachedBase{}, missed: map[baseKey]struct{}{}}
 }
 
 func (c *TrieCache) get(key trieKey) (trie.Index, bool) {
@@ -188,22 +207,44 @@ func (c *TrieCache) get(key trieKey) (trie.Index, bool) {
 	return ix, ok
 }
 
+// put caches ix and drops the table's tries of older generations; a
+// trie of a generation older than one already cached is not kept.
 func (c *TrieCache) put(key trieKey, ix trie.Index) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for k := range c.m {
+		if k.table != key.table {
+			continue
+		}
+		if k.gen > key.gen {
+			return
+		}
+		if k.gen < key.gen {
+			delete(c.m, k)
+		}
+	}
 	c.m[key] = ix
 }
 
-// base returns the cached base under key, or nil and whether this miss
-// admits building one (the key's second miss).
-func (c *TrieCache) base(key baseKey) (b *trie.Lazy, admit bool) {
+// base returns the cached base under key when it orders a prefix of
+// generation gen's rows rows with a tail within the rebaseFrac bound:
+// any earlier generation's base when stable (the columns' codes survive
+// appends), only gen's own otherwise. Else it returns nil and whether
+// this miss admits building one (the key's second miss). A snapshot
+// older than the cached base neither derives nor counts a miss.
+func (c *TrieCache) base(key baseKey, gen uint64, rows int, stable bool) (b *cachedBase, admit bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if b := c.bases[key]; b != nil {
-		return b, false
+		switch tail := rows - b.rows; {
+		case b.gen == gen || stable && tail >= 0 && tail <= max(b.rows/rebaseFrac, rebaseFrac):
+			return b, false
+		case tail < 0:
+			return nil, false
+		}
 	}
 	if _, ok := c.missed[key]; ok {
 		delete(c.missed, key)
@@ -216,24 +257,26 @@ func (c *TrieCache) base(key baseKey) (b *trie.Lazy, admit bool) {
 	return nil, false
 }
 
-func (c *TrieCache) putBase(key baseKey, b *trie.Lazy) {
+// putBase caches b under key unless a base of a later generation is
+// already there.
+func (c *TrieCache) putBase(key baseKey, b *cachedBase) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bases[key] = b
+	if old := c.bases[key]; old == nil || old.gen < b.gen {
+		c.bases[key] = b
+	}
 }
 
-// PurgeTable drops every cached trie, base and miss record of the named
-// table from a generation other than keep.
+// PurgeTable drops every cached trie of the named table from a
+// generation other than keep. Bases stay: a compacted generation keeps
+// its rows' order and codes.
 func (c *TrieCache) PurgeTable(table string, keep uint64) {
 	if c == nil {
 		return
 	}
-	stale := func(k baseKey) bool { return k.table == table && k.gen != keep }
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	maps.DeleteFunc(c.m, func(k trieKey, _ trie.Index) bool { return stale(k.baseKey) })
-	maps.DeleteFunc(c.bases, func(k baseKey, _ *trie.Lazy) bool { return stale(k) })
-	maps.DeleteFunc(c.missed, func(k baseKey, _ struct{}) bool { return stale(k) })
+	maps.DeleteFunc(c.m, func(k trieKey, _ trie.Index) bool { return k.table == table && k.gen != keep })
 }
 
 // Len reports the number of cached tries and bases.

@@ -161,13 +161,21 @@ func TestForcedPathsAgree(t *testing.T) {
 // assertResultsEqual requires bitwise-equal columns in identical order.
 func assertResultsEqual(t *testing.T, sql string, a, b *Result) {
 	t.Helper()
+	if err := sameResult(a, b); err != nil {
+		t.Fatalf("%q: %v", sql, err)
+	}
+}
+
+// sameResult reports the first difference between two results, floats
+// compared by bit pattern.
+func sameResult(a, b *Result) error {
 	if a.NumRows != b.NumRows || len(a.Cols) != len(b.Cols) {
-		t.Fatalf("%q: shape mismatch %dx%d vs %dx%d", sql, a.NumRows, len(a.Cols), b.NumRows, len(b.Cols))
+		return fmt.Errorf("shape mismatch %dx%d vs %dx%d", a.NumRows, len(a.Cols), b.NumRows, len(b.Cols))
 	}
 	for ci := range a.Cols {
 		ca, cb := a.Cols[ci], b.Cols[ci]
 		if ca.Name != cb.Name || ca.Kind != cb.Kind {
-			t.Fatalf("%q: column %d header mismatch", sql, ci)
+			return fmt.Errorf("column %d header mismatch", ci)
 		}
 		for ri := 0; ri < a.NumRows; ri++ {
 			same := true
@@ -180,10 +188,11 @@ func assertResultsEqual(t *testing.T, sql string, a, b *Result) {
 				same = ca.Str[ri] == cb.Str[ri]
 			}
 			if !same {
-				t.Fatalf("%q: col %s row %d differs", sql, ca.Name, ri)
+				return fmt.Errorf("col %s row %d differs", ca.Name, ri)
 			}
 		}
 	}
+	return nil
 }
 
 // TestForcePathRejected checks the ForcePath validation in Run.

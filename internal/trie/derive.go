@@ -1,7 +1,9 @@
 package trie
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -44,8 +46,15 @@ func BaseBytes(n, k int) int64 { return 4 * int64(n) * int64(3+3*k) }
 
 // DeriveInput selects the rows of a base and supplies their annotations.
 type DeriveInput struct {
-	// Sel lists the surviving source rows, strictly ascending.
+	// Sel lists the surviving source rows, strictly ascending. Rows at
+	// or past the base's row count are the tail: rows appended to the
+	// source after the base was built.
 	Sel []int32
+	// Keys holds each key column's codes over at least every row Sel
+	// names; only the tail rows' codes are read, so it may be nil when
+	// Sel has no tail. The base's rows must still carry the codes the
+	// base was built from.
+	Keys [][]uint32
 	// Anns are indexed by position in Sel, exactly as a BuildInput over
 	// the gathered survivors would hold them.
 	Anns []AnnSpec
@@ -58,12 +67,18 @@ type DeriveInput struct {
 }
 
 // Derive builds the trie of the selected rows of base l (a NewBase
-// result) with no sort, bucketing or per-row gather. The survivors are
-// marked at their frontier positions, and one pass over those marks
-// walks them in frontier order, grouped by leaf element. The frontier
-// lists every source row in key order, stable in row id, so that is
-// exactly the order a stable sort of the gathered survivors gives: the
-// same elements, the same grouping and the same duplicate-fold order.
+// result) with no sort, bucketing or per-row gather of the base's rows.
+// The survivors are marked at their frontier positions, and one pass
+// over those marks walks them in frontier order, grouped by leaf
+// element. The frontier lists every source row in key order, stable in
+// row id, so that is exactly the order a stable sort of the gathered
+// survivors gives: the same elements, the same grouping and the same
+// duplicate-fold order.
+//
+// Tail survivors (rows appended after the base) are sorted by key
+// tuple, ties in row order, and merged into the pass: a tuple the base
+// has joins that leaf element after its base survivors (every tail row
+// id is larger), and a new tuple is emitted by value where it sorts.
 // The result is therefore bit-identical to NewLazy (and its Full to
 // Build) over the gathered survivors. It comes back fully materialized,
 // annotations included, and keeps no frontier. Like Build, the pass
@@ -77,7 +92,12 @@ func (l *Lazy) Derive(in DeriveInput) (*Lazy, error) {
 	if err := checkAnns(in.Anns, k, m, in.Count); err != nil {
 		return nil, err
 	}
-	words, front, prefix, err := l.selBitsets(in.Sel)
+	mb := sort.Search(m, func(i int) bool { return in.Sel[i] >= int32(l.n) })
+	words, front, prefix, err := l.selBitsets(in.Sel[:mb])
+	if err != nil {
+		return nil, err
+	}
+	tail, err := l.placeTail(in.Sel, mb, in.Keys)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +106,7 @@ func (l *Lazy) Derive(in DeriveInput) (*Lazy, error) {
 	if m >= deriveSplitMin {
 		regions = splitFrontier(l.levels[0].rowOff, buildThreads(in.Threads))
 	}
-	out := newDeriveOutput(l, in, front, regions)
+	out := newDeriveOutput(l, in, front, regions, tail)
 	if len(regions) == 1 {
 		out.parts[0].walk(front, words, prefix, regions[0][0], regions[0][1])
 	} else {
@@ -179,8 +199,8 @@ func splitFrontier(off []int32, threads int) [][2]int32 {
 
 // deriveOutput is every output buffer of one Derive, and each region's
 // pass, which appends into its own window of those buffers. A window
-// holds the region's bound, at most one element per survivor and per
-// base element in the region, so no append outgrows it.
+// holds the region's bound, the lesser of its base survivors and base
+// elements plus one per tail element, so no append outgrows it.
 type deriveOutput struct {
 	vals, annC [][]uint32
 	starts     [][]int32
@@ -189,8 +209,23 @@ type deriveOutput struct {
 	parts      []*derivation
 }
 
-func newDeriveOutput(l *Lazy, in DeriveInput, front []uint64, regions [][2]int32) *deriveOutput {
+func newDeriveOutput(l *Lazy, in DeriveInput, front []uint64, regions [][2]int32, tail *tailPlan) *deriveOutput {
 	k := l.k
+	// Region r emits tail elements cut[r]:cut[r+1] besides its base
+	// survivors: those placed before its last level-0 boundary.
+	cut := make([]int, len(regions)+1)
+	if tail != nil {
+		off0 := l.levels[0].rowOff
+		for r, reg := range regions {
+			z := int32(sort.Search(len(off0), func(j int) bool { return off0[j] >= reg[1] }))
+			i := cut[r]
+			for i < len(tail.elems) && tail.elems[i].z < z {
+				i++
+			}
+			cut[r+1] = i
+		}
+		cut[len(regions)] = len(tail.elems)
+	}
 	// bound[e][r]: the most level-e elements region r can emit.
 	bound := make([][]int, k)
 	for e := range bound {
@@ -198,7 +233,7 @@ func newDeriveOutput(l *Lazy, in DeriveInput, front []uint64, regions [][2]int32
 		first := func(x int32) int { return sort.Search(len(off), func(i int) bool { return off[i] >= x }) }
 		bound[e] = make([]int, len(regions))
 		for r, reg := range regions {
-			bound[e][r] = min(popcountRange(front, reg[0], reg[1]), first(reg[1])-first(reg[0]))
+			bound[e][r] = min(popcountRange(front, reg[0], reg[1]), first(reg[1])-first(reg[0])) + cut[r+1] - cut[r]
 		}
 	}
 	o := &deriveOutput{
@@ -212,6 +247,7 @@ func newDeriveOutput(l *Lazy, in DeriveInput, front []uint64, regions [][2]int32
 			vals: make([][]uint32, k), starts: make([][]int32, k),
 			annF: make([][]float64, len(in.Anns)), annC: make([][]uint32, len(in.Anns)),
 			anc: make([]int32, k), emitted: make([]int32, k),
+			tail: tail, ti: cut[r], tend: cut[r+1],
 		}
 		for e := range dv.emitted {
 			dv.emitted[e] = -1
@@ -302,9 +338,18 @@ type derivation struct {
 	count  []float64
 	counts bool
 	// anc[e] is the base element at level e above the current leaf;
-	// emitted[e] the last base element emitted at level e.
+	// emitted[e] the last base element emitted at level e, or newElem.
 	anc, emitted []int32
+	// tail.elems[ti:tend] are the region's tail elements not yet
+	// emitted; lastNew is the last one emitted by value.
+	tail     *tailPlan
+	ti, tend int
+	lastNew  int
 }
+
+// newElem marks a level whose last emitted element came from a tail key
+// tuple the base does not have.
+const newElem = -2
 
 // fork copies a region's pass state into memory its own goroutine
 // allocates: every append rewrites a slice header, and the regions'
@@ -319,7 +364,8 @@ func (dv *derivation) fork() *derivation {
 
 // walk visits the survivors at frontier positions [lo, hi) in order,
 // collecting their positions in Sel per leaf element and emitting each
-// element when the next one starts.
+// element when the next one starts, then emits the region's remaining
+// tail elements.
 func (dv *derivation) walk(front, words []uint64, prefix []int32, lo, hi int32) {
 	l := dv.base
 	leafOff := l.levels[l.k-1].rowOff
@@ -348,41 +394,52 @@ func (dv *derivation) walk(front, words []uint64, prefix []int32, lo, hi int32) 
 		}
 	}
 	dv.emit(el, ranks)
+	dv.flushTail(math.MaxInt64)
 }
 
-// emit appends base leaf element el, whose survivors sit at positions
-// ranks of Sel (in frontier order), together with every ancestor that
-// changed since the last emitted leaf; no-op when ranks is empty.
+// emit appends one leaf element, whose survivors sit at positions ranks
+// of Sel in row order, together with every ancestor that changed since
+// the last emitted leaf: base leaf element el (ranks in frontier order)
+// after the pending tail elements that sort before it and with the tail
+// survivors of its own key tuple, or, when el < 0, tail element ^el by
+// value. No-op when ranks is empty.
 func (dv *derivation) emit(el int32, ranks []int32) {
 	if len(ranks) == 0 {
 		return
 	}
 	l, k := dv.base, dv.base.k
 	anc, emitted := dv.anc, dv.emitted
-	// Walk the ancestors up from the leaf; the shallowest level whose
-	// element changed opens new sets on every level below it.
 	top := k - 1
-	anc[k-1] = el
-	for e := k - 2; e >= 0; e-- {
-		starts, p := l.levels[e+1].starts, anc[e]
-		for starts[p+1] <= anc[e+1] {
-			p++
+	if el < 0 {
+		top = dv.putNew(int(^el))
+	} else {
+		if dv.ti < dv.tend {
+			ranks = dv.mergeTail(el, ranks)
 		}
-		anc[e] = p
-		if p != emitted[e] {
-			top = e
+		// Walk the ancestors up from the leaf; the shallowest level
+		// whose element changed opens new sets on every level below it.
+		anc[k-1] = el
+		for e := k - 2; e >= 0; e-- {
+			starts, p := l.levels[e+1].starts, anc[e]
+			for starts[p+1] <= anc[e+1] {
+				p++
+			}
+			anc[e] = p
+			if p != emitted[e] {
+				top = e
+			}
+		}
+		for e := top; e < k; e++ {
+			if e > top {
+				dv.starts[e] = append(dv.starts[e], int32(len(dv.vals[e])))
+			}
+			dv.vals[e] = append(dv.vals[e], l.levels[e].vals[anc[e]])
+			emitted[e] = anc[e]
 		}
 	}
-	for e := top; e < k; e++ {
-		if e > top {
-			dv.starts[e] = append(dv.starts[e], int32(len(dv.vals[e])))
-		}
-		dv.vals[e] = append(dv.vals[e], l.levels[e].vals[anc[e]])
-		emitted[e] = anc[e]
-	}
-	// The first survivor in frontier order stands for every element it
-	// opened; leaf values fold over all of them, in row order — the left
-	// fold of the stable sorted scan.
+	// The first survivor stands for every element it opened; leaf
+	// values fold over all of them, in row order — the left fold of the
+	// stable sorted scan.
 	first := ranks[0]
 	for i := range dv.anns {
 		a := &dv.anns[i]
@@ -413,20 +470,201 @@ func (dv *derivation) emit(el int32, ranks []int32) {
 	}
 }
 
-// DeriveBytes is what Derive on base l allocates for m selected rows
-// carrying leafAnns leaf-level F64 annotations (Count included): the two
-// selection bitsets and the popcount prefix, and every output buffer at
-// the capacity Derive reserves for it.
-func (l *Lazy) DeriveBytes(m, leafAnns int) int64 {
-	words := int64(l.n+63) / 64
-	b := 20 * words
-	for e, lv := range l.levels {
-		b += 4 * int64(min(m, len(lv.vals)))
-		if e > 0 {
-			b += 4 * int64(min(m, len(l.levels[e-1].vals))+1)
+// mergeTail emits the pending tail elements that sort before base leaf
+// element el and appends the ranks of the one that is el, if any.
+func (dv *derivation) mergeTail(el int32, ranks []int32) []int32 {
+	dv.flushTail(2 * int64(el))
+	if dv.ti < dv.tend {
+		if te := &dv.tail.elems[dv.ti]; te.at == 2*int64(el)+1 {
+			ranks = append(ranks, dv.tail.ranks[te.lo:te.hi]...)
+			dv.ti++
 		}
 	}
-	return b + 8*int64(leafAnns)*int64(min(m, len(l.levels[l.k-1].vals)))
+	return ranks
+}
+
+// flushTail emits every pending tail element placed at or before at.
+func (dv *derivation) flushTail(at int64) {
+	for dv.ti < dv.tend && dv.tail.elems[dv.ti].at <= at {
+		te := &dv.tail.elems[dv.ti]
+		el := ^int32(dv.ti)
+		if te.at&1 == 1 {
+			el = int32(te.at >> 1)
+		}
+		dv.ti++
+		dv.emit(el, dv.tail.ranks[te.lo:te.hi])
+	}
+}
+
+// putNew appends the key levels of tail element i, a tuple the base
+// lacks from level depth down, by value, and returns the shallowest
+// level it opened: its prefix levels compare by base element, its new
+// levels by code against the last tail element put by value.
+func (dv *derivation) putNew(i int) int {
+	k, tp := dv.base.k, dv.tail
+	depth := int(tp.elems[i].depth)
+	ids, vals := tp.ids[i*k:(i+1)*k], tp.vals[i*k:(i+1)*k]
+	last := tp.vals[dv.lastNew*k : (dv.lastNew+1)*k]
+	top := k - 1
+	for e := 0; e < k; e++ {
+		same := e < depth && ids[e] == dv.emitted[e] ||
+			e >= depth && dv.emitted[e] == newElem && last[e] == vals[e]
+		if !same {
+			top = e
+			break
+		}
+	}
+	for e := top; e < k; e++ {
+		if e > top {
+			dv.starts[e] = append(dv.starts[e], int32(len(dv.vals[e])))
+		}
+		dv.vals[e] = append(dv.vals[e], vals[e])
+		dv.emitted[e] = newElem
+		if e < depth {
+			dv.emitted[e] = ids[e]
+		}
+	}
+	dv.lastNew = i
+	return top
+}
+
+// tailPlan is the tail survivors of one Derive, sorted and placed
+// against the base.
+type tailPlan struct {
+	// elems are the distinct key tuples in key order; ranks their
+	// survivors' positions in Sel, each tuple's in row order.
+	elems []tailElem
+	ranks []int32
+	// ids[i*k+e] is elems[i]'s base element at level e < depth;
+	// vals[i*k+e] its key code at level e.
+	ids  []int32
+	vals []uint32
+}
+
+// tailElem is one distinct key tuple of the tail survivors.
+type tailElem struct {
+	// at is 2L+1 when the tuple is base leaf element L, and 2L when the
+	// base lacks it and it sorts just before leaf element L.
+	at int64
+	// depth is the number of leading levels the base has (k when at is
+	// odd); z its level-0 element, or where level 0 would insert it.
+	depth, z int32
+	lo, hi   int32 // its survivors: ranks[lo:hi]
+}
+
+// placeTail sorts the tail survivors sel[mb:] (rows past the base) by
+// key tuple, ties in row order, groups them into distinct tuples and
+// places each against the base's levels. It returns nil for an empty
+// tail.
+func (l *Lazy) placeTail(sel []int32, mb int, keys [][]uint32) (*tailPlan, error) {
+	t, k := len(sel)-mb, l.k
+	if t == 0 {
+		return nil, nil
+	}
+	if len(keys) != k {
+		return nil, fmt.Errorf("trie: selection reaches row %d past the base's %d rows with %d of %d key columns", sel[mb], l.n, len(keys), k)
+	}
+	prev := int32(l.n) - 1
+	for _, r := range sel[mb:] {
+		if r <= prev {
+			return nil, fmt.Errorf("trie: selection not strictly ascending at row %d", r)
+		}
+		prev = r
+	}
+	for e, col := range keys {
+		if int(prev) >= len(col) {
+			return nil, fmt.Errorf("trie: key column %d has %d rows, selection reaches row %d", e, len(col), prev)
+		}
+	}
+	tp := &tailPlan{ranks: make([]int32, t)}
+	// ranks first holds each survivor's offset in the tail, sorted.
+	for i := range tp.ranks {
+		tp.ranks[i] = int32(i)
+	}
+	tail := sel[mb:]
+	cmpKeys := func(a, b int32) int {
+		for _, col := range keys {
+			if c := cmp.Compare(col[tail[a]], col[tail[b]]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	slices.SortFunc(tp.ranks, func(a, b int32) int {
+		if c := cmpKeys(a, b); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for lo := 0; lo < t; {
+		hi := lo + 1
+		for hi < t && cmpKeys(tp.ranks[lo], tp.ranks[hi]) == 0 {
+			hi++
+		}
+		tp.place(l, keys, tail[tp.ranks[lo]], int32(lo), int32(hi))
+		lo = hi
+	}
+	for i := range tp.ranks {
+		tp.ranks[i] += int32(mb)
+	}
+	return tp, nil
+}
+
+// place appends the tail element of source row r's key tuple, whose
+// survivors are ranks[lo:hi], descending the base's levels until one
+// lacks its code.
+func (tp *tailPlan) place(l *Lazy, keys [][]uint32, r, lo, hi int32) {
+	k := l.k
+	te := tailElem{depth: int32(k), lo: lo, hi: hi}
+	for e := 0; e < k; e++ {
+		tp.vals = append(tp.vals, keys[e][r])
+	}
+	vals := tp.vals[len(tp.vals)-k:]
+	// [from, to) is the base's run of level-e elements under the
+	// tuple's prefix.
+	from, to := l.levels[0].starts[0], l.levels[0].starts[1]
+	for e := 0; e < k; e++ {
+		lv := l.levels[e]
+		j := from + int32(sort.Search(int(to-from), func(i int) bool { return lv.vals[from+int32(i)] >= vals[e] }))
+		if e == 0 {
+			te.z = j
+		}
+		if j == to || lv.vals[j] != vals[e] {
+			// New from level e on: it sorts before the first leaf
+			// element below level-e element j.
+			for d := e + 1; d < k; d++ {
+				j = l.levels[d].starts[j]
+			}
+			te.depth, te.at = int32(e), 2*int64(j)
+			tp.ids = append(tp.ids, make([]int32, k-e)...)
+			tp.elems = append(tp.elems, te)
+			return
+		}
+		tp.ids = append(tp.ids, j)
+		if e+1 < k {
+			from, to = l.levels[e+1].starts[j], l.levels[e+1].starts[j+1]
+		}
+		te.at = 2*int64(j) + 1
+	}
+	tp.elems = append(tp.elems, te)
+}
+
+// DeriveBytes is what Derive on base l allocates for m selected rows,
+// t of them in the tail, carrying leafAnns leaf-level F64 annotations
+// (Count included): the two selection bitsets and the popcount prefix,
+// the placed tail, and every output buffer at the capacity Derive
+// reserves for it.
+func (l *Lazy) DeriveBytes(m, t, leafAnns int) int64 {
+	words := int64(l.n+63) / 64
+	b := 20*words + int64(t)*int64(28+8*l.k)
+	elems := func(e int) int64 { return int64(min(m-t, len(l.levels[e].vals)) + t) }
+	for e := range l.levels {
+		b += 4 * elems(e)
+		if e > 0 {
+			b += 4 * (elems(e-1) + 1)
+		}
+	}
+	return b + 8*int64(leafAnns)*elems(l.k-1)
 }
 
 // selBitsets marks the selected rows twice: words by row id, with

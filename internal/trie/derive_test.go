@@ -82,16 +82,52 @@ func gatherInput(in BuildInput, sel []int32) (BuildInput, []AnnSpec) {
 	return g, anns
 }
 
+// appendTail makes rows [b, n) of in a tail appended after a base over
+// rows [0, b): their key codes are redrawn from a domain wider than the
+// base's, so tail tuples repeat base tuples, extend a base prefix at an
+// inner level or the leaf, or are new from level 0 on (with codes below,
+// between and above the base's). It returns the base's input.
+func appendTail(rng *rand.Rand, in BuildInput, b int) BuildInput {
+	base := BuildInput{Attrs: in.Attrs, Threads: in.Threads}
+	for _, col := range in.Keys {
+		dom := uint32(1)
+		for _, c := range col[:b] {
+			dom = max(dom, c+1)
+		}
+		wide := int(dom) + 1 + int(dom)/4
+		for i := b; i < len(col); i++ {
+			col[i] = uint32(rng.Intn(wide))
+		}
+		base.Keys = append(base.Keys, col[:b])
+	}
+	return base
+}
+
+// tailSel draws an ascending selection of [0, n) whose base part (rows
+// below b) and tail part are drawn independently, so either may be
+// empty, full or sparse.
+func tailSel(rng *rand.Rand, b, n int) []int32 {
+	sel := randSel(rng, b)
+	for _, r := range randSel(rng, n-b) {
+		sel = append(sel, r+int32(b))
+	}
+	return sel
+}
+
 // TestDeriveMatchesDirectBuild: a trie derived from the filter-free base
 // is bit-identical — levels, Starts, Dense, every annotation by bit
 // pattern, and the whole Index surface — to Build and to NewLazy().Full()
 // over the gathered survivors, across 1–3 levels, duplicate key tuples,
 // NaN and ±0 leaf values, Sum/min/max folds, Code annotations, and
-// empty, all-pass and single-row selections.
+// empty, all-pass and single-row selections. Most bases cover only a
+// prefix of the rows: the rest are a tail of appended rows whose tuples
+// are new at level 0, at an inner level or at the leaf, or repeat a base
+// tuple across the base/tail boundary, and selections reach into the
+// base only, the tail only, both or neither.
 func TestDeriveMatchesDirectBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	combines := []CombineFunc{nil, minCombine, maxCombine}
-	for iter := 0; iter < 300; iter++ {
+	for iter := 0; iter < 600; iter++ {
 		k := 1 + rng.Intn(3)
 		n := rng.Intn(400)
 		in := randBuildInput(rng, k, n)
@@ -100,12 +136,20 @@ func TestDeriveMatchesDirectBuild(t *testing.T) {
 				in.Anns[i].Combine = combines[rng.Intn(len(combines))]
 			}
 		}
-		base, err := NewBase(in)
+		b := n
+		switch rng.Intn(4) {
+		case 0:
+		case 1:
+			b = 0
+		default:
+			b = rng.Intn(n + 1)
+		}
+		base, err := NewBase(appendTail(rng, in, b))
 		if err != nil {
 			t.Fatalf("NewBase: %v", err)
 		}
 		for draw := 0; draw < 4; draw++ {
-			sel := randSel(rng, n)
+			sel := tailSel(rng, b, n)
 			g, anns := gatherInput(in, sel)
 			want, err := Build(g)
 			if err != nil {
@@ -115,7 +159,7 @@ func TestDeriveMatchesDirectBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewLazy: %v", err)
 			}
-			got, err := base.Derive(DeriveInput{Sel: sel, Anns: anns, Count: "__count", Threads: g.Threads})
+			got, err := base.Derive(DeriveInput{Sel: sel, Keys: in.Keys, Anns: anns, Count: "__count", Threads: g.Threads})
 			if err != nil {
 				t.Fatalf("Derive: %v", err)
 			}
@@ -123,7 +167,7 @@ func TestDeriveMatchesDirectBuild(t *testing.T) {
 				t.Fatalf("iter %d: derived BuiltLevels=%d, want %d", iter, got.BuiltLevels(), k)
 			}
 			if d := indexDiff(want, got); d != "" {
-				t.Fatalf("iter %d (k=%d n=%d sel=%d): derived index: %s", iter, k, n, len(sel), d)
+				t.Fatalf("iter %d (k=%d n=%d base=%d sel=%d): derived index: %s", iter, k, n, b, len(sel), d)
 			}
 			requireTrieEqual(t, want, got.Full(0))
 			requireTrieEqual(t, lz.Full(0), got.Full(0))
@@ -133,11 +177,13 @@ func TestDeriveMatchesDirectBuild(t *testing.T) {
 
 // TestDeriveParallelRegions: selections large enough to split the pass
 // across threads (at level-0 boundaries, over wide and narrow key
-// domains) stay bit-identical to Build at every thread count.
+// domains) stay bit-identical to Build at every thread count, with and
+// without a tail of appended rows (whose new tuples fall inside, between
+// and after the regions).
 func TestDeriveParallelRegions(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 3 * deriveSplitMin
-	for iter := 0; iter < 12; iter++ {
+	for iter := 0; iter < 24; iter++ {
 		k := 1 + iter%3
 		in := randBuildInput(rng, k, n)
 		for d := range in.Keys {
@@ -146,7 +192,11 @@ func TestDeriveParallelRegions(t *testing.T) {
 				in.Keys[d][i] = uint32(rng.Intn(dom))
 			}
 		}
-		base, err := NewBase(in)
+		b := n
+		if iter%2 == 1 {
+			b = n - 1 - rng.Intn(n/8)
+		}
+		base, err := NewBase(appendTail(rng, in, b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +213,7 @@ func TestDeriveParallelRegions(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, threads := range []int{1, 2, 3, 7} {
-			got, err := base.Derive(DeriveInput{Sel: sel, Anns: anns, Count: "__count", Threads: threads})
+			got, err := base.Derive(DeriveInput{Sel: sel, Keys: in.Keys, Anns: anns, Count: "__count", Threads: threads})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,6 +278,16 @@ func TestDeriveRejectsBadSelections(t *testing.T) {
 		if _, err := base.Derive(DeriveInput{Sel: sel}); err == nil {
 			t.Fatalf("Derive(%v): want an error", sel)
 		}
+	}
+	// A tail needs key columns covering it, in order.
+	keys := [][]uint32{make([]uint32, 12), make([]uint32, 12)}
+	for _, sel := range [][]int32{{11, 10}, {10, 10}, {12}} {
+		if _, err := base.Derive(DeriveInput{Sel: sel, Keys: keys}); err == nil {
+			t.Fatalf("Derive(%v) with a tail: want an error", sel)
+		}
+	}
+	if _, err := base.Derive(DeriveInput{Sel: []int32{10}, Keys: keys[:1]}); err == nil {
+		t.Fatal("Derive with a missing key column: want an error")
 	}
 	if _, err := base.Derive(DeriveInput{Sel: []int32{1}, Anns: []AnnSpec{{Name: "x", Level: 0, Kind: F64}}}); err == nil {
 		t.Fatal("Derive with a short annotation: want an error")

@@ -411,7 +411,9 @@ func (e *Engine) ExplainAnalyzeContext(ctx context.Context, sql string) (string,
 // Metrics().Snapshot() for an expvar-style map.
 func (e *Engine) Metrics() *EngineMetrics { return e.inner.Metrics() }
 
-// CacheSize reports how many unfiltered tries are cached.
+// CacheSize reports how many tries and base orders the trie cache
+// holds: whole tries of unfiltered relations and the filter-free sort
+// orders filtered relations derive from.
 func (e *Engine) CacheSize() int { return e.inner.CacheSize() }
 
 // Telemetry exposes the engine's telemetry collector (latency
