@@ -133,13 +133,15 @@ telemetry-smoke:
 # must fail only the query that hit them, over-budget queries abort
 # with ResourceExhausted, overload sheds with Retry-After, and the
 # governor/registry accounting drains to zero — all under -race — plus
-# a short front-end fuzz (malformed SQL must never panic), and the approx
-# lane under -race (the sample route runs exec's scan beside the summary
-# lock).
+# a short front-end fuzz (malformed SQL must never panic), a short fuzz
+# of the snapshot section decoders (never panic, never allocate past
+# their input), and the approx lane under -race (the sample route runs
+# exec's scan beside the summary lock).
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestOverload|TestGovernorStress|TestEngineShutdown|TestSkewed' ./internal/core
 	$(GO) test -race -count=1 ./internal/governor ./internal/faultinject
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/sqlparse
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotLoad -fuzztime 5s ./internal/snapshot
 	$(GO) test -race -count=1 -run 'TestDurable|TestIngestBatch|TestCrashRecoverySIGKILL' ./internal/core
 	$(GO) test -race -count=1 ./internal/wal ./internal/snapshot
 	$(GO) test -count=1 -run TestDifferentialShort ./internal/difftest -difftest.lane recovery

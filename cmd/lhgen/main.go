@@ -96,7 +96,7 @@ func writeTable(t *storage.Table, path string, delim byte) error {
 			case storage.Float64:
 				w.WriteString(strconv.FormatFloat(col.Floats[r], 'g', -1, 64))
 			case storage.String:
-				w.WriteString(col.Strs[r])
+				w.WriteString(col.Str(r))
 			}
 		}
 		w.WriteByte('\n')

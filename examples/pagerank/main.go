@@ -195,13 +195,17 @@ func cloneTables(src, dst *lh.Engine) {
 		}
 		data := map[string]interface{}{}
 		for _, col := range st.Cols {
-			switch {
-			case col.Ints != nil:
+			switch col.Def.Kind {
+			case lh.Int64, lh.Date:
 				data[col.Def.Name] = col.Ints
-			case col.Floats != nil:
+			case lh.Float64:
 				data[col.Def.Name] = col.Floats
-			case col.Strs != nil:
-				data[col.Def.Name] = col.Strs
+			case lh.String:
+				strs := make([]string, st.NumRows)
+				for i := range strs {
+					strs[i] = col.Str(i)
+				}
+				data[col.Def.Name] = strs
 			}
 		}
 		if err := t.SetColumnData(data); err != nil {

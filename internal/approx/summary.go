@@ -89,7 +89,7 @@ func hashCell(c *storage.Column, r int32) uint64 {
 	case storage.Float64:
 		return sketch.HashFloat(ValueHashSeed, c.Floats[r])
 	case storage.String:
-		return sketch.HashString(ValueHashSeed, c.Strs[r])
+		return sketch.HashString(ValueHashSeed, c.Str(int(r)))
 	}
 	return sketch.HashInt(ValueHashSeed, c.Ints[r])
 }

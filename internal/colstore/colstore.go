@@ -9,6 +9,10 @@
 // It also provides the column-store → CSR conversion that Table IV
 // measures: the data movement a column store must pay before calling a
 // sparse BLAS kernel.
+//
+// The TPC-H queries read a frozen catalog: a string column is its
+// dictionary codes, so predicates run on codes and only output values
+// are decoded.
 package colstore
 
 import (
@@ -61,11 +65,36 @@ func selInt(col []int64, pred func(int64) bool) []int32 {
 	return out
 }
 
-// selStr materializes the row ids where pred holds on a string column.
-func selStr(col []string, pred func(string) bool) []int32 {
-	out := make([]int32, 0, len(col)/4+1)
-	for i, v := range col {
-		if pred(v) {
+// selEq materializes the row ids where a string column equals lit. The
+// literal is encoded once and compared as a code; a literal the column
+// never holds selects nothing.
+func selEq(col *storage.Column, lit string) []int32 {
+	code, ok := col.Dict().EncodeString(lit)
+	if !ok {
+		return nil
+	}
+	codes := col.AnnCodes()
+	out := make([]int32, 0, len(codes)/4+1)
+	for i, c := range codes {
+		if c == code {
+			out = append(out, int32(i))
+		}
+	}
+	return out
+}
+
+// selStr materializes the row ids where pred holds on a string column,
+// evaluating pred once per dictionary entry.
+func selStr(col *storage.Column, pred func(string) bool) []int32 {
+	d := col.Dict()
+	hit := make([]bool, d.Len())
+	for c := range hit {
+		hit[c] = pred(d.DecodeString(uint32(c)))
+	}
+	codes := col.AnnCodes()
+	out := make([]int32, 0, len(codes)/4+1)
+	for i, c := range codes {
+		if hit[c] {
 			out = append(out, int32(i))
 		}
 	}
@@ -120,11 +149,12 @@ func gatherF(col []float64, sel []int32) []float64 {
 	return out
 }
 
-// gatherS materializes col[sel].
-func gatherS(col []string, sel []int32) []string {
-	out := make([]string, len(sel))
+// gatherC materializes the codes of a string column at sel.
+func gatherC(col *storage.Column, sel []int32) []uint32 {
+	codes := col.AnnCodes()
+	out := make([]uint32, len(sel))
 	for i, r := range sel {
-		out[i] = col[r]
+		out[i] = codes[r]
 	}
 	return out
 }
@@ -182,8 +212,9 @@ func (e *Engine) q1() *Rows {
 	li := e.cat.Table("lineitem")
 	cutoff := day("1998-12-01") - 90
 	sel := selInt(li.Col("l_shipdate").Ints, func(d int64) bool { return d <= cutoff })
-	flag := gatherS(li.Col("l_returnflag").Strs, sel)
-	stat := gatherS(li.Col("l_linestatus").Strs, sel)
+	flagCol, statCol := li.Col("l_returnflag"), li.Col("l_linestatus")
+	flag := gatherC(flagCol, sel)
+	stat := gatherC(statCol, sel)
 	qty := gatherF(li.Col("l_quantity").Floats, sel)
 	price := gatherF(li.Col("l_extendedprice").Floats, sel)
 	disc := gatherF(li.Col("l_discount").Floats, sel)
@@ -196,9 +227,9 @@ func (e *Engine) q1() *Rows {
 		charge[i] = discP[i] * (1 + tax[i])
 	}
 	type acc struct{ qty, base, discP, charge, disc, cnt float64 }
-	groups := map[string]*acc{}
+	groups := map[[2]uint32]*acc{}
 	for i := range sel {
-		k := flag[i] + "|" + stat[i]
+		k := [2]uint32{flag[i], stat[i]}
 		a := groups[k]
 		if a == nil {
 			a = &acc{}
@@ -213,7 +244,8 @@ func (e *Engine) q1() *Rows {
 	}
 	out := &Rows{Names: []string{"l_returnflag", "l_linestatus", "sum_qty", "sum_base_price", "sum_disc_price", "sum_charge", "avg_qty", "avg_price", "avg_disc", "count_order"}, Data: map[string][]float64{}}
 	for k, a := range groups {
-		out.Data[k] = []float64{a.qty, a.base, a.discP, a.charge, a.qty / a.cnt, a.base / a.cnt, a.disc / a.cnt, a.cnt}
+		key := flagCol.Dict().DecodeString(k[0]) + "|" + statCol.Dict().DecodeString(k[1])
+		out.Data[key] = []float64{a.qty, a.base, a.discP, a.charge, a.qty / a.cnt, a.base / a.cnt, a.disc / a.cnt, a.cnt}
 	}
 	return out
 }
@@ -224,7 +256,7 @@ func (e *Engine) q3() *Rows {
 	li := e.cat.Table("lineitem")
 	cut := day("1995-03-15")
 
-	cSel := selStr(cust.Col("c_mktsegment").Strs, func(s string) bool { return s == "BUILDING" })
+	cSel := selEq(cust.Col("c_mktsegment"), "BUILDING")
 	cKeys := gatherI(cust.Col("c_custkey").Ints, cSel)
 
 	oSel := selInt(orders.Col("o_orderdate").Ints, func(d int64) bool { return d < cut })
@@ -285,7 +317,7 @@ func (e *Engine) q5() *Rows {
 	supp := e.cat.Table("supplier")
 	lo, hi := day("1994-01-01"), day("1995-01-01")
 
-	rSel := selStr(region.Col("r_name").Strs, func(s string) bool { return s == "ASIA" })
+	rSel := selEq(region.Col("r_name"), "ASIA")
 	rKeys := gatherI(region.Col("r_regionkey").Ints, rSel)
 
 	nPos, _ := hashJoin(nation.Col("n_regionkey").Ints, rKeys)
@@ -293,7 +325,7 @@ func (e *Engine) q5() *Rows {
 	nNames := make([]string, len(nPos))
 	for i, p := range nPos {
 		nKeys[i] = nation.Col("n_nationkey").Ints[p]
-		nNames[i] = nation.Col("n_name").Strs[p]
+		nNames[i] = nation.Col("n_name").Str(int(p))
 	}
 
 	// customer ⋈ asian nations.
@@ -391,10 +423,10 @@ func (e *Engine) q8() *Rows {
 	region := e.cat.Table("region")
 	lo, hi := day("1995-01-01"), day("1996-12-31")
 
-	pSel := selStr(part.Col("p_type").Strs, func(s string) bool { return s == "ECONOMY ANODIZED STEEL" })
+	pSel := selEq(part.Col("p_type"), "ECONOMY ANODIZED STEEL")
 	pKeys := gatherI(part.Col("p_partkey").Ints, pSel)
 
-	rSel := selStr(region.Col("r_name").Strs, func(s string) bool { return s == "AMERICA" })
+	rSel := selEq(region.Col("r_name"), "AMERICA")
 	rKeys := gatherI(region.Col("r_regionkey").Ints, rSel)
 	n1Pos, _ := hashJoin(nation.Col("n_regionkey").Ints, rKeys)
 	n1Keys := gatherI(nation.Col("n_nationkey").Ints, n1Pos)
@@ -437,11 +469,9 @@ func (e *Engine) q8() *Rows {
 		jRev[i] = lRev[jPos[i]]
 	}
 	// supplier nation names.
-	nationName := gatherS(nation.Col("n_name").Strs, selStr(nation.Col("n_name").Strs, func(string) bool { return true }))
-	nationKey := nation.Col("n_nationkey").Ints
 	nk2name := map[int64]string{}
-	for i, k := range nationKey {
-		nk2name[k] = nationName[i]
+	for i, k := range nation.Col("n_nationkey").Ints {
+		nk2name[k] = nation.Col("n_name").Str(i)
 	}
 	sPosAll, _ := hashJoin(jSk, supp.Col("s_suppkey").Ints)
 	_ = sPosAll
@@ -478,7 +508,7 @@ func (e *Engine) q9() *Rows {
 	orders := e.cat.Table("orders")
 	nation := e.cat.Table("nation")
 
-	pSel := selStr(part.Col("p_name").Strs, func(s string) bool { return strings.Contains(s, "green") })
+	pSel := selStr(part.Col("p_name"), func(s string) bool { return strings.Contains(s, "green") })
 	pKeys := gatherI(part.Col("p_partkey").Ints, pSel)
 
 	lPos, _ := hashJoin(li.Col("l_partkey").Ints, pKeys)
@@ -518,7 +548,7 @@ func (e *Engine) q9() *Rows {
 	}
 	nk2name := map[int64]string{}
 	for i := 0; i < nation.NumRows; i++ {
-		nk2name[nation.Col("n_nationkey").Ints[i]] = nation.Col("n_name").Strs[i]
+		nk2name[nation.Col("n_nationkey").Ints[i]] = nation.Col("n_name").Str(i)
 	}
 	orderYear := map[int64]int64{}
 	for i := 0; i < orders.NumRows; i++ {
@@ -548,7 +578,7 @@ func (e *Engine) q10() *Rows {
 	oKeys := gatherI(orders.Col("o_orderkey").Ints, oSel)
 	oCust := gatherI(orders.Col("o_custkey").Ints, oSel)
 
-	lSel := selStr(li.Col("l_returnflag").Strs, func(s string) bool { return s == "R" })
+	lSel := selEq(li.Col("l_returnflag"), "R")
 	lKeys := gatherI(li.Col("l_orderkey").Ints, lSel)
 	lRev := make([]float64, len(lSel))
 	for i, p := range lSel {
@@ -561,7 +591,7 @@ func (e *Engine) q10() *Rows {
 	}
 	nk2name := map[int64]string{}
 	for i := 0; i < nation.NumRows; i++ {
-		nk2name[nation.Col("n_nationkey").Ints[i]] = nation.Col("n_name").Strs[i]
+		nk2name[nation.Col("n_nationkey").Ints[i]] = nation.Col("n_name").Str(i)
 	}
 	out := &Rows{Names: []string{"c_custkey", "revenue"}, Data: map[string][]float64{}}
 	for i := 0; i < cust.NumRows; i++ {
@@ -570,10 +600,10 @@ func (e *Engine) q10() *Rows {
 		if !hit {
 			continue
 		}
-		key := strconv.FormatInt(ck, 10) + "|" + cust.Col("c_name").Strs[i] + "|" +
-			f(cust.Col("c_acctbal").Floats[i]) + "|" + cust.Col("c_phone").Strs[i] + "|" +
-			nk2name[cust.Col("c_nationkey").Ints[i]] + "|" + cust.Col("c_address").Strs[i] + "|" +
-			cust.Col("c_comment").Strs[i]
+		key := strconv.FormatInt(ck, 10) + "|" + cust.Col("c_name").Str(i) + "|" +
+			f(cust.Col("c_acctbal").Floats[i]) + "|" + cust.Col("c_phone").Str(i) + "|" +
+			nk2name[cust.Col("c_nationkey").Ints[i]] + "|" + cust.Col("c_address").Str(i) + "|" +
+			cust.Col("c_comment").Str(i)
 		out.Data[key] = []float64{rev}
 	}
 	return out

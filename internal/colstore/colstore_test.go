@@ -12,8 +12,14 @@ func TestSelOperators(t *testing.T) {
 	if got := selInt(ints, func(v int64) bool { return v >= 10 && v < 20 }); !reflect.DeepEqual(got, []int32{1, 2}) {
 		t.Fatalf("selInt = %v", got)
 	}
-	strs := []string{"a", "b", "a"}
-	if got := selStr(strs, func(s string) bool { return s == "a" }); !reflect.DeepEqual(got, []int32{0, 2}) {
+	strs := frozenStrings(t, "a", "b", "a", "ab")
+	if got := selEq(strs, "a"); !reflect.DeepEqual(got, []int32{0, 2}) {
+		t.Fatalf("selEq = %v", got)
+	}
+	if got := selEq(strs, "zz"); len(got) != 0 {
+		t.Fatalf("selEq of an absent literal = %v", got)
+	}
+	if got := selStr(strs, func(s string) bool { return s[0] == 'a' }); !reflect.DeepEqual(got, []int32{0, 2, 3}) {
 		t.Fatalf("selStr = %v", got)
 	}
 	fs := []float64{0.5, 1.5, 2.5}
@@ -41,9 +47,29 @@ func TestGathers(t *testing.T) {
 	if got := gatherF([]float64{1, 2, 3}, sel); !reflect.DeepEqual(got, []float64{3, 1}) {
 		t.Fatalf("gatherF = %v", got)
 	}
-	if got := gatherS([]string{"x", "y", "z"}, sel); !reflect.DeepEqual(got, []string{"z", "x"}) {
-		t.Fatalf("gatherS = %v", got)
+	col := frozenStrings(t, "x", "y", "z")
+	if got := gatherC(col, sel); col.Dict().DecodeString(got[0]) != "z" || col.Dict().DecodeString(got[1]) != "x" {
+		t.Fatalf("gatherC = %v", got)
 	}
+}
+
+// frozenStrings returns a frozen string annotation column holding vals.
+func frozenStrings(t *testing.T, vals ...string) *storage.Column {
+	t.Helper()
+	cat := storage.NewCatalog()
+	tab, err := cat.Create(storage.Schema{Name: "t", Cols: []storage.ColumnDef{
+		{Name: "s", Kind: storage.String, Role: storage.Annotation},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.SetColumnData(map[string]interface{}{"s": vals}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	return tab.Col("s")
 }
 
 func TestHashJoinAllMatches(t *testing.T) {

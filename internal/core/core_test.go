@@ -149,7 +149,7 @@ func lineitemRow(eng *Engine, i int) []interface{} {
 		case storage.Float64:
 			row[c] = col.Floats[i]
 		case storage.String:
-			row[c] = col.Strs[i]
+			row[c] = col.Str(i)
 		}
 	}
 	return row

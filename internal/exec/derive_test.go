@@ -320,7 +320,7 @@ func copyRow(tb *storage.Table, i int) []any {
 		case storage.Float64:
 			row[c] = col.Floats[i]
 		case storage.String:
-			row[c] = col.Strs[i]
+			row[c] = col.Str(i)
 		}
 	}
 	return row

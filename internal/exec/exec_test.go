@@ -468,10 +468,10 @@ func refQ5(t *testing.T, cat *storage.Catalog) map[string][]float64 {
 							if region.Col("r_regionkey").Ints[ri] != nrk {
 								continue
 							}
-							if region.Col("r_name").Strs[ri] != "ASIA" {
+							if region.Col("r_name").Str(ri) != "ASIA" {
 								continue
 							}
-							name := nation.Col("n_name").Strs[ni]
+							name := nation.Col("n_name").Str(ni)
 							if want[name] == nil {
 								want[name] = []float64{0}
 							}
@@ -533,7 +533,7 @@ func TestQ1PseudoGroupBy(t *testing.T) {
 		if lineitem.Col("l_shipdate").Ints[i] > int64(cut) {
 			continue
 		}
-		k := lineitem.Col("l_returnflag").Strs[i] + "|" + lineitem.Col("l_linestatus").Strs[i]
+		k := lineitem.Col("l_returnflag").Str(i) + "|" + lineitem.Col("l_linestatus").Str(i)
 		a := want[k]
 		if a == nil {
 			a = &acc{}
@@ -652,7 +652,7 @@ func TestMinMaxAggregates(t *testing.T) {
 	type mm struct{ mn, mx float64 }
 	want := map[string]*mm{}
 	for i := 0; i < lineitem.NumRows; i++ {
-		k := lineitem.Col("l_returnflag").Strs[i]
+		k := lineitem.Col("l_returnflag").Str(i)
 		q := lineitem.Col("l_quantity").Floats[i]
 		a := want[k]
 		if a == nil {

@@ -66,7 +66,7 @@ func refRelations(cat *storage.Catalog, names ...string) map[string]*refeval.Rel
 				case storage.Float64:
 					row[ci] = c.Floats[r]
 				case storage.String:
-					row[ci] = c.Strs[r]
+					row[ci] = c.Str(r)
 				default:
 					row[ci] = c.Ints[r]
 				}

@@ -429,7 +429,7 @@ func strCol(e sqlparse.Expr, tab *storage.Table, row int) (string, bool) {
 	if col == nil || col.Def.Kind != storage.String {
 		return "", false
 	}
-	return col.Strs[row], true
+	return col.Str(row), true
 }
 
 func cmpHolds(op string, l, r float64) bool {

@@ -8,6 +8,10 @@
 // Linear-algebra queries run the way they would in any pairwise RDBMS:
 // hash joins plus hash aggregation over coordinate triples — the path
 // the paper shows losing to a unified engine by orders of magnitude.
+//
+// The TPC-H queries read a frozen catalog: a string column is its
+// dictionary codes, so predicates run on codes and only output values
+// are decoded.
 package pairwise
 
 import (
@@ -39,6 +43,25 @@ type Engine struct {
 // New wraps a catalog (the same base data every engine in this
 // repository shares).
 func New(cat *storage.Catalog) *Engine { return &Engine{cat: cat} }
+
+// eqCode returns a string column's codes and the code of lit, encoded
+// once; ok is false when the column never holds lit, so an equality on
+// it selects nothing.
+func eqCode(col *storage.Column, lit string) (codes []uint32, code uint32, ok bool) {
+	code, ok = col.Dict().EncodeString(lit)
+	return col.AnnCodes(), code, ok
+}
+
+// matchCodes returns a string column's codes and pred evaluated once per
+// dictionary entry, indexed by code.
+func matchCodes(col *storage.Column, pred func(string) bool) (codes []uint32, hit []bool) {
+	d := col.Dict()
+	hit = make([]bool, d.Len())
+	for c := range hit {
+		hit[c] = pred(d.DecodeString(uint32(c)))
+	}
+	return col.AnnCodes(), hit
+}
 
 func day(s string) int64 {
 	d, err := sqlparse.ParseDate(s)
@@ -77,19 +100,19 @@ func (e *Engine) q1() *Rows {
 	li := e.cat.Table("lineitem")
 	cutoff := day("1998-12-01") - 90
 	ship := li.Col("l_shipdate").Ints
-	flag := li.Col("l_returnflag").Strs
-	stat := li.Col("l_linestatus").Strs
+	flagCol, statCol := li.Col("l_returnflag"), li.Col("l_linestatus")
+	flag, stat := flagCol.AnnCodes(), statCol.AnnCodes()
 	qty := li.Col("l_quantity").Floats
 	price := li.Col("l_extendedprice").Floats
 	disc := li.Col("l_discount").Floats
 	tax := li.Col("l_tax").Floats
 	type acc struct{ qty, base, discP, charge, disc, cnt float64 }
-	groups := map[string]*acc{}
+	groups := map[[2]uint32]*acc{}
 	for i := 0; i < li.NumRows; i++ {
 		if ship[i] > cutoff {
 			continue
 		}
-		k := flag[i] + "|" + stat[i]
+		k := [2]uint32{flag[i], stat[i]}
 		a := groups[k]
 		if a == nil {
 			a = &acc{}
@@ -108,7 +131,8 @@ func (e *Engine) q1() *Rows {
 		Data:  map[string][]float64{},
 	}
 	for k, a := range groups {
-		out.Data[k] = []float64{a.qty, a.base, a.discP, a.charge, a.qty / a.cnt, a.base / a.cnt, a.disc / a.cnt, a.cnt}
+		key := flagCol.Dict().DecodeString(k[0]) + "|" + statCol.Dict().DecodeString(k[1])
+		out.Data[key] = []float64{a.qty, a.base, a.discP, a.charge, a.qty / a.cnt, a.base / a.cnt, a.disc / a.cnt, a.cnt}
 	}
 	return out
 }
@@ -120,10 +144,10 @@ func (e *Engine) q3() *Rows {
 	cut := day("1995-03-15")
 
 	building := map[int64]bool{}
-	seg := cust.Col("c_mktsegment").Strs
+	seg, buildingCode, hasBuilding := eqCode(cust.Col("c_mktsegment"), "BUILDING")
 	ck := cust.Col("c_custkey").Ints
 	for i := 0; i < cust.NumRows; i++ {
-		if seg[i] == "BUILDING" {
+		if hasBuilding && seg[i] == buildingCode {
 			building[ck[i]] = true
 		}
 	}
@@ -183,15 +207,16 @@ func (e *Engine) q5() *Rows {
 	lo, hi := day("1994-01-01"), day("1995-01-01")
 
 	asia := map[int64]bool{}
+	rname, asiaCode, hasAsia := eqCode(region.Col("r_name"), "ASIA")
 	for i := 0; i < region.NumRows; i++ {
-		if region.Col("r_name").Strs[i] == "ASIA" {
+		if hasAsia && rname[i] == asiaCode {
 			asia[region.Col("r_regionkey").Ints[i]] = true
 		}
 	}
 	nname := map[int64]string{}
 	for i := 0; i < nation.NumRows; i++ {
 		if asia[nation.Col("n_regionkey").Ints[i]] {
-			nname[nation.Col("n_nationkey").Ints[i]] = nation.Col("n_name").Strs[i]
+			nname[nation.Col("n_nationkey").Ints[i]] = nation.Col("n_name").Str(i)
 		}
 	}
 	custNation := map[int64]int64{}
@@ -279,14 +304,16 @@ func (e *Engine) q8() *Rows {
 	lo, hi := day("1995-01-01"), day("1996-12-31")
 
 	econ := map[int64]bool{}
+	ptype, econCode, hasEcon := eqCode(part.Col("p_type"), "ECONOMY ANODIZED STEEL")
 	for i := 0; i < part.NumRows; i++ {
-		if part.Col("p_type").Strs[i] == "ECONOMY ANODIZED STEEL" {
+		if hasEcon && ptype[i] == econCode {
 			econ[part.Col("p_partkey").Ints[i]] = true
 		}
 	}
 	america := map[int64]bool{}
+	rname, americaCode, hasAmerica := eqCode(region.Col("r_name"), "AMERICA")
 	for i := 0; i < region.NumRows; i++ {
-		if region.Col("r_name").Strs[i] == "AMERICA" {
+		if hasAmerica && rname[i] == americaCode {
 			america[region.Col("r_regionkey").Ints[i]] = true
 		}
 	}
@@ -294,7 +321,7 @@ func (e *Engine) q8() *Rows {
 	nationName := map[int64]string{}
 	for i := 0; i < nation.NumRows; i++ {
 		nk := nation.Col("n_nationkey").Ints[i]
-		nationName[nk] = nation.Col("n_name").Strs[i]
+		nationName[nk] = nation.Col("n_name").Str(i)
 		if america[nation.Col("n_regionkey").Ints[i]] {
 			nationAmerica[nk] = true
 		}
@@ -363,8 +390,9 @@ func (e *Engine) q9() *Rows {
 	nation := e.cat.Table("nation")
 
 	green := map[int64]bool{}
+	pname, isGreen := matchCodes(part.Col("p_name"), func(s string) bool { return strings.Contains(s, "green") })
 	for i := 0; i < part.NumRows; i++ {
-		if strings.Contains(part.Col("p_name").Strs[i], "green") {
+		if isGreen[pname[i]] {
 			green[part.Col("p_partkey").Ints[i]] = true
 		}
 	}
@@ -374,7 +402,7 @@ func (e *Engine) q9() *Rows {
 	}
 	nationName := map[int64]string{}
 	for i := 0; i < nation.NumRows; i++ {
-		nationName[nation.Col("n_nationkey").Ints[i]] = nation.Col("n_name").Strs[i]
+		nationName[nation.Col("n_nationkey").Ints[i]] = nation.Col("n_name").Str(i)
 	}
 	psCost := map[int64]float64{}
 	for i := 0; i < ps.NumRows; i++ {
@@ -427,7 +455,7 @@ func (e *Engine) q10() *Rows {
 
 	nationName := map[int64]string{}
 	for i := 0; i < nation.NumRows; i++ {
-		nationName[nation.Col("n_nationkey").Ints[i]] = nation.Col("n_name").Strs[i]
+		nationName[nation.Col("n_nationkey").Ints[i]] = nation.Col("n_name").Str(i)
 	}
 	type cinfo struct {
 		name, addr, phone, comment, nname string
@@ -436,10 +464,10 @@ func (e *Engine) q10() *Rows {
 	cmap := map[int64]cinfo{}
 	for i := 0; i < cust.NumRows; i++ {
 		cmap[cust.Col("c_custkey").Ints[i]] = cinfo{
-			name:    cust.Col("c_name").Strs[i],
-			addr:    cust.Col("c_address").Strs[i],
-			phone:   cust.Col("c_phone").Strs[i],
-			comment: cust.Col("c_comment").Strs[i],
+			name:    cust.Col("c_name").Str(i),
+			addr:    cust.Col("c_address").Str(i),
+			phone:   cust.Col("c_phone").Str(i),
+			comment: cust.Col("c_comment").Str(i),
 			nname:   nationName[cust.Col("c_nationkey").Ints[i]],
 			acctbal: cust.Col("c_acctbal").Floats[i],
 		}
@@ -453,11 +481,11 @@ func (e *Engine) q10() *Rows {
 	}
 	groups := map[int64]float64{}
 	lok := li.Col("l_orderkey").Ints
-	flag := li.Col("l_returnflag").Strs
+	flag, rCode, hasR := eqCode(li.Col("l_returnflag"), "R")
 	price := li.Col("l_extendedprice").Floats
 	disc := li.Col("l_discount").Floats
 	for i := 0; i < li.NumRows; i++ {
-		if flag[i] != "R" {
+		if !hasR || flag[i] != rCode {
 			continue
 		}
 		ck, hit := orderCust[lok[i]]

@@ -4,8 +4,9 @@
 // the catalog bit-identically: schemas, per-join-domain dictionaries
 // (ordered prefix AND unsorted tail, in original order, so restored
 // codes equal pre-crash codes), per-column string-annotation
-// dictionaries, the raw columnar arrays of every table's live
-// generation, and the not-yet-folded delta tail rows.
+// dictionaries, the columnar arrays of every table's live generation
+// (numeric values as they are, string columns as their dictionary
+// codes), and the not-yet-folded delta tail rows.
 //
 // Atomicity: the file is written to a .tmp sibling, fsynced, renamed
 // into place, and the directory fsynced — a crash mid-write leaves the
@@ -71,9 +72,14 @@ func Path(dir string, epoch uint64) string {
 
 // ---- binary value encoding -------------------------------------------------
 
+// enc appends to a buffer that each encoder presizes from the lengths
+// it is about to write, so a section is built without regrowing.
 type enc struct{ buf []byte }
 
+func newEnc(size int) *enc { return &enc{buf: make([]byte, 0, size)} }
+
 func (e *enc) u8(v uint8)   { e.buf = append(e.buf, v) }
+func (e *enc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 func (e *enc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 func (e *enc) f64(v float64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
@@ -112,18 +118,31 @@ func (d *dec) u64() uint64 {
 	d.off += 8
 	return v
 }
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *dec) count() int {
-	n := d.u64()
-	if d.err == nil && (n > uint64(len(d.buf)-d.off)) && n > uint64(MaxSectionBytes) {
+func (d *dec) u32() uint32 {
+	if d.err != nil || d.off+4 > len(d.buf) {
 		d.fail()
+		return 0
+	}
+	v := binary.LittleEndian.Uint32(d.buf[d.off:])
+	d.off += 4
+	return v
+}
+func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
+
+// count reads a length prefix for elements that each take at least
+// size bytes of what follows. A count those bytes cannot hold is
+// corruption, so a decoder never allocates more than its input allows.
+func (d *dec) count(size int) int {
+	n := d.u64()
+	if d.err == nil && n > uint64((len(d.buf)-d.off)/size) {
+		d.fail()
+		return 0
 	}
 	return int(n)
 }
 func (d *dec) str() string {
-	n := d.count()
-	if d.err != nil || n < 0 || d.off+n > len(d.buf) {
-		d.fail()
+	n := d.count(1)
+	if d.err != nil {
 		return ""
 	}
 	v := string(d.buf[d.off : d.off+n])
@@ -132,7 +151,14 @@ func (d *dec) str() string {
 }
 
 func encodeDict(s dict.Snapshot) []byte {
-	var e enc
+	size := 3 + 7*8 + 8*(len(s.Ints)+len(s.Floats)+len(s.TailInts))
+	for _, v := range s.Strs {
+		size += 8 + len(v)
+	}
+	for _, v := range s.TailStrs {
+		size += 8 + len(v)
+	}
+	e := newEnc(size)
 	e.u8(uint8(s.Kind))
 	e.u8(b2u(s.Identity))
 	e.u8(b2u(s.HasNaN))
@@ -167,33 +193,36 @@ func decodeDict(data []byte) (*dict.Dictionary, error) {
 	s.Kind = dict.Kind(d.u8())
 	s.Identity = d.u8() != 0
 	s.HasNaN = d.u8() != 0
-	s.Base = int(d.u64())
-	s.N = int(d.u64())
-	if n := d.count(); d.err == nil && n > 0 {
+	base, n := d.u64(), d.u64()
+	if base > math.MaxUint32+1 || n > math.MaxUint32+1 {
+		return nil, fmt.Errorf("snapshot: dictionary size %d/%d past the code space", base, n)
+	}
+	s.Base, s.N = int(base), int(n)
+	if n := d.count(8); d.err == nil && n > 0 {
 		s.Ints = make([]int64, n)
 		for i := range s.Ints {
 			s.Ints[i] = int64(d.u64())
 		}
 	}
-	if n := d.count(); d.err == nil && n > 0 {
+	if n := d.count(8); d.err == nil && n > 0 {
 		s.Floats = make([]float64, n)
 		for i := range s.Floats {
 			s.Floats[i] = d.f64()
 		}
 	}
-	if n := d.count(); d.err == nil && n > 0 {
+	if n := d.count(8); d.err == nil && n > 0 {
 		s.Strs = make([]string, n)
 		for i := range s.Strs {
 			s.Strs[i] = d.str()
 		}
 	}
-	if n := d.count(); d.err == nil && n > 0 {
+	if n := d.count(8); d.err == nil && n > 0 {
 		s.TailInts = make([]int64, n)
 		for i := range s.TailInts {
 			s.TailInts[i] = int64(d.u64())
 		}
 	}
-	if n := d.count(); d.err == nil && n > 0 {
+	if n := d.count(8); d.err == nil && n > 0 {
 		s.TailStrs = make([]string, n)
 		for i := range s.TailStrs {
 			s.TailStrs[i] = d.str()
@@ -212,79 +241,121 @@ func b2u(b bool) uint8 {
 	return 0
 }
 
+// Column section tags. A string column is stored as its dictionary
+// codes (colCodes); colStrs, one length-prefixed value per row, is what
+// snapshots held before that and is still read.
 const (
 	colInts uint8 = iota
 	colFloats
 	colStrs
+	colCodes
 )
 
 func encodeColumn(col *storage.Column) []byte {
-	var e enc
-	switch {
-	case col.Ints != nil || (col.Floats == nil && col.Strs == nil &&
-		(col.Def.Kind == storage.Int64 || col.Def.Kind == storage.Date)):
+	var e *enc
+	switch col.Def.Kind {
+	case storage.Int64, storage.Date:
+		e = newEnc(9 + 8*len(col.Ints))
 		e.u8(colInts)
 		e.u64(uint64(len(col.Ints)))
 		for _, v := range col.Ints {
 			e.u64(uint64(v))
 		}
-	case col.Floats != nil || col.Def.Kind == storage.Float64:
+	case storage.Float64:
+		e = newEnc(9 + 8*len(col.Floats))
 		e.u8(colFloats)
 		e.u64(uint64(len(col.Floats)))
 		for _, v := range col.Floats {
 			e.f64(v)
 		}
 	default:
-		e.u8(colStrs)
-		e.u64(uint64(len(col.Strs)))
-		for _, v := range col.Strs {
-			e.str(v)
+		codes := col.AnnCodes()
+		if col.Def.Role == storage.Key {
+			codes = col.KeyCodes()
+		}
+		e = newEnc(9 + 4*len(codes))
+		e.u8(colCodes)
+		e.u64(uint64(len(codes)))
+		for _, v := range codes {
+			e.u32(v)
 		}
 	}
 	return e.buf
 }
 
-func decodeColumn(data []byte, rows int) (interface{}, error) {
+// decodeColumn decodes one column section of a column of the given
+// kind: []int64, []float64, []uint32 codes, or []string values from a
+// snapshot written before string columns were stored as codes.
+func decodeColumn(data []byte, kind storage.Kind, rows int) (interface{}, error) {
 	d := &dec{buf: data}
 	tag := d.u8()
-	n := d.count()
+	want := colInts
+	switch kind {
+	case storage.Float64:
+		want = colFloats
+	case storage.String:
+		want = colCodes
+		if tag == colStrs {
+			want = colStrs
+		}
+	}
+	if d.err == nil && tag != want {
+		return nil, fmt.Errorf("snapshot: column tag %d for a %v column", tag, kind)
+	}
+	size := 8
+	if tag == colCodes {
+		size = 4
+	}
+	n := d.count(size)
 	if d.err == nil && n != rows {
 		return nil, fmt.Errorf("snapshot: column has %d values, manifest says %d rows", n, rows)
 	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	var out interface{}
 	switch tag {
 	case colInts:
-		out := make([]int64, n)
-		for i := range out {
-			out[i] = int64(d.u64())
+		v := make([]int64, n)
+		for i := range v {
+			v[i] = int64(d.u64())
 		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		return out, nil
+		out = v
 	case colFloats:
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = d.f64()
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = d.f64()
 		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		return out, nil
+		out = v
 	case colStrs:
-		out := make([]string, n)
-		for i := range out {
-			out[i] = d.str()
+		v := make([]string, n)
+		for i := range v {
+			v[i] = d.str()
 		}
-		if d.err != nil {
-			return nil, d.err
+		out = v
+	default:
+		v := make([]uint32, n)
+		for i := range v {
+			v[i] = d.u32()
 		}
-		return out, nil
+		out = v
 	}
-	return nil, fmt.Errorf("snapshot: unknown column tag %d", tag)
+	if d.err != nil {
+		return nil, d.err
+	}
+	return out, nil
 }
 
 func encodeTail(schema storage.Schema, rows [][]interface{}) []byte {
-	var e enc
+	size := 8 + 8*len(rows)*len(schema.Cols)
+	for _, r := range rows {
+		for i, cd := range schema.Cols {
+			if cd.Kind == storage.String {
+				size += len(r[i].(string))
+			}
+		}
+	}
+	e := newEnc(size)
 	e.u64(uint64(len(rows)))
 	for _, r := range rows {
 		for i, cd := range schema.Cols {
@@ -303,7 +374,7 @@ func encodeTail(schema storage.Schema, rows [][]interface{}) []byte {
 
 func decodeTail(data []byte, schema storage.Schema, want int) ([][]interface{}, error) {
 	d := &dec{buf: data}
-	n := d.count()
+	n := d.count(max(1, 8*len(schema.Cols)))
 	if d.err == nil && n != want {
 		return nil, fmt.Errorf("snapshot: tail has %d rows, manifest says %d", n, want)
 	}
@@ -545,7 +616,7 @@ func prune(dir string, epoch uint64) error {
 // LoadedTable is one table restored from a snapshot.
 type LoadedTable struct {
 	Meta     TableMeta
-	Cols     map[string]interface{} // column name → []int64 / []float64 / []string
+	Cols     map[string]interface{} // column name → []int64 / []float64 / []uint32 codes / []string
 	TailRows [][]interface{}
 }
 
@@ -564,6 +635,11 @@ func load(path string) (*Loaded, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parse(path, data)
+}
+
+// parse validates and decodes the bytes of a snapshot file.
+func parse(path string, data []byte) (*Loaded, error) {
 	if len(data) < len(fileMagic) || string(data[:len(fileMagic)]) != fileMagic {
 		return nil, fmt.Errorf("snapshot: %s: bad magic", path)
 	}
@@ -605,7 +681,7 @@ func load(path string) (*Loaded, error) {
 			if err != nil {
 				return nil, err
 			}
-			arr, err := decodeColumn(sec, tm.Rows)
+			arr, err := decodeColumn(sec, cd.Kind, tm.Rows)
 			if err != nil {
 				return nil, fmt.Errorf("snapshot: %s.%s: %v", tm.Name, cd.Name, err)
 			}
@@ -645,12 +721,16 @@ func Load(dir string) (l *Loaded, invalid int, err error) {
 }
 
 // BuildCatalog rebuilds a frozen catalog from the loaded snapshot.
-// Restored dictionaries reproduce the exact pre-snapshot codes; if
-// they prove inconsistent with the column data (a cross-section
-// corruption the per-section CRCs cannot see), it falls back to a
-// fresh Freeze — different codes, same query results. Delta tail rows
-// are re-appended after the freeze, landing in the delta store exactly
-// where they lived before the snapshot.
+// String columns stored as codes are installed as they are, next to
+// their restored dictionaries; string values from an older snapshot
+// are encoded through those dictionaries, which reproduces the exact
+// pre-snapshot codes. If the dictionaries prove inconsistent with the
+// column data (a cross-section corruption the per-section CRCs cannot
+// see), an older snapshot's values fall back to a fresh Freeze —
+// different codes, same query results — while codes, having nothing
+// to rebuild from, fail. Delta tail rows are re-appended after the
+// freeze, landing in the delta store exactly where they lived before
+// the snapshot.
 func BuildCatalog(l *Loaded) (*storage.Catalog, error) {
 	build := func(withDicts bool) (*storage.Catalog, error) {
 		cat := storage.NewCatalog()
@@ -685,7 +765,9 @@ func BuildCatalog(l *Loaded) (*storage.Catalog, error) {
 	}
 	cat, err := build(true)
 	if err != nil {
-		cat, err = build(false)
+		if fresh, ferr := build(false); ferr == nil {
+			return fresh, nil
+		}
 	}
 	return cat, err
 }

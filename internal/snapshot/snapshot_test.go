@@ -12,7 +12,7 @@ import (
 // string and float annotations (including NaN), frozen, then extended
 // post-freeze so domain dicts carry unsorted tails and one table keeps
 // an unfolded delta tail.
-func buildCatalog(t *testing.T) *storage.Catalog {
+func buildCatalog(t testing.TB) *storage.Catalog {
 	t.Helper()
 	cat := storage.NewCatalog()
 	orders, err := cat.Create(storage.Schema{Name: "orders", Cols: []storage.ColumnDef{

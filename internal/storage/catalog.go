@@ -97,6 +97,8 @@ func (c *Catalog) Frozen() bool { return c.frozen }
 // Freeze builds the per-domain key dictionaries, encodes every key
 // column, encodes string annotation columns with per-column
 // dictionaries, and converts numeric annotations to float64 buffers.
+// The codes then become a string column's only stored form: its staged
+// values (Strs) are dropped.
 // It corresponds to the data-statistics / encoding phase that the
 // paper's measurements exclude. Freeze is no longer a one-way door for
 // writes: rows appended after it land in per-table delta stores and
@@ -107,13 +109,16 @@ func (c *Catalog) Freeze() error { return c.freezeWith(nil, nil) }
 // FreezeWith freezes using dictionaries restored from a snapshot
 // instead of building fresh ones: provided domain dictionaries (keyed
 // by domain name) and string-annotation dictionaries (keyed
-// "table.column") are installed as-is and the column codes re-encoded
-// against them. Because a restored dictionary carries its unsorted
-// tail in original first-seen order, the re-encoded codes are exactly
-// the pre-snapshot codes. A value missing from a provided dictionary
-// means the snapshot is inconsistent: FreezeWith fails without
-// freezing, and the caller falls back to a plain Freeze (fresh
-// dictionaries — different codes, same query semantics).
+// "table.column") are installed as-is. A string column staged as codes
+// keeps them, each checked against its dictionary; one staged as
+// values (a snapshot written before codes were stored) is encoded
+// against it. Because a restored dictionary carries its unsorted tail
+// in original first-seen order, the encoded codes are exactly the
+// pre-snapshot codes. A value or code missing from a provided
+// dictionary means the snapshot is inconsistent: FreezeWith fails
+// without freezing. For value-staged columns the caller may fall back
+// to a plain Freeze (fresh dictionaries — different codes, same query
+// semantics); code-staged columns have no values to rebuild from.
 func (c *Catalog) FreezeWith(domains, ann map[string]*dict.Dictionary) error {
 	return c.freezeWith(domains, ann)
 }
@@ -173,13 +178,7 @@ func (c *Catalog) freezeWith(provDomains, provAnn map[string]*dict.Dictionary) e
 				}
 				d = b.Build()
 			case String:
-				b := dict.NewBuilder(dict.String)
-				for _, col := range dc.cols {
-					for _, v := range col.Strs {
-						b.AddString(v)
-					}
-				}
-				d = b.Build()
+				d = buildStrings(dc.cols)
 			default:
 				return fmt.Errorf("storage: unsupported key kind in domain %q", dn)
 			}
@@ -187,24 +186,19 @@ func (c *Catalog) freezeWith(provDomains, provAnn map[string]*dict.Dictionary) e
 		c.domains[dn] = d
 		for _, col := range dc.cols {
 			col.dict = d
-			col.codes = make([]uint32, len(col.Ints)+len(col.Strs))
-			switch dc.kind {
-			case Int64, Date:
-				for i, v := range col.Ints {
-					code, ok := d.EncodeInt(v)
-					if !ok {
-						return fmt.Errorf("storage: value %d missing from domain %q", v, dn)
-					}
-					col.codes[i] = code
+			if dc.kind == String {
+				if err := encodeStrings(col, d); err != nil {
+					return fmt.Errorf("%v in domain %q", err, dn)
 				}
-			case String:
-				for i, v := range col.Strs {
-					code, ok := d.EncodeString(v)
-					if !ok {
-						return fmt.Errorf("storage: value %q missing from domain %q", v, dn)
-					}
-					col.codes[i] = code
+				continue
+			}
+			col.codes = make([]uint32, len(col.Ints))
+			for i, v := range col.Ints {
+				code, ok := d.EncodeInt(v)
+				if !ok {
+					return fmt.Errorf("storage: value %d missing from domain %q", v, dn)
 				}
+				col.codes[i] = code
 			}
 		}
 	}
@@ -220,20 +214,11 @@ func (c *Catalog) freezeWith(provDomains, provAnn map[string]*dict.Dictionary) e
 			case String:
 				d := provAnn[name+"."+col.Def.Name]
 				if d == nil {
-					b := dict.NewBuilder(dict.String)
-					for _, v := range col.Strs {
-						b.AddString(v)
-					}
-					d = b.Build()
+					d = buildStrings([]*Column{col})
 				}
 				col.dict = d
-				col.codes = make([]uint32, len(col.Strs))
-				for i, v := range col.Strs {
-					code, ok := d.EncodeString(v)
-					if !ok {
-						return fmt.Errorf("storage: value %q missing from restored dictionary %s.%s", v, name, col.Def.Name)
-					}
-					col.codes[i] = code
+				if err := encodeStrings(col, d); err != nil {
+					return fmt.Errorf("%v in dictionary %s.%s", err, name, col.Def.Name)
 				}
 			case Float64:
 				col.floats = col.Floats
@@ -253,9 +238,59 @@ func (c *Catalog) freezeWith(provDomains, provAnn map[string]*dict.Dictionary) e
 			}
 		}
 	}
+	for _, t := range c.tables {
+		for _, col := range t.Cols {
+			if col.Def.Kind == String && len(col.codes) != t.NumRows {
+				return fmt.Errorf("storage: %s.%s has %d codes for %d rows", t.Schema.Name, col.Def.Name, len(col.codes), t.NumRows)
+			}
+		}
+	}
+	// Codes are now the only stored form of a string column.
 	c.frozen = true
 	for _, t := range c.tables {
 		t.frozen = true
+		for _, col := range t.Cols {
+			col.Strs = nil
+		}
+	}
+	return nil
+}
+
+// buildStrings builds a fresh dictionary over the staged values of
+// cols. A column staged as codes adds nothing, so its codes then fail
+// encodeStrings' range check: its dictionary must be supplied.
+func buildStrings(cols []*Column) *dict.Dictionary {
+	b := dict.NewBuilder(dict.String)
+	for _, col := range cols {
+		for _, v := range col.Strs {
+			b.AddString(v)
+		}
+	}
+	return b.Build()
+}
+
+// encodeStrings fills a String column's codes from its staged values
+// through d. A column staged as codes (SetColumnData with []uint32, as
+// a snapshot restores it) keeps them once each is checked against d.
+func encodeStrings(col *Column, d *dict.Dictionary) error {
+	if col.Strs == nil {
+		for _, code := range col.codes {
+			if int(code) >= d.Len() {
+				return fmt.Errorf("storage: code %d out of range", code)
+			}
+		}
+		if col.codes == nil {
+			col.codes = []uint32{}
+		}
+		return nil
+	}
+	col.codes = make([]uint32, len(col.Strs))
+	for i, v := range col.Strs {
+		code, ok := d.EncodeString(v)
+		if !ok {
+			return fmt.Errorf("storage: value %q missing", v)
+		}
+		col.codes[i] = code
 	}
 	return nil
 }

@@ -118,9 +118,9 @@ func (c *Catalog) refreshGeneration(t *Table) *Table {
 // structurally: each buffer is append-extended, which either reuses
 // cur's backing array beyond its length (older readers only see their
 // own prefix) or reallocates — both race-free for concurrent readers
-// of older generations. New key values are admitted by extending the
-// shared-domain dictionaries in place in the catalog, keeping all
-// existing codes stable.
+// of older generations. A string column extends only its codes. New
+// key values are admitted by extending the shared-domain dictionaries
+// in place in the catalog, keeping all existing codes stable.
 func (c *Catalog) buildGeneration(t *Table, cur *Table, view []deltaCol, n int) *Table {
 	from := cur.deltaMerged
 	add := n - from
@@ -150,7 +150,6 @@ func (c *Catalog) buildGeneration(t *Table, cur *Table, view []deltaCol, n int) 
 			case String:
 				vals := dv.strs[from:n]
 				d = c.extendDomainStrs(dn, d, vals)
-				nc.Strs = append(cc.Strs, vals...)
 				nc.codes = appendCodes(cc.codes, nil, vals, d)
 			}
 			nc.dict = d
@@ -160,7 +159,6 @@ func (c *Catalog) buildGeneration(t *Table, cur *Table, view []deltaCol, n int) 
 			if needStrs(d, vals) {
 				d = d.ExtendStrings(vals)
 			}
-			nc.Strs = append(cc.Strs, vals...)
 			nc.dict = d
 			nc.codes = appendCodes(cc.codes, nil, vals, d)
 		case hc.Def.Kind == Float64:
@@ -329,10 +327,6 @@ func (c *Catalog) copyGeneration(t *Table, cur *Table, charge func(int64) error)
 		if cc.Floats != nil {
 			nc.Floats = append(make([]float64, 0, len(cc.Floats)), cc.Floats...)
 			bytes += int64(len(cc.Floats)) * 8
-		}
-		if cc.Strs != nil {
-			nc.Strs = append(make([]string, 0, len(cc.Strs)), cc.Strs...)
-			bytes += int64(len(cc.Strs)) * 16
 		}
 		if cc.codes != nil {
 			nc.codes = append(make([]uint32, 0, len(cc.codes)), cc.codes...)

@@ -99,8 +99,11 @@ func (s *Schema) Col(name string) *ColumnDef {
 // Column is the typed columnar storage for one attribute.
 type Column struct {
 	Def ColumnDef
-	// Ints holds Int64 and Date values; Floats holds Float64 values;
-	// Strs holds String values. Exactly one is populated.
+	// Ints holds Int64 and Date values; Floats holds Float64 values.
+	// Strs stages String values until Catalog.Freeze encodes them into
+	// codes: Strs is nil on every frozen column, whose dictionary codes
+	// are its only stored form. Read a String column's values through
+	// Str, which decodes after freeze.
 	Ints   []int64
 	Floats []float64
 	Strs   []string
@@ -110,6 +113,15 @@ type Column struct {
 	codes  []uint32
 	dict   *dict.Dictionary
 	floats []float64 // numeric annotation cache (int/date → float64)
+}
+
+// Str returns row i of a String column: the staged value before
+// freeze, the value decoded through the column's dictionary after.
+func (col *Column) Str(i int) string {
+	if col.Strs != nil {
+		return col.Strs[i]
+	}
+	return col.dict.DecodeString(col.codes[i])
 }
 
 // Table is a base relation: schema plus columnar data.
@@ -378,7 +390,9 @@ func (t *Table) LoadDelimitedContext(ctx context.Context, r io.Reader, delim byt
 
 // SetColumnData installs pre-built columnar data, replacing the current
 // contents; all columns must have equal length. Used by generators to
-// avoid per-row appends.
+// avoid per-row appends. A String column may instead be given its
+// dictionary codes ([]uint32), as a snapshot stores it: the FreezeWith
+// that follows must then supply the column's dictionary.
 func (t *Table) SetColumnData(data map[string]interface{}) error {
 	if t.frozen {
 		return &qerr.FrozenTableError{Table: t.Schema.Name, Op: "SetColumnData"}
@@ -407,7 +421,13 @@ func (t *Table) SetColumnData(data map[string]interface{}) error {
 			if c.Def.Kind != String {
 				return fmt.Errorf("storage: %s.%s kind mismatch", t.Schema.Name, name)
 			}
-			c.Strs = v
+			c.Strs, c.codes = v, nil
+			ln = len(v)
+		case []uint32:
+			if c.Def.Kind != String {
+				return fmt.Errorf("storage: %s.%s kind mismatch", t.Schema.Name, name)
+			}
+			c.Strs, c.codes = nil, v
 			ln = len(v)
 		default:
 			return fmt.Errorf("storage: unsupported column data %T for %s.%s", raw, t.Schema.Name, name)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/dict"
 )
 
 func matrixSchema() Schema {
@@ -141,6 +143,58 @@ func TestFreezeAnnotations(t *testing.T) {
 	// Key columns must not report annotation codes.
 	if o.Col("o_orderkey").AnnCodes() != nil {
 		t.Error("key column should not have annotation codes")
+	}
+	// Codes are the frozen column's only stored form.
+	if c := o.Col("o_comment"); c.Strs != nil || c.Str(0) != "beta" || c.Str(1) != "alpha" {
+		t.Fatalf("frozen string column: Strs %v, Str %q %q", c.Strs, c.Str(0), c.Str(1))
+	}
+}
+
+// TestFreezeWithStagedCodes: a string column handed over as codes keeps
+// them when its dictionary is supplied, and is refused when a code is
+// out of that dictionary's range or no dictionary is supplied.
+func TestFreezeWithStagedCodes(t *testing.T) {
+	b := dict.NewBuilder(dict.String)
+	b.AddString("alpha")
+	b.AddString("beta")
+	comments := map[string]*dict.Dictionary{"orders.o_comment": b.Build()}
+	stage := func(codes []uint32) *Catalog {
+		cat := NewCatalog()
+		o, _ := cat.Create(ordersSchema())
+		if err := o.SetColumnData(map[string]interface{}{
+			"o_orderkey": []int64{1, 2}, "o_custkey": []int64{10, 11},
+			"o_orderdate": []int64{9000, 9100}, "o_comment": codes,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return cat
+	}
+	cat := stage([]uint32{1, 0})
+	if err := cat.FreezeWith(nil, comments); err != nil {
+		t.Fatal(err)
+	}
+	if c := cat.Table("orders").Col("o_comment"); c.Str(0) != "beta" || c.Str(1) != "alpha" {
+		t.Fatalf("staged codes decode to %q %q", c.Str(0), c.Str(1))
+	}
+	if err := stage([]uint32{2, 0}).FreezeWith(nil, comments); err == nil {
+		t.Error("a code past the dictionary should fail FreezeWith")
+	}
+	if err := stage([]uint32{1, 0}).Freeze(); err == nil {
+		t.Error("codes without a dictionary should fail Freeze")
+	}
+	mixed := stage([]uint32{1, 0})
+	if err := mixed.Table("orders").Append(int64(3), int64(12), int64(9200), "alpha"); err != nil {
+		t.Fatal(err)
+	}
+	if err := mixed.FreezeWith(nil, comments); err == nil {
+		t.Error("values appended beside staged codes should fail FreezeWith")
+	}
+	o := NewTable(ordersSchema())
+	if err := o.SetColumnData(map[string]interface{}{
+		"o_orderkey": []uint32{1}, "o_custkey": []int64{10},
+		"o_orderdate": []int64{9000}, "o_comment": []string{"x"},
+	}); err == nil {
+		t.Error("codes for an int column should be a kind mismatch")
 	}
 }
 

@@ -275,8 +275,8 @@ func RunMonetSklearn(cat *storage.Catalog, threads int) (Phases, error) {
 	icol := make([]float64, len(joined))
 	lcol := make([]float64, len(joined))
 	for i, j := range joined {
-		gcol[i] = voters.Col("v_gender").Strs[j[0]]
-		tcol[i] = prec.Col("p_type").Strs[j[1]]
+		gcol[i] = voters.Col("v_gender").Str(int(j[0]))
+		tcol[i] = prec.Col("p_type").Str(int(j[1]))
 		pcol[i] = voters.Col("v_precinct").Ints[j[0]]
 		acol[i] = voters.Col("v_age").Floats[j[0]]
 		icol[i] = prec.Col("p_medincome").Floats[j[1]]
@@ -343,7 +343,7 @@ func runRecordPipeline(cat *storage.Catalog, threads int, system string, shuffle
 	}
 	pmap := map[int64]pinfo{}
 	for i := 0; i < prec.NumRows; i++ {
-		pmap[prec.Col("p_id").Ints[i]] = pinfo{prec.Col("p_type").Strs[i], prec.Col("p_medincome").Floats[i]}
+		pmap[prec.Col("p_id").Ints[i]] = pinfo{prec.Col("p_type").Str(i), prec.Col("p_medincome").Floats[i]}
 	}
 	recs := make([]record, 0, voters.NumRows)
 	for i := 0; i < voters.NumRows; i++ {
@@ -356,7 +356,7 @@ func runRecordPipeline(cat *storage.Catalog, threads int, system string, shuffle
 			continue
 		}
 		recs = append(recs, record{
-			gender: voters.Col("v_gender").Strs[i],
+			gender: voters.Col("v_gender").Str(i),
 			ptype:  pi.ptype,
 			prec:   voters.Col("v_precinct").Ints[i],
 			age:    a,
