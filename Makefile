@@ -133,15 +133,16 @@ telemetry-smoke:
 # must fail only the query that hit them, over-budget queries abort
 # with ResourceExhausted, overload sheds with Retry-After, and the
 # governor/registry accounting drains to zero — all under -race — plus
-# a short front-end fuzz (malformed SQL must never panic), a short fuzz
-# of the snapshot section decoders (never panic, never allocate past
-# their input), and the approx lane under -race (the sample route runs
-# exec's scan beside the summary lock).
+# a short front-end fuzz (malformed SQL must never panic), short fuzzes
+# of the snapshot section decoders and the WAL segment parser (never
+# panic, never allocate past their input), and the approx lane under
+# -race (the sample route runs exec's scan beside the summary lock).
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestOverload|TestGovernorStress|TestEngineShutdown|TestSkewed' ./internal/core
 	$(GO) test -race -count=1 ./internal/governor ./internal/faultinject
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotLoad -fuzztime 5s ./internal/snapshot
+	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 5s ./internal/wal
 	$(GO) test -race -count=1 -run 'TestDurable|TestIngestBatch|TestCrashRecoverySIGKILL' ./internal/core
 	$(GO) test -race -count=1 ./internal/wal ./internal/snapshot
 	$(GO) test -count=1 -run TestDifferentialShort ./internal/difftest -difftest.lane recovery
@@ -183,11 +184,12 @@ difftest-long:
 # one cached base order in many queries at once, each with its own tail
 # of appended rows (the ingest lane runs every stage twice, the second
 # run deriving). The compiled leaf's bit-identity check runs here too,
-# at 1 and 4 threads.
+# at 1 and 4 threads, and so do concurrent appends, snapshots and
+# compactions extending one set of shared column arrays.
 hybrid-race:
 	$(GO) test -race -count=1 -run TestDifferentialShort ./internal/difftest -difftest.lane hybrid
 	$(GO) test -race -count=1 -run TestDifferentialShort ./internal/difftest -difftest.lane ingest
-	$(GO) test -race -count=1 -run 'TestDeriveConcurrent|TestDeriveParallelRegions|TestConcurrentDerive|TestConcurrentAppendDerive|TestLeafKernelBitIdentical' ./internal/trie ./internal/exec
+	$(GO) test -race -count=1 -run 'TestDeriveConcurrent|TestDeriveParallelRegions|TestConcurrentDerive|TestConcurrentAppendDerive|TestLeafKernelBitIdentical|TestConcurrentAppendSnapshotCompact' ./internal/trie ./internal/exec ./internal/storage
 
 # Non-blank, non-comment lines of non-test Go in the packages the
 # "one executor" and "one scalar evaluator" work is held to (ROADMAP

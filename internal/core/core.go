@@ -229,14 +229,14 @@ func (e *Engine) Freeze() error {
 	return e.cat.Freeze()
 }
 
-// Compact folds every table's appended delta rows into fresh,
-// right-sized base generations and truncates the delta logs — the
-// heavy merge the query hot path never runs. It is single-flight,
-// cancellable per table via ctx, charged against the engine governor
-// (an over-limit rebuild aborts with qerr.ResourceExhaustedError), and
-// panic-contained like a query. Dictionary codes are stable across
-// compaction, so results are byte-identical before and after. On a
-// never-frozen catalog it performs the initial freeze.
+// Compact folds every table's appended delta rows into its base
+// generation and truncates the delta logs; on a durable engine it then
+// writes a snapshot. The fold copies no column data (see
+// storage.Catalog.Compact), so it is charged to no accountant. It is
+// single-flight, cancellable per table via ctx, and panic-contained
+// like a query. Dictionary codes are stable across compaction, so
+// results are byte-identical before and after. On a never-frozen
+// catalog it performs the initial freeze.
 func (e *Engine) Compact(ctx context.Context) (err error) {
 	if ferr := e.Freeze(); ferr != nil {
 		return ferr
@@ -250,9 +250,7 @@ func (e *Engine) Compact(ctx context.Context) (err error) {
 			err = ie
 		}
 	}()
-	mem := e.gov.NewAccountant("COMPACT", 0)
-	defer mem.Close()
-	n, _, cerr := e.cat.Compact(ctx, mem.Charge)
+	n, _, cerr := e.cat.Compact(ctx)
 	if n > 0 {
 		e.compactions.Add(1)
 		e.compactedRows.Add(int64(n))

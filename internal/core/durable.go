@@ -77,9 +77,10 @@ func (e *Engine) Recovered() bool { return e.dur != nil && e.dur.recovered.Load(
 
 // RecoveryError reports the startup recovery failure, if any. A
 // non-nil error means durability is degraded (the engine came up
-// empty or partially restored); the data directory itself was
-// unusable. Corruption never surfaces here — it is truncated and
-// counted instead.
+// empty or partially restored): the data directory itself was
+// unusable, or the newest snapshot passed its checksums but would not
+// rebuild, so the rows only it held are missing. Corruption a checksum
+// catches never surfaces here — it is truncated and counted instead.
 func (e *Engine) RecoveryError() error {
 	if e.dur == nil {
 		return nil
@@ -120,10 +121,17 @@ func (e *Engine) recoverStartup() {
 	if loaded != nil {
 		cat, berr := snapshot.BuildCatalog(loaded)
 		if berr != nil {
-			// The snapshot validated but would not rebuild (e.g. a schema
-			// the storage layer now rejects). Count it like corruption and
-			// come up from the WAL alone.
+			// The snapshot validated but would not rebuild (e.g. codes past
+			// their dictionary, or a schema the storage layer now rejects).
+			// The WAL segments it covered are gone, so coming up from the
+			// WAL alone loses its rows: report that, and come up anyway.
+			// Epochs continue past the rejected file's, so the next
+			// snapshot supersedes it instead of losing to it at the next
+			// start.
 			d.snapshotInvalid.Add(1)
+			fail(fmt.Errorf("durability: snapshot %s passed its checksums but did not rebuild; "+
+				"its rows are not restored: %w", loaded.Path, berr))
+			e.cat.RestoreEpoch(loaded.Manifest.Epoch)
 			loaded = nil
 		} else {
 			e.cat = cat

@@ -2,11 +2,16 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/snapshot"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -246,5 +251,94 @@ func TestDurableFreshDirIsEmpty(t *testing.T) {
 	mkEvents(t, e)
 	if _, err := os.Stat(filepath.Join(dir, "catalog.json")); err != nil {
 		t.Fatalf("catalog.json not written: %v", err)
+	}
+}
+
+// TestRejectedSnapshotReported: when the newest snapshot passes its
+// checksums but will not rebuild, recovery reports it by name. The WAL
+// segments that snapshot covered are gone, so its rows cannot come
+// back; a silent WAL-only start would lose them without a trace.
+func TestRejectedSnapshotReported(t *testing.T) {
+	dir := t.TempDir()
+	e1 := durableEngine(t, dir, wal.SyncEvery())
+	mkEvents(t, e1)
+	if err := e1.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 20; i++ {
+			id := int64(round*20 + i)
+			if _, err := e1.IngestRows(context.Background(), "events",
+				[][]interface{}{{id, float64(id), "t" + strconv.Itoa(i%3)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e1.Compact(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c, _ := sumV(t, e1); c != 40 {
+		t.Fatalf("acked %d rows, want 40", c)
+	}
+
+	// Set the newest snapshot's tag codes past their dictionary and
+	// recompute the section's CRC, so every checksum still passes.
+	loaded, _, err := snapshot.Load(dir)
+	if err != nil || loaded == nil {
+		t.Fatalf("Load: %v", err)
+	}
+	data, err := os.ReadFile(loaded.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := loaded.Manifest
+	want := 1 + len(m.Domains) + len(m.AnnDicts) + 2 // events.tag: third column
+	off := len("LHSNAP01")
+	for i := 0; i < want; i++ {
+		off += 12 + int(binary.LittleEndian.Uint64(data[off:]))
+	}
+	n := int(binary.LittleEndian.Uint64(data[off:]))
+	payload := data[off+12 : off+12+n]
+	if payload[0] != 3 || n != 9+4*m.Tables[0].Rows {
+		t.Fatalf("section %d is not events.tag's codes (tag %d, %d bytes)", want, payload[0], n)
+	}
+	for i := 9; i < n; i += 4 {
+		binary.LittleEndian.PutUint32(payload[i:], 1000)
+	}
+	binary.LittleEndian.PutUint32(data[off+8:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(loaded.Path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, invalid, err := snapshot.Load(dir); err != nil || invalid != 0 || l.Path != loaded.Path {
+		t.Fatalf("tampered snapshot did not pass its checksums: %v invalid=%d", err, invalid)
+	} else if _, err := snapshot.BuildCatalog(l); err == nil {
+		t.Fatal("codes past the dictionary rebuilt")
+	}
+
+	e2 := durableEngine(t, dir, wal.SyncEvery())
+	err = e2.RecoveryError()
+	if err == nil || !strings.Contains(err.Error(), filepath.Base(loaded.Path)) {
+		t.Fatalf("RecoveryError() = %v, want an error naming %s", err, filepath.Base(loaded.Path))
+	}
+
+	// Rows acked after the degraded start survive the next restart: the
+	// next snapshot supersedes the rejected one.
+	for i := 0; i < 10; i++ {
+		if _, err := e2.IngestRows(context.Background(), "events",
+			[][]interface{}{{int64(100 + i), 1.0, "late"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e2.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	e2.Drain(context.Background())
+	e3 := durableEngine(t, dir, wal.SyncEvery())
+	defer e3.Drain(context.Background())
+	if err := e3.RecoveryError(); err != nil {
+		t.Fatalf("restart after the degraded start: %v", err)
+	}
+	if c, s := sumV(t, e3); c != 10 || s != 10 {
+		t.Fatalf("after restart: %d rows summing to %v, want the 10 acked after the degraded start", c, s)
 	}
 }

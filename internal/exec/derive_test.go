@@ -385,7 +385,7 @@ func TestDeriveAcrossAppends(t *testing.T) {
 		}
 		check(fmt.Sprintf("append %d", i), snap)
 	}
-	if _, _, err := cat.Compact(context.Background(), nil); err != nil {
+	if _, _, err := cat.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	check("compacted", cat.Snapshot())

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestStringColumnsStoredAsCodes(t *testing.T) {
 	cat := buildCatalog(t)
 	col := cat.Table("orders").Live().Col("status")
 	n := len(col.AnnCodes())
-	sec := encodeColumn(col)
+	sec := encodeSection(t, func(e *enc) error { return writeColumn(e, col) })
 	if n == 0 || col.Strs != nil || sec[0] != colCodes || len(sec) != 9+4*n {
 		t.Fatalf("string column section: tag %d, %d bytes", sec[0], len(sec))
 	}
@@ -82,6 +83,36 @@ func TestStringColumnsStoredAsCodes(t *testing.T) {
 	if _, err := decodeColumn(sec, storage.Int64, n); err == nil {
 		t.Fatal("codes accepted for an int column")
 	}
+}
+
+// encodeSection streams one section through write into a file and
+// returns its payload once its header's length and CRC check out.
+func encodeSection(tb testing.TB, write func(*enc) error) []byte {
+	tb.Helper()
+	f, err := os.Create(filepath.Join(tb.TempDir(), "section"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e := newEnc(f)
+	if err := write(e); err != nil {
+		tb.Fatal(err)
+	}
+	if e.drain(); e.err != nil {
+		tb.Fatal(e.err)
+	}
+	if err := f.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := &sectionReader{data: data}
+	sec, err := r.next()
+	if err != nil || r.off != len(data) {
+		tb.Fatalf("section of %d bytes: %v", len(data), err)
+	}
+	return sec
 }
 
 // frame wraps a payload as one section: length, CRC32C, payload.

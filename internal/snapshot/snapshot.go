@@ -72,21 +72,101 @@ func Path(dir string, epoch uint64) string {
 
 // ---- binary value encoding -------------------------------------------------
 
-// enc appends to a buffer that each encoder presizes from the lengths
-// it is about to write, so a section is built without regrowing.
-type enc struct{ buf []byte }
+// writeBufSize is the size of the one buffer every section of a
+// snapshot streams through, however large the column.
+const writeBufSize = 64 << 10
 
-func newEnc(size int) *enc { return &enc{buf: make([]byte, 0, size)} }
-
-func (e *enc) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *enc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *enc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *enc) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
+// enc streams a snapshot file's sections through one fixed buffer. A
+// section's payload length is known before the payload is encoded, so
+// its header goes out first with a zero CRC; the CRC accumulates as the
+// buffer drains and is patched into the header when the section ends —
+// in the buffer if the header is still there, in the file otherwise.
+// The first write error sticks: later writes are skipped and every
+// section returns it.
+type enc struct {
+	f    *os.File
+	buf  []byte // pending bytes; never grows past writeBufSize
+	off  int64  // file offset of buf[0]
+	open bool   // a section's payload is being encoded
+	hdr  int64  // file offset of the open section's header
+	from int    // start in buf of payload bytes not yet in crc
+	crc  uint32
+	err  error
 }
+
+func newEnc(f *os.File) *enc { return &enc{f: f, buf: make([]byte, 0, writeBufSize)} }
+
+// drain writes the buffered bytes, folding the open section's share of
+// them into its CRC first.
+func (e *enc) drain() {
+	if e.open {
+		e.crc = crc32.Update(e.crc, castagnoli, e.buf[e.from:])
+		e.from = 0
+	}
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.f.Write(e.buf)
+	}
+	e.off += int64(len(e.buf))
+	e.buf = e.buf[:0]
+}
+
+// room drains the buffer unless n more bytes fit.
+func (e *enc) room(n int) {
+	if len(e.buf)+n > cap(e.buf) {
+		e.drain()
+	}
+}
+
+// section writes one section: its header (payload length, CRC32C)
+// and the size-byte payload that body encodes.
+func (e *enc) section(size int, body func()) error {
+	e.room(12)
+	e.hdr = e.off + int64(len(e.buf))
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(size))
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, 0)
+	e.open, e.from, e.crc = true, len(e.buf), 0
+	body()
+	e.crc = crc32.Update(e.crc, castagnoli, e.buf[e.from:])
+	e.open = false
+	if n := e.off + int64(len(e.buf)) - e.hdr - 12; n != int64(size) && e.err == nil {
+		e.err = fmt.Errorf("snapshot: section encoded %d bytes, header says %d", n, size)
+	}
+	if e.hdr >= e.off {
+		binary.LittleEndian.PutUint32(e.buf[e.hdr-e.off+8:], e.crc)
+	} else if e.err == nil {
+		var sum [4]byte
+		binary.LittleEndian.PutUint32(sum[:], e.crc)
+		_, e.err = e.f.WriteAt(sum[:], e.hdr+8)
+	}
+	return e.err
+}
+
+func (e *enc) u8(v uint8) {
+	e.room(1)
+	e.buf = append(e.buf, v)
+}
+func (e *enc) u32(v uint32) {
+	e.room(4)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+}
+func (e *enc) u64(v uint64) {
+	e.room(8)
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+}
+func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
 func (e *enc) str(v string) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(len(v)))
-	e.buf = append(e.buf, v...)
+	e.u64(uint64(len(v)))
+	raw(e, v)
+}
+
+// raw copies bytes through the buffer in buffer-sized pieces.
+func raw[T string | []byte](e *enc, v T) {
+	for len(v) > 0 {
+		e.room(1)
+		n := copy(e.buf[len(e.buf):cap(e.buf)], v)
+		e.buf = e.buf[:len(e.buf)+n]
+		v = v[n:]
+	}
 }
 
 type dec struct {
@@ -150,7 +230,8 @@ func (d *dec) str() string {
 	return v
 }
 
-func encodeDict(s dict.Snapshot) []byte {
+// writeDict writes one dictionary section.
+func writeDict(e *enc, s dict.Snapshot) error {
 	size := 3 + 7*8 + 8*(len(s.Ints)+len(s.Floats)+len(s.TailInts))
 	for _, v := range s.Strs {
 		size += 8 + len(v)
@@ -158,33 +239,33 @@ func encodeDict(s dict.Snapshot) []byte {
 	for _, v := range s.TailStrs {
 		size += 8 + len(v)
 	}
-	e := newEnc(size)
-	e.u8(uint8(s.Kind))
-	e.u8(b2u(s.Identity))
-	e.u8(b2u(s.HasNaN))
-	e.u64(uint64(s.Base))
-	e.u64(uint64(s.N))
-	e.u64(uint64(len(s.Ints)))
-	for _, v := range s.Ints {
-		e.u64(uint64(v))
-	}
-	e.u64(uint64(len(s.Floats)))
-	for _, v := range s.Floats {
-		e.f64(v)
-	}
-	e.u64(uint64(len(s.Strs)))
-	for _, v := range s.Strs {
-		e.str(v)
-	}
-	e.u64(uint64(len(s.TailInts)))
-	for _, v := range s.TailInts {
-		e.u64(uint64(v))
-	}
-	e.u64(uint64(len(s.TailStrs)))
-	for _, v := range s.TailStrs {
-		e.str(v)
-	}
-	return e.buf
+	return e.section(size, func() {
+		e.u8(uint8(s.Kind))
+		e.u8(b2u(s.Identity))
+		e.u8(b2u(s.HasNaN))
+		e.u64(uint64(s.Base))
+		e.u64(uint64(s.N))
+		e.u64(uint64(len(s.Ints)))
+		for _, v := range s.Ints {
+			e.u64(uint64(v))
+		}
+		e.u64(uint64(len(s.Floats)))
+		for _, v := range s.Floats {
+			e.f64(v)
+		}
+		e.u64(uint64(len(s.Strs)))
+		for _, v := range s.Strs {
+			e.str(v)
+		}
+		e.u64(uint64(len(s.TailInts)))
+		for _, v := range s.TailInts {
+			e.u64(uint64(v))
+		}
+		e.u64(uint64(len(s.TailStrs)))
+		for _, v := range s.TailStrs {
+			e.str(v)
+		}
+	})
 }
 
 func decodeDict(data []byte) (*dict.Dictionary, error) {
@@ -251,36 +332,38 @@ const (
 	colCodes
 )
 
-func encodeColumn(col *storage.Column) []byte {
-	var e *enc
+// writeColumn writes one column section: a tag, the value count and
+// the values, 8 bytes each, or 4 for a string column's codes.
+func writeColumn(e *enc, col *storage.Column) error {
 	switch col.Def.Kind {
 	case storage.Int64, storage.Date:
-		e = newEnc(9 + 8*len(col.Ints))
-		e.u8(colInts)
-		e.u64(uint64(len(col.Ints)))
-		for _, v := range col.Ints {
-			e.u64(uint64(v))
-		}
+		return e.section(9+8*len(col.Ints), func() {
+			e.u8(colInts)
+			e.u64(uint64(len(col.Ints)))
+			for _, v := range col.Ints {
+				e.u64(uint64(v))
+			}
+		})
 	case storage.Float64:
-		e = newEnc(9 + 8*len(col.Floats))
-		e.u8(colFloats)
-		e.u64(uint64(len(col.Floats)))
-		for _, v := range col.Floats {
-			e.f64(v)
-		}
-	default:
-		codes := col.AnnCodes()
-		if col.Def.Role == storage.Key {
-			codes = col.KeyCodes()
-		}
-		e = newEnc(9 + 4*len(codes))
+		return e.section(9+8*len(col.Floats), func() {
+			e.u8(colFloats)
+			e.u64(uint64(len(col.Floats)))
+			for _, v := range col.Floats {
+				e.f64(v)
+			}
+		})
+	}
+	codes := col.AnnCodes()
+	if col.Def.Role == storage.Key {
+		codes = col.KeyCodes()
+	}
+	return e.section(9+4*len(codes), func() {
 		e.u8(colCodes)
 		e.u64(uint64(len(codes)))
 		for _, v := range codes {
 			e.u32(v)
 		}
-	}
-	return e.buf
+	})
 }
 
 // decodeColumn decodes one column section of a column of the given
@@ -346,7 +429,8 @@ func decodeColumn(data []byte, kind storage.Kind, rows int) (interface{}, error)
 	return out, nil
 }
 
-func encodeTail(schema storage.Schema, rows [][]interface{}) []byte {
+// writeTail writes a table's unfolded delta rows, row-major.
+func writeTail(e *enc, schema storage.Schema, rows [][]interface{}) error {
 	size := 8 + 8*len(rows)*len(schema.Cols)
 	for _, r := range rows {
 		for i, cd := range schema.Cols {
@@ -355,21 +439,21 @@ func encodeTail(schema storage.Schema, rows [][]interface{}) []byte {
 			}
 		}
 	}
-	e := newEnc(size)
-	e.u64(uint64(len(rows)))
-	for _, r := range rows {
-		for i, cd := range schema.Cols {
-			switch cd.Kind {
-			case storage.Int64, storage.Date:
-				e.u64(uint64(r[i].(int64)))
-			case storage.Float64:
-				e.f64(r[i].(float64))
-			case storage.String:
-				e.str(r[i].(string))
+	return e.section(size, func() {
+		e.u64(uint64(len(rows)))
+		for _, r := range rows {
+			for i, cd := range schema.Cols {
+				switch cd.Kind {
+				case storage.Int64, storage.Date:
+					e.u64(uint64(r[i].(int64)))
+				case storage.Float64:
+					e.f64(r[i].(float64))
+				case storage.String:
+					e.str(r[i].(string))
+				}
 			}
 		}
-	}
-	return e.buf
+	})
 }
 
 func decodeTail(data []byte, schema storage.Schema, want int) ([][]interface{}, error) {
@@ -400,18 +484,6 @@ func decodeTail(data []byte, schema storage.Schema, want int) ([][]interface{}, 
 }
 
 // ---- file I/O --------------------------------------------------------------
-
-// writeSection appends one length-prefixed, CRC'd section.
-func writeSection(f *os.File, payload []byte) error {
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint64(hdr, uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.Checksum(payload, castagnoli))
-	if _, err := f.Write(hdr); err != nil {
-		return err
-	}
-	_, err := f.Write(payload)
-	return err
-}
 
 // sectionReader walks the section stream of a loaded file.
 type sectionReader struct {
@@ -475,14 +547,13 @@ func Write(dir string, cap *storage.Capture, batchIDs []string) (string, error) 
 		if err := faultinject.Err(wal.PointSnapshotWrite); err != nil {
 			return err
 		}
-		if _, err := f.Write([]byte(fileMagic)); err != nil {
-			return err
-		}
-		if err := writeSection(f, mjson); err != nil {
+		e := newEnc(f)
+		raw(e, fileMagic)
+		if err := e.section(len(mjson), func() { raw(e, mjson) }); err != nil {
 			return err
 		}
 		for _, dn := range m.Domains {
-			if err := writeSection(f, encodeDict(cap.Domains[dn].Export())); err != nil {
+			if err := writeDict(e, cap.Domains[dn].Export()); err != nil {
 				return err
 			}
 		}
@@ -501,19 +572,22 @@ func Write(dir string, cap *storage.Capture, batchIDs []string) (string, error) 
 				// catalog is frozen), but guard anyway with an empty dict.
 				d = dict.NewBuilder(dict.String).Build()
 			}
-			if err := writeSection(f, encodeDict(d.Export())); err != nil {
+			if err := writeDict(e, d.Export()); err != nil {
 				return err
 			}
 		}
 		for _, tc := range cap.Tables {
 			for _, col := range tc.Gen.Cols {
-				if err := writeSection(f, encodeColumn(col)); err != nil {
+				if err := writeColumn(e, col); err != nil {
 					return err
 				}
 			}
-			if err := writeSection(f, encodeTail(tc.Schema, tc.TailRows)); err != nil {
+			if err := writeTail(e, tc.Schema, tc.TailRows); err != nil {
 				return err
 			}
+		}
+		if e.drain(); e.err != nil {
+			return e.err
 		}
 		return f.Sync()
 	}()

@@ -103,7 +103,7 @@ func (c *Catalog) Frozen() bool { return c.frozen }
 // paper's measurements exclude. Freeze is no longer a one-way door for
 // writes: rows appended after it land in per-table delta stores and
 // surface through epoch snapshots (snapshot.go); Compact folds them
-// back into right-sized base generations.
+// into the base generation and truncates the delta logs.
 func (c *Catalog) Freeze() error { return c.freezeWith(nil, nil) }
 
 // FreezeWith freezes using dictionaries restored from a snapshot

@@ -163,8 +163,9 @@ func (c *Catalog) buildGeneration(t *Table, cur *Table, view []deltaCol, n int) 
 			nc.codes = appendCodes(cc.codes, nil, vals, d)
 		case hc.Def.Kind == Float64:
 			vals := dv.floats[from:n]
+			// floats aliases Floats, as at freeze: one array per column.
 			nc.Floats = append(cc.Floats, vals...)
-			nc.floats = append(cc.floats, vals...)
+			nc.floats = nc.Floats
 		default: // Int64/Date annotation
 			vals := dv.ints[from:n]
 			nc.Ints = append(cc.Ints, vals...)
@@ -238,16 +239,16 @@ func appendCodes(codes []uint32, ints []int64, strs []string, d *dict.Dictionary
 	return codes
 }
 
-// Compact folds every table's delta rows into fresh, right-sized
-// generations and truncates the delta logs — the heavy rebuild the
-// snapshot path keeps off the hot path. Dictionary codes are stable
-// across compaction (tails are never re-sorted), so query results are
-// byte-identical before and after. The context is checked per table;
-// charge, when non-nil, is called with the byte size of each rebuilt
-// column buffer and may abort the compaction by returning an error.
-// It returns the number of delta rows folded away and the epoch
-// stamped on compacted tables.
-func (c *Catalog) Compact(ctx context.Context, charge func(int64) error) (int, uint64, error) {
+// Compact folds every table's delta rows into its base and truncates
+// the delta logs — the fold the snapshot path keeps off the hot path.
+// Nothing is copied: a compacted table republishes the arrays of the
+// generation queries already read under a fresh generation, and later
+// appends extend them as they extend any generation. Dictionary codes
+// are stable across compaction (tails are never re-sorted), so query
+// results are byte-identical before and after. The context is checked
+// per table. It returns the number of delta rows folded away and the
+// epoch stamped on compacted tables.
+func (c *Catalog) Compact(ctx context.Context) (int, uint64, error) {
 	c.snapMu.Lock()
 	defer c.snapMu.Unlock()
 	total := 0
@@ -256,12 +257,7 @@ func (c *Catalog) Compact(ctx context.Context, charge func(int64) error) (int, u
 		if err := ctx.Err(); err != nil {
 			return total, epoch, err
 		}
-		t := c.tables[name]
-		n, err := c.compactTable(t, charge, &epoch)
-		total += n
-		if err != nil {
-			return total, epoch, err
-		}
+		total += c.compactTable(c.tables[name], &epoch)
 	}
 	if total > 0 {
 		// Invalidate the cached snapshot so the next query pins the
@@ -271,8 +267,11 @@ func (c *Catalog) Compact(ctx context.Context, charge func(int64) error) (int, u
 	return total, epoch, nil
 }
 
-// compactTable rebuilds one table. Caller holds snapMu.
-func (c *Catalog) compactTable(t *Table, charge func(int64) error, epoch *uint64) (int, error) {
+// compactTable folds one table's delta log into a generation and
+// republishes that generation's arrays with deltaMerged reset to 0:
+// every row is base data relative to the truncated log. Caller holds
+// snapMu.
+func (c *Catalog) compactTable(t *Table, epoch *uint64) int {
 	t.mu.Lock()
 	n := 0
 	var view []deltaCol
@@ -282,15 +281,20 @@ func (c *Catalog) compactTable(t *Table, charge func(int64) error, epoch *uint64
 	}
 	t.mu.Unlock()
 	if n == 0 {
-		return 0, nil
+		return 0
 	}
 	cur := t.Live()
 	if cur.deltaMerged < n {
 		cur = c.buildGeneration(t, cur, view, n)
 	}
-	g, err := c.copyGeneration(t, cur, charge)
-	if err != nil {
-		return 0, err
+	g := &Table{
+		Schema:  t.Schema,
+		NumRows: cur.NumRows,
+		Cols:    cur.Cols,
+		byName:  cur.byName,
+		frozen:  true,
+		cat:     c,
+		genSeq:  c.genCounter.Add(1),
 	}
 	if *epoch == 0 {
 		*epoch = c.epoch.Add(1)
@@ -300,49 +304,5 @@ func (c *Catalog) compactTable(t *Table, charge func(int64) error, epoch *uint64
 	t.live.Store(g)
 	t.mu.Unlock()
 	t.lastCompact.Store(*epoch)
-	return n, nil
-}
-
-// copyGeneration deep-copies a generation into exact-size buffers,
-// releasing the over-allocated append chains grown by snapshot builds.
-// deltaMerged resets to 0: every row of the copy is base data relative
-// to the truncated delta log.
-func (c *Catalog) copyGeneration(t *Table, cur *Table, charge func(int64) error) (*Table, error) {
-	g := &Table{
-		Schema:      t.Schema,
-		NumRows:     cur.NumRows,
-		byName:      map[string]*Column{},
-		frozen:      true,
-		cat:         c,
-		genSeq:      c.genCounter.Add(1),
-		deltaMerged: 0,
-	}
-	for _, cc := range cur.Cols {
-		nc := &Column{Def: cc.Def, dict: cc.dict}
-		var bytes int64
-		if cc.Ints != nil {
-			nc.Ints = append(make([]int64, 0, len(cc.Ints)), cc.Ints...)
-			bytes += int64(len(cc.Ints)) * 8
-		}
-		if cc.Floats != nil {
-			nc.Floats = append(make([]float64, 0, len(cc.Floats)), cc.Floats...)
-			bytes += int64(len(cc.Floats)) * 8
-		}
-		if cc.codes != nil {
-			nc.codes = append(make([]uint32, 0, len(cc.codes)), cc.codes...)
-			bytes += int64(len(cc.codes)) * 4
-		}
-		if cc.floats != nil {
-			nc.floats = append(make([]float64, 0, len(cc.floats)), cc.floats...)
-			bytes += int64(len(cc.floats)) * 8
-		}
-		if charge != nil {
-			if err := charge(bytes); err != nil {
-				return nil, err
-			}
-		}
-		g.Cols = append(g.Cols, nc)
-		g.byName[cc.Def.Name] = nc
-	}
-	return g, nil
+	return n
 }

@@ -550,25 +550,37 @@ type ReplayResult struct {
 // (or an unreadable file) aborts and IS returned: that's a logic or
 // I/O failure, not corruption.
 func Replay(path string, fn func(*Record) error) (ReplayResult, error) {
-	var res ReplayResult
 	data, err := os.ReadFile(path)
 	if err != nil {
+		return ReplayResult{}, err
+	}
+	res, err := parse(data, fn)
+	if err != nil || res.DroppedRecords == 0 {
 		return res, err
 	}
+	return res, truncateTo(path, res.ValidSize, &res)
+}
+
+// parse streams the intact records of a segment's bytes through fn and
+// reports where the intact prefix ends (ValidSize) and what follows it
+// (DroppedBytes; DroppedRecords is 1 when anything, or the header, is
+// bad). It touches no file: Replay truncates.
+func parse(data []byte, fn func(*Record) error) (ReplayResult, error) {
+	var res ReplayResult
 	// Segment header.
 	hdrLen := len(segMagic) + 2
 	if len(data) < hdrLen || string(data[:len(segMagic)]) != segMagic {
 		// Unrecognizable file: drop it wholesale.
 		res.DroppedBytes = int64(len(data))
 		res.DroppedRecords = 1
-		return res, truncateTo(path, 0, &res)
+		return res, nil
 	}
 	nameLen := int(binary.LittleEndian.Uint16(data[len(segMagic):]))
 	off := hdrLen + nameLen + 8
 	if off > len(data) {
 		res.DroppedBytes = int64(len(data))
 		res.DroppedRecords = 1
-		return res, truncateTo(path, 0, &res)
+		return res, nil
 	}
 	valid := int64(off)
 	for off < len(data) {
@@ -604,13 +616,10 @@ func Replay(path string, fn func(*Record) error) (ReplayResult, error) {
 		off += recHeader + plen
 		valid = int64(off)
 	}
+	res.ValidSize = valid
 	if int64(len(data)) > valid {
 		res.DroppedBytes = int64(len(data)) - valid
 		res.DroppedRecords = 1
-	}
-	res.ValidSize = valid
-	if res.DroppedBytes > 0 {
-		return res, truncateTo(path, valid, &res)
 	}
 	return res, nil
 }

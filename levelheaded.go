@@ -261,14 +261,15 @@ func (e *Engine) LoadDelimitedContext(ctx context.Context, table string, r io.Re
 	return t.LoadDelimitedContext(ctx, r, delim)
 }
 
-// Compact folds rows appended since the last compaction into fresh,
-// right-sized base storage and rebuilds cached tries off the hot path.
-// Appended rows are queryable WITHOUT calling Compact (the first query
-// after an append folds them into an epoch snapshot incrementally);
-// compaction reclaims the delta logs and re-rightsizes storage, and is
-// also kicked automatically when configured with WithAutoCompact.
-// Results are byte-identical before and after a compaction. It is
-// single-flight, cancellable, governor-accounted and panic-contained.
+// Compact folds rows appended since the last compaction into base
+// storage, without copying it, and drops cached tries of superseded
+// generations. Appended rows are queryable WITHOUT calling Compact (the
+// first query after an append folds them into an epoch snapshot
+// incrementally); compaction reclaims the delta logs, writes a snapshot
+// on a durable engine, and is also kicked automatically when
+// configured with WithAutoCompact. Results are byte-identical before
+// and after a compaction. It is single-flight, cancellable and
+// panic-contained.
 // On a never-queried engine it performs the initial freeze.
 func (e *Engine) Compact(ctx context.Context) error { return e.inner.Compact(ctx) }
 
