@@ -1,23 +1,5 @@
 GO ?= go
 
-# bench-save/bench-compare parameters: the committed baseline file and
-# the scale factor it was measured at.
-BENCH_BASELINE ?= BENCH_tpch.json
-BENCH_SF ?= 0.01
-# Runs per query; benchdiff compares the min, and min-over-15 is stable
-# enough on a shared machine for the 2% regression gate below.
-BENCH_COUNT ?= 15
-BENCH_WARMUP ?= 2
-# Regression gate for bench-compare in ci: fail when the TPC-H geomean
-# time ratio new/old exceeds this (the delta-store machinery must cost
-# nothing while deltas are empty — the hot path branches on one nil
-# snapshot pointer).
-BENCH_MAX_RATIO ?= 1.02
-# Per-query gate: no single query may regress past this ratio, so a
-# large aggregate win (e.g. the hybrid access path) cannot hide one
-# query that the classifier got wrong.
-BENCH_MAX_QUERY_RATIO ?= 1.05
-
 # difftest-long parameters: wall-clock budget for the nightly
 # randomized sweep (time-seeded; failures shrink to a JSON repro).
 DIFFTEST_BUDGET ?= 60s
@@ -26,7 +8,7 @@ DIFFTEST_BUDGET ?= 60s
 # crash-recovery harness (acceptance: 50/50 green).
 CRASH_ITERS ?= 50
 
-.PHONY: all build vet lint test race flake-check bench-check bench-smoke bench-save bench-compare bench-durable hybrid-ab ingest-ab approx-ab telemetry-race telemetry-smoke chaos crash iocheck difftest difftest-long hybrid-race loc ci clean
+.PHONY: all build vet lint test race flake-check bench-check bench-smoke telemetry-race telemetry-smoke chaos crash iocheck difftest difftest-long hybrid-race loc ci clean
 
 all: build
 
@@ -73,51 +55,6 @@ bench-check:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTableII_TPCH' -benchtime 1x .
 	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/set ./internal/exec
-
-# Snapshot the TPC-H perf baseline into $(BENCH_BASELINE). Run on a
-# quiet machine; commit the result so bench-compare has a reference.
-bench-save:
-	$(GO) run ./cmd/lhbench -suite tpch -sf $(BENCH_SF) -count $(BENCH_COUNT) -warmup $(BENCH_WARMUP) -json $(BENCH_BASELINE)
-
-# Diff a fresh run against the committed baseline (benchstat-style
-# geomean + per-query table, via the in-repo cmd/benchdiff).
-bench-compare:
-	$(GO) run ./cmd/lhbench -suite tpch -sf $(BENCH_SF) -count $(BENCH_COUNT) -warmup $(BENCH_WARMUP) -json /tmp/bench_current.json
-	$(GO) run ./cmd/benchdiff -max-ratio $(BENCH_MAX_RATIO) -max-query-ratio $(BENCH_MAX_QUERY_RATIO) $(BENCH_BASELINE) /tmp/bench_current.json
-
-# A/B the two access paths of the hybrid executor over the TPC-H suite:
-# one run with every GHD node forced onto the binary hash-join chain,
-# one forced onto pure WCOJ, diffed with benchdiff (no gate — this is a
-# measurement tool, not a regression check). LH_FORCE_PATH is the same
-# env override the chaos drills use.
-hybrid-ab:
-	LH_FORCE_PATH=wcoj $(GO) run ./cmd/lhbench -suite tpch -sf $(BENCH_SF) -count $(BENCH_COUNT) -warmup $(BENCH_WARMUP) -json /tmp/bench_wcoj.json
-	LH_FORCE_PATH=binary $(GO) run ./cmd/lhbench -suite tpch -sf $(BENCH_SF) -count $(BENCH_COUNT) -warmup $(BENCH_WARMUP) -json /tmp/bench_binary.json
-	$(GO) run ./cmd/benchdiff /tmp/bench_wcoj.json /tmp/bench_binary.json
-
-# A/B the WAL sync policies on TPC-H lineitem ingest (in-memory vs
-# no-fsync vs group commit vs fsync-per-batch). A measurement tool, not
-# a gate; the results annotate $(BENCH_BASELINE) as "_ingest/<policy>"
-# records, which benchdiff skips.
-ingest-ab:
-	$(GO) run ./cmd/lhbench -suite ingest-ab -count $(BENCH_COUNT) -warmup $(BENCH_WARMUP) -json /tmp/bench_ingest_ab.json
-
-# A/B the approximate query tier against exact execution on TPC-H-style
-# count-distinct / filtered-aggregate queries (speedup,
-# chosen route, observed error vs the advertised bound — the run fails
-# if an observed error ever exceeds its bound). A measurement tool, not
-# a perf gate; the results annotate $(BENCH_BASELINE) as
-# "_approx/<name>" records, which benchdiff skips.
-approx-ab:
-	$(GO) run ./cmd/lhbench -suite approx-ab -sf $(BENCH_SF) -count $(BENCH_COUNT) -warmup $(BENCH_WARMUP) -json /tmp/bench_approx_ab.json
-
-# Durable read-path gate: the full TPC-H suite with every engine running
-# on a WAL + snapshot directory at the lhserve default sync policy
-# (group commit), diffed against the in-memory baseline under the same
-# ratio gates — durability must not tax the query path.
-bench-durable:
-	$(GO) run ./cmd/lhbench -suite tpch -sync group -sf $(BENCH_SF) -count $(BENCH_COUNT) -warmup $(BENCH_WARMUP) -json /tmp/bench_durable.json
-	$(GO) run ./cmd/benchdiff -max-ratio $(BENCH_MAX_RATIO) -max-query-ratio $(BENCH_MAX_QUERY_RATIO) $(BENCH_BASELINE) /tmp/bench_durable.json
 
 # Focused race check on the lock-free telemetry paths (histogram
 # recording, span buffers, registry) and their integration points.
@@ -197,7 +134,7 @@ hybrid-race:
 loc:
 	@find internal/exec internal/core internal/approx internal/trie internal/sketch internal/expr -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | grep -vE '^\s*(//|$$)' | wc -l
 
-ci: vet lint build race flake-check bench-check iocheck bench-smoke telemetry-race telemetry-smoke chaos crash difftest hybrid-race bench-compare
+ci: vet lint build race flake-check bench-check iocheck bench-smoke telemetry-race telemetry-smoke chaos crash difftest hybrid-race
 
 clean:
 	$(GO) clean ./...

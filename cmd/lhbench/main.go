@@ -18,29 +18,27 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/blas"
 	"repro/internal/colstore"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/lagen"
-	"repro/internal/obs"
 	"repro/internal/pairwise"
 	"repro/internal/set"
 	"repro/internal/storage"
 	"repro/internal/tpch"
 	"repro/internal/voter"
-	"repro/internal/wal"
 )
 
 var (
@@ -52,48 +50,20 @@ var (
 	flagDense  = flag.String("dense", "128,192,256", "dense matrix orders (stand-ins for 8192/12288/16384)")
 	flagVoters = flag.Int("voters", 200000, "voter application rows")
 	flagRuns   = flag.Int("runs", 3, "timed runs per measurement (best reported)")
-	flagCount  = flag.Int("count", 0, "timed runs per measurement, benchstat-style (overrides -runs when > 0)")
 	flagWarmup = flag.Int("warmup", 1, "untimed warmup runs before each measurement")
-	flagSuite  = flag.String("suite", "", "run only a named measurement suite and exit (tpch: levelheaded TPC-H queries, no rival engines — the bench-save/bench-compare baseline; ingest-ab: durability sync-policy A/B on TPC-H lineitem ingest; approx-ab: approximate tier vs exact on count-distinct/filtered-aggregate queries)")
-	flagSync   = flag.String("sync", "", "run every engine with durability enabled in a temp dir under this WAL sync policy (always, group[:interval], none; empty = in-memory). Lets bench-compare measure the read-path cost of a durable engine")
 
 	flagStats   = flag.Bool("stats", false, "print a per-query observability line (first run of each query) and cumulative engine metrics at exit")
-	flagJSON    = flag.String("json", "", "write per-query levelheaded measurements (name, min/mean ns, rows, dispatch) as JSON to this file")
-	flagHTTP    = flag.String("http", "", "serve /metrics and /debug endpoints on this address while the benchmark runs (all engines share one collector)")
 	flagCPUProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	flagMemProf = flag.String("memprofile", "", "write a heap profile to this file at exit")
 )
 
-// sharedTel, when -http is set, is the collector every engine reports
-// into so the debug server sees the whole benchmark fleet. allEngines
-// tracks every engine built, for the cumulative -stats dump.
+// scaleFactors and denseOrders are -sf and -dense, parsed and sorted.
+// allEngines tracks every engine built, for the cumulative -stats dump.
 var (
-	sharedTel  *obs.Collector
-	allEngines []*core.Engine
+	scaleFactors []float64
+	denseOrders  []int
+	allEngines   []*core.Engine
 )
-
-// benchRec is one -json output row: the levelheaded measurement of one
-// (query, dataset) cell.
-type benchRec struct {
-	Name     string `json:"name"`
-	Runs     int    `json:"runs"`
-	MinNs    int64  `json:"min_ns"`
-	MeanNs   int64  `json:"mean_ns"`
-	Rows     int    `json:"rows"`
-	Dispatch string `json:"dispatch"`
-	// Paths is the hybrid executor's chosen access path per GHD node
-	// (pre-order) — the per-node refinement of the Dispatch class.
-	Paths []string `json:"paths,omitempty"`
-	// AllocPerOp is the mean heap bytes allocated per run (the
-	// QueryStats runtime/metrics delta).
-	AllocPerOp int64 `json:"alloc_bytes_per_op"`
-	// Note carries freeform context for pseudo-records (names starting
-	// with "_", e.g. the ingest-ab sync-policy measurements) that
-	// benchdiff excludes from the regression gate.
-	Note string `json:"note,omitempty"`
-}
-
-var benchRecs []benchRec
 
 // statsSeen dedups the -stats lines: best() reruns each query, but one
 // observability line per distinct query is what's readable.
@@ -101,6 +71,13 @@ var statsSeen = map[string]bool{}
 
 func main() {
 	flag.Parse()
+	var err error
+	if scaleFactors, err = parseSF(*flagSF); err != nil {
+		log.Fatalf("-sf: %v", err)
+	}
+	if denseOrders, err = parseDense(*flagDense); err != nil {
+		log.Fatalf("-dense: %v", err)
+	}
 	if *flagCPUProf != "" {
 		f, err := os.Create(*flagCPUProf)
 		if err != nil {
@@ -126,33 +103,6 @@ func main() {
 			}
 			f.Close()
 		}()
-	}
-	if *flagHTTP != "" {
-		sharedTel = obs.NewCollector()
-		srv, err := obs.Serve(*flagHTTP, sharedTel)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		fmt.Printf("telemetry: http://%s/metrics\n", srv.Addr())
-	}
-	defer cleanupTempDirs()
-	switch *flagSuite {
-	case "tpch":
-		suiteTPCH()
-		finishSuite()
-		return
-	case "ingest-ab":
-		suiteIngestAB()
-		finishSuite()
-		return
-	case "approx-ab":
-		suiteApproxAB()
-		finishSuite()
-		return
-	case "":
-	default:
-		log.Fatalf("unknown -suite %q (have: tpch, ingest-ab, approx-ab)", *flagSuite)
 	}
 	if *flagAll {
 		*flagTable, *flagFig = "all", "all"
@@ -181,24 +131,9 @@ func main() {
 	if has(*flagFig, "6") {
 		fig6()
 	}
-	if *flagJSON != "" {
-		writeJSON(*flagJSON)
-	}
 	if *flagStats {
 		printCumulativeMetrics()
 	}
-}
-
-// writeJSON dumps the levelheaded measurements collected by benchQ.
-func writeJSON(path string) {
-	data, err := json.MarshalIndent(benchRecs, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nwrote %d measurements to %s\n", len(benchRecs), path)
 }
 
 // printCumulativeMetrics sums the raw counters of every engine the run
@@ -229,23 +164,14 @@ func has(sel, key string) bool {
 	return sel == "all" || sel == key || strings.Contains(sel, key)
 }
 
-// timedRuns resolves the timed-run count: -count (benchstat-style)
-// wins over the legacy -runs.
-func timedRuns() int {
-	if *flagCount > 0 {
-		return *flagCount
-	}
-	return *flagRuns
-}
-
-// best times f over the timed runs (after -warmup untimed runs) and
+// best times f over -runs timed runs (after -warmup untimed runs) and
 // reports the minimum.
 func best(f func()) time.Duration {
 	for i := 0; i < *flagWarmup; i++ {
 		f()
 	}
 	bestD := time.Duration(1<<62 - 1)
-	for i := 0; i < timedRuns(); i++ {
+	for i := 0; i < *flagRuns; i++ {
 		t0 := time.Now()
 		f()
 		if d := time.Since(t0); d < bestD {
@@ -253,6 +179,12 @@ func best(f func()) time.Duration {
 		}
 	}
 	return bestD
+}
+
+// benchQ times one levelheaded query with best; under -stats the first
+// run of each query prints its observability line.
+func benchQ(eng *core.Engine, sql string) time.Duration {
+	return best(func() { mustQ(eng, sql) })
 }
 
 // row prints one paper-style row: baseline absolute, others relative.
@@ -287,422 +219,42 @@ func header(title string, engines []string) {
 	fmt.Println()
 }
 
-func sfList() []float64 {
+// parseSF parses a comma-separated list of positive, finite scale
+// factors and sorts it. Any malformed entry is an error.
+func parseSF(list string) ([]float64, error) {
 	var out []float64
-	for _, s := range strings.Split(*flagSF, ",") {
-		var v float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &v); err == nil {
-			out = append(out, v)
+	for _, s := range strings.Split(list, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err != nil || !(v > 0) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("bad scale factor %q", s)
 		}
+		out = append(out, v)
 	}
 	sort.Float64s(out)
-	return out
+	return out, nil
 }
 
-func denseList() []int {
+// parseDense parses a comma-separated list of positive matrix orders
+// and sorts it. Any malformed entry is an error.
+func parseDense(list string) ([]int, error) {
 	var out []int
-	for _, s := range strings.Split(*flagDense, ",") {
-		var v int
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &v); err == nil {
-			out = append(out, v)
+	for _, s := range strings.Split(list, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil || v <= 0 {
+			return nil, fmt.Errorf("bad matrix order %q", s)
 		}
+		out = append(out, v)
 	}
 	sort.Ints(out)
-	return out
+	return out, nil
 }
 
-// finishSuite is the shared tail of every -suite run: JSON dump and
-// the cumulative -stats metrics.
-func finishSuite() {
-	if *flagJSON != "" {
-		writeJSON(*flagJSON)
-	}
-	if *flagStats {
-		printCumulativeMetrics()
-	}
-}
-
-// tempDirs tracks the durability scratch directories created for
-// -sync and the ingest-ab suite; cleanupTempDirs removes them on a
-// normal exit (log.Fatal leaks them — they live under os.TempDir).
-var tempDirs []string
-
-func durTempDir(pattern string) string {
-	dir, err := os.MkdirTemp("", pattern)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tempDirs = append(tempDirs, dir)
-	return dir
-}
-
-func cleanupTempDirs() {
-	for _, d := range tempDirs {
-		if err := os.RemoveAll(d); err != nil {
-			fmt.Fprintf(os.Stderr, "cleanup %s: %v\n", d, err)
-		}
-	}
-}
-
-// newEngine builds an engine wired into the shared telemetry collector
-// (when -http is on) and tracks it for the cumulative -stats dump.
-// With -sync set, every engine is durable in its own temp dir, so the
-// suites measure read paths with the WAL machinery live.
+// newEngine builds an engine and tracks it for the cumulative -stats
+// dump.
 func newEngine(opts ...core.Option) *core.Engine {
-	if sharedTel != nil {
-		opts = append(opts, core.WithTelemetry(sharedTel))
-	}
-	if *flagSync != "" {
-		pol, err := wal.ParsePolicy(*flagSync)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts = append(opts, core.WithDurability(durTempDir("lhbench-dur-*"), pol))
-	}
 	e := core.New(opts...)
 	allEngines = append(allEngines, e)
 	return e
-}
-
-// benchQ times one levelheaded query over the timed runs (after
-// -warmup untimed runs), recording min/mean latency, mean heap bytes
-// allocated per run, row count and dispatch class for -json, and
-// returns the minimum (the number every table reports).
-func benchQ(eng *core.Engine, name, sql string) time.Duration {
-	for i := 0; i < *flagWarmup; i++ {
-		if _, err := eng.Query(sql); err != nil {
-			log.Fatal(err)
-		}
-	}
-	n := timedRuns()
-	rec := benchRec{Name: name, Runs: n}
-	minD := time.Duration(1<<62 - 1)
-	var sum time.Duration
-	var allocSum uint64
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		res, err := eng.Query(sql)
-		if err != nil {
-			log.Fatal(err)
-		}
-		d := time.Since(t0)
-		sum += d
-		if d < minD {
-			minD = d
-		}
-		rec.Rows = res.NumRows
-		if res.Stats != nil {
-			rec.Dispatch = res.Stats.Dispatch
-			rec.Paths = res.Stats.AccessPaths
-			allocSum += res.Stats.AllocBytes
-		}
-		if *flagStats && res.Stats != nil && !statsSeen[sql] {
-			statsSeen[sql] = true
-			fmt.Printf("  stats: %s\n", res.Stats.Line())
-		}
-	}
-	rec.MinNs = int64(minD)
-	rec.MeanNs = int64(sum) / int64(n)
-	rec.AllocPerOp = int64(allocSum) / int64(n)
-	benchRecs = append(benchRecs, rec)
-	return minD
-}
-
-// suiteTPCH runs only the levelheaded TPC-H measurements — the stable,
-// rival-free suite that bench-save snapshots and bench-compare diffs.
-func suiteTPCH() {
-	for _, sf := range sfList() {
-		eng := tpchEngine(sf)
-		fmt.Printf("\n=== TPC-H suite (SF %g, %d runs after %d warmup)\n", sf, timedRuns(), *flagWarmup)
-		for _, name := range tpch.QueryNames {
-			d := benchQ(eng, fmt.Sprintf("%s/sf%g", name, sf), tpch.Queries[name])
-			r := benchRecs[len(benchRecs)-1]
-			fmt.Printf("%-8s %12s  %10s/op\n", name, d.Round(time.Microsecond), fmtAlloc(r.AllocPerOp))
-		}
-	}
-}
-
-func fmtAlloc(b int64) string {
-	switch {
-	case b >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(b)/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(b)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", b)
-	}
-}
-
-// ---- ingest-ab suite --------------------------------------------------
-
-// suiteIngestAB A/Bs the WAL sync policies on TPC-H ingest: the same
-// stream of generated lineitem rows is appended batch-by-batch into a
-// fresh engine per policy — in-memory (no durability), WAL without
-// fsync, group commit (the lhserve default), and fsync-per-batch. Each
-// policy's runs land in the -json output as a "_ingest/<policy>"
-// pseudo-record (benchdiff skips "_" names, so these annotate
-// BENCH_tpch.json without entering the regression gate).
-func suiteIngestAB() {
-	const totalRows, batch = 20000, 250
-	rows := genLineitemRows(totalRows)
-	policies := []struct {
-		name string
-		desc string
-		opts []core.Option
-	}{
-		{"mem", "no durability (baseline)", nil},
-		{"none", "WAL write per batch, no fsync", durOpts(wal.NoSync())},
-		{"group", "WAL write per batch, fsync on the group-commit interval", durOpts(wal.GroupCommit(wal.DefaultInterval))},
-		{"always", "WAL write + fsync per batch", durOpts(wal.SyncEvery())},
-	}
-	fmt.Printf("\n=== ingest A/B — sync policies (%d lineitem rows per run, batches of %d, %d runs after %d warmup)\n",
-		totalRows, batch, timedRuns(), *flagWarmup)
-	fmt.Printf("%-8s %12s %12s %10s\n", "policy", "min", "mean", "rows/s")
-	var memMin time.Duration
-	ctx := context.Background()
-	for _, pol := range policies {
-		eng := core.New(pol.opts...)
-		allEngines = append(allEngines, eng)
-		if _, err := eng.CreateTable(lineitemSchema()); err != nil {
-			log.Fatal(err)
-		}
-		ingestAll := func() {
-			for lo := 0; lo < len(rows); lo += batch {
-				hi := lo + batch
-				if hi > len(rows) {
-					hi = len(rows)
-				}
-				if _, err := eng.IngestRows(ctx, "lineitem", rows[lo:hi]); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}
-		for i := 0; i < *flagWarmup; i++ {
-			ingestAll()
-		}
-		n := timedRuns()
-		minD := time.Duration(1<<62 - 1)
-		var sum time.Duration
-		for i := 0; i < n; i++ {
-			t0 := time.Now()
-			ingestAll()
-			d := time.Since(t0)
-			sum += d
-			if d < minD {
-				minD = d
-			}
-		}
-		eng.BeginShutdown()
-		eng.Drain(ctx)
-		if pol.name == "mem" {
-			memMin = minD
-		}
-		ratio := ""
-		if memMin > 0 && pol.name != "mem" {
-			ratio = fmt.Sprintf("  (%.2fx vs mem)", float64(minD)/float64(memMin))
-		}
-		rate := float64(totalRows) / minD.Seconds()
-		fmt.Printf("%-8s %12s %12s %10.0f%s\n", pol.name,
-			minD.Round(time.Microsecond), (sum / time.Duration(n)).Round(time.Microsecond), rate, ratio)
-		benchRecs = append(benchRecs, benchRec{
-			Name:   "_ingest/" + pol.name,
-			Runs:   n,
-			MinNs:  int64(minD),
-			MeanNs: int64(sum) / int64(n),
-			Rows:   totalRows,
-			Note:   fmt.Sprintf("sync A/B: %d lineitem rows per run in batches of %d; %s", totalRows, batch, pol.desc),
-		})
-	}
-}
-
-// ---- approx-ab suite --------------------------------------------------
-
-// suiteApproxAB A/Bs the approximate query tier against exact execution
-// on TPC-H-style count-distinct and filtered-aggregate queries over
-// lineitem: the same engine answers each query twice — a
-// plain exact run, then an ApproxOK run that the cost model routes onto
-// a sketch or sample — reporting the speedup, the chosen route, and the
-// observed error against the advertised bound. Each query lands in the
-// -json output as an "_approx/<name>" pseudo-record (benchdiff skips
-// "_" names, so these annotate BENCH_tpch.json without entering the
-// regression gate).
-func suiteApproxAB() {
-	sf := sfList()[0]
-	eng := newEngine()
-	if _, err := tpch.Populate(eng.Catalog(), sf, 2026); err != nil {
-		log.Fatal(err)
-	}
-	queries := []struct{ name, sql string }{
-		{"distinct_part", "SELECT count(distinct l_partkey) FROM lineitem"},
-		{"distinct_supp", "SELECT count(distinct l_suppkey) FROM lineitem"},
-		{"filter_price", "SELECT count(*), sum(l_extendedprice) FROM lineitem WHERE l_quantity < 25"},
-	}
-	fmt.Printf("\n=== approx A/B — exact vs approximate tier (TPC-H SF %g, %d runs after %d warmup)\n",
-		sf, timedRuns(), *flagWarmup)
-	fmt.Printf("%-14s %12s %12s %9s  %-13s %12s %12s\n",
-		"query", "exact", "approx", "speedup", "route", "max err", "bound")
-	for _, q := range queries {
-		exactMin, _, exactRes := bestQueryWith(eng, q.sql, core.QueryOptions{})
-		approxMin, approxMean, approxRes := bestQueryWith(eng, q.sql, core.QueryOptions{ApproxOK: true})
-		route, bound := "exact", 0.0
-		if st := approxRes.Stats; st != nil {
-			route = st.Dispatch
-			bound = st.ErrorBound
-		}
-		obsErr := maxAbsError(exactRes, approxRes)
-		speedup := float64(exactMin) / float64(approxMin)
-		fmt.Printf("%-14s %12s %12s %8.2fx  %-13s %12.4g %12.4g\n",
-			q.name, exactMin.Round(time.Microsecond), approxMin.Round(time.Microsecond),
-			speedup, route, obsErr, bound)
-		if obsErr > bound && bound > 0 {
-			log.Fatalf("approx-ab %s: observed error %g exceeds advertised bound %g", q.name, obsErr, bound)
-		}
-		benchRecs = append(benchRecs, benchRec{
-			Name:     "_approx/" + q.name,
-			Runs:     timedRuns(),
-			MinNs:    int64(approxMin),
-			MeanNs:   int64(approxMean),
-			Rows:     approxRes.NumRows,
-			Dispatch: route,
-			Note: fmt.Sprintf("approx A/B vs exact: exact min %s, speedup %.2fx, observed error %.4g within advertised bound %.4g",
-				exactMin.Round(time.Microsecond), speedup, obsErr, bound),
-		})
-	}
-}
-
-// bestQueryWith times one query under explicit options over the timed
-// runs (after -warmup untimed runs, which also absorb the first-use
-// summary build on the ApproxOK side).
-func bestQueryWith(eng *core.Engine, sql string, qo core.QueryOptions) (time.Duration, time.Duration, *exec.Result) {
-	var res *exec.Result
-	var err error
-	for i := 0; i < *flagWarmup; i++ {
-		if res, err = eng.QueryWithContext(context.Background(), sql, qo); err != nil {
-			log.Fatal(err)
-		}
-	}
-	n := timedRuns()
-	minD := time.Duration(1<<62 - 1)
-	var sum time.Duration
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		if res, err = eng.QueryWithContext(context.Background(), sql, qo); err != nil {
-			log.Fatal(err)
-		}
-		d := time.Since(t0)
-		sum += d
-		if d < minD {
-			minD = d
-		}
-	}
-	return minD, sum / time.Duration(n), res
-}
-
-// maxAbsError reports the largest absolute aggregate-cell difference
-// between an exact and an approximate result: rows align by the string
-// group column when present (groups absent from the approximate answer
-// are covered by MissBound, not this number), scalars align row 0.
-func maxAbsError(exact, approx *exec.Result) float64 {
-	if len(exact.Cols) == 0 || len(approx.Cols) == 0 || exact.NumRows == 0 || approx.NumRows == 0 {
-		return 0
-	}
-	worst := 0.0
-	if exact.Cols[0].Kind == exec.KindString {
-		byKey := map[string][]float64{}
-		for r := 0; r < exact.NumRows; r++ {
-			vals := make([]float64, 0, len(exact.Cols)-1)
-			for _, c := range exact.Cols[1:] {
-				vals = append(vals, aggCell(c, r))
-			}
-			byKey[exact.Cols[0].Str[r]] = vals
-		}
-		for r := 0; r < approx.NumRows; r++ {
-			vals := byKey[approx.Cols[0].Str[r]]
-			for ci, c := range approx.Cols[1:] {
-				if ci < len(vals) {
-					if d := mathAbs(aggCell(c, r) - vals[ci]); d > worst {
-						worst = d
-					}
-				}
-			}
-		}
-		return worst
-	}
-	for ci := range exact.Cols {
-		if d := mathAbs(aggCell(approx.Cols[ci], 0) - aggCell(exact.Cols[ci], 0)); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-func aggCell(c *exec.Column, r int) float64 {
-	if c.Kind == exec.KindFloat {
-		return c.F64[r]
-	}
-	return float64(c.I64[r])
-}
-
-func mathAbs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// durOpts wires a durability option with a scratch directory for one
-// ingest-ab engine.
-func durOpts(pol wal.Policy) []core.Option {
-	return []core.Option{core.WithDurability(durTempDir("lhbench-ingest-*"), pol)}
-}
-
-// lineitemSchema pulls the TPC-H lineitem schema out of the shared
-// schema list, so the ingest A/B exercises the real 14-column table
-// (three dictionary-encoded key domains, dates, strings).
-func lineitemSchema() storage.Schema {
-	for _, s := range tpch.Schemas() {
-		if s.Name == "lineitem" {
-			return s
-		}
-	}
-	log.Fatal("tpch schemas: no lineitem")
-	return storage.Schema{}
-}
-
-// genLineitemRows synthesizes n lineitem rows with TPC-H-shaped value
-// distributions (a small deterministic LCG keeps runs comparable).
-func genLineitemRows(n int) [][]interface{} {
-	flags := []string{"A", "N", "R"}
-	status := []string{"O", "F"}
-	modes := []string{"AIR", "MAIL", "RAIL", "SHIP", "TRUCK", "FOB", "REG AIR"}
-	rows := make([][]interface{}, n)
-	seed := uint64(2026)
-	next := func(mod int) int64 {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		return int64((seed >> 33) % uint64(mod))
-	}
-	for i := range rows {
-		qty := float64(next(50) + 1)
-		price := float64(next(90000)+1000) / 100 * qty
-		ship := int64(9100 + next(2500))
-		rows[i] = []interface{}{
-			int64(i/4 + 1),          // l_orderkey: ~4 lines per order
-			next(20000) + 1,         // l_partkey
-			next(1000) + 1,          // l_suppkey
-			int64(i%4 + 1),          // l_linenumber
-			qty,                     // l_quantity
-			price,                   // l_extendedprice
-			float64(next(11)) / 100, // l_discount
-			float64(next(9)) / 100,  // l_tax
-			flags[next(3)],          // l_returnflag
-			status[next(2)],         // l_linestatus
-			ship,                    // l_shipdate (days)
-			ship + next(30),         // l_commitdate
-			ship + next(30),         // l_receiptdate
-			modes[next(7)],          // l_shipmode
-		}
-	}
-	return rows
 }
 
 // tpchEngine builds a populated, cache-warmed engine.
@@ -726,14 +278,14 @@ func tableII() {
 	// cost-based optimizer disabled (EmptyHeaded-style orders).
 	engines := []string{"levlhd", "mkl-sim", "hyper-sim", "monet-sim", "lb-sim"}
 	header("Table II — TPC-H (business intelligence)", engines)
-	for _, sf := range sfList() {
+	for _, sf := range scaleFactors {
 		eng := tpchEngine(sf)
 		lb := tpchEngine(sf, core.WithCostOptimizer(false))
 		pw := pairwise.New(eng.Catalog())
 		cs := colstore.New(eng.Catalog())
 		for _, name := range tpch.QueryNames {
 			times := map[string]time.Duration{}
-			times["levlhd"] = benchQ(eng, fmt.Sprintf("%s/sf%g", name, sf), tpch.Queries[name])
+			times["levlhd"] = benchQ(eng, tpch.Queries[name])
 			times["hyper-sim"] = best(func() { mustRows(pw.RunTPCH(name)) })
 			times["monet-sim"] = best(func() { mustRows2(cs.RunTPCH(name)) })
 			times["lb-sim"] = best(func() { mustQ(lb, tpch.Queries[name]) })
@@ -765,7 +317,7 @@ func tableII() {
 		mustQ(lb, lagen.SMVQuery)
 
 		times := map[string]time.Duration{}
-		times["levlhd"] = benchQ(eng, "SMV/"+prof, lagen.SMVQuery)
+		times["levlhd"] = benchQ(eng, lagen.SMVQuery)
 		y := make([]float64, spec.N)
 		times["mkl-sim"] = best(func() { blas.SpMV(csr, x, y) })
 		times["hyper-sim"] = best(func() { mustSpMV(pw.SpMV("matrix", "vec")) })
@@ -777,7 +329,7 @@ func tableII() {
 		// (the paper's oom column).
 		budget := 400_000_000
 		times = map[string]time.Duration{}
-		times["levlhd"] = benchQ(eng, "SMM/"+prof, lagen.SMMQuery)
+		times["levlhd"] = benchQ(eng, lagen.SMMQuery)
 		times["mkl-sim"] = best(func() { blas.SpGEMM(csr, csr) })
 		times["hyper-sim"] = timedOrOOM(func() error { _, _, err := pw.SpMM("matrix", "matrix", budget); return err })
 		times["monet-sim"] = timedOrOOM(func() error { _, _, err := cs.SpMM("matrix", "matrix", budget); return err })
@@ -785,7 +337,7 @@ func tableII() {
 	}
 
 	header("Table II — linear algebra (dense)", engines)
-	for _, n := range denseList() {
+	for _, n := range denseOrders {
 		eng := newEngine()
 		if err := lagen.LoadDense(eng.Catalog(), n, 9); err != nil {
 			log.Fatal(err)
@@ -798,14 +350,14 @@ func tableII() {
 		pw := pairwise.New(eng.Catalog())
 
 		times := map[string]time.Duration{}
-		times["levlhd"] = benchQ(eng, fmt.Sprintf("DMV/%d", n), lagen.SMVQuery)
+		times["levlhd"] = benchQ(eng, lagen.SMVQuery)
 		y := make([]float64, n)
 		times["mkl-sim"] = best(func() { blas.Gemv(n, n, a, x, y) })
 		times["hyper-sim"] = best(func() { mustSpMV(pw.SpMV("matrix", "vec")) })
 		row("DMV", fmt.Sprint(n), times, engines)
 
 		times = map[string]time.Duration{}
-		times["levlhd"] = benchQ(eng, fmt.Sprintf("DMM/%d", n), lagen.SMMQuery)
+		times["levlhd"] = benchQ(eng, lagen.SMMQuery)
 		c := make([]float64, n*n)
 		times["mkl-sim"] = best(func() {
 			for i := range c {
@@ -821,7 +373,7 @@ func tableII() {
 // ---- Table III ---------------------------------------------------------
 
 func tableIII() {
-	sf := sfList()[0]
+	sf := scaleFactors[0]
 	fmt.Printf("\n=== Table III — optimization ablations (TPC-H SF %g, LA scale %g)\n", sf, *flagLA)
 	fmt.Printf("%-8s %12s %14s %14s\n", "query", "levelheaded", "-attr.elim", "-attr.ord")
 
@@ -841,7 +393,7 @@ func tableIII() {
 
 	// LA rows: DMM with vs without the BLAS dispatch; SMM best vs worst
 	// order.
-	for _, n := range denseList()[:1] {
+	for _, n := range denseOrders[:1] {
 		eng := newEngine()
 		if err := lagen.LoadDense(eng.Catalog(), n, 9); err != nil {
 			log.Fatal(err)
@@ -986,7 +538,7 @@ func fig5b() {
 // ---- Figure 5c ------------------------------------------------------------------
 
 func fig5c() {
-	sf := sfList()[len(sfList())-1]
+	sf := scaleFactors[len(scaleFactors)-1]
 	fmt.Printf("\n=== Figure 5c — TPC-H Q5 attribute orders (SF %g)\n", sf)
 	eng := tpchEngine(sf)
 	p, _, err := eng.Prepare(tpch.Queries["q5"], core.QueryOptions{})
@@ -1046,7 +598,7 @@ func fig6() {
 	for i, pl := range pipelines {
 		var bestPh voter.Phases
 		bestTotal := time.Duration(1<<62 - 1)
-		for r := 0; r < timedRuns(); r++ {
+		for r := 0; r < *flagRuns; r++ {
 			ph, err := pl.run(cat, 0)
 			if err != nil {
 				log.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/qerr"
 	"repro/internal/storage"
+	"repro/internal/tpch"
 )
 
 // approxEngine builds an engine with one fact table of n rows:
@@ -463,5 +464,53 @@ func TestApproxSampleWorkIsBounded(t *testing.T) {
 	small, large := alloc(20000), alloc(200000)
 	if large > 2*small {
 		t.Fatalf("sample query allocated %d bytes over 20000 rows and %d over 200000", small, large)
+	}
+}
+
+// TestApproxBoundsTPCH holds the approximate tier to its advertised
+// bounds on TPC-H lineitem: each query runs exact and under ApproxOK,
+// must take an approximate route, and every output cell must lie within
+// its column's bound of the exact answer.
+func TestApproxBoundsTPCH(t *testing.T) {
+	eng := New()
+	if _, err := tpch.Populate(eng.Catalog(), 0.01, 2026); err != nil {
+		t.Fatal(err)
+	}
+	cell := func(c *exec.Column) float64 {
+		if c.Kind == exec.KindFloat {
+			return c.F64[0]
+		}
+		return float64(c.I64[0])
+	}
+	for _, sql := range []string{
+		"SELECT count(distinct l_partkey) FROM lineitem",
+		"SELECT count(distinct l_suppkey) FROM lineitem",
+		"SELECT count(*), sum(l_extendedprice) FROM lineitem WHERE l_quantity < 25",
+	} {
+		exact, err := eng.QueryWithContext(context.Background(), sql, QueryOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		approx, err := eng.QueryWithContext(context.Background(), sql, QueryOptions{ApproxOK: true})
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		st := approx.Stats
+		if !st.Approx || !strings.HasPrefix(st.Dispatch, "approx-") {
+			t.Fatalf("%s: approx=%t dispatch=%q, want an approximate route", sql, st.Approx, st.Dispatch)
+		}
+		if exact.NumRows != 1 || approx.NumRows != 1 || len(approx.Cols) != len(exact.Cols) {
+			t.Fatalf("%s: exact %dx%d vs approx %dx%d", sql, exact.NumRows, len(exact.Cols), approx.NumRows, len(approx.Cols))
+		}
+		for i := range exact.Cols {
+			bound := st.ErrorBound
+			if i < len(st.ErrorBounds) {
+				bound = st.ErrorBounds[i]
+			}
+			want, got := cell(exact.Cols[i]), cell(approx.Cols[i])
+			if math.Abs(got-want) > bound {
+				t.Errorf("%s [%s] column %d: estimate %v off exact %v beyond bound %v", sql, st.Dispatch, i, got, want, bound)
+			}
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,7 +44,6 @@ type Engine struct {
 	gov     *governor.Governor
 
 	threads    int
-	forcePath  string
 	noAttrElim bool
 	noCostOpt  bool
 	pickWorst  bool
@@ -170,11 +168,6 @@ func WithApproxSampleRows(n int) Option {
 // New creates an empty engine.
 func New(opts ...Option) *Engine {
 	e := &Engine{cat: storage.NewCatalog(), cache: exec.NewTrieCache(), plans: lru.New[string, *preparedPlan](maxCachedPlans), summaries: map[string]*approx.Summary{}}
-	// LH_FORCE_PATH pins every GHD node to one access path ("wcoj" or
-	// "binary"), faultinject-style: an env knob for A/B runs and chaos
-	// drills that needs no code changes in the caller. Unknown values are
-	// rejected at query time by exec.Run.
-	e.forcePath = os.Getenv("LH_FORCE_PATH")
 	for _, o := range opts {
 		o(e)
 	}
@@ -402,7 +395,8 @@ type QueryOptions struct {
 	Threads int
 	// ForcePath forces every GHD node onto one access path —
 	// costopt.PathWCOJ or costopt.PathBinary — instead of the cost-based
-	// choice. Empty defers to the engine-level LH_FORCE_PATH override.
+	// choice. Empty leaves the choice to the cost model; unknown values
+	// are rejected at query time by exec.Run.
 	ForcePath string
 	// MemoryBudget overrides the engine-level per-query memory budget
 	// for this query (0 keeps the engine setting).
@@ -651,9 +645,6 @@ func (e *Engine) execOptions(qo QueryOptions) exec.Options {
 		// measure the generic interpreter instead.
 		NoFastPath: e.noCostOpt || e.pickWorst || qo.WorstOrder || len(qo.ForcedOrder) > 0,
 		ForcePath:  qo.ForcePath,
-	}
-	if opts.ForcePath == "" {
-		opts.ForcePath = e.forcePath
 	}
 	if !e.noCache {
 		opts.Cache = e.cache
