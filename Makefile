@@ -50,11 +50,13 @@ bench-check:
 
 # Short benchmark smoke: one pass over the TPC-H suite at the smallest
 # scale plus the zero-allocation guards on the set-intersection,
-# aggregation and scan inner loops — enough to notice a hot-path
-# regression (or perf plumbing rot) without a full run.
+# aggregation and scan inner loops and the scan fold's bit-identity
+# guard — enough to notice a hot-path regression (or perf plumbing rot)
+# without a full run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTableII_TPCH' -benchtime 1x .
-	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/set ./internal/exec
+	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/set
+	$(GO) test -run 'ZeroAllocs|BitIdentical' -count=1 ./internal/exec
 
 # Focused race check on the lock-free telemetry paths (histogram
 # recording, span buffers, registry) and their integration points.

@@ -3,6 +3,9 @@ package main
 import (
 	"reflect"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
 func TestParseSF(t *testing.T) {
@@ -35,6 +38,25 @@ func TestParseDense(t *testing.T) {
 	for _, in := range []string{"128.5", "12x", "abc", "128,abc", "", "0", "-64"} {
 		if got, err := parseDense(in); err == nil {
 			t.Errorf("parseDense(%q) = %v, want an error", in, got)
+		}
+	}
+}
+
+// TestOrdCell pins Table III's -attr.ord cell: a ratio for a plan with
+// an attribute order, "-" for a scalar scan (Q1, Q6), whose worst-order
+// run changes nothing and once printed run-to-run noise as a result.
+func TestOrdCell(t *testing.T) {
+	for _, tc := range []struct {
+		dispatch string
+		want     string
+	}{
+		{obs.DispatchScalarScan, "-"},
+		{obs.DispatchWCOJ, "1.50x"},
+		{obs.DispatchHybrid, "1.50x"},
+	} {
+		got := ordCell(tc.dispatch, 3*time.Millisecond, 2*time.Millisecond)
+		if got != tc.want {
+			t.Errorf("ordCell(%q) = %q, want %q", tc.dispatch, got, tc.want)
 		}
 	}
 }

@@ -32,11 +32,11 @@ const scanCtxStride = 8192
 // so a result is reproducible bit for bit across compaction and
 // recovery.
 type scan struct {
-	c      *compiled   // root node and group decoders, as assemble reads them
-	n      int         // candidate rows
-	rows   []int32     // ascending candidate row ids; nil: rows [0, n)
-	filter *expr.Pred  // nil: every row qualifies
-	leaves []*expr.Num // distinct aggregate argument expressions
+	c      *compiled  // root node and group decoders, as assemble reads them
+	n      int        // candidate rows
+	rows   []int32    // ascending candidate row ids; nil: rows [0, n)
+	filter *expr.Pred // nil: every row qualifies
+	leaves *expr.Nums // distinct aggregate argument expressions, one set
 	// folds are the distinct (kind, leaf) accumulations — sum(x) under
 	// avg(x) and every count(*) fold once — and slot maps each plan
 	// aggregate to its fold. fnode carries the folds' kinds for the
@@ -46,6 +46,8 @@ type scan struct {
 	plain int
 	slot  []int
 	fnode *cNode
+	// The plain folds by kind, for the dense table's per-group pass.
+	sums, counts, minmax []int
 	// distinct has one entry per COUNT(DISTINCT x) column.
 	distinct []scanDistinct
 	// keys holds the code column of each group vertex, in group order,
@@ -174,8 +176,12 @@ func compileScan(p *planner.Plan, cat *storage.Catalog, opts Options, rows []int
 	// Aggregates: a single relation's aggregate argument is one leaf
 	// expression or a constant (§IV-A rule 3), evaluated per qualifying
 	// row. Identical arguments share one vector, identical folds one
-	// accumulator. Distinct counts take the folds after the plain ones.
+	// accumulator, and the leaves compile as one set, so a subtree that
+	// is itself a leaf (price * (1 - disc) under price * (1 - disc) *
+	// (1 + tax)) is computed once. Distinct counts take the folds after
+	// the plain ones.
 	leafOf := map[string]int{}
+	var leaves []sqlparse.Expr
 	foldOf := map[scanFold]int{}
 	var distinct []int
 	for ai := range p.Aggs {
@@ -202,13 +208,9 @@ func compileScan(p *planner.Plan, cat *storage.Catalog, opts Options, rows []int
 			}
 			li, ok := leafOf[key]
 			if !ok {
-				v, err := expr.CompileNum(e, binding)
-				if err != nil {
-					return nil, err
-				}
-				li = len(s.leaves)
+				li = len(leaves)
 				leafOf[key] = li
-				s.leaves = append(s.leaves, v)
+				leaves = append(leaves, e)
 			}
 			f.leaf = li
 		}
@@ -216,10 +218,22 @@ func compileScan(p *planner.Plan, cat *storage.Catalog, opts Options, rows []int
 		if !ok {
 			fi = addFold(f)
 			foldOf[f] = fi
+			switch f.kind {
+			case planner.AggSum:
+				s.sums = append(s.sums, fi)
+			case planner.AggCount:
+				s.counts = append(s.counts, fi)
+			default:
+				s.minmax = append(s.minmax, fi)
+			}
 		}
 		s.slot[ai] = fi
 	}
 	s.plain = len(s.folds)
+	var err error
+	if s.leaves, err = expr.CompileNums(leaves, binding); err != nil {
+		return nil, err
+	}
 
 	// Group code columns and their code-space sizes.
 	for _, v := range p.OutVertices {
@@ -312,14 +326,21 @@ func numericAnn(col *storage.Column) bool {
 type scanWorker struct {
 	s    *scan
 	sel  expr.Sel    // nil when unfiltered
-	vals []expr.Vec  // per leaf
+	vals expr.Vecs   // the leaf set
 	lv   [][]float64 // per leaf: its vector over the block's qualifying rows
 	ids  []int32     // the block's candidate, then qualifying, row ids
 	pos  []int32     // under a candidate list: the qualifying rows' positions
 
-	acc   []float64 // dense: size × folds
-	seen  []bool    // dense: group touched
-	gcode []int     // dense, grouped: group code per qualifying row
+	acc  []float64 // dense: size × folds
+	seen []bool    // dense: group touched
+
+	// Dense, grouped: each block's qualifying rows partitioned by group
+	// cell. cnt is zero between blocks.
+	cell  []int32     // per qualifying row: its cell
+	cnt   []int32     // per cell: its rows, then its end in part
+	cells []int32     // the cells the block touches, in first-touch order
+	part  []int32     // qualifying row indexes, by cell, ascending in each
+	sumv  [][]float64 // per scan.sums: its leaf vector
 
 	h    *hashAcc
 	toks []uint64  // hash: the row's group codes
@@ -341,8 +362,8 @@ func (s *scan) newWorker() *scanWorker {
 	if s.filter != nil {
 		w.sel = s.filter.Bind()
 	}
-	for _, l := range s.leaves {
-		w.vals = append(w.vals, l.Bind())
+	w.vals = s.leaves.Bind()
+	for range s.leaves.Len() {
 		w.lv = append(w.lv, make([]float64, expr.BlockSize))
 	}
 	for _, d := range s.distinct {
@@ -363,7 +384,13 @@ func (s *scan) newWorker() *scanWorker {
 	}
 	w.seen = make([]bool, s.size)
 	if len(s.keys) > 0 {
-		w.gcode = make([]int, expr.BlockSize)
+		w.cell = make([]int32, expr.BlockSize)
+		w.cnt = make([]int32, s.size)
+		w.cells = make([]int32, 0, min(s.size, expr.BlockSize))
+		w.part = make([]int32, expr.BlockSize)
+		for _, fi := range s.sums {
+			w.sumv = append(w.sumv, w.lv[s.folds[fi].leaf])
+		}
 	}
 	return w
 }
@@ -434,9 +461,7 @@ func (w *scanWorker) block(lo, hi int) {
 			return
 		}
 	}
-	for i, v := range w.vals {
-		v(rows, w.lv[i])
-	}
+	w.vals(rows, w.lv)
 	// at indexes the code columns: the row ids, or under a candidate list
 	// each qualifying row's position in it (both lists ascend).
 	at := rows
@@ -486,34 +511,104 @@ func (w *scanWorker) foldRow(m int) {
 }
 
 // foldDense folds the qualifying rows (their code indexes at) into the
-// dense group table, one fold at a time, each group's rows in ascending
-// order.
+// dense group table. A stable counting sort partitions the rows by
+// group cell; then each touched group folds its rows in ascending
+// order with its accumulators in registers (foldCell), so every group
+// sees the additions of a row-by-row fold in the same order, and every
+// bit of the result is the row-by-row fold's.
 func (w *scanWorker) foldDense(at []int32) {
 	s := w.s
-	gc := w.gcode[:len(at)]
-	clear(gc)
+	cell := w.cell[:len(at)]
 	for g, codes := range s.keys {
-		st := s.strides[g]
-		for i, r := range at {
-			gc[i] += int(codes[r]) * st
-		}
-	}
-	for _, c := range gc {
-		w.seen[c] = true
-	}
-	nF := len(s.folds)
-	for fi, f := range s.folds[:s.plain] {
-		acc := w.acc[fi:]
-		if f.kind == planner.AggCount {
-			for _, c := range gc {
-				acc[c*nF]++
+		st := int32(s.strides[g])
+		if g == 0 {
+			for i, r := range at {
+				cell[i] = int32(codes[r]) * st
 			}
 			continue
 		}
-		vs := w.lv[f.leaf]
-		for i, c := range gc {
-			acc[c*nF] = combine1(f.kind, acc[c*nF], vs[i])
+		for i, r := range at {
+			cell[i] += int32(codes[r]) * st
 		}
+	}
+	cnt, cells := w.cnt, w.cells[:0]
+	for _, c := range cell {
+		if cnt[c] == 0 {
+			cells = append(cells, c)
+		}
+		cnt[c]++
+	}
+	var end int32
+	for _, c := range cells {
+		n := cnt[c]
+		cnt[c] = end
+		end += n
+	}
+	for i, c := range cell {
+		w.part[cnt[c]] = int32(i)
+		cnt[c]++
+	}
+	var begin int32
+	for _, c := range cells {
+		end := cnt[c]
+		cnt[c] = 0
+		w.seen[c] = true
+		w.foldCell(int(c), w.part[begin:end])
+		begin = end
+	}
+}
+
+// foldCell folds one group's rows — ps, their ascending positions in the
+// block's leaf vectors — into its accumulators, held in locals: a count
+// adds len(ps) (integer-valued, as foldRow's), sums go four to a pass as
+// independent chains, and min/max combine in row order.
+func (w *scanWorker) foldCell(c int, ps []int32) {
+	s := w.s
+	nF := len(s.folds)
+	acc := w.acc[c*nF : (c+1)*nF]
+	for _, fi := range s.counts {
+		acc[fi] += float64(len(ps))
+	}
+	sums, vs := s.sums, w.sumv
+	for ; len(sums) >= 4; sums, vs = sums[4:], vs[4:] {
+		a0, a1, a2, a3 := acc[sums[0]], acc[sums[1]], acc[sums[2]], acc[sums[3]]
+		v0, v1 := (*[expr.BlockSize]float64)(vs[0]), (*[expr.BlockSize]float64)(vs[1])
+		v2, v3 := (*[expr.BlockSize]float64)(vs[2]), (*[expr.BlockSize]float64)(vs[3])
+		for _, p := range ps {
+			p &= expr.BlockSize - 1
+			a0 += v0[p]
+			a1 += v1[p]
+			a2 += v2[p]
+			a3 += v3[p]
+		}
+		acc[sums[0]], acc[sums[1]], acc[sums[2]], acc[sums[3]] = a0, a1, a2, a3
+	}
+	if len(sums) >= 2 {
+		a0, a1 := acc[sums[0]], acc[sums[1]]
+		v0, v1 := (*[expr.BlockSize]float64)(vs[0]), (*[expr.BlockSize]float64)(vs[1])
+		for _, p := range ps {
+			p &= expr.BlockSize - 1
+			a0 += v0[p]
+			a1 += v1[p]
+		}
+		acc[sums[0]], acc[sums[1]] = a0, a1
+		sums, vs = sums[2:], vs[2:]
+	}
+	if len(sums) == 1 {
+		a0 := acc[sums[0]]
+		v0 := (*[expr.BlockSize]float64)(vs[0])
+		for _, p := range ps {
+			a0 += v0[p&(expr.BlockSize-1)]
+		}
+		acc[sums[0]] = a0
+	}
+	for _, fi := range s.minmax {
+		f := s.folds[fi]
+		a, v := acc[fi], w.lv[f.leaf]
+		for _, p := range ps {
+			a = combine1(f.kind, a, v[p])
+		}
+		acc[fi] = a
 	}
 }
 

@@ -99,6 +99,7 @@ func TestBlockKernelsMatchReference(t *testing.T) {
 			}
 		}
 
+		var es []sqlparse.Expr
 		for _, src := range valueExprs(t, td, alias, spec) {
 			e, err := parseSelect(td.Name, src)
 			if err != nil {
@@ -108,6 +109,7 @@ func TestBlockKernelsMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %q rejected: %v", seed, src, err)
 			}
+			es = append(es, e)
 			vals++
 			for _, stride := range []int{1, 3} {
 				rows, got := evalRows(n, tab.NumRows, stride)
@@ -123,6 +125,7 @@ func TestBlockKernelsMatchReference(t *testing.T) {
 				}
 			}
 		}
+		checkSet(t, seed, es, b, tab.NumRows)
 	}
 	t.Logf("%d cases: %d predicates, %d values", want, preds, vals)
 	if preds < 200 || vals < 500 {
@@ -172,6 +175,49 @@ func evalRows(num *expr.Num, n, stride int) ([]int32, []float64) {
 		vec(rows[lo:hi], out[lo:hi])
 	}
 	return rows, out
+}
+
+// checkSet compiles es as one set, whose common subtrees (a column, a
+// negation, c - 1.5 under c + c2 * 0.25's neighbours…) are computed once,
+// and requires every expression's vector to be bit-identical to its own
+// CompileNum kernel's, over whole blocks and over a strided row subset.
+func checkSet(t *testing.T, seed int64, es []sqlparse.Expr, b *expr.Binding, n int) {
+	t.Helper()
+	set, err := expr.CompileNums(es, b)
+	if err != nil {
+		t.Fatalf("seed %d: set rejected: %v", seed, err)
+	}
+	if set.Len() != len(es) {
+		t.Fatalf("seed %d: set of %d expressions has Len %d", seed, len(es), set.Len())
+	}
+	for _, stride := range []int{1, 3} {
+		outs := make([][]float64, len(es))
+		for i := range outs {
+			outs[i] = make([]float64, expr.BlockSize)
+		}
+		vec := set.Bind()
+		var rows []int32
+		for r := 0; r < n; r += stride {
+			rows = append(rows, int32(r))
+		}
+		for lo := 0; lo < len(rows); lo += expr.BlockSize {
+			blk := rows[lo:min(lo+expr.BlockSize, len(rows))]
+			vec(blk, outs)
+			for i, e := range es {
+				num, err := expr.CompileNum(e, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]float64, len(blk))
+				num.Bind()(blk, want)
+				for j, w := range want {
+					if math.Float64bits(outs[i][j]) != math.Float64bits(w) {
+						t.Fatalf("seed %d: set value of %s at row %d = %v, alone %v", seed, e, blk[j], outs[i][j], w)
+					}
+				}
+			}
+		}
+	}
 }
 
 // valueExprs lists numeric expressions to check for a case: the
