@@ -4,15 +4,15 @@
 // icost sum prices the generic WCOJ path; the binary hash-join path
 // over lazily-built generalized hash tries is priced with the same
 // vertex weights but membership-probe constants plus a build-side term:
-// a WCOJ node pays the full radix-sort trie build for every relation it
-// touches, while the binary path pays only the counting-bucket lazy
-// build of the levels it actually probes. The build term counts only
-// filtered relations: an unfiltered trie is cached whole and amortizes
-// to zero across queries. A filtered relation pays a build per query,
-// cold a direct build and warm a one-pass derive from its cached base
-// order (on either path); the term prices the direct build, so it
-// overstates the warm case, and the constants stay as calibrated until
-// the cost model is refit.
+// a WCOJ node pays a full trie build for every relation it touches —
+// every counting-bucket level plus Full's conversion to per-parent sets
+// — while the binary path pays only the lazy build of the levels it
+// actually probes. The build term counts only filtered relations: an
+// unfiltered trie is cached whole and amortizes to zero across queries.
+// A filtered relation pays a build per query, cold a direct build and
+// warm a one-pass derive from its cached base order (on either path);
+// the term prices the direct build, so it overstates the warm case, and
+// the constants stay as calibrated until the cost model is refit.
 package costopt
 
 import (
@@ -31,9 +31,11 @@ const (
 // Cost constants of the binary path, on the same scale as the Fig. 5a
 // icost constants. A lazy-trie membership probe is a dense-array lookup
 // at level 0 and a short binary search below, i.e. bitset-probe class
-// work per element. The build constants express that a counting-bucket
-// pass per level is cheap next to the multi-pass LSD radix sort plus
-// dedup scan of a full trie build.
+// work per element. The build constants express that the counting-bucket
+// levels alone are cheap next to a full build, which adds Full's set
+// conversion (layout choice, bitset fill, rank indexes) to the same
+// levels. Their values were fitted against the former radix-sort build
+// and stay until the cost model is refit.
 const (
 	costLazyProbe   = 2
 	costSortBuild   = 6

@@ -784,18 +784,17 @@ func (c *compiled) buildRel(relIdx int, order []string,
 	}
 
 	// Charge the query-trie build before running it, so an over-budget
-	// query aborts here rather than OOM inside Build.
+	// query aborts here rather than OOM inside the build.
 	if err := c.opts.Mem.Charge(directBytes(nRows, len(in.Keys), len(in.Anns))); err != nil {
 		return nil, err
 	}
-	var ix trie.Index
-	if lazy {
-		ix, err = trie.NewLazy(in)
-	} else {
-		ix, err = trie.Build(in)
-	}
+	lz, err := trie.NewLazy(in)
 	if err != nil {
 		return nil, fmt.Errorf("exec: building trie for %s: %v", r.Alias, err)
+	}
+	var ix trie.Index = lz
+	if !lazy {
+		ix = lz.Full(threads)
 	}
 	if st != nil {
 		st.TriesBuilt++
@@ -808,7 +807,8 @@ func (c *compiled) buildRel(relIdx int, order []string,
 
 // directBytes is what a direct trie build over nRows rows with k key
 // columns and nAnns annotations is charged: roughly twice its input
-// columns (sort scratch plus trie levels).
+// columns (the frontier permutations and per-level row offsets the
+// counting passes hold, plus the trie levels).
 func directBytes(nRows, k, nAnns int) int64 {
 	return int64(nRows) * int64(4*k+8*nAnns) * 2
 }

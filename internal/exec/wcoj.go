@@ -376,8 +376,9 @@ func runNode(n *cNode, opts Options, parent obs.SpanID) (*rowsBuf, *hashAcc, err
 			return nil, nil, err
 		}
 		// Charge the child-trie materialization up front: the build copies
-		// every row into column buffers and roughly doubles them inside
-		// trie.Build, so an over-budget query aborts before allocating.
+		// every row into column buffers and roughly doubles them in the
+		// counting passes of trie.Build, so an over-budget query aborts
+		// before allocating.
 		if opts.Mem != nil {
 			est := int64(childRows.n()) * int64(4*len(cr.attrs)+8) * 2
 			if err := opts.Mem.Charge(est); err != nil {

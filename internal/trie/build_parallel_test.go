@@ -5,12 +5,11 @@ import (
 )
 
 // TestParallelBuildMatchesSequential builds the same input with one
-// thread (single dedup/emit region) and with many threads (level-0
-// partitioned regions) and requires structurally identical tries,
-// including combined duplicate annotations straddling chunk-size
-// boundaries.
+// thread and with many (set construction split across parent chunks)
+// and requires bit-identical tries, including combined duplicate
+// annotations, both equal to the sort-and-scan reference.
 func TestParallelBuildMatchesSequential(t *testing.T) {
-	const n = 40000 // above the 1<<14 parallel-scan threshold
+	const n = 40000 // level 2 gets ≈ 37×101 parents, past buildLevel's 1024
 	k0 := make([]uint32, n)
 	k1 := make([]uint32, n)
 	k2 := make([]uint32, n)
@@ -18,7 +17,7 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 	x := uint32(12345)
 	for i := 0; i < n; i++ {
 		x = x*1664525 + 1013904223
-		k0[i] = x % 37 // few distinct level-0 keys → uneven regions
+		k0[i] = x % 37
 		k1[i] = (x >> 8) % 101
 		k2[i] = (x >> 16) % 53 // collisions → full-duplicate combining
 		ann[i] = float64(i%7) + 1
@@ -41,59 +40,6 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if seq.NumTuples != par.NumTuples {
-		t.Fatalf("NumTuples: seq %d, par %d", seq.NumTuples, par.NumTuples)
-	}
-	for d := range seq.Levels {
-		sl, pl := seq.Levels[d], par.Levels[d]
-		if sl.NumElems() != pl.NumElems() {
-			t.Fatalf("level %d: %d vs %d elems", d, sl.NumElems(), pl.NumElems())
-		}
-		if len(sl.Sets) != len(pl.Sets) {
-			t.Fatalf("level %d: %d vs %d sets", d, len(sl.Sets), len(pl.Sets))
-		}
-		for i := range sl.Sets {
-			if sl.Starts[i] != pl.Starts[i] {
-				t.Fatalf("level %d set %d: start %d vs %d", d, i, sl.Starts[i], pl.Starts[i])
-			}
-			sv := sl.Sets[i].Values()
-			pv := pl.Sets[i].Values()
-			if len(sv) != len(pv) {
-				t.Fatalf("level %d set %d: card %d vs %d", d, i, len(sv), len(pv))
-			}
-			for j := range sv {
-				if sv[j] != pv[j] {
-					t.Fatalf("level %d set %d elem %d: %d vs %d", d, i, j, sv[j], pv[j])
-				}
-			}
-		}
-	}
-	sa, pa := seq.Ann("w"), par.Ann("w")
-	if len(sa.F64) != len(pa.F64) {
-		t.Fatalf("annotation length: %d vs %d", len(sa.F64), len(pa.F64))
-	}
-	for i := range sa.F64 {
-		if sa.F64[i] != pa.F64[i] {
-			t.Fatalf("annotation %d: %g vs %g", i, sa.F64[i], pa.F64[i])
-		}
-	}
-}
-
-// TestInsertionSortRows pins the small-n sort path against a simple
-// lexicographic check.
-func TestInsertionSortRows(t *testing.T) {
-	k0 := []uint32{3, 1, 3, 1, 2, 2, 1}
-	k1 := []uint32{0, 5, 1, 5, 9, 2, 4}
-	order := make([]int32, len(k0))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	insertionSortRows([][]uint32{k0, k1}, order)
-	for i := 1; i < len(order); i++ {
-		a, b := order[i-1], order[i]
-		if k0[a] > k0[b] || (k0[a] == k0[b] && k1[a] > k1[b]) {
-			t.Fatalf("rows %d,%d out of order", a, b)
-		}
-	}
+	requireTrieEqual(t, seq, par)
+	requireTrieEqual(t, refBuild(mkInput(1)), par)
 }

@@ -16,11 +16,11 @@ import (
 
 // NewBase builds the filter-free sort order that Derive selects from: a
 // Lazy over in's key columns (annotations are ignored) bucketed through
-// its leaf level, plus the inverse of its frontier permutation. The
-// counting scratch and the key columns are dropped once the levels
-// exist; what stays is the frontier, its inverse and each level's
-// vals/starts/rowOff, which is all Derive reads. The result is
-// immutable, so any number of goroutines may derive from it.
+// its leaf level, plus the inverse of its frontier permutation. Like any
+// fully built Lazy it then drops its build state, except that a base
+// keeps the frontier, its inverse and each level's vals/starts/rowOff,
+// which is all Derive reads. The result is immutable, so any number of
+// goroutines may derive from it.
 func NewBase(in BuildInput) (*Lazy, error) {
 	in.Anns = nil
 	l, err := NewLazy(in)
@@ -30,11 +30,11 @@ func NewBase(in BuildInput) (*Lazy, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.ensureLevelsLocked(l.k - 1)
-	l.cnt, l.gvbuf, l.in.Keys = nil, nil, nil
 	l.pos = make([]int32, l.n)
 	for p, r := range l.rows {
 		l.pos[r] = int32(p)
 	}
+	l.ensureAnnsLocked()
 	return l, nil
 }
 
@@ -81,8 +81,8 @@ type DeriveInput struct {
 // id is larger), and a new tuple is emitted by value where it sorts.
 // The result is therefore bit-identical to NewLazy (and its Full to
 // Build) over the gathered survivors. It comes back fully materialized,
-// annotations included, and keeps no frontier. Like Build, the pass
-// splits across Threads at level-0 element boundaries.
+// annotations included, and keeps no frontier. The pass splits across
+// Threads at level-0 element boundaries.
 func (l *Lazy) Derive(in DeriveInput) (*Lazy, error) {
 	faultinject.Fire(faultinject.PointTrieBuild)
 	if l.pos == nil {
@@ -438,8 +438,8 @@ func (dv *derivation) emit(el int32, ranks []int32) {
 		}
 	}
 	// The first survivor stands for every element it opened; leaf
-	// values fold over all of them, in row order — the left fold of the
-	// stable sorted scan.
+	// values fold over all of them, in row order — the left fold the
+	// lazy levels' annotations make.
 	first := ranks[0]
 	for i := range dv.anns {
 		a := &dv.anns[i]

@@ -116,10 +116,11 @@ func tailSel(rng *rand.Rand, b, n int) []int32 {
 
 // TestDeriveMatchesDirectBuild: a trie derived from the filter-free base
 // is bit-identical — levels, Starts, Dense, every annotation by bit
-// pattern, and the whole Index surface — to Build and to NewLazy().Full()
-// over the gathered survivors, across 1–3 levels, duplicate key tuples,
-// NaN and ±0 leaf values, Sum/min/max folds, Code annotations, and
-// empty, all-pass and single-row selections. Most bases cover only a
+// pattern, and the whole Index surface — to the sort-and-scan reference
+// over the gathered survivors, as are Build and NewLazy().Full(), across
+// 1–3 levels, duplicate key tuples, NaN and ±0 leaf values, Sum/min/max
+// folds, Code annotations, and empty, all-pass and single-row
+// selections. Most bases cover only a
 // prefix of the rows: the rest are a tail of appended rows whose tuples
 // are new at level 0, at an inner level or at the leaf, or repeat a base
 // tuple across the base/tail boundary, and selections reach into the
@@ -151,10 +152,12 @@ func TestDeriveMatchesDirectBuild(t *testing.T) {
 		for draw := 0; draw < 4; draw++ {
 			sel := tailSel(rng, b, n)
 			g, anns := gatherInput(in, sel)
-			want, err := Build(g)
+			want := refBuild(g)
+			built, err := Build(g)
 			if err != nil {
 				t.Fatalf("Build: %v", err)
 			}
+			requireTrieEqual(t, want, built)
 			lz, err := NewLazy(g)
 			if err != nil {
 				t.Fatalf("NewLazy: %v", err)
@@ -170,14 +173,14 @@ func TestDeriveMatchesDirectBuild(t *testing.T) {
 				t.Fatalf("iter %d (k=%d n=%d base=%d sel=%d): derived index: %s", iter, k, n, b, len(sel), d)
 			}
 			requireTrieEqual(t, want, got.Full(0))
-			requireTrieEqual(t, lz.Full(0), got.Full(0))
+			requireTrieEqual(t, want, lz.Full(0))
 		}
 	}
 }
 
 // TestDeriveParallelRegions: selections large enough to split the pass
 // across threads (at level-0 boundaries, over wide and narrow key
-// domains) stay bit-identical to Build at every thread count, with and
+// domains) stay bit-identical to the reference at every thread count, with and
 // without a tail of appended rows (whose new tuples fall inside, between
 // and after the regions).
 func TestDeriveParallelRegions(t *testing.T) {
@@ -208,10 +211,7 @@ func TestDeriveParallelRegions(t *testing.T) {
 			}
 		}
 		g, anns := gatherInput(in, sel)
-		want, err := Build(g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := refBuild(g)
 		for _, threads := range []int{1, 2, 3, 7} {
 			got, err := base.Derive(DeriveInput{Sel: sel, Keys: in.Keys, Anns: anns, Count: "__count", Threads: threads})
 			if err != nil {
@@ -236,9 +236,7 @@ func TestDeriveConcurrent(t *testing.T) {
 	for i := range sels {
 		sels[i] = randSel(rng, 5000)
 		g, _ := gatherInput(in, sels[i])
-		if wants[i], err = Build(g); err != nil {
-			t.Fatal(err)
-		}
+		wants[i] = refBuild(g)
 	}
 	got := make([]*Trie, len(sels))
 	errs := make([]error, len(sels))

@@ -11,23 +11,25 @@ import (
 )
 
 // Lazy is a COLT-style lazily-built generalized hash trie (Free Join,
-// arXiv 2301.10841): level 0 is materialized eagerly at construction,
-// deeper levels and annotation buffers materialize on first probe, one
-// whole level at a time, under a per-trie single-flight lock so
-// concurrent workers (and queries sharing a cached instance) never
-// duplicate or race a build.
+// arXiv 2301.10841) and the repository's one trie builder: level 0 is
+// materialized eagerly at construction, deeper levels and annotation
+// buffers materialize on first probe, one whole level at a time, under
+// a per-trie single-flight lock so concurrent workers (and queries
+// sharing a cached instance) never duplicate or race a build. Build is
+// NewLazy followed by Full.
 //
-// Materialization uses a stable counting-bucket pass per level instead
-// of the full LSD radix sort of Build: rows are partitioned by the next
-// key column within each current leaf group, preserving original row
-// order inside equal-key runs. Because the radix sort is also stable,
-// the resulting element sequence, grouping, and duplicate-fold order
-// are exactly those of Build — Full() on a Lazy yields a Trie
-// bit-identical to Build on the same input.
+// Materialization is a stable counting-bucket pass per level: rows are
+// partitioned by the next key column within each current leaf group,
+// preserving original row order inside equal-key runs. The element
+// sequence is therefore lexicographic, and duplicate key tuples fold
+// their annotations in row order, as a stable sort followed by a
+// sequential dedup scan would.
 //
 // Every Index accessor materializes what it reads on first touch; the
 // atomic built counters give the happens-before edge, so
-// already-materialized state is read without locking.
+// already-materialized state is read without locking. Once every level
+// and annotation buffer exists, a trie drops the state only its build
+// read (see dropBuildStateLocked).
 type Lazy struct {
 	Attrs []string
 
@@ -45,13 +47,13 @@ type Lazy struct {
 	// rows is the frontier permutation: source rows bucketed through the
 	// deepest built level. rowOff boundaries recorded per level stay
 	// valid forever because deeper bucketing only permutes within groups.
+	// Both are build state: only a base keeps them once fully built.
 	rows []int32
 	// pos inverts rows (source row -> frontier position); only a base
 	// (NewBase) holds it, for Derive.
 	pos []int32
 
-	anns    map[string]*Annotation
-	annSpec []AnnSpec
+	anns map[string]*Annotation
 
 	// cnt is the shared counting scratch, sized to the largest key code
 	// seen so far; gvbuf collects per-group distinct values. cntDirty
@@ -81,8 +83,8 @@ type lazyLevel struct {
 	rowOff []int32 // len = numElems+1; row-range bounds into Lazy.rows
 }
 
-// NewLazy validates the input exactly like Build and materializes
-// level 0. All deeper work is deferred.
+// NewLazy validates the input and materializes level 0. All deeper
+// work is deferred.
 func NewLazy(in BuildInput) (*Lazy, error) {
 	faultinject.Fire(faultinject.PointTrieBuild)
 	k := len(in.Keys)
@@ -99,14 +101,13 @@ func NewLazy(in BuildInput) (*Lazy, error) {
 		}
 	}
 	l := &Lazy{
-		Attrs:   append([]string(nil), in.Attrs...),
-		in:      in,
-		k:       k,
-		n:       n,
-		levels:  make([]*lazyLevel, k),
-		eager:   make([]atomic.Pointer[Level], k),
-		anns:    make(map[string]*Annotation, len(in.Anns)),
-		annSpec: in.Anns,
+		Attrs:  append([]string(nil), in.Attrs...),
+		in:     in,
+		k:      k,
+		n:      n,
+		levels: make([]*lazyLevel, k),
+		eager:  make([]atomic.Pointer[Level], k),
+		anns:   make(map[string]*Annotation, len(in.Anns)),
 	}
 	if err := checkAnns(in.Anns, k, n, ""); err != nil {
 		return nil, err
@@ -158,16 +159,15 @@ func (l *Lazy) ensureAnnsLocked() {
 		return
 	}
 	l.ensureLevelsLocked(l.k - 1)
-	for ai := range l.annSpec {
-		a := &l.annSpec[ai]
+	for ai := range l.in.Anns {
+		a := &l.in.Anns[ai]
 		out := l.anns[a.Name]
 		lv := l.levels[a.Level]
 		elems := len(lv.rowOff) - 1
 		switch a.Kind {
 		case Code:
 			// The key prefix functionally determines the value; keep the
-			// first row of the element in frontier (= lex) order, exactly
-			// what the sorted-scan build emits.
+			// first row of the element in frontier (= lex) order.
 			codes := make([]uint32, elems)
 			for e := 0; e < elems; e++ {
 				codes[e] = a.Codes[l.rows[lv.rowOff[e]]]
@@ -176,8 +176,8 @@ func (l *Lazy) ensureAnnsLocked() {
 		case F64:
 			vals := make([]float64, elems)
 			if a.Level == l.k-1 {
-				// Leaf level: fold duplicate key tuples in row order —
-				// the same left-fold the stable sorted scan performs.
+				// Leaf level: fold duplicate key tuples left to right in
+				// row order, the frontier's order within an element.
 				src := a.F64
 				if a.Combine == nil {
 					for e := 0; e < elems; e++ {
@@ -206,6 +206,22 @@ func (l *Lazy) ensureAnnsLocked() {
 		}
 	}
 	l.annsDone.Store(true)
+	l.dropBuildStateLocked()
+}
+
+// dropBuildStateLocked releases, once every level and annotation buffer
+// exists, what only materialization reads: the counting scratch and the
+// key and annotation inputs and, unless Derive reads them (a base), the
+// frontier and each level's row offsets. Later readers of the levels
+// touch only vals and starts.
+func (l *Lazy) dropBuildStateLocked() {
+	l.cnt, l.gvbuf, l.in.Keys, l.in.Anns = nil, nil, nil, nil
+	if l.pos == nil {
+		l.rows = nil
+		for _, lv := range l.levels {
+			lv.rowOff = nil
+		}
+	}
 }
 
 // materializeLocked buckets the frontier by key column d, appending one
@@ -238,8 +254,8 @@ func (l *Lazy) materializeLocked(d int) {
 	nGroups := len(prevOff) - 1
 	lv.starts = make([]int32, 1, nGroups+1)
 	// Distinct-count upper bound is the frontier row count.
-	lv.vals = make([]uint32, 0, minInt(l.n, 1024))
-	lv.rowOff = make([]int32, 0, minInt(l.n, 1024)+1)
+	lv.vals = make([]uint32, 0, l.n)
+	lv.rowOff = make([]int32, 0, l.n+1)
 	newRows := make([]int32, l.n)
 
 	cnt, rows := l.cnt, l.rows
@@ -299,6 +315,14 @@ func (l *Lazy) materializeLocked(d int) {
 		}
 	}
 	lv.rowOff = append(lv.rowOff, int32(l.n))
+	// Both runs outlive the pass (Full's sets alias vals, deeper levels
+	// and a base read rowOff): copy them out of the row-count capacity.
+	if cap(lv.vals) > len(lv.vals) {
+		lv.vals = slices.Clone(lv.vals)
+	}
+	if cap(lv.rowOff) > len(lv.rowOff) {
+		lv.rowOff = slices.Clone(lv.rowOff)
+	}
 	l.cntDirty = false
 	l.levels[d] = lv
 	l.rows = newRows
@@ -397,7 +421,7 @@ func (l *Lazy) probeIndex() []int32 {
 }
 
 // Set implements Index: the level is converted to set-per-node form
-// once, with the layouts Build would have chosen.
+// once, with the layouts Full uses.
 func (l *Lazy) Set(level int, parentRank int32) *set.Set {
 	lv := l.eager[level].Load()
 	if lv == nil {
@@ -429,8 +453,8 @@ func (l *Lazy) Ann(name string) *Annotation {
 	return l.anns[name]
 }
 
-// Full materializes everything and converts to an immutable Trie,
-// bit-identical to Build on the same input. The result is cached.
+// Full materializes everything and converts to an immutable Trie; Build
+// is exactly this. The result is cached.
 func (l *Lazy) Full(threads int) *Trie {
 	if l.fullDone.Load() {
 		return l.full
@@ -465,6 +489,8 @@ func (l *Lazy) Full(threads int) *Trie {
 
 // MemBytes estimates the heap footprint of the materialized state.
 func (l *Lazy) MemBytes() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	n := len(l.rows)*4 + len(l.pos)*4 + len(l.cnt)*4 + len(l.probe0)*4
 	for _, lv := range l.levels {
 		if lv == nil {

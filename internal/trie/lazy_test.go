@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 )
 
@@ -43,6 +44,81 @@ func randBuildInput(rng *rand.Rand, k, n int) BuildInput {
 		in.Anns = append(in.Anns, AnnSpec{Name: "c" + string(rune('0'+d)), Level: d, Kind: Code, Codes: c})
 	}
 	return in
+}
+
+// refBuild is the trie tests' reference, independent of the counting
+// passes: row ids stably sorted by key tuple, one sequential dedup/emit
+// scan that folds each duplicate tuple's leaf annotations in row order
+// (keeping the first row's value elsewhere), then buildLevel.
+func refBuild(in BuildInput) *Trie {
+	k, n := len(in.Keys), len(in.Keys[0])
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		for _, col := range in.Keys {
+			if x, y := col[order[a]], col[order[b]]; x != y {
+				return x < y
+			}
+		}
+		return false
+	})
+	t := &Trie{
+		Attrs:      append([]string(nil), in.Attrs...),
+		Levels:     make([]*Level, k),
+		Anns:       make(map[string]*Annotation, len(in.Anns)),
+		SourceRows: n,
+	}
+	anns := make([]*Annotation, len(in.Anns))
+	for i, a := range in.Anns {
+		anns[i] = &Annotation{Name: a.Name, Level: a.Level, Kind: a.Kind}
+		t.Anns[a.Name] = anns[i]
+	}
+	vals := make([][]uint32, k)
+	ends := make([][]int32, k)
+	for i, r := range order {
+		// First level at which this row differs from the previous one.
+		d := 0
+		for i > 0 && d < k && in.Keys[d][r] == in.Keys[d][order[i-1]] {
+			d++
+		}
+		if d == k {
+			for ai, a := range in.Anns {
+				if a.Level == k-1 && a.Kind == F64 {
+					comb := a.Combine
+					if comb == nil {
+						comb = Sum
+					}
+					f := anns[ai].F64
+					f[len(f)-1] = comb(f[len(f)-1], a.F64[r])
+				}
+			}
+			continue
+		}
+		// Levels below d get new sets (their parent changed).
+		for lvl := d + 1; i > 0 && lvl < k; lvl++ {
+			ends[lvl] = append(ends[lvl], int32(len(vals[lvl])))
+		}
+		for lvl := d; lvl < k; lvl++ {
+			vals[lvl] = append(vals[lvl], in.Keys[lvl][r])
+			for ai, a := range in.Anns {
+				switch {
+				case a.Level != lvl:
+				case a.Kind == F64:
+					anns[ai].F64 = append(anns[ai].F64, a.F64[r])
+				default:
+					anns[ai].Codes = append(anns[ai].Codes, a.Codes[r])
+				}
+			}
+		}
+	}
+	for d := 0; d < k; d++ {
+		ends[d] = append(ends[d], int32(len(vals[d])))
+		t.Levels[d] = buildLevel(vals[d], ends[d], in.Threads)
+	}
+	t.NumTuples = t.Levels[k-1].NumElems()
+	return t
 }
 
 // requireTrieEqual asserts two tries are bit-identical: shape, sets,
@@ -105,18 +181,39 @@ func requireTrieEqual(t *testing.T, want, got *Trie) {
 	}
 }
 
-// TestLazyEquivalence: Full() on a Lazy must be bit-identical to Build
-// on the same input, across shapes, duplicates, and special floats.
+// flatDiff compares the flattened level d of l with level d of the
+// reference: its value run and, over a non-empty input, its set bounds.
+func flatDiff(want *Trie, l *Lazy, d int) string {
+	wl := want.Levels[d]
+	var wvals []uint32
+	for i := range wl.Sets {
+		wvals = append(wvals, wl.Sets[i].Values()...)
+	}
+	lv := l.levels[d]
+	if !slices.Equal(lv.vals, wvals) {
+		return fmt.Sprintf("level %d vals=%v want %v", d, lv.vals, wvals)
+	}
+	// An empty input has no parents below level 0; the reference keeps
+	// one empty set per level.
+	if l.n > 0 && !slices.Equal(lv.starts, wl.Starts) {
+		return fmt.Sprintf("level %d starts=%v want %v", d, lv.starts, wl.Starts)
+	}
+	return ""
+}
+
+// TestLazyEquivalence: NewLazy, level by level and then through Full,
+// and Build are bit-identical to the sort-and-scan reference across
+// shapes, duplicates, special floats and empty inputs.
 func TestLazyEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for iter := 0; iter < 200; iter++ {
 		k := 1 + rng.Intn(3)
 		n := rng.Intn(200)
-		in := randBuildInput(rng, k, n)
-		want, err := Build(in)
-		if err != nil {
-			t.Fatalf("Build: %v", err)
+		if iter%10 == 0 {
+			n = 0
 		}
+		in := randBuildInput(rng, k, n)
+		want := refBuild(in)
 		lz, err := NewLazy(in)
 		if err != nil {
 			t.Fatalf("NewLazy: %v", err)
@@ -127,9 +224,16 @@ func TestLazyEquivalence(t *testing.T) {
 			if lz.BuiltLevels() != d+1 {
 				t.Fatalf("BuiltLevels=%d after ensureLevels(%d)", lz.BuiltLevels(), d)
 			}
+			if diff := flatDiff(want, lz, d); diff != "" {
+				t.Fatalf("iter %d (k=%d n=%d): %s", iter, k, n, diff)
+			}
 		}
 		lz.ensureAnns()
-		got := lz.Full(0)
+		requireTrieEqual(t, want, lz.Full(0))
+		got, err := Build(in)
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
 		requireTrieEqual(t, want, got)
 	}
 }
@@ -198,9 +302,10 @@ func indexDiff(want *Trie, got Index) string {
 
 // TestIndexSurfaceAgrees is the property behind the one-handle seam:
 // over random inputs — duplicate-heavy, single-level, and empty — the
-// Index surface of NewLazy(in) answers exactly like Build(in)'s, with
-// every lazy level, the probe index, the set form and the annotations
-// first touched concurrently by several goroutines (run under -race).
+// Index surfaces of Build(in) and NewLazy(in) answer exactly like the
+// reference's, with every lazy level, the probe index, the set form and
+// the annotations first touched concurrently by several goroutines (run
+// under -race).
 func TestIndexSurfaceAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for iter := 0; iter < 120; iter++ {
@@ -210,18 +315,19 @@ func TestIndexSurfaceAgrees(t *testing.T) {
 			n = 0
 		}
 		in := randBuildInput(rng, k, n)
-		want, err := Build(in)
+		want := refBuild(in)
+		built, err := Build(in)
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
-		if d := indexDiff(want, want); d != "" {
-			t.Fatalf("iter %d: eager index disagrees with itself: %s", iter, d)
+		if d := indexDiff(want, built); d != "" {
+			t.Fatalf("iter %d: built index: %s", iter, d)
 		}
 		lz, err := NewLazy(in)
 		if err != nil {
 			t.Fatalf("NewLazy: %v", err)
 		}
-		if lz.Eager() != nil || want.Eager() != want {
+		if lz.Eager() != nil || built.Eager() != built {
 			t.Fatal("Eager(): want the trie itself for *Trie, nil for *Lazy")
 		}
 		diffs := make(chan string, 4)
@@ -245,10 +351,7 @@ func TestIndexSurfaceAgrees(t *testing.T) {
 func TestLazyConcurrentEnsure(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in := randBuildInput(rng, 3, 5000)
-	want, err := Build(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := refBuild(in)
 	lz, err := NewLazy(in)
 	if err != nil {
 		t.Fatal(err)
@@ -265,5 +368,50 @@ func TestLazyConcurrentEnsure(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		got := <-done
 		requireTrieEqual(t, want, got)
+	}
+}
+
+// TestFullLazyDropsBuildState: once a non-base Lazy is fully built, its
+// MemBytes counts only the levels' values and set bounds, the probe
+// index and the annotation buffers — no frontier, row offsets or
+// counting scratch — and its Index surface, first touched concurrently
+// after the drop (run under -race), still answers like the reference.
+func TestFullLazyDropsBuildState(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for iter := 0; iter < 40; iter++ {
+		k := 1 + rng.Intn(3)
+		n := rng.Intn(3000)
+		if iter%10 == 0 {
+			n = 0
+		}
+		in := randBuildInput(rng, k, n)
+		want := refBuild(in)
+		lz, err := NewLazy(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireTrieEqual(t, want, lz.Full(0))
+		diffs := make(chan string, 4)
+		for g := 0; g < cap(diffs); g++ {
+			go func() { diffs <- indexDiff(want, lz) }()
+		}
+		for g := 0; g < cap(diffs); g++ {
+			if d := <-diffs; d != "" {
+				t.Fatalf("iter %d (k=%d n=%d): index after the drop: %s", iter, k, n, d)
+			}
+		}
+		kept := len(lz.probe0) * 4
+		for _, lv := range lz.levels {
+			kept += (len(lv.vals) + len(lv.starts)) * 4
+		}
+		for _, a := range want.Anns {
+			kept += len(a.F64)*8 + len(a.Codes)*4
+		}
+		if got := lz.MemBytes(); got != kept {
+			t.Fatalf("iter %d (k=%d n=%d): MemBytes=%d after Full, want %d (levels, probe index and annotations only)", iter, k, n, got, kept)
+		}
+		if lz.rows != nil || lz.cnt != nil || lz.gvbuf != nil || lz.in.Keys != nil || lz.in.Anns != nil {
+			t.Fatalf("iter %d: build state kept after Full", iter)
+		}
 	}
 }

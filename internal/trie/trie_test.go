@@ -3,7 +3,6 @@ package trie
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -307,34 +306,6 @@ func TestTrieContainsExactlyInputTuples(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRadixSortMatchesComparisonSort(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	n := 9000 // above the radix threshold
-	keys := [][]uint32{make([]uint32, n), make([]uint32, n)}
-	for i := 0; i < n; i++ {
-		keys[0][i] = uint32(r.Intn(1 << 20))
-		keys[1][i] = uint32(r.Intn(1 << 9))
-	}
-	got := sortRows(keys, n, 4)
-	want := make([]int32, n)
-	for i := range want {
-		want[i] = int32(i)
-	}
-	sort.SliceStable(want, func(a, b int) bool {
-		ra, rb := want[a], want[b]
-		if keys[0][ra] != keys[0][rb] {
-			return keys[0][ra] < keys[0][rb]
-		}
-		return keys[1][ra] < keys[1][rb]
-	})
-	for i := range got {
-		ra, rb := got[i], want[i]
-		if keys[0][ra] != keys[0][rb] || keys[1][ra] != keys[1][rb] {
-			t.Fatalf("radix order diverges at %d", i)
-		}
 	}
 }
 
