@@ -119,16 +119,19 @@ difftest-long:
 
 # The hybrid lane alone under the race detector: forced-WCOJ vs
 # forced-binary vs cost-based over shared lazily materializing tries is
-# the executor's one concurrent seam; so is deriving filtered tries from
-# one cached base order in many queries at once, each with its own tail
-# of appended rows (the ingest lane runs every stage twice, the second
-# run deriving). The compiled leaf's bit-identity check runs here too,
-# at 1 and 4 threads, and so do concurrent appends, snapshots and
-# compactions extending one set of shared column arrays.
+# the executor's one concurrent seam, and one cached trie serves both
+# paths, so a WCOJ compile converts its levels to sets while binary
+# queries rank and read runs on it (TestSharedTrieConcurrentPaths); so
+# is deriving filtered tries from one cached base order in many queries
+# at once, each with its own tail of appended rows (the ingest lane runs
+# every stage twice, the second run deriving). The compiled leaf's
+# bit-identity check runs here too, at 1 and 4 threads, and so do
+# concurrent appends, snapshots and compactions extending one set of
+# shared column arrays.
 hybrid-race:
 	$(GO) test -race -count=1 -run TestDifferentialShort ./internal/difftest -difftest.lane hybrid
 	$(GO) test -race -count=1 -run TestDifferentialShort ./internal/difftest -difftest.lane ingest
-	$(GO) test -race -count=1 -run 'TestDeriveConcurrent|TestDeriveParallelRegions|TestConcurrentDerive|TestConcurrentAppendDerive|TestLeafKernelBitIdentical|TestConcurrentAppendSnapshotCompact' ./internal/trie ./internal/exec ./internal/storage
+	$(GO) test -race -count=1 -run 'TestDeriveConcurrent|TestDeriveParallelRegions|TestConcurrentDerive|TestConcurrentAppendDerive|TestLeafKernelBitIdentical|TestConcurrentAppendSnapshotCompact|TestSharedTrieConcurrentPaths|TestForcedPathsAgree' ./internal/trie ./internal/exec ./internal/storage
 
 # Non-blank, non-comment lines of non-test Go in the packages the
 # "one executor", "one scalar evaluator" and "one cost model" work is

@@ -27,13 +27,11 @@ type part struct {
 	lvl int // that relation's trie level for this attribute
 }
 
-// cRel is a compiled relation: a query trie plus bookkeeping. The trie
-// is held through trie.Index, so nothing past buildRel knows whether it
-// was built eagerly or is a lazily materializing hash trie.
+// cRel is a compiled relation: a query trie plus bookkeeping.
 type cRel struct {
 	relIdx  int // index into plan.Rels; -1 for a child result
 	alias   string
-	ix      trie.Index // nil for a child result until runNode builds it
+	ix      *trie.Lazy // nil for a child result until runNode builds it
 	attrs   []string   // vertex per trie level, in node order
 	hasDups bool
 	mult    []float64 // the __mult buffer; bound by cNode.bind when hasDups
@@ -368,9 +366,9 @@ func (c *compiled) compileNode(n *ghd.Node, ch *costopt.Choice, isRoot bool) (*c
 		}
 	}
 
-	// Build relation tries: binary-path nodes back their base relations
-	// with lazy hash tries, WCOJ nodes with fully built ones. This is the
-	// only place the representation is chosen.
+	// Build relation tries: a WCOJ node's are fully built at compile
+	// time (it intersects every level), a binary-path node's materialize
+	// as its probes reach them.
 	for _, ei := range n.Edges {
 		cr, err := c.buildRel(ei, ord.Attrs, leafAST[ei], combines[ei], cn.path == costopt.PathBinary)
 		if err != nil {
@@ -449,8 +447,11 @@ func (c *compiled) compileNode(n *ghd.Node, ch *costopt.Choice, isRoot bool) (*c
 
 // leafAnnName names the trie annotation holding one aggregate leaf. The
 // combine class is part of the identity: min(x) and max(x) must not
-// share a pre-aggregated buffer.
+// share a pre-aggregated buffer. The leaf ranges over one relation, so
+// it is named without alias qualifiers and one cached trie serves every
+// alias of the table.
 func leafAnnName(k planner.AggKind, e sqlparse.Expr) string {
+	e = sqlparse.Unqualified(e)
 	switch k {
 	case planner.AggMin:
 		return "leaf:min|" + e.String()
@@ -563,14 +564,14 @@ func (c *compiled) vertexDomainSize(vertex string) int {
 // relation: key levels in node order (attribute elimination: only the
 // vertices this query touches enter the trie), rows selected and leaf
 // values computed by block kernels, leaf and multiplicity annotations
-// pre-aggregated over duplicate key tuples. When lazy is set (binary
-// access path) the relation becomes a lazy generalized hash trie.
+// pre-aggregated over duplicate key tuples. Unless lazy is set (binary
+// access path), every level is materialized now.
 //
 // Both reusable pieces are the physical index whose creation the
 // paper's measurements exclude. An unfiltered relation's whole trie is
-// cached per table generation, so an append never serves a stale one (a
-// lazy entry's deeper levels materialize across queries, so it never
-// aliases a fully built one). A filtered relation derives its trie from
+// cached per table generation, so an append never serves a stale one;
+// one entry serves both paths, its levels materializing across the
+// queries that read it. A filtered relation derives its trie from
 // a cached filter-free sort order of its key columns: one pass keeps
 // the survivors, already in key order. That base is built on the second
 // filtered miss of its table and columns and serves later generations
@@ -610,18 +611,18 @@ func (c *compiled) buildRel(relIdx int, order []string,
 	}
 	cacheKey := trieKey{
 		baseKey: baseKey{table: tb.Schema.Name, cols: strings.Join(cols, "\x00")},
-		gen:     tb.Generation(), leaves: strings.Join(leafKeys, "\x00"), lazy: lazy,
+		gen:     tb.Generation(), leaves: strings.Join(leafKeys, "\x00"),
 	}
+	threads := c.opts.threads()
 	if r.Filter == nil && cache != nil {
 		ix, ok := cache.get(cacheKey)
 		countLookup(st, ok)
 		if ok {
-			return newCRel(relIdx, r.Alias, ix, attrs), nil
+			return newCRel(relIdx, r.Alias, ix, attrs, lazy, threads), nil
 		}
 	}
 
 	binding := &expr.Binding{Alias: r.Alias, Table: tb}
-	threads := c.opts.threads()
 
 	// Row selection, block at a time per parfor chunk (the kernels only
 	// read immutable column buffers). Each chunk writes its ascending
@@ -746,10 +747,7 @@ func (c *compiled) buildRel(relIdx int, order []string,
 		if st != nil {
 			st.TriesDerived++
 		}
-		if lazy {
-			return newCRel(relIdx, r.Alias, d, attrs), nil
-		}
-		return newCRel(relIdx, r.Alias, d.Full(threads), attrs), nil
+		return newCRel(relIdx, r.Alias, d, attrs, lazy, threads), nil
 	}
 
 	keys, err := c.keyColumns(r, tb, cols)
@@ -792,17 +790,13 @@ func (c *compiled) buildRel(relIdx int, order []string,
 	if err != nil {
 		return nil, fmt.Errorf("exec: building trie for %s: %v", r.Alias, err)
 	}
-	var ix trie.Index = lz
-	if !lazy {
-		ix = lz.Full(threads)
-	}
 	if st != nil {
 		st.TriesBuilt++
 	}
 	if r.Filter == nil && cache != nil {
-		cache.put(cacheKey, ix)
+		cache.put(cacheKey, lz)
 	}
-	return newCRel(relIdx, r.Alias, ix, attrs), nil
+	return newCRel(relIdx, r.Alias, lz, attrs, lazy, threads), nil
 }
 
 // directBytes is what a direct trie build over nRows rows with k key
@@ -855,7 +849,12 @@ func countLookup(st *obs.QueryStats, hit bool) {
 	}
 }
 
-func newCRel(relIdx int, alias string, ix trie.Index, attrs []string) *cRel {
+// newCRel wraps a relation's trie, first materializing all of it
+// unless lazy is set.
+func newCRel(relIdx int, alias string, ix *trie.Lazy, attrs []string, lazy bool, threads int) *cRel {
+	if !lazy {
+		ix.Full(threads)
+	}
 	return &cRel{relIdx: relIdx, alias: alias, ix: ix, attrs: attrs, hasDups: ix.HasDups()}
 }
 

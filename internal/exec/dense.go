@@ -2,6 +2,7 @@ package exec
 
 import (
 	"repro/internal/blas"
+	"repro/internal/costopt"
 	"repro/internal/obs"
 	"repro/internal/planner"
 	"repro/internal/trie"
@@ -34,17 +35,14 @@ func tryDenseDispatch(c *compiled) (*Result, bool, error) {
 	if len(ca.multRels) != 0 {
 		return nil, false, nil // duplicate keys: not a plain matrix
 	}
-	// All trie levels completely dense, read off fully built tries (a
-	// node the classifier put on the binary path never qualifies).
+	// All trie levels completely dense. A node the classifier put on
+	// the binary path never qualifies.
+	if n.path == costopt.PathBinary {
+		return nil, false, nil
+	}
 	for _, cr := range n.rels {
-		tr := cr.ix.Eager()
-		if tr == nil {
+		if !allDense(cr.ix) {
 			return nil, false, nil
-		}
-		for _, l := range tr.Levels {
-			if !l.Dense || l.NumElems() == 0 {
-				return nil, false, nil
-			}
 		}
 	}
 	n.bind()
@@ -71,29 +69,46 @@ func tryDenseDispatch(c *compiled) (*Result, bool, error) {
 	return nil, false, nil
 }
 
+// allDense reports whether every level of ix is non-empty and every
+// non-empty run on it is a contiguous range: the icost-0 case of the
+// cost model and the BLAS-dispatch trigger.
+func allDense(ix *trie.Lazy) bool {
+	parents := int32(1)
+	for d := 0; d < ix.NumLevels(); d++ {
+		var elems int32
+		for p := int32(0); p < parents; p++ {
+			run, _ := ix.Run(d, p)
+			if len(run) > 0 && int(run[len(run)-1]-run[0])+1 != len(run) {
+				return false
+			}
+			elems += int32(len(run))
+		}
+		if elems == 0 {
+			return false
+		}
+		parents = elems
+	}
+	return true
+}
+
 // denseDims extracts (rows, cols, row base, col base) of a dense 2-level
 // trie.
-func denseDims(tr *trie.Trie) (m, k int, rowBase, colBase uint32, ok bool) {
-	l0 := tr.Levels[0].Sets[0]
-	m = l0.Card()
+func denseDims(ix *trie.Lazy) (m, k int, rowBase, colBase uint32, ok bool) {
+	rows, _ := ix.Run(0, 0)
+	m = len(rows)
 	if m == 0 {
 		return 0, 0, 0, 0, false
 	}
-	total := tr.Levels[1].NumElems()
-	if total%m != 0 {
-		return 0, 0, 0, 0, false
-	}
-	k = total / m
-	colBase = tr.Levels[1].Sets[0].Min()
+	first, _ := ix.Run(1, 0)
+	k, colBase = len(first), first[0]
 	// Every row must span the same column range for the buffer to be a
 	// rectangular matrix.
-	for i := range tr.Levels[1].Sets {
-		s := &tr.Levels[1].Sets[i]
-		if s.Card() != k || s.Min() != colBase {
+	for p := int32(0); p < int32(m); p++ {
+		if cols, _ := ix.Run(1, p); len(cols) != k || cols[0] != colBase {
 			return 0, 0, 0, 0, false
 		}
 	}
-	return m, k, l0.Min(), colBase, true
+	return m, k, rows[0], colBase, true
 }
 
 // denseMM runs C = A·Bᵀ-or-B depending on B's trie orientation. With the
@@ -106,11 +121,11 @@ func denseMM(c *compiled, a, b *cRel, aBuf, bBuf []float64) (*Result, bool, erro
 		// Unexpected orientation; let the WCOJ engine handle it.
 		return nil, false, nil
 	}
-	m, k, aRowBase, aColBase, ok := denseDims(a.ix.Eager())
+	m, k, aRowBase, aColBase, ok := denseDims(a.ix)
 	if !ok {
 		return nil, false, nil
 	}
-	nOut, k2, bRowBase, bColBase, ok := denseDims(b.ix.Eager())
+	nOut, k2, bRowBase, bColBase, ok := denseDims(b.ix)
 	if !ok || k2 != k || aColBase != bColBase {
 		return nil, false, nil
 	}
@@ -153,12 +168,11 @@ func denseMV(c *compiled, a, x *cRel, aBuf, xBuf []float64) (*Result, bool, erro
 	if a.attrs[1] != x.attrs[0] {
 		return nil, false, nil
 	}
-	m, k, aRowBase, aColBase, ok := denseDims(a.ix.Eager())
+	m, k, aRowBase, aColBase, ok := denseDims(a.ix)
 	if !ok {
 		return nil, false, nil
 	}
-	xs := x.ix.Set(0, 0)
-	if xs.Card() != k || xs.Min() != aColBase {
+	if xs, _ := x.ix.Run(0, 0); len(xs) != k || xs[0] != aColBase {
 		return nil, false, nil
 	}
 	g0 := &c.groups[0]

@@ -146,7 +146,7 @@ type TrieCache struct {
 	mu sync.RWMutex
 	// m holds tries of at most one generation per table: caching a
 	// newer generation's trie drops the table's older ones.
-	m     map[trieKey]trie.Index
+	m     map[trieKey]*trie.Lazy
 	bases map[baseKey]*cachedBase
 	// missed records base keys that missed once: the next miss builds
 	// the base. Bounded by maxMissed (cleared when full, which at worst
@@ -155,22 +155,21 @@ type TrieCache struct {
 }
 
 // baseKey identifies one base order: its table and its key columns in
-// level order (joined on NUL). It carries no generation, leaves, filter
-// or representation, so one base serves every later generation of the
-// table, every leaf set, both paths and every alias of the table.
+// level order (joined on NUL). It carries no generation, leaves or
+// filter, so one base serves every later generation of the table, every
+// leaf set, both paths and every alias of the table.
 type baseKey struct {
 	table string
 	cols  string
 }
 
 // trieKey identifies one cached trie: its table, key columns and
-// generation, its leaf annotations (joined on NUL), and whether it is
-// the lazily materializing representation.
+// generation, and its leaf annotations (joined on NUL). One entry
+// serves both access paths and every alias of the table.
 type trieKey struct {
 	baseKey
 	gen    uint64
 	leaves string
-	lazy   bool
 }
 
 // cachedBase is a base order with the table generation and the number
@@ -194,10 +193,10 @@ const rebaseFrac = 64
 
 // NewTrieCache returns an empty cache.
 func NewTrieCache() *TrieCache {
-	return &TrieCache{m: map[trieKey]trie.Index{}, bases: map[baseKey]*cachedBase{}, missed: map[baseKey]struct{}{}}
+	return &TrieCache{m: map[trieKey]*trie.Lazy{}, bases: map[baseKey]*cachedBase{}, missed: map[baseKey]struct{}{}}
 }
 
-func (c *TrieCache) get(key trieKey) (trie.Index, bool) {
+func (c *TrieCache) get(key trieKey) (*trie.Lazy, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -209,7 +208,7 @@ func (c *TrieCache) get(key trieKey) (trie.Index, bool) {
 
 // put caches ix and drops the table's tries of older generations; a
 // trie of a generation older than one already cached is not kept.
-func (c *TrieCache) put(key trieKey, ix trie.Index) {
+func (c *TrieCache) put(key trieKey, ix *trie.Lazy) {
 	if c == nil {
 		return
 	}
@@ -276,7 +275,7 @@ func (c *TrieCache) PurgeTable(table string, keep uint64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	maps.DeleteFunc(c.m, func(k trieKey, _ trie.Index) bool { return k.table == table && k.gen != keep })
+	maps.DeleteFunc(c.m, func(k trieKey, _ *trie.Lazy) bool { return k.table == table && k.gen != keep })
 }
 
 // Len reports the number of cached tries and bases.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/costopt"
+	"repro/internal/obs"
 	"repro/internal/planner"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
@@ -712,6 +713,46 @@ func TestTrieCacheReuse(t *testing.T) {
 	res2 := run(t, cat, matmulSQL, Options{Cache: cache}, costopt.Options{})
 	checkMatmul(t, res1, dense, n)
 	checkMatmul(t, res2, dense, n)
+}
+
+// TestSelfJoinSharesOneTrie: under the relaxed order [i, k, j] both
+// aliases of an SMM self-join key the matrix on its columns (i, j) with
+// the same leaf, so they share one cached trie, and the answer stays
+// bit-identical to an uncached run.
+func TestSelfJoinSharesOneTrie(t *testing.T) {
+	n := 16
+	cat, dense := sparseMatrixCatalog(t, n, 80, 9)
+	q, err := sqlparse.Parse(matmulSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := planner.Build(q, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vertex := func(alias, col string) string {
+		for _, r := range p.Rels {
+			for v, c := range r.VertexCol {
+				if r.Alias == alias && c == col {
+					return v
+				}
+			}
+		}
+		t.Fatalf("no vertex for %s.%s", alias, col)
+		return ""
+	}
+	copts := costopt.Options{Forced: []string{vertex("m1", "i"), vertex("m1", "j"), vertex("m2", "j")}, ForcedRelaxed: true}
+	want := run(t, cat, matmulSQL, Options{}, copts)
+	checkMatmul(t, want, dense, n)
+	cache := NewTrieCache()
+	for i := 0; i < 2; i++ {
+		st := &obs.QueryStats{}
+		got := run(t, cat, matmulSQL, Options{Cache: cache, Stats: st}, copts)
+		assertResultsEqual(t, matmulSQL, want, got)
+		if cache.Len() != 1 || st.TriesBuilt != 1-i {
+			t.Fatalf("run %d: cache holds %d tries after %d builds, want 1 after %d", i, cache.Len(), st.TriesBuilt, 1-i)
+		}
+	}
 }
 
 func TestNoAttrElimStillCorrect(t *testing.T) {

@@ -3,10 +3,11 @@ package exec
 import (
 	"sync"
 
+	"repro/internal/costopt"
 	"repro/internal/obs"
 	"repro/internal/planner"
 	"repro/internal/qerr"
-	"repro/internal/set"
+	"repro/internal/trie"
 )
 
 // trySpMVFastPath recognizes the two-relation matrix–vector pattern —
@@ -37,12 +38,9 @@ func trySpMVFastPath(c *compiled, opts Options) (*Result, bool, error) {
 	if len(ca.leafRels) != 2 || ca.leafRels[0] == ca.leafRels[1] {
 		return nil, false, nil
 	}
-	// This kernel walks fully built tries; a binary-path node's lazily
-	// backed relations stay on the generic recursion.
-	for _, cr := range n.rels {
-		if cr.ix.Eager() == nil {
-			return nil, false, nil
-		}
+	// A binary-path node stays on the generic recursion.
+	if n.path == costopt.PathBinary {
+		return nil, false, nil
 	}
 	n.bind()
 	// Identify matrix (2 levels) and vector (1 level).
@@ -78,18 +76,13 @@ func trySpMVFastPath(c *compiled, opts Options) (*Result, bool, error) {
 
 // spmvGather runs order [i, j]: the matrix trie is CSR-shaped (rows i,
 // columns j); each output row is a dot product against the vector.
-// Requires the vector's set to be a dense contiguous range so values
+// Requires the vector's run to be its whole code domain so values
 // index directly; otherwise falls back.
 func spmvGather(c *compiled, opts Options, m, v *cRel, mBuf, vBuf []float64) (*Result, bool, error) {
-	vs := v.ix.Set(0, 0)
-	dom := c.vertexDomainSize(v.attrs[0])
-	if vs.Layout() != set.Bitset || vs.Card() == 0 ||
-		int(vs.Max()-vs.Min())+1 != vs.Card() || vs.Min() != 0 || vs.Card() != dom {
+	if !isDomain(v.ix, c.vertexDomainSize(v.attrs[0])) {
 		return nil, false, nil
 	}
-	vBase := vs.Min()
-	mt := m.ix.Eager()
-	rows := mt.Set(0, 0).Values()
+	rows, _ := m.ix.Run(0, 0)
 	nRows := len(rows)
 	outVals := make([]float64, nRows)
 
@@ -102,18 +95,10 @@ func spmvGather(c *compiled, opts Options, m, v *cRel, mBuf, vBuf []float64) (*R
 	threads := opts.threads()
 	parallelRange(threads, nRows, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			parent := mt.GlobalRank(0, 0, r)
-			kids := mt.Set(1, parent)
-			base := mt.Levels[1].Starts[parent]
+			kids, base := m.ix.Run(1, int32(r))
 			sum := 0.0
-			if vals, ok := kids.Uints(); ok {
-				for idx, j := range vals {
-					sum += mBuf[base+int32(idx)] * vBuf[j-vBase]
-				}
-			} else {
-				kids.ForEachIndexed(func(idx int, j uint32) {
-					sum += mBuf[base+int32(idx)] * vBuf[j-vBase]
-				})
+			for idx, j := range kids {
+				sum += mBuf[base+int32(idx)] * vBuf[j]
 			}
 			outVals[r] = sum
 		}
@@ -126,18 +111,14 @@ func spmvGather(c *compiled, opts Options, m, v *cRel, mBuf, vBuf []float64) (*R
 // accumulator over i (the 1-attribute union), merging per-worker
 // accumulators.
 func spmvScatter(c *compiled, opts Options, m, v *cRel, mBuf, vBuf []float64) (*Result, bool, error) {
-	vs := v.ix.Set(0, 0)
-	vdom := c.vertexDomainSize(v.attrs[0])
-	if vs.Layout() != set.Bitset || vs.Card() == 0 ||
-		int(vs.Max()-vs.Min())+1 != vs.Card() || vs.Min() != 0 || vs.Card() != vdom {
+	if !isDomain(v.ix, c.vertexDomainSize(v.attrs[0])) {
 		return nil, false, nil
 	}
 	dom := c.root.lastDomain
 	if dom <= 0 {
 		return nil, false, nil
 	}
-	mt := m.ix.Eager()
-	js := mt.Set(0, 0).Values()
+	js, _ := m.ix.Run(0, 0)
 
 	if opts.Stats != nil {
 		opts.Stats.Dispatch = obs.DispatchSpMVScatter
@@ -153,21 +134,11 @@ func spmvScatter(c *compiled, opts Options, m, v *cRel, mBuf, vBuf []float64) (*
 		acc := make([]float64, dom)
 		touch := make([]bool, dom)
 		for r := lo; r < hi; r++ {
-			j := js[r]
-			x := vBuf[j]
-			parent := mt.GlobalRank(0, 0, r)
-			kids := mt.Set(1, parent)
-			base := mt.Levels[1].Starts[parent]
-			if vals, ok := kids.Uints(); ok {
-				for idx, i := range vals {
-					acc[i] += mBuf[base+int32(idx)] * x
-					touch[i] = true
-				}
-			} else {
-				kids.ForEachIndexed(func(idx int, i uint32) {
-					acc[i] += mBuf[base+int32(idx)] * x
-					touch[i] = true
-				})
+			x := vBuf[js[r]]
+			kids, base := m.ix.Run(1, int32(r))
+			for idx, i := range kids {
+				acc[i] += mBuf[base+int32(idx)] * x
+				touch[i] = true
 			}
 		}
 		mu.Lock()
@@ -196,6 +167,13 @@ func spmvScatter(c *compiled, opts Options, m, v *cRel, mBuf, vBuf []float64) (*
 		}
 	}
 	return spmvResult(c, rows, vals)
+}
+
+// isDomain reports whether the vector trie's one level is exactly the
+// codes [0, dom), so its values index the dense leaf buffer directly.
+func isDomain(v *trie.Lazy, dom int) bool {
+	vals, _ := v.Run(0, 0)
+	return dom > 0 && len(vals) == dom && vals[0] == 0 && int(vals[dom-1]) == dom-1
 }
 
 // spmvResult assembles the (key, value) columns in SELECT order.

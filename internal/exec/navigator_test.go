@@ -10,6 +10,7 @@ import (
 	"repro/internal/set"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
+	"repro/internal/trie"
 )
 
 // binaryCatalog builds a two-attribute join pair so the compiled trie
@@ -61,7 +62,7 @@ func binaryCatalog(t *testing.T, rows int) *storage.Catalog {
 // planFor parses, plans and orders one query. Tests share the plan and
 // order choice across the executions they compare: order selection may
 // break cost ties either way run-to-run, and these tests isolate the
-// navigator and the trie representation, not the tie-break.
+// navigator and the cache state, not the tie-break.
 func planFor(t *testing.T, cat *storage.Catalog, sql string) (*planner.Plan, *costopt.Choice) {
 	t.Helper()
 	q, err := sqlparse.Parse(sql)
@@ -87,20 +88,27 @@ func setPath(n *cNode, path string) {
 	}
 }
 
-// runWith compiles with backing as the forced path — which picks the
-// trie representation at the build site: lazy for binary, eager for
-// wcoj — then runs the generic recursion with nav as every node's
-// navigator.
-func runWith(t *testing.T, p *planner.Plan, ch *costopt.Choice, cat *storage.Catalog, backing, nav string, threads int) *Result {
+// runWith compiles with opts (its ForcePath is the backing: a WCOJ
+// node's tries are fully built at compile time, a binary node's only as
+// far as earlier queries on a shared cache took them), then runs the
+// generic recursion with nav as every node's navigator. It returns the
+// result and the root's tries by plan relation.
+func runWith(t *testing.T, p *planner.Plan, ch *costopt.Choice, cat *storage.Catalog, opts Options, nav string) (*Result, map[int]*trie.Lazy) {
 	t.Helper()
-	opts := Options{Threads: threads, ForcePath: backing}
+	backing := opts.ForcePath
 	c, err := compile(p, ch, cat, opts)
 	if err != nil {
 		t.Fatalf("compile (%s backing): %v", backing, err)
 	}
+	ixs := map[int]*trie.Lazy{}
 	for _, cr := range c.root.rels {
-		if cr.child == nil && (cr.ix.Eager() == nil) != (backing == costopt.PathBinary) {
-			t.Fatalf("%s backing built the wrong representation for %s", backing, cr.alias)
+		if cr.child != nil {
+			continue
+		}
+		ixs[cr.relIdx] = cr.ix
+		built := cr.ix.BuiltLevels()
+		if backing == costopt.PathWCOJ && built != cr.ix.NumLevels() || backing == costopt.PathBinary && opts.Cache == nil && built != 1 {
+			t.Fatalf("%s backing left %s with %d of %d levels built", backing, cr.alias, built, cr.ix.NumLevels())
 		}
 	}
 	setPath(c.root, nav)
@@ -117,16 +125,18 @@ func runWith(t *testing.T, p *planner.Plan, ch *costopt.Choice, cat *storage.Cat
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, ixs
 }
 
-// TestForcedPathsAgree runs the same queries over the cross product
-// {eager, lazy trie} × {intersect, probe navigator} × {1, 4} threads
-// and requires bit-identical results: both navigators must visit
-// exactly the same ascending survivor sequence over either
-// representation, on grouped and grand-aggregate shapes alike. The two
-// diagonal combinations are what ForcePath=wcoj and ForcePath=binary
-// execute; Run itself is checked against them.
+// TestForcedPathsAgree runs the same queries with tries compiled for
+// either path × either navigator × {1, 4} threads, over three cache
+// states: cold (no cache), and one trie cache whose entries a binary
+// query and then a WCOJ query share, and the reverse order. Results
+// must be bit-identical to a cold WCOJ run: both navigators visit
+// exactly the same ascending survivor sequence whether a level is read
+// as its flat run or its sets, on grouped and grand-aggregate shapes
+// alike. The diagonal combinations are what ForcePath=wcoj and
+// ForcePath=binary execute; Run itself is checked against them.
 func TestForcedPathsAgree(t *testing.T) {
 	cat := binaryCatalog(t, 500)
 	queries := []string{
@@ -136,6 +146,15 @@ func TestForcedPathsAgree(t *testing.T) {
 		`SELECT sum(x) as v FROM fact, dim WHERE fact.a = dim.a1 AND fact.b = dim.b1 AND x > 2`,
 	}
 	paths := []string{costopt.PathWCOJ, costopt.PathBinary}
+	states := []struct {
+		name   string
+		shared bool
+		order  []string
+	}{
+		{"cold", false, paths},
+		{"binary then wcoj", true, []string{costopt.PathBinary, costopt.PathWCOJ}},
+		{"wcoj then binary", true, []string{costopt.PathWCOJ, costopt.PathBinary}},
+	}
 	for _, sql := range queries {
 		p, ch := planFor(t, cat, sql)
 		want, err := Run(p, ch, cat, Options{Threads: 1, ForcePath: costopt.PathWCOJ})
@@ -143,10 +162,30 @@ func TestForcedPathsAgree(t *testing.T) {
 			t.Fatalf("wcoj %q: %v", sql, err)
 		}
 		for _, threads := range []int{1, 4} {
-			for _, backing := range paths {
-				for _, nav := range paths {
-					got := runWith(t, p, ch, cat, backing, nav, threads)
-					assertResultsEqual(t, fmt.Sprintf("%s [%s backing, %s navigator, %d threads]", sql, backing, nav, threads), want, got)
+			for _, st := range states {
+				var cache *TrieCache
+				if st.shared {
+					cache = NewTrieCache()
+				}
+				var first map[int]*trie.Lazy
+				for _, backing := range st.order {
+					for _, nav := range paths {
+						got, ixs := runWith(t, p, ch, cat, Options{Threads: threads, ForcePath: backing, Cache: cache}, nav)
+						at := fmt.Sprintf("%s [%s: %s backing, %s navigator, %d threads]", sql, st.name, backing, nav, threads)
+						assertResultsEqual(t, at, want, got)
+						// An unfiltered relation is served its cached trie.
+						for i, ix := range ixs {
+							if first == nil || !st.shared || p.Rels[i].Filter != nil {
+								continue
+							}
+							if ix != first[i] {
+								t.Fatalf("%s: %s not served the cached trie", at, p.Rels[i].Alias)
+							}
+						}
+						if first == nil {
+							first = ixs
+						}
+					}
 				}
 			}
 			got, err := Run(p, ch, cat, Options{Threads: threads, ForcePath: costopt.PathBinary})
@@ -154,6 +193,50 @@ func TestForcedPathsAgree(t *testing.T) {
 				t.Fatalf("binary %q: %v", sql, err)
 			}
 			assertResultsEqual(t, sql, want, got)
+		}
+	}
+}
+
+// TestSharedTrieConcurrentPaths runs binary and WCOJ queries at once
+// over one trie cache whose entries a binary query left lazily built:
+// a WCOJ query's compile converts levels of the shared tries to sets
+// while binary queries rank and read runs on the same tries (run under
+// -race by make hybrid-race). Every result must be bit-identical to a
+// cold run.
+func TestSharedTrieConcurrentPaths(t *testing.T) {
+	cat := binaryCatalog(t, 2000)
+	sql := `SELECT a, sum(x * w) as v, count(*) as c FROM fact, dim WHERE fact.a = dim.a1 AND fact.b = dim.b1 GROUP BY a`
+	p, ch := planFor(t, cat, sql)
+	want, err := Run(p, ch, cat, Options{Threads: 1, ForcePath: costopt.PathWCOJ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 4; round++ {
+		cache := NewTrieCache()
+		if _, err := Run(p, ch, cat, Options{Threads: 1, ForcePath: costopt.PathBinary, Cache: cache}); err != nil {
+			t.Fatal(err)
+		}
+		paths := []string{costopt.PathWCOJ, costopt.PathBinary, costopt.PathBinary, costopt.PathWCOJ, costopt.PathBinary, costopt.PathBinary}
+		errs := make(chan error, len(paths))
+		for _, path := range paths {
+			go func(path string) {
+				got, err := Run(p, ch, cat, Options{Threads: 4, ForcePath: path, Cache: cache})
+				if err == nil {
+					err = sameResult(want, got)
+				}
+				if err != nil {
+					err = fmt.Errorf("%s over the shared cache: %v", path, err)
+				}
+				errs <- err
+			}(path)
+		}
+		for range paths {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cache.Len() != 2 {
+			t.Fatalf("cache holds %d tries, want 2 (one per relation, shared by both paths)", cache.Len())
 		}
 	}
 }

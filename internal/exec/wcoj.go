@@ -542,7 +542,8 @@ func releaseWorkers(ws []*worker) {
 
 // lazyLevelsSum counts the materialized levels of the node's base
 // relations; runNode diffs it around execution for the EXPLAIN ANALYZE
-// lazy-build counter (fully built tries contribute a constant).
+// lazy-build counter (a WCOJ node's tries are fully built at compile
+// time, so only a binary-path node's can move it).
 func lazyLevelsSum(n *cNode) int {
 	s := 0
 	for _, cr := range n.rels {
@@ -594,7 +595,7 @@ func candidates(n *cNode, d int, ranks [][]int32, lb *levelBufs) (vals []uint32,
 		}
 	}
 	p := ps[drv]
-	vals, base = n.rels[p.rel].ix.Run(p.lvl, parentRank(ranks, p), &lb.vals)
+	vals, base = n.rels[p.rel].ix.Run(p.lvl, parentRank(ranks, p))
 	return vals, drv, base
 }
 
@@ -1349,10 +1350,10 @@ func (u *unionAcc) flushInto(out *rowsBuf, prefix []uint32) {
 	}
 }
 
-// buildChildTrie turns a child node's output rows into a trie keyed by
-// the parent's access order over the shared vertices, annotated with the
-// child multiplicity.
-func buildChildTrie(child *cNode, rows *rowsBuf, parentAttrs []string) (*trie.Trie, error) {
+// buildChildTrie turns a child node's output rows into a fully built
+// trie keyed by the parent's access order over the shared vertices,
+// annotated with the child multiplicity.
+func buildChildTrie(child *cNode, rows *rowsBuf, parentAttrs []string) (*trie.Lazy, error) {
 	childAttrs := child.outKeyAttrs()
 	perm := make([]int, len(parentAttrs))
 	for i, pa := range parentAttrs {
@@ -1381,5 +1382,10 @@ func buildChildTrie(child *cNode, rows *rowsBuf, parentAttrs []string) (*trie.Tr
 		vals[r] = rows.aggs[r*rows.aWidth] // __childmult is the only agg
 	}
 	in.Anns = []trie.AnnSpec{{Name: multAnn, Level: len(parentAttrs) - 1, Kind: trie.F64, F64: vals}}
-	return trie.Build(in)
+	lz, err := trie.NewLazy(in)
+	if err != nil {
+		return nil, err
+	}
+	lz.Full(0)
+	return lz, nil
 }

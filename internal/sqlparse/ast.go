@@ -118,6 +118,54 @@ type ExtractExpr struct {
 	X    Expr
 }
 
+// Unqualified returns e with every column reference's qualifier
+// dropped. An expression over one relation renders the same under every
+// alias of that relation.
+func Unqualified(e Expr) Expr {
+	switch x := e.(type) {
+	case ColRef:
+		return ColRef{Name: x.Name}
+	case BinaryExpr:
+		return BinaryExpr{Op: x.Op, L: Unqualified(x.L), R: Unqualified(x.R)}
+	case UnaryExpr:
+		return UnaryExpr{Op: x.Op, X: Unqualified(x.X)}
+	case FuncCall:
+		x.Args = unqualifiedAll(x.Args)
+		return x
+	case CaseExpr:
+		whens := make([]WhenClause, len(x.Whens))
+		for i, w := range x.Whens {
+			whens[i] = WhenClause{Cond: Unqualified(w.Cond), Then: Unqualified(w.Then)}
+		}
+		x.Whens = whens
+		if x.Else != nil {
+			x.Else = Unqualified(x.Else)
+		}
+		return x
+	case BetweenExpr:
+		x.X, x.Lo, x.Hi = Unqualified(x.X), Unqualified(x.Lo), Unqualified(x.Hi)
+		return x
+	case InExpr:
+		x.X, x.Vals = Unqualified(x.X), unqualifiedAll(x.Vals)
+		return x
+	case LikeExpr:
+		x.X = Unqualified(x.X)
+		return x
+	case ExtractExpr:
+		x.X = Unqualified(x.X)
+		return x
+	}
+	return e
+}
+
+func unqualifiedAll(es []Expr) []Expr {
+	out := make([]Expr, len(es))
+	for i, e := range es {
+		out[i] = Unqualified(e)
+	}
+	return out
+}
+
 func (ColRef) exprNode()      {}
 func (NumberLit) exprNode()   {}
 func (StringLit) exprNode()   {}

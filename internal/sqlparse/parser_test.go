@@ -378,3 +378,14 @@ func TestNotLookaheadEdgeCases(t *testing.T) {
 		t.Fatalf("rhs inner = %T %+v, want non-negated LikeExpr", un.X, un.X)
 	}
 }
+
+// TestUnqualified drops every qualifier, in every node kind, and
+// nothing else: literals that look like qualified names stay.
+func TestUnqualified(t *testing.T) {
+	q := mustParse(t, `SELECT sum(case when m1.s like 'm1.%' and m1.d between m1.a and 3 and m1.b not in (m1.c, 1) then -m1.v * extract(year from m1.d) else abs(m1.v) end) FROM m AS m1`)
+	e := q.Select[0].Expr.(FuncCall).Args[0]
+	want := "case when (((s like 'm1.%') and (d between a and 3)) and (b not in (c, 1))) then ((- v) * extract(year from d)) else abs(v) end"
+	if got := Unqualified(e).String(); got != want {
+		t.Fatalf("Unqualified = %s\nwant %s", got, want)
+	}
+}

@@ -86,74 +86,36 @@ func buildThreads(threads int) int {
 	return threads
 }
 
-// buildLevel splits the flattened values at the recorded boundaries into
-// per-parent sets, builds rank indexes, and detects full density.
-func buildLevel(vals []uint32, ends []int32, threads int) *Level {
-	l := &Level{
-		Sets:   make([]set.Set, len(ends)),
-		Starts: make([]int32, len(ends)+1),
-		Dense:  true,
-	}
-	// Starts are prefix sums of set cardinalities (= segment lengths,
-	// since segments hold distinct sorted values).
-	var start int32
-	var elems int32
-	for i, end := range ends {
-		l.Starts[i] = elems
-		elems += end - start
-		start = end
-	}
-	l.Starts[len(ends)] = elems
+// buildLevel splits the flattened values at the set bounds starts
+// (len(starts) = sets+1, held as the level's Starts) into per-parent
+// sets and builds their rank indexes.
+func buildLevel(vals []uint32, starts []int32, threads int) *Level {
+	n := len(starts) - 1
+	l := &Level{Sets: make([]set.Set, n), Starts: starts}
 	// Set construction (layout choice, bitset fill, rank indexes) is
 	// independent per parent and parallelizes cleanly.
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	if len(ends) < 1024 || threads <= 1 {
+	if n < 1024 || threads <= 1 {
 		threads = 1
 	}
-	var dense [64]bool
-	if threads > len(dense) {
-		threads = len(dense)
-	}
-	chunk := (len(ends) + threads - 1) / threads
+	chunk := (n + threads - 1) / threads
 	var wg sync.WaitGroup
 	var pc qerr.PanicCell
-	for t := 0; t < threads; t++ {
-		lo, hi := t*chunk, (t+1)*chunk
-		if hi > len(ends) {
-			hi = len(ends)
-		}
-		if lo >= hi {
-			dense[t] = true
-			continue
-		}
+	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
-		go func(t, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
 			defer pc.Recover()
-			allDense := true
 			for i := lo; i < hi; i++ {
-				var s0 int32
-				if i > 0 {
-					s0 = ends[i-1]
-				}
-				s := set.FromSorted(vals[s0:ends[i]])
+				s := set.FromSorted(vals[starts[i]:starts[i+1]])
 				s.BuildRankIndex()
 				l.Sets[i] = s
-				if s.Card() > 0 && (s.Layout() != set.Bitset || int(s.Max()-s.Min())+1 != s.Card()) {
-					allDense = false
-				}
 			}
-			dense[t] = allDense
-		}(t, lo, hi)
+		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
 	pc.Repanic()
-	for t := 0; t < threads; t++ {
-		if !dense[t] {
-			l.Dense = false
-		}
-	}
 	return l
 }

@@ -115,8 +115,8 @@ func tailSel(rng *rand.Rand, b, n int) []int32 {
 }
 
 // TestDeriveMatchesDirectBuild: a trie derived from the filter-free base
-// is bit-identical — levels, Starts, Dense, every annotation by bit
-// pattern, and the whole Index surface — to the sort-and-scan reference
+// is bit-identical — levels, Starts, set layouts, every annotation by
+// bit pattern, and the whole query surface — to the sort-and-scan reference
 // over the gathered survivors, as are Build and NewLazy().Full(), across
 // 1–3 levels, duplicate key tuples, NaN and ±0 leaf values, Sum/min/max
 // folds, Code annotations, and empty, all-pass and single-row
@@ -169,7 +169,7 @@ func TestDeriveMatchesDirectBuild(t *testing.T) {
 			if got.BuiltLevels() != k {
 				t.Fatalf("iter %d: derived BuiltLevels=%d, want %d", iter, got.BuiltLevels(), k)
 			}
-			if d := indexDiff(want, got); d != "" {
+			if d := indexDiff(want, got, len(sel)); d != "" {
 				t.Fatalf("iter %d (k=%d n=%d base=%d sel=%d): derived index: %s", iter, k, n, b, len(sel), d)
 			}
 			requireTrieEqual(t, want, got.Full(0))

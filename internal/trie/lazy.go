@@ -25,11 +25,14 @@ import (
 // their annotations in row order, as a stable sort followed by a
 // sequential dedup scan would.
 //
-// Every Index accessor materializes what it reads on first touch; the
-// atomic built counters give the happens-before edge, so
-// already-materialized state is read without locking. Once every level
-// and annotation buffer exists, a trie drops the state only its build
-// read (see dropBuildStateLocked).
+// It is also the one query-trie type: the join recursion, the cost
+// audit and the dense kernels navigate it directly. Sets are addressed
+// by (level, parentRank): the global rank of the parent element one
+// level up, 0 at level 0. Every accessor materializes what it reads on
+// first touch; the atomic built counters and level pointers give the
+// happens-before edge, so already-materialized state is read without
+// locking. Once every level and annotation buffer exists, a trie drops
+// the state only its build read (see dropBuildStateLocked).
 type Lazy struct {
 	Attrs []string
 
@@ -68,7 +71,7 @@ type Lazy struct {
 	probe0Ready atomic.Bool
 
 	// eager[d] is level d in set-per-node form, built by the first Set
-	// call on it (or by Full) from the flat run.
+	// call on it (or by Full) from the flat run, whose starts it shares.
 	eager []atomic.Pointer[Level]
 
 	full *Trie
@@ -337,35 +340,39 @@ func (l *Lazy) flat(level int) *lazyLevel {
 	return l.levels[level]
 }
 
-// HasDups implements Index.
-func (l *Lazy) HasDups() bool { return true }
+// HasDups reports whether duplicate key tuples were folded into the
+// annotations: exact once the leaf level is built, true before.
+func (l *Lazy) HasDups() bool {
+	if int(l.built.Load()) < l.k {
+		return true
+	}
+	return l.n != len(l.levels[l.k-1].vals)
+}
 
-// Eager implements Index.
-func (l *Lazy) Eager() *Trie { return nil }
-
-// Card implements Index.
+// Card is the cardinality of the set under parentRank.
 func (l *Lazy) Card(level int, parentRank int32) int {
 	lv := l.flat(level)
 	return int(lv.starts[parentRank+1] - lv.starts[parentRank])
 }
 
-// Run implements Index; the flat run is already the ascending slice.
-func (l *Lazy) Run(level int, parentRank int32, _ *[]uint32) ([]uint32, int32) {
+// Run returns the set under parentRank as its ascending value run,
+// which aliases the trie (callers only read it), plus the global rank
+// of its first element.
+func (l *Lazy) Run(level int, parentRank int32) ([]uint32, int32) {
 	lv := l.flat(level)
 	lo := lv.starts[parentRank]
 	return lv.vals[lo:lv.starts[parentRank+1]], lo
 }
 
-// RankOf implements Index: the dense probe index on level 0, binary
-// search over the flattened value run below it.
-func (l *Lazy) RankOf(level int, parentRank int32, v uint32) int32 {
-	var out [1]int32
-	l.RankBlock(level, parentRank, []uint32{v}, out[:])
-	return out[0]
-}
-
-// RankBlock implements Index.
+// RankBlock writes to out[i] the global rank of vals[i] in the set
+// under parentRank, or -1 when the set lacks it. It ranks through the
+// level's set-per-node form once that exists, else through the dense
+// probe index on level 0 and binary search over the flat run below.
 func (l *Lazy) RankBlock(level int, parentRank int32, vals []uint32, out []int32) {
+	if el := l.eager[level].Load(); el != nil {
+		el.RankBlock(parentRank, vals, out)
+		return
+	}
 	if level == 0 {
 		idx := l.probeIndex()
 		for i, v := range vals {
@@ -420,8 +427,8 @@ func (l *Lazy) probeIndex() []int32 {
 	return idx
 }
 
-// Set implements Index: the level is converted to set-per-node form
-// once, with the layouts Full uses.
+// Set returns the set under parentRank in intersectable form: the
+// first call on a level converts the whole level to set-per-node form.
 func (l *Lazy) Set(level int, parentRank int32) *set.Set {
 	lv := l.eager[level].Load()
 	if lv == nil {
@@ -437,17 +444,19 @@ func (l *Lazy) eagerLevelLocked(d, threads int) *Level {
 		return lv
 	}
 	l.ensureLevelsLocked(d)
-	ends := l.levels[d].starts[1:]
+	starts := l.levels[d].starts
 	if l.n == 0 {
-		ends = []int32{0}
+		// An empty input keeps one empty set on every level.
+		starts = []int32{0, 0}
 	}
-	lv := buildLevel(l.levels[d].vals, ends, threads)
+	lv := buildLevel(l.levels[d].vals, starts, threads)
 	l.eager[d].Store(lv)
 	return lv
 }
 
-// Ann implements Index: the first call materializes every annotation
-// buffer (and with them every key level).
+// Ann returns the named annotation buffer (indexed by the global rank
+// of the level it hangs off) or nil. The first call materializes every
+// annotation buffer and with them every key level.
 func (l *Lazy) Ann(name string) *Annotation {
 	l.ensureAnns()
 	return l.anns[name]
@@ -467,10 +476,9 @@ func (l *Lazy) Full(threads int) *Trie {
 	l.ensureLevelsLocked(l.k - 1)
 	l.ensureAnnsLocked()
 	t := &Trie{
-		Attrs:      append([]string(nil), l.Attrs...),
-		Levels:     make([]*Level, l.k),
-		Anns:       make(map[string]*Annotation, len(l.anns)),
-		SourceRows: l.n,
+		Attrs:  append([]string(nil), l.Attrs...),
+		Levels: make([]*Level, l.k),
+		Anns:   make(map[string]*Annotation, len(l.anns)),
 	}
 	for name, a := range l.anns {
 		t.Anns[name] = a

@@ -65,10 +65,9 @@ func refBuild(in BuildInput) *Trie {
 		return false
 	})
 	t := &Trie{
-		Attrs:      append([]string(nil), in.Attrs...),
-		Levels:     make([]*Level, k),
-		Anns:       make(map[string]*Annotation, len(in.Anns)),
-		SourceRows: n,
+		Attrs:  append([]string(nil), in.Attrs...),
+		Levels: make([]*Level, k),
+		Anns:   make(map[string]*Annotation, len(in.Anns)),
 	}
 	anns := make([]*Annotation, len(in.Anns))
 	for i, a := range in.Anns {
@@ -76,7 +75,10 @@ func refBuild(in BuildInput) *Trie {
 		t.Anns[a.Name] = anns[i]
 	}
 	vals := make([][]uint32, k)
-	ends := make([][]int32, k)
+	starts := make([][]int32, k)
+	for d := range starts {
+		starts[d] = []int32{0}
+	}
 	for i, r := range order {
 		// First level at which this row differs from the previous one.
 		d := 0
@@ -98,7 +100,7 @@ func refBuild(in BuildInput) *Trie {
 		}
 		// Levels below d get new sets (their parent changed).
 		for lvl := d + 1; i > 0 && lvl < k; lvl++ {
-			ends[lvl] = append(ends[lvl], int32(len(vals[lvl])))
+			starts[lvl] = append(starts[lvl], int32(len(vals[lvl])))
 		}
 		for lvl := d; lvl < k; lvl++ {
 			vals[lvl] = append(vals[lvl], in.Keys[lvl][r])
@@ -114,27 +116,27 @@ func refBuild(in BuildInput) *Trie {
 		}
 	}
 	for d := 0; d < k; d++ {
-		ends[d] = append(ends[d], int32(len(vals[d])))
-		t.Levels[d] = buildLevel(vals[d], ends[d], in.Threads)
+		starts[d] = append(starts[d], int32(len(vals[d])))
+		t.Levels[d] = buildLevel(vals[d], starts[d], in.Threads)
 	}
 	t.NumTuples = t.Levels[k-1].NumElems()
 	return t
 }
 
 // requireTrieEqual asserts two tries are bit-identical: shape, sets,
-// ranks, density, and annotation buffers (float comparisons by bits).
+// ranks, layouts, and annotation buffers (float comparisons by bits).
 func requireTrieEqual(t *testing.T, want, got *Trie) {
 	t.Helper()
-	if got.NumTuples != want.NumTuples || got.SourceRows != want.SourceRows {
-		t.Fatalf("tuples/rows: got %d/%d want %d/%d", got.NumTuples, got.SourceRows, want.NumTuples, want.SourceRows)
+	if got.NumTuples != want.NumTuples {
+		t.Fatalf("tuples: got %d want %d", got.NumTuples, want.NumTuples)
 	}
 	if len(got.Levels) != len(want.Levels) {
 		t.Fatalf("levels: got %d want %d", len(got.Levels), len(want.Levels))
 	}
 	for d := range want.Levels {
 		wl, gl := want.Levels[d], got.Levels[d]
-		if len(gl.Sets) != len(wl.Sets) || gl.Dense != wl.Dense {
-			t.Fatalf("level %d: sets=%d dense=%v, want sets=%d dense=%v", d, len(gl.Sets), gl.Dense, len(wl.Sets), wl.Dense)
+		if len(gl.Sets) != len(wl.Sets) {
+			t.Fatalf("level %d: sets=%d, want %d", d, len(gl.Sets), len(wl.Sets))
 		}
 		if len(gl.Starts) != len(wl.Starts) {
 			t.Fatalf("level %d starts len: got %d want %d", d, len(gl.Starts), len(wl.Starts))
@@ -145,6 +147,9 @@ func requireTrieEqual(t *testing.T, want, got *Trie) {
 			}
 		}
 		for p := range wl.Sets {
+			if gl.Sets[p].Layout() != wl.Sets[p].Layout() {
+				t.Fatalf("level %d set %d layout: got %v want %v", d, p, gl.Sets[p].Layout(), wl.Sets[p].Layout())
+			}
 			wv := wl.Sets[p].Values()
 			gv := gl.Sets[p].Values()
 			if len(wv) != len(gv) {
@@ -238,18 +243,20 @@ func TestLazyEquivalence(t *testing.T) {
 	}
 }
 
-// indexDiff walks the whole Index surface of got — every (level,
-// parent): cardinality, value run, base rank, set, scalar and batched
-// rank lookups incl. absent values — plus every annotation buffer, and
-// describes the first disagreement with the eagerly built reference.
-func indexDiff(want *Trie, got Index) string {
-	if want.HasDups() && !got.HasDups() {
+// indexDiff walks the whole query surface of got, a trie over rows
+// source rows — every (level, parent): cardinality, value run, base
+// rank, set, and batched rank lookups incl. absent values, before and
+// after the level's set form exists — plus every annotation buffer and
+// HasDups, and describes the first disagreement with the eagerly built
+// reference.
+func indexDiff(want *Trie, got *Lazy, rows int) string {
+	dups := rows != want.NumTuples
+	if dups && !got.HasDups() {
 		return "HasDups=false on an input with duplicate tuples"
 	}
-	var buf []uint32
 	for d, lv := range want.Levels {
 		// Reachable parents only: an empty input still carries one
-		// (unaddressable) empty set per deeper eager level.
+		// (unaddressable) empty set per deeper level of the reference.
 		parents := 1
 		if d > 0 {
 			parents = want.Levels[d-1].NumElems()
@@ -260,12 +267,9 @@ func indexDiff(want *Trie, got Index) string {
 			if c := got.Card(d, int32(p)); c != len(wvals) {
 				return fmt.Sprintf("Card%s=%d want %d", at, c, len(wvals))
 			}
-			vals, base := got.Run(d, int32(p), &buf)
+			vals, base := got.Run(d, int32(p))
 			if !slices.Equal(vals, wvals) || base != lv.Starts[p] {
 				return fmt.Sprintf("Run%s=%v@%d want %v@%d", at, vals, base, wvals, lv.Starts[p])
-			}
-			if sv := got.Set(d, int32(p)).Values(); !slices.Equal(sv, wvals) {
-				return fmt.Sprintf("Set%s=%v want %v", at, sv, wvals)
 			}
 			// Probe block: every present value interleaved with its
 			// (mostly absent) successor, plus an out-of-domain code.
@@ -273,15 +277,18 @@ func indexDiff(want *Trie, got Index) string {
 			for _, v := range wvals {
 				probe = append(probe, v, v+1)
 			}
+			wr := make([]int32, len(probe))
+			lv.RankBlock(int32(p), probe, wr)
 			ranks := make([]int32, len(probe))
-			got.RankBlock(d, int32(p), probe, ranks)
-			for i, v := range probe {
-				wr := want.RankOf(d, int32(p), v)
-				if ranks[i] != wr {
-					return fmt.Sprintf("RankBlock%s[%d]=%d want %d", at, v, ranks[i], wr)
+			for _, form := range []string{"flat", "set"} {
+				if form == "set" {
+					if sv := got.Set(d, int32(p)).Values(); !slices.Equal(sv, wvals) {
+						return fmt.Sprintf("Set%s=%v want %v", at, sv, wvals)
+					}
 				}
-				if r := got.RankOf(d, int32(p), v); r != wr {
-					return fmt.Sprintf("RankOf%s[%d]=%d want %d", at, v, r, wr)
+				got.RankBlock(d, int32(p), probe, ranks)
+				if !slices.Equal(ranks, wr) {
+					return fmt.Sprintf("RankBlock%s over the %s form=%v want %v", at, form, ranks, wr)
 				}
 			}
 		}
@@ -297,15 +304,19 @@ func indexDiff(want *Trie, got Index) string {
 			}
 		}
 	}
+	// Ann built every level: HasDups is exact now.
+	if got.HasDups() != dups {
+		return fmt.Sprintf("HasDups=%v on a built trie, want %v", got.HasDups(), dups)
+	}
 	return ""
 }
 
-// TestIndexSurfaceAgrees is the property behind the one-handle seam:
+// TestIndexSurfaceAgrees is the property behind the one trie type:
 // over random inputs — duplicate-heavy, single-level, and empty — the
-// Index surfaces of Build(in) and NewLazy(in) answer exactly like the
-// reference's, with every lazy level, the probe index, the set form and
-// the annotations first touched concurrently by several goroutines (run
-// under -race).
+// query surface of NewLazy(in), fully built first or not, answers
+// exactly like the reference's, with every lazy level, the probe index,
+// the set form and the annotations first touched concurrently by
+// several goroutines (run under -race).
 func TestIndexSurfaceAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for iter := 0; iter < 120; iter++ {
@@ -316,23 +327,21 @@ func TestIndexSurfaceAgrees(t *testing.T) {
 		}
 		in := randBuildInput(rng, k, n)
 		want := refBuild(in)
-		built, err := Build(in)
+		built, err := NewLazy(in)
 		if err != nil {
-			t.Fatalf("Build: %v", err)
+			t.Fatalf("NewLazy: %v", err)
 		}
-		if d := indexDiff(want, built); d != "" {
+		built.Full(0)
+		if d := indexDiff(want, built, n); d != "" {
 			t.Fatalf("iter %d: built index: %s", iter, d)
 		}
 		lz, err := NewLazy(in)
 		if err != nil {
 			t.Fatalf("NewLazy: %v", err)
 		}
-		if lz.Eager() != nil || built.Eager() != built {
-			t.Fatal("Eager(): want the trie itself for *Trie, nil for *Lazy")
-		}
 		diffs := make(chan string, 4)
 		for g := 0; g < cap(diffs); g++ {
-			go func() { diffs <- indexDiff(want, lz) }()
+			go func() { diffs <- indexDiff(want, lz, n) }()
 		}
 		for g := 0; g < cap(diffs); g++ {
 			if d := <-diffs; d != "" {
@@ -360,7 +369,7 @@ func TestLazyConcurrentEnsure(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			lz.Card(g%3, 0)
-			lz.RankOf(0, 0, 1)
+			lz.RankBlock(0, 0, []uint32{1}, make([]int32, 1))
 			lz.Ann("f0")
 			done <- lz.Full(0)
 		}(g)
@@ -374,7 +383,7 @@ func TestLazyConcurrentEnsure(t *testing.T) {
 // TestFullLazyDropsBuildState: once a non-base Lazy is fully built, its
 // MemBytes counts only the levels' values and set bounds, the probe
 // index and the annotation buffers — no frontier, row offsets or
-// counting scratch — and its Index surface, first touched concurrently
+// counting scratch — and its query surface, first touched concurrently
 // after the drop (run under -race), still answers like the reference.
 func TestFullLazyDropsBuildState(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -393,7 +402,7 @@ func TestFullLazyDropsBuildState(t *testing.T) {
 		requireTrieEqual(t, want, lz.Full(0))
 		diffs := make(chan string, 4)
 		for g := 0; g < cap(diffs); g++ {
-			go func() { diffs <- indexDiff(want, lz) }()
+			go func() { diffs <- indexDiff(want, lz, n) }()
 		}
 		for g := 0; g < cap(diffs); g++ {
 			if d := <-diffs; d != "" {

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/set"
 )
 
 // matrixInput builds the paper's Fig. 3 example: a sparse matrix stored
@@ -32,20 +34,23 @@ func TestBuildMatrixTrie(t *testing.T) {
 	if tr.NumLevels() != 2 || tr.NumTuples != 5 {
 		t.Fatalf("levels=%d tuples=%d", tr.NumLevels(), tr.NumTuples)
 	}
-	l0 := tr.Set(0, 0)
-	if got, want := l0.Values(), []uint32{0, 1, 2}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("level0 = %v, want %v", got, want)
+	lz, err := NewLazy(matrixInput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l0, base := lz.Run(0, 0)
+	if want := []uint32{0, 1, 2}; !reflect.DeepEqual(l0, want) || base != 0 {
+		t.Fatalf("level0 = %v@%d, want %v@0", l0, base, want)
 	}
 	// Children of row 0 are cols {0,2}; row 1 -> {1}; row 2 -> {0,2}.
 	wantChildren := [][]uint32{{0, 2}, {1}, {0, 2}}
-	l0.ForEachIndexed(func(i int, v uint32) {
-		child := tr.Set(1, tr.GlobalRank(0, 0, i))
-		if got := child.Values(); !reflect.DeepEqual(got, wantChildren[v]) {
+	for i, v := range l0 {
+		if got := lz.Set(1, int32(i)).Values(); !reflect.DeepEqual(got, wantChildren[v]) {
 			t.Errorf("children of row %d = %v, want %v", v, got, wantChildren[v])
 		}
-	})
+	}
 	// Annotation values follow sorted (i,j) order.
-	ann := tr.Ann("v")
+	ann := lz.Ann("v")
 	if ann == nil || ann.Level != 1 {
 		t.Fatal("missing annotation v at level 1")
 	}
@@ -75,8 +80,8 @@ func TestBuildUnsortedInputMatchesSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Ann("v").F64, b.Ann("v").F64) {
-		t.Fatalf("annotations differ: %v vs %v", a.Ann("v").F64, b.Ann("v").F64)
+	if !reflect.DeepEqual(a.Anns["v"].F64, b.Anns["v"].F64) {
+		t.Fatalf("annotations differ: %v vs %v", a.Anns["v"].F64, b.Anns["v"].F64)
 	}
 	if a.NumTuples != b.NumTuples {
 		t.Fatalf("tuple counts differ: %d vs %d", a.NumTuples, b.NumTuples)
@@ -92,15 +97,16 @@ func TestDuplicateKeysCombine(t *testing.T) {
 			F64: []float64{1, 2, 4, 10},
 		}},
 	}
-	tr, err := Build(in)
+	lz, err := NewLazy(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumTuples != 2 || tr.SourceRows != 4 {
-		t.Fatalf("tuples=%d rows=%d", tr.NumTuples, tr.SourceRows)
+	tr := lz.Full(0)
+	if tr.NumTuples != 2 || !lz.HasDups() {
+		t.Fatalf("tuples=%d dups=%v", tr.NumTuples, lz.HasDups())
 	}
 	// Sorted keys: 3 (10), 7 (1+2+4).
-	if got, want := tr.Ann("v").F64, []float64{10, 7}; !reflect.DeepEqual(got, want) {
+	if got, want := tr.Anns["v"].F64, []float64{10, 7}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("combined annotations = %v, want %v", got, want)
 	}
 }
@@ -121,7 +127,7 @@ func TestDuplicateKeysCustomCombine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Ann("v").F64[0]; got != 2 {
+	if got := tr.Anns["v"].F64[0]; got != 2 {
 		t.Fatalf("min combine = %v, want 2", got)
 	}
 }
@@ -144,33 +150,40 @@ func TestIntermediateLevelAnnotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ann := tr.Ann("o_date")
+	ann := tr.Anns["o_date"]
 	if got, want := ann.Codes, []uint32{100, 200}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("level-0 annotation = %v, want %v", got, want)
 	}
 }
 
+// TestRankOf ranks through the flat run (with level 0's probe index)
+// and, once the level is in set-per-node form, through its sets.
 func TestRankOf(t *testing.T) {
-	tr, err := Build(matrixInput())
+	lz, err := NewLazy(matrixInput())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := tr.RankOf(0, 0, 1); r != 1 {
-		t.Errorf("RankOf(level0, 1) = %d, want 1", r)
+	for _, form := range []string{"flat", "set"} {
+		if form == "set" {
+			lz.Full(0)
+		}
+		r := make([]int32, 2)
+		if lz.RankBlock(0, 0, []uint32{1, 9}, r); r[0] != 1 || r[1] != -1 {
+			t.Errorf("%s: level-0 ranks of 1, 9 = %v, want [1 -1]", form, r)
+		}
+		// Row 2's children set is the third set at level 1: global ranks 3,4.
+		if lz.RankBlock(1, 2, []uint32{2, 1}, r); r[0] != 4 || r[1] != -1 {
+			t.Errorf("%s: ranks of (2,2), (2,1) = %v, want [4 -1]", form, r)
+		}
 	}
-	if r := tr.RankOf(0, 0, 9); r != -1 {
-		t.Errorf("RankOf absent = %d, want -1", r)
-	}
-	// Row 2's children set is the third set at level 1: global ranks 3,4.
-	rowRank := tr.RankOf(0, 0, 2)
-	if r := tr.RankOf(1, rowRank, 2); r != 4 {
-		t.Errorf("RankOf(2,2) = %d, want 4", r)
-	}
-	if v := tr.Ann("v").F64[4]; v != 0.5 {
+	if v := lz.Ann("v").F64[4]; v != 0.5 {
 		t.Errorf("ann[(2,2)] = %v, want 0.5", v)
 	}
 }
 
+// TestDenseDetection: a fully dense matrix has only contiguous runs,
+// which are always bitsets (the dense kernels' trigger); a sparse one
+// has a gap.
 func TestDenseDetection(t *testing.T) {
 	n := 64
 	keys := make([][]uint32, 2)
@@ -184,7 +197,7 @@ func TestDenseDetection(t *testing.T) {
 			vals[i*n+j] = float64(i + j)
 		}
 	}
-	tr, err := Build(BuildInput{
+	lz, err := NewLazy(BuildInput{
 		Attrs: []string{"i", "j"},
 		Keys:  keys,
 		Anns:  []AnnSpec{{Name: "v", Level: 1, Kind: F64, F64: vals}},
@@ -192,20 +205,26 @@ func TestDenseDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Levels[0].Dense || !tr.Levels[1].Dense {
-		t.Error("fully dense matrix should have dense levels")
+	tr := lz.Full(0)
+	for d, parents := range []int{1, n} {
+		for p := 0; p < parents; p++ {
+			run, _ := lz.Run(d, int32(p))
+			if len(run) != n || run[0] != 0 || run[n-1] != uint32(n-1) || tr.Levels[d].Sets[p].Layout() != set.Bitset {
+				t.Fatalf("dense matrix: level %d run %d is not a contiguous bitset", d, p)
+			}
+		}
 	}
 	// The dense annotation buffer is exactly the row-major matrix — the
 	// BLAS-compatibility property of attribute elimination.
-	if tr.Ann("v").F64[5] != 5 || tr.Ann("v").F64[n*n-1] != float64(2*(n-1)) {
+	if lz.Ann("v").F64[5] != 5 || lz.Ann("v").F64[n*n-1] != float64(2*(n-1)) {
 		t.Error("dense annotation buffer is not row-major")
 	}
-	sparseTr, err := Build(matrixInput())
+	sparse, err := NewLazy(matrixInput())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sparseTr.Levels[1].Dense {
-		t.Error("sparse matrix level 1 should not be dense")
+	if run, _ := sparse.Run(1, 0); len(run) != 2 || run[1]-run[0] == 1 {
+		t.Errorf("sparse matrix row 0 = %v, want a gap", run)
 	}
 }
 
@@ -250,7 +269,7 @@ func TestEmptyRelation(t *testing.T) {
 	if tr.NumTuples != 0 {
 		t.Fatalf("empty relation tuples = %d", tr.NumTuples)
 	}
-	if !tr.Set(0, 0).Empty() {
+	if !tr.Levels[0].Sets[0].Empty() {
 		t.Error("empty relation level-0 set should be empty")
 	}
 }
@@ -285,17 +304,15 @@ func TestTrieContainsExactlyInputTuples(t *testing.T) {
 		// Walk the full trie; check each tuple and annotation.
 		found := 0
 		ok := true
-		l0 := tr.Set(0, 0)
-		l0.ForEachIndexed(func(i0 int, v0 uint32) {
-			r0 := tr.GlobalRank(0, 0, i0)
-			s1 := tr.Set(1, r0)
+		at := func(d int, p int32) (*set.Set, int32) { return &tr.Levels[d].Sets[p], tr.Levels[d].Starts[p] }
+		s0, _ := at(0, 0)
+		s0.ForEachIndexed(func(i0 int, v0 uint32) {
+			s1, b1 := at(1, int32(i0))
 			s1.ForEachIndexed(func(i1 int, v1 uint32) {
-				r1 := tr.GlobalRank(1, r0, i1)
-				s2 := tr.Set(2, r1)
+				s2, b2 := at(2, b1+int32(i1))
 				s2.ForEachIndexed(func(i2 int, v2 uint32) {
-					r2 := tr.GlobalRank(2, r1, i2)
 					want, present := sum[tup{v0, v1, v2}]
-					if !present || tr.Ann("v").F64[r2] != want {
+					if !present || tr.Anns["v"].F64[b2+int32(i2)] != want {
 						ok = false
 					}
 					found++
@@ -316,8 +333,5 @@ func TestStringSummary(t *testing.T) {
 	}
 	if s := tr.String(); s == "" {
 		t.Error("String() should not be empty")
-	}
-	if tr.LevelOf("j") != 1 || tr.LevelOf("zzz") != -1 {
-		t.Error("LevelOf wrong")
 	}
 }
