@@ -127,11 +127,13 @@ difftest-long:
 # every stage twice, the second run deriving). The compiled leaf's
 # bit-identity check runs here too, at 1 and 4 threads, and so do
 # concurrent appends, snapshots and compactions extending one set of
-# shared column arrays.
+# shared column arrays. So do the semijoin reduction's checks: reduced
+# and unreduced runs bit-identical at 1, 2 and 7 threads on every path,
+# and reduced queries run at once over one trie cache.
 hybrid-race:
 	$(GO) test -race -count=1 -run TestDifferentialShort ./internal/difftest -difftest.lane hybrid
 	$(GO) test -race -count=1 -run TestDifferentialShort ./internal/difftest -difftest.lane ingest
-	$(GO) test -race -count=1 -run 'TestDeriveConcurrent|TestDeriveParallelRegions|TestConcurrentDerive|TestConcurrentAppendDerive|TestLeafKernelBitIdentical|TestConcurrentAppendSnapshotCompact|TestSharedTrieConcurrentPaths|TestForcedPathsAgree' ./internal/trie ./internal/exec ./internal/storage
+	$(GO) test -race -count=1 -run 'TestSemijoin|TestDeriveConcurrent|TestDeriveParallelRegions|TestConcurrentDerive|TestConcurrentAppendDerive|TestLeafKernelBitIdentical|TestConcurrentAppendSnapshotCompact|TestSharedTrieConcurrentPaths|TestForcedPathsAgree' ./internal/trie ./internal/exec ./internal/storage
 
 # Non-blank, non-comment lines of non-test Go in the packages the
 # "one executor", "one scalar evaluator" and "one cost model" work is

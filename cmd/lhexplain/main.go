@@ -12,39 +12,52 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/tpch"
 )
 
 func main() {
-	analyze := flag.Bool("analyze", false, "execute the query and include measured stats")
-	flag.Parse()
-	eng := core.New()
-	if _, err := tpch.Populate(eng.Catalog(), 0.005, 2026); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	names := flag.Args()
+}
+
+// run parses the command line in args and writes each query's plan to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("lhexplain", flag.ContinueOnError)
+	analyze := fs.Bool("analyze", false, "execute the query and include measured stats")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	names := fs.Args()
 	if len(names) == 0 {
 		names = tpch.QueryNames
 	}
 	for _, q := range names {
-		sql, ok := tpch.Queries[q]
-		if !ok {
-			log.Fatalf("unknown query %q", q)
+		if _, ok := tpch.Queries[q]; !ok {
+			return fmt.Errorf("unknown query %q", q)
 		}
+	}
+	eng := core.New()
+	if _, err := tpch.Populate(eng.Catalog(), 0.005, 2026); err != nil {
+		return err
+	}
+	for _, q := range names {
 		var s string
 		var err error
 		if *analyze {
-			s, err = eng.ExplainAnalyze(sql)
+			s, err = eng.ExplainAnalyze(tpch.Queries[q])
 		} else {
-			s, err = eng.Explain(sql)
+			s, err = eng.Explain(tpch.Queries[q])
 		}
 		if err != nil {
-			log.Fatal(err)
+			return fmt.Errorf("%s: %w", q, err)
 		}
-		fmt.Println("=== " + q)
-		fmt.Print(s)
+		fmt.Fprint(w, "=== "+q+"\n"+s)
 	}
+	return nil
 }

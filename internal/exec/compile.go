@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -366,11 +367,15 @@ func (c *compiled) compileNode(n *ghd.Node, ch *costopt.Choice, isRoot bool) (*c
 		}
 	}
 
-	// Build relation tries: a WCOJ node's are fully built at compile
-	// time (it intersects every level), a binary-path node's materialize
-	// as its probes reach them.
-	for _, ei := range n.Edges {
-		cr, err := c.buildRel(ei, ord.Attrs, leafAST[ei], combines[ei], cn.path == costopt.PathBinary)
+	// Build relation tries over the semijoin-reduced selections: a WCOJ
+	// node's are fully built at compile time (it intersects every level),
+	// a binary-path node's materialize as its probes reach them.
+	sels, err := c.selectNode(n.Edges)
+	if err != nil {
+		return nil, err
+	}
+	for i, ei := range n.Edges {
+		cr, err := c.buildRel(ei, sels[i], ord.Attrs, leafAST[ei], combines[ei], cn.path == costopt.PathBinary)
 		if err != nil {
 			return nil, err
 		}
@@ -560,12 +565,176 @@ func (c *compiled) vertexDomainSize(vertex string) int {
 	return 0
 }
 
+// semijoinOff makes compile skip the semijoin reduction (tests compare
+// the two).
+var semijoinOff bool
+
+// selectNode runs the selection pass of every filtered relation of a
+// node, then semijoin-reduces the selections against each other. sels[i]
+// lists the ascending rows of edges[i] that enter its trie; nil means
+// every row (an unfiltered relation).
+func (c *compiled) selectNode(edges []int) ([][]int32, error) {
+	sels := make([][]int32, len(edges))
+	var filtered, selected []int
+	for i, ei := range edges {
+		r := &c.p.Rels[ei]
+		if r.Filter == nil {
+			continue
+		}
+		if err := ctxErr(c.opts.Ctx); err != nil {
+			return nil, err
+		}
+		rows, err := c.selectRows(r)
+		if err != nil {
+			return nil, err
+		}
+		sels[i] = rows
+		filtered = append(filtered, i)
+		selected = append(selected, len(rows))
+	}
+	if !semijoinOff {
+		if err := c.semijoinReduce(edges, filtered, sels); err != nil {
+			return nil, err
+		}
+	}
+	if st := c.opts.Stats; st != nil {
+		for k, i := range filtered {
+			st.Semijoins = append(st.Semijoins, obs.Semijoin{Rel: c.p.Rels[edges[i]].Alias, Selected: selected[k], Reduced: len(sels[i])})
+		}
+	}
+	return sels, nil
+}
+
+// selectRows runs a relation's filter over its table, block at a time per
+// parfor chunk (the kernels only read immutable column buffers), and
+// returns the ascending surviving row ids.
+func (c *compiled) selectRows(r *planner.RelInfo) ([]int32, error) {
+	tb := c.tbl(r)
+	pred, err := expr.CompilePred(r.Filter, &expr.Binding{Alias: r.Alias, Table: tb})
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]int32, tb.NumRows)
+	return keepRows(c.opts.threads(), buf, func(lo, hi int) int {
+		sel := pred.Bind()
+		ids := make([]int32, expr.BlockSize)
+		k := lo
+		for blk := lo; blk < hi; blk += expr.BlockSize {
+			k += copy(buf[k:], sel(expr.Rows(ids, blk, min(blk+expr.BlockSize, hi)), ids))
+		}
+		return k - lo
+	}), nil
+}
+
+// keepRows filters buf in parallel chunks: keep(lo, hi) writes the
+// survivors of buf's range [lo, hi), ascending, over the front of that
+// range and returns their count. Packing the chunks in order leaves the
+// survivors ascending at the front of buf, which is returned.
+func keepRows(threads int, buf []int32, keep func(lo, hi int) int) []int32 {
+	spans := make([][2]int, max(threads, 1))
+	parallelRangeID(threads, len(buf), func(id, lo, hi int) {
+		spans[id] = [2]int{lo, lo + keep(lo, hi)}
+	})
+	m := 0
+	for _, sp := range spans {
+		m += copy(buf[m:], buf[sp[0]:sp[1]])
+	}
+	return buf[:m:m]
+}
+
+// semijoinReduce drops from each filtered relation's selection the rows
+// that cannot join the node's other filtered relations. Smallest
+// selection first (ties by edge index), each filtered relation marks the
+// codes its selection holds on every join-key vertex it shares with
+// another filtered relation, and that relation keeps only the rows
+// whose code on the vertex is marked. The node is an inner equi-join,
+// so a dropped row never meets a result tuple; surviving rows keep
+// their order, so the tries built over them fold the same rows in the
+// same order and results stay bit-identical. Unfiltered relations are
+// neither reduced nor reducers: their tries are cached whole.
+func (c *compiled) semijoinReduce(edges, filtered []int, sels [][]int32) error {
+	if len(filtered) < 2 {
+		return nil
+	}
+	order := slices.Clone(filtered)
+	sort.Slice(order, func(a, b int) bool {
+		ia, ib := order[a], order[b]
+		if len(sels[ia]) != len(sels[ib]) {
+			return len(sels[ia]) < len(sels[ib])
+		}
+		return edges[ia] < edges[ib]
+	})
+	threads := c.opts.threads()
+	for _, i := range order {
+		r := &c.p.Rels[edges[i]]
+		for _, v := range r.Vertices {
+			codes, dom := c.joinKeyCodes(r, v)
+			if codes == nil {
+				continue
+			}
+			var words []uint64
+			for _, j := range order {
+				if j == i {
+					continue
+				}
+				other, _ := c.joinKeyCodes(&c.p.Rels[edges[j]], v)
+				if other == nil {
+					continue
+				}
+				if words == nil {
+					words = make([]uint64, (dom+63)/64)
+					if err := c.opts.Mem.Charge(int64(8 * len(words))); err != nil {
+						return err
+					}
+					for _, row := range sels[i] {
+						k := codes[row]
+						words[k>>6] |= 1 << (k & 63)
+					}
+				}
+				sel := sels[j]
+				sels[j] = keepRows(threads, sel, func(lo, hi int) int {
+					m := lo
+					for _, row := range sel[lo:hi] {
+						// A code past the reducer's dictionary was minted
+						// after it and is in none of its rows.
+						if k := other[row]; int(k>>6) < len(words) && words[k>>6]&(1<<(k&63)) != 0 {
+							sel[m] = row
+							m++
+						}
+					}
+					return m - lo
+				})
+			}
+		}
+	}
+	return nil
+}
+
+// joinKeyCodes returns the code column and domain size behind vertex v
+// of relation r when that column is a join key, and nil otherwise (a
+// relation without v, or a pseudo-vertex, which is never a reduction
+// key). Key columns sharing a vertex share a join domain, whose codes
+// stay the same as its dictionary grows, so they compare across tables
+// of different generations.
+func (c *compiled) joinKeyCodes(r *planner.RelInfo, v string) ([]uint32, int) {
+	name, ok := r.VertexCol[v]
+	if !ok {
+		return nil, 0
+	}
+	col := c.tbl(r).Col(name)
+	if col == nil || col.Def.Role != storage.Key || col.Dict() == nil {
+		return nil, 0
+	}
+	return col.KeyCodes(), col.Dict().Len()
+}
+
 // buildRel builds (or fetches from cache) the query trie for one
-// relation: key levels in node order (attribute elimination: only the
-// vertices this query touches enter the trie), rows selected and leaf
-// values computed by block kernels, leaf and multiplicity annotations
-// pre-aggregated over duplicate key tuples. Unless lazy is set (binary
-// access path), every level is materialized now.
+// relation over its selected rows (nil: every row): key levels in node
+// order (attribute elimination: only the vertices this query touches
+// enter the trie), leaf values computed by block kernels, leaf and
+// multiplicity annotations pre-aggregated over duplicate key tuples.
+// Unless lazy is set (binary access path), every level is materialized
+// now.
 //
 // Both reusable pieces are the physical index whose creation the
 // paper's measurements exclude. An unfiltered relation's whole trie is
@@ -577,7 +746,7 @@ func (c *compiled) vertexDomainSize(vertex string) int {
 // filtered miss of its table and columns and serves later generations
 // too: rows appended since are a tail, sorted and merged in by Derive.
 // Derived and direct builds are bit-identical.
-func (c *compiled) buildRel(relIdx int, order []string,
+func (c *compiled) buildRel(relIdx int, rows []int32, order []string,
 	leafAST map[string]sqlparse.Expr, combines map[string]trie.CombineFunc, lazy bool) (*cRel, error) {
 
 	r := &c.p.Rels[relIdx]
@@ -623,35 +792,7 @@ func (c *compiled) buildRel(relIdx int, order []string,
 	}
 
 	binding := &expr.Binding{Alias: r.Alias, Table: tb}
-
-	// Row selection, block at a time per parfor chunk (the kernels only
-	// read immutable column buffers). Each chunk writes its ascending
-	// survivors over the front of its own row range of one n-row buffer;
-	// packing the chunks in order leaves them ascending.
 	n := tb.NumRows
-	var rows []int32
-	if r.Filter != nil {
-		pred, err := expr.CompilePred(r.Filter, binding)
-		if err != nil {
-			return nil, err
-		}
-		buf := make([]int32, n)
-		spans := make([][2]int, threads)
-		parallelRangeID(threads, n, func(id, lo, hi int) {
-			sel := pred.Bind()
-			ids := make([]int32, expr.BlockSize)
-			k := lo
-			for blk := lo; blk < hi; blk += expr.BlockSize {
-				k += copy(buf[k:], sel(expr.Rows(ids, blk, min(blk+expr.BlockSize, hi)), ids))
-			}
-			spans[id] = [2]int{lo, k}
-		})
-		m := 0
-		for _, sp := range spans {
-			m += copy(buf[m:], buf[sp[0]:sp[1]])
-		}
-		rows = buf[:m:m]
-	}
 	nRows := n
 	if rows != nil {
 		nRows = len(rows)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -263,9 +264,9 @@ func TestBudgetAdmitsWarmRuns(t *testing.T) {
 				run(t, cat, sql, Options{ForcePath: path, Threads: 1, Cache: NewTrieCache(), Mem: probe}, costopt.Options{})
 				cold = max(cold, probe.Used())
 			}
-			// 1% over the cold charge absorbs the workers' pooled
-			// buffers, whose reuse varies the charge from run to run.
-			for _, budget := range []int64{cold + cold/100, cold + cold/2, 1 << 40} {
+			// A query's charge does not depend on the worker pool, so
+			// the cold charge itself is the tightest budget.
+			for _, budget := range []int64{cold, cold + cold/2, 1 << 40} {
 				cache := NewTrieCache()
 				derived := 0
 				for round := 0; round < 3; round++ {
@@ -281,6 +282,37 @@ func TestBudgetAdmitsWarmRuns(t *testing.T) {
 				// Under any budget, oneday's few survivors build directly.
 				if budget == 1<<40 && (derived == 0) != (name == "oneday") {
 					t.Fatalf("%s/%s: %d tries derived under an unbounded budget", name, path, derived)
+				}
+			}
+		}
+	}
+}
+
+// TestChargeIndependentOfPool: a query's accountant charge is one number
+// over 20 runs, whatever the worker pool holds: emptied before some
+// runs, holding workers grown by a query with a large output before
+// others, and left as the previous run left it before the rest.
+func TestChargeIndependentOfPool(t *testing.T) {
+	cat := tpchCatalog(t, 0.002)
+	const big = `SELECT l_orderkey, l_partkey, l_suppkey, sum(l_quantity) AS q FROM orders, lineitem
+		WHERE l_orderkey = o_orderkey GROUP BY l_orderkey, l_partkey, l_suppkey`
+	for name, sql := range filteredShapes() {
+		for _, path := range []string{costopt.PathWCOJ, costopt.PathBinary} {
+			var want int64
+			for i := 0; i < 20; i++ {
+				switch i % 3 {
+				case 0: // two collections empty a sync.Pool
+					runtime.GC()
+					runtime.GC()
+				case 1:
+					run(t, cat, big, Options{ForcePath: path, Threads: 2}, costopt.Options{})
+				}
+				mem := governor.New(governor.Config{MemoryBudget: 1 << 40}).NewAccountant(sql, 0)
+				run(t, cat, sql, Options{ForcePath: path, Threads: 2, Mem: mem}, costopt.Options{})
+				if i == 0 {
+					want = mem.Used()
+				} else if got := mem.Used(); got != want {
+					t.Fatalf("%s/%s run %d: charged %d bytes, first run %d", name, path, i, got, want)
 				}
 			}
 		}

@@ -407,7 +407,8 @@ func (w *scanWorker) retained() int64 {
 	return n
 }
 
-// hashAccBytes is the memory h holds, counted as the join workers do.
+// hashAccBytes is the memory h holds: a scan's tables are never pooled,
+// so all of their capacity is this query's.
 func hashAccBytes(h *hashAcc) int64 {
 	return int64(cap(h.tokens))*8 + int64(cap(h.aggs))*8 + int64(cap(h.slots))*4 + int64(cap(h.dense))*4
 }

@@ -179,6 +179,21 @@ func configureHashAcc(h *hashAcc, n *cNode) *hashAcc {
 
 func (h *hashAcc) n() int { return len(h.tokens) / max1(h.nG) }
 
+// heldBytes is what the table holds for its groups: their tokens and
+// accumulators, and its dense index or the probe table a fresh table
+// grows to for that many groups (a pooled one may be larger).
+func (h *hashAcc) heldBytes() int64 {
+	b := int64(len(h.tokens))*8 + int64(len(h.aggs))*8 + int64(len(h.dense))*4
+	if h.dense == nil {
+		slots := minAccSlots
+		for h.n()*4 > slots*3 {
+			slots *= 2
+		}
+		b += int64(slots) * 4
+	}
+	return b
+}
+
 func max1(x int) int {
 	if x < 1 {
 		return 1
@@ -1051,22 +1066,24 @@ func (w *worker) tick() error {
 	return w.chargeRetained()
 }
 
-// chargeRetained charges the accountant for the growth of this worker's
-// retained buffers since the last flush. Charging capacity deltas keeps
-// the cost proportional to actual growth: a steady-state query whose
-// pooled buffers already fit charges nothing after the first tick.
+// chargeRetained charges the accountant for the growth of what this
+// worker's buffers hold for the query since the last flush: the rows
+// and groups it has written and the tables its node sized, never the
+// spare capacity a pooled buffer kept from an earlier query. So a
+// query's charge is a function of the query and its data, whatever the
+// pool kept or dropped, and a steady-state query charges nothing once
+// its high-water mark is reached.
 func (w *worker) chargeRetained() error {
 	if w.mem == nil {
 		return nil
 	}
-	ret := int64(cap(w.out.keys))*4 + int64(cap(w.out.aggs))*8
+	ret := int64(len(w.out.keys))*4 + int64(len(w.out.aggs))*8
 	if w.curVals != nil && w.hacc != nil {
-		ret += int64(cap(w.hacc.tokens))*8 + int64(cap(w.hacc.aggs))*8 +
-			int64(cap(w.hacc.slots))*4 + int64(cap(w.hacc.dense))*4
+		ret += w.hacc.heldBytes()
 	}
 	if w.n != nil && w.n.relaxed && w.uAcc != nil {
-		ret += int64(cap(w.uAcc.vals))*8 + int64(cap(w.uAcc.mark))*4 +
-			int64(cap(w.uAcc.touched))*4
+		ret += int64(len(w.uAcc.vals))*8 + int64(len(w.uAcc.mark))*4 +
+			int64(len(w.uAcc.touched))*4
 	}
 	if ret <= w.memCharged {
 		return nil

@@ -137,6 +137,10 @@ type QueryStats struct {
 	TrieCacheMisses int
 	TriesBuilt      int
 	TriesDerived    int
+	// Semijoins lists each filtered relation of a GHD node, in pre-order:
+	// the rows its filter selected and the rows left once the node's
+	// other filtered relations semijoin-reduced its selection.
+	Semijoins []Semijoin
 
 	// Heap traffic attributed to the query: bytes allocated and GC
 	// cycles started while it ran (runtime/metrics deltas taken around
@@ -184,6 +188,14 @@ type QueryStats struct {
 	RowsOut int
 }
 
+// Semijoin is one filtered relation's selection before and after its
+// GHD node's semijoin reduction.
+type Semijoin struct {
+	Rel      string // the relation's alias
+	Selected int    // rows the filter kept
+	Reduced  int    // rows left after the reduction
+}
+
 // String renders the stats in the EXPLAIN ANALYZE block format.
 func (q *QueryStats) String() string {
 	var b strings.Builder
@@ -218,6 +230,9 @@ func (q *QueryStats) String() string {
 		}
 		fmt.Fprintf(&b, "cost audit [%s]:%s est=%.0f actual=%.0f ratio=%.2f bindings est=%.0f actual=%d (isect=%d, %s)\n",
 			strings.Join(nc.Order, " "), path, nc.Est, nc.Actual, nc.Ratio, nc.EstBindings, nc.Bindings, nc.Isect, fmtBytes(nc.Bytes))
+	}
+	for _, sj := range q.Semijoins {
+		fmt.Fprintf(&b, "semijoin: %s sel=%d reduced=%d\n", sj.Rel, sj.Selected, sj.Reduced)
 	}
 	fmt.Fprintf(&b, "tries: built=%d derived=%d cache hit=%d miss=%d\n", q.TriesBuilt, q.TriesDerived, q.TrieCacheHits, q.TrieCacheMisses)
 	fmt.Fprintf(&b, "heap: %s allocated, %d gc cycles\n", fmtBytes(q.AllocBytes), q.GCCycles)
