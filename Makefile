@@ -133,7 +133,7 @@ difftest-long:
 hybrid-race:
 	$(GO) test -race -count=1 -run TestDifferentialShort ./internal/difftest -difftest.lane hybrid
 	$(GO) test -race -count=1 -run TestDifferentialShort ./internal/difftest -difftest.lane ingest
-	$(GO) test -race -count=1 -run 'TestSemijoin|TestDeriveConcurrent|TestDeriveParallelRegions|TestConcurrentDerive|TestConcurrentAppendDerive|TestLeafKernelBitIdentical|TestConcurrentAppendSnapshotCompact|TestSharedTrieConcurrentPaths|TestForcedPathsAgree' ./internal/trie ./internal/exec ./internal/storage
+	$(GO) test -race -count=1 -run 'TestSemijoin|TestDeriveConcurrent|TestDeriveParallelRegions|TestConcurrentDerive|TestConcurrentAppendDerive|TestLeafKernelBitIdentical|TestConcurrentAppendSnapshotCompact|TestSharedTrieConcurrentPaths|TestForcedPathsAgree|TestMetaColumn' ./internal/trie ./internal/exec ./internal/storage
 
 # Non-blank, non-comment lines of non-test Go in the packages the
 # "one executor", "one scalar evaluator" and "one cost model" work is

@@ -105,37 +105,28 @@ type cNode struct {
 	leaf []leafChain
 }
 
-// hashGroup computes the emit-time group token of one GROUP BY item.
+// hashGroup computes the emit-time group token of one GROUP BY item: a
+// load from its token column at the item's vertex binding.
 type hashGroup struct {
-	level     int // position of the item's vertex in the node order
-	domain    int // token code-space size when known (> 0), else 0
-	metaRows  []int32
-	metaCodes []uint32
-	metaNum   *expr.Num
+	level  int // position of the item's vertex in the node order
+	domain int // token code-space size when known (> 0), else 0
+	toks   []uint64
 }
 
-// metaLookup evaluates a numeric GroupMeta expression at one metadata
-// row: its user's own bound kernel over a one-row selection, with its own
-// scratch (a bound kernel serves one goroutine).
-type metaLookup struct {
-	vec expr.Vec
-	row [1]int32
-	val [1]float64
-}
+// absentTok marks a token-column entry whose code has no metadata row.
+// CanonFloatBits never returns it (every NaN is the one quiet NaN), and a
+// string annotation code has 32 bits.
+const absentTok = math.MaxUint64
 
-// bindMeta binds a lookup for one user; a nil expression (a string item,
-// decoded through metaCodes) yields an unused zero lookup.
-func bindMeta(n *expr.Num) metaLookup {
-	if n == nil {
-		return metaLookup{}
+// metaTok loads the token of a code from a token column; ok is false for
+// an absent code, including one minted after the column was built (a
+// shared join domain grows through appends to other tables).
+func metaTok(toks []uint64, code uint32) (tok uint64, ok bool) {
+	if int(code) >= len(toks) {
+		return 0, false
 	}
-	return metaLookup{vec: n.Bind()}
-}
-
-func (m *metaLookup) at(row int32) float64 {
-	m.row[0] = row
-	m.vec(m.row[:], m.val[:])
-	return m.val[0]
+	tok = toks[code]
+	return tok, tok != absentTok
 }
 
 // pseudoDecoder decodes pseudo-vertex codes back to values.
@@ -153,13 +144,12 @@ type groupDecoder struct {
 	domain *dict.Dictionary
 	// GroupPseudo decode:
 	pseudo *pseudoDecoder
-	// GroupMeta decode (the metadata container M):
-	metaRows  []int32
-	metaNum   *expr.Num
-	metaCodes []uint32
-	metaDict  *dict.Dictionary
-	metaDate  bool
-	outKind   Kind
+	// GroupMeta decode (the metadata container M): the token column, and
+	// a string item's dictionary.
+	toks     []uint64
+	metaDict *dict.Dictionary
+	metaDate bool
+	outKind  Kind
 }
 
 type compiled struct {
@@ -1140,46 +1130,31 @@ func (c *compiled) buildGroupDecoders() error {
 		case planner.GroupMeta:
 			r := &c.p.Rels[g.Rel]
 			tb := c.tbl(r)
-			pkCol := tb.Col(r.VertexCol[g.Vertex])
-			metaRows := make([]int32, pkCol.Dict().Len())
-			for i := range metaRows {
-				metaRows[i] = -1
-			}
-			for row, code := range pkCol.KeyCodes() {
-				metaRows[code] = int32(row)
-			}
-			gd.metaRows = metaRows
-			if col, isStr, isDate, ok := metaColRef(r, tb, g.Expr); ok && isStr {
-				gd.metaCodes = col.AnnCodes()
+			col, isStr, isDate, ok := metaColRef(r, tb, g.Expr)
+			var strCol *storage.Column
+			switch {
+			case isStr:
+				strCol = col
 				gd.metaDict = col.Dict()
 				gd.outKind = KindString
-			} else {
-				binding := &expr.Binding{Alias: r.Alias, Table: tb}
-				num, err := expr.CompileNum(g.Expr, binding)
-				if err != nil {
-					return err
-				}
-				gd.metaNum = num
-				gd.metaDate = isDate && !c.p.StoredGroupKinds
-				switch {
-				case gd.metaDate:
-					gd.outKind = KindString
-				case ok && col.Def.Kind != storage.Float64:
-					gd.outKind = KindInt
-				default:
-					gd.outKind = KindFloat
-				}
+			case isDate && !c.p.StoredGroupKinds:
+				gd.metaDate = true
+				gd.outKind = KindString
+			case ok && col.Def.Kind != storage.Float64:
+				gd.outKind = KindInt
+			default:
+				gd.outKind = KindFloat
 			}
+			toks, err := c.metaTokens(r, tb, g, strCol)
+			if err != nil {
+				return err
+			}
+			gd.toks = toks
 		}
 		c.groups = append(c.groups, gd)
 		if c.p.HashEmit {
-			hg := hashGroup{
-				level:     gd.pos,
-				metaRows:  gd.metaRows,
-				metaCodes: gd.metaCodes,
-				metaNum:   gd.metaNum,
-			}
-			if gd.metaCodes != nil && gd.metaDict != nil {
+			hg := hashGroup{level: gd.pos, toks: gd.toks}
+			if gd.metaDict != nil {
 				// Dictionary-coded tokens have a known domain, enabling the
 				// aggregation table's dense direct-indexed fallback.
 				hg.domain = gd.metaDict.Len()
@@ -1188,6 +1163,79 @@ func (c *compiled) buildGroupDecoders() error {
 		}
 	}
 	return nil
+}
+
+// metaTokens returns GroupMeta item g's token column over r's primary
+// key: toks[code] is the item's token at the row whose key has that
+// code — dict.CanonFloatBits of a numeric item's value, the annotation
+// code of a string item (strCol) — and absentTok where no row has it.
+// The column depends only on the table generation, so it is cached per
+// {table, generation, key column, expression}; an expression holding a
+// literal is built per query and not cached, so redrawn literals never
+// grow the cache. A build is charged to the building query.
+func (c *compiled) metaTokens(r *planner.RelInfo, tb *storage.Table, g planner.GroupItem, strCol *storage.Column) ([]uint64, error) {
+	pkName := r.VertexCol[g.Vertex]
+	pkCol := tb.Col(pkName)
+	e := sqlparse.Unqualified(g.Expr)
+	cache := c.opts.Cache
+	if cache != nil && sqlparse.HasLiteral(e) {
+		cache = nil
+	}
+	key := metaKey{table: tb.Schema.Name, gen: tb.Generation(), pk: pkName, expr: e.String()}
+	if cache != nil {
+		if toks, ok := cache.meta(key); ok {
+			return toks, nil
+		}
+	}
+	var num *expr.Num
+	var ann []uint32
+	if strCol != nil {
+		ann = strCol.AnnCodes()
+	} else {
+		var err error
+		if num, err = expr.CompileNum(g.Expr, &expr.Binding{Alias: r.Alias, Table: tb}); err != nil {
+			return nil, err
+		}
+	}
+	n := pkCol.Dict().Len()
+	if err := c.opts.Mem.Charge(int64(8 * n)); err != nil {
+		return nil, err
+	}
+	toks := make([]uint64, n)
+	fillMeta(toks, pkCol.KeyCodes(), num, ann)
+	if cache != nil {
+		cache.putMeta(key, toks)
+	}
+	return toks, nil
+}
+
+// fillMeta fills a token column (tests swap in a per-row reference).
+var fillMeta = fillMetaBlocks
+
+// fillMetaBlocks sets toks[keys[row]] to each row's token: its string
+// annotation code when ann is set, else num's value, evaluated in one
+// block-kernel pass over the rows. Codes no row holds are absent.
+func fillMetaBlocks(toks []uint64, keys []uint32, num *expr.Num, ann []uint32) {
+	for i := range toks {
+		toks[i] = absentTok
+	}
+	if ann != nil {
+		for row, code := range keys {
+			toks[code] = uint64(ann[row])
+		}
+		return
+	}
+	val := num.Bind()
+	ids := make([]int32, expr.BlockSize)
+	vals := make([]float64, expr.BlockSize)
+	for blk := 0; blk < len(keys); blk += expr.BlockSize {
+		end := min(blk+expr.BlockSize, len(keys))
+		out := vals[:end-blk]
+		val(expr.Rows(ids, blk, end), out)
+		for i, v := range out {
+			toks[keys[blk+i]] = dict.CanonFloatBits(v)
+		}
+	}
 }
 
 // metaColRef inspects a GroupMeta expression: when it is a plain column

@@ -140,13 +140,16 @@ func (c *Column) Float(row int) float64 {
 
 // TrieCache holds the query-trie pieces reusable across queries: the
 // whole trie of an unfiltered relation, keyed on its table generation,
-// and the filter-free base sort order a filtered relation's trie is
-// derived from, which stays valid while its table only grows.
+// the filter-free base sort order a filtered relation's trie is derived
+// from, which stays valid while its table only grows, and the token
+// columns of GroupMeta items (the metadata container M), keyed on their
+// table generation like the tries.
 type TrieCache struct {
 	mu sync.RWMutex
-	// m holds tries of at most one generation per table: caching a
-	// newer generation's trie drops the table's older ones.
+	// m and metas hold entries of at most one generation per table:
+	// caching a newer generation's entry drops the table's older ones.
 	m     map[trieKey]*trie.Lazy
+	metas map[metaKey][]uint64
 	bases map[baseKey]*cachedBase
 	// missed records base keys that missed once: the next miss builds
 	// the base. Bounded by maxMissed (cleared when full, which at worst
@@ -172,6 +175,51 @@ type trieKey struct {
 	leaves string
 }
 
+// metaKey identifies one GroupMeta token column: the metadata table's
+// generation, the primary-key column its codes index, and the item's
+// expression rendered without alias qualifiers, so every alias of the
+// table shares it.
+type metaKey struct {
+	table string
+	gen   uint64
+	pk    string
+	expr  string
+}
+
+func (k trieKey) tableGen() (string, uint64) { return k.table, k.gen }
+func (k metaKey) tableGen() (string, uint64) { return k.table, k.gen }
+
+// genKey is a cache key that names a table generation.
+type genKey interface {
+	comparable
+	tableGen() (string, uint64)
+}
+
+// putNewest stores v under key and drops the table's entries of older
+// generations; a value of a generation older than one already held is
+// not kept.
+func putNewest[K genKey, V any](m map[K]V, key K, v V) {
+	table, gen := key.tableGen()
+	for k := range m {
+		switch t, g := k.tableGen(); {
+		case t != table:
+		case g > gen:
+			return
+		case g < gen:
+			delete(m, k)
+		}
+	}
+	m[key] = v
+}
+
+// dropOtherGens drops the table's entries of every generation but keep.
+func dropOtherGens[K genKey, V any](m map[K]V, table string, keep uint64) {
+	maps.DeleteFunc(m, func(k K, _ V) bool {
+		t, g := k.tableGen()
+		return t == table && g != keep
+	})
+}
+
 // cachedBase is a base order with the table generation and the number
 // of leading rows it was built over. Rows only ever append (compaction
 // keeps their order) and key codes of stable columns never change, so
@@ -193,7 +241,8 @@ const rebaseFrac = 64
 
 // NewTrieCache returns an empty cache.
 func NewTrieCache() *TrieCache {
-	return &TrieCache{m: map[trieKey]*trie.Lazy{}, bases: map[baseKey]*cachedBase{}, missed: map[baseKey]struct{}{}}
+	return &TrieCache{m: map[trieKey]*trie.Lazy{}, metas: map[metaKey][]uint64{},
+		bases: map[baseKey]*cachedBase{}, missed: map[baseKey]struct{}{}}
 }
 
 func (c *TrieCache) get(key trieKey) (*trie.Lazy, bool) {
@@ -214,18 +263,22 @@ func (c *TrieCache) put(key trieKey, ix *trie.Lazy) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k := range c.m {
-		if k.table != key.table {
-			continue
-		}
-		if k.gen > key.gen {
-			return
-		}
-		if k.gen < key.gen {
-			delete(c.m, k)
-		}
-	}
-	c.m[key] = ix
+	putNewest(c.m, key, ix)
+}
+
+// meta returns the cached token column under key.
+func (c *TrieCache) meta(key metaKey) ([]uint64, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	toks, ok := c.metas[key]
+	return toks, ok
+}
+
+// putMeta caches a token column under the rules put keeps for tries.
+func (c *TrieCache) putMeta(key metaKey, toks []uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	putNewest(c.metas, key, toks)
 }
 
 // base returns the cached base under key when it orders a prefix of
@@ -266,19 +319,22 @@ func (c *TrieCache) putBase(key baseKey, b *cachedBase) {
 	}
 }
 
-// PurgeTable drops every cached trie of the named table from a
-// generation other than keep. Bases stay: a compacted generation keeps
-// its rows' order and codes.
+// PurgeTable drops every cached trie and token column of the named
+// table from a generation other than keep. Bases stay: a compacted
+// generation keeps its rows' order and codes.
 func (c *TrieCache) PurgeTable(table string, keep uint64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	maps.DeleteFunc(c.m, func(k trieKey, _ *trie.Lazy) bool { return k.table == table && k.gen != keep })
+	dropOtherGens(c.m, table, keep)
+	dropOtherGens(c.metas, table, keep)
 }
 
-// Len reports the number of cached tries and bases.
+// Len reports the number of cached tries and bases. GroupMeta token
+// columns do not count: they are small beside the tries, at most one
+// per item expression and primary-key column of a table generation.
 func (c *TrieCache) Len() int {
 	if c == nil {
 		return 0

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -12,9 +13,10 @@ import (
 	"repro/internal/storage"
 )
 
-// metaCatalog builds fact(a, x) ⋈ dim(a1 PK, w, d, tag): GROUP BY items
-// over dim's annotations resolve through dim's primary key (GroupMeta).
-// Values are small integers, so every sum is exact in any order.
+// metaCatalog builds fact(a, x) ⋈ dim(a1 PK, w, d, tag, z): GROUP BY
+// items over dim's annotations resolve through dim's primary key
+// (GroupMeta). Values are small integers, so every sum is exact in any
+// order; z also holds NaNs (two payloads) and -0.0.
 func metaCatalog(t *testing.T, nDim, nFact int) *storage.Catalog {
 	t.Helper()
 	cat := storage.NewCatalog()
@@ -30,6 +32,7 @@ func metaCatalog(t *testing.T, nDim, nFact int) *storage.Catalog {
 		{Name: "w", Kind: storage.Float64, Role: storage.Annotation},
 		{Name: "d", Kind: storage.Date, Role: storage.Annotation},
 		{Name: "tag", Kind: storage.String, Role: storage.Annotation},
+		{Name: "z", Kind: storage.Float64, Role: storage.Annotation},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +40,8 @@ func metaCatalog(t *testing.T, nDim, nFact int) *storage.Catalog {
 	r := rand.New(rand.NewSource(11))
 	for a := 0; a < nDim; a++ {
 		day := int64(8000 + r.Intn(3000)) // late 1991 to early 2000
-		if err := dim.Append(int64(a), float64(r.Intn(6)), day, []string{"u", "v", "w"}[r.Intn(3)]); err != nil {
+		z := []float64{math.NaN(), math.Float64frombits(0x7ff8000000000abc), math.Copysign(0, -1), 0, 1, 2}[a%6]
+		if err := dim.Append(int64(a), float64(r.Intn(6)), day, []string{"u", "v", "w"}[r.Intn(3)], z); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,10 +155,10 @@ func TestGroupMetaMatchesReference(t *testing.T) {
 }
 
 // TestHashEmitMetaZeroAllocs guards the per-tuple GroupMeta lookup of
-// the emit-time hash aggregation: each worker evaluates numeric items
-// through its own bound kernel over a one-row selection, so with the
-// groups warm a full chunk — lookups included — must not allocate.
-// (bench-smoke runs it with the other ZeroAllocs guards.)
+// the emit-time hash aggregation: each item's token is a load from its
+// token column, built at compile time, so with the groups warm a full
+// chunk — lookups included — must not allocate. (bench-smoke runs it
+// with the other ZeroAllocs guards.)
 func TestHashEmitMetaZeroAllocs(t *testing.T) {
 	cat := metaCatalog(t, 200, 4000)
 	for _, sql := range []string{

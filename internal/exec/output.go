@@ -1,11 +1,9 @@
 package exec
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
-	"repro/internal/dict"
 	"repro/internal/faultinject"
 	"repro/internal/planner"
 	"repro/internal/sqlparse"
@@ -50,70 +48,39 @@ func assemble(c *compiled, rows *rowsBuf) (*Result, error) {
 		direct = false
 	}
 
-	reprRows := make([]int, 0, n)
-	var aggVals []float64
-	nAggs := len(root.aggs)
-
-	if direct {
+	if !direct {
+		// Hash-merge stage: group rows by their item tokens — key codes,
+		// and GroupMeta tokens loaded from the token columns — in order of
+		// first appearance.
+		h := &hashAcc{nG: len(c.groups), nA: len(root.aggs), kinds: root.aggKinds,
+			slots: make([]int32, minAccSlots), mask: minAccSlots - 1}
+		toks := make([]uint64, len(c.groups))
 		for r := 0; r < n; r++ {
-			reprRows = append(reprRows, r)
-		}
-		aggVals = rows.aggs
-	} else {
-		// Hash-merge stage: group rows by decoded group-value tokens.
-		tokens := make([]func(r int) (uint64, error), len(c.groups))
-		for gi := range c.groups {
-			g := &c.groups[gi]
-			switch g.item.Kind {
-			case planner.GroupVertex, planner.GroupPseudo:
-				pos := g.pos
-				tokens[gi] = func(r int) (uint64, error) {
-					return uint64(rows.keys[r*rows.kWidth+pos]), nil
+			key := rows.keys[r*rows.kWidth : (r+1)*rows.kWidth]
+			for gi := range c.groups {
+				g := &c.groups[gi]
+				code := key[g.pos]
+				if g.item.Kind != planner.GroupMeta {
+					toks[gi] = uint64(code)
+					continue
 				}
-			case planner.GroupMeta:
-				pos := g.pos
-				g := g
-				meta := bindMeta(g.metaNum)
-				tokens[gi] = func(r int) (uint64, error) {
-					code := rows.keys[r*rows.kWidth+pos]
-					row := g.metaRows[code]
-					if row < 0 {
-						return 0, fmt.Errorf("exec: no metadata row for %s code %d", g.item.Vertex, code)
-					}
-					if g.metaCodes != nil {
-						return uint64(g.metaCodes[row]), nil
-					}
-					return dict.CanonFloatBits(meta.at(row)), nil
+				tok, ok := metaTok(g.toks, code)
+				if !ok {
+					return nil, fmt.Errorf("exec: no metadata row for %s code %d", g.item.Vertex, code)
 				}
+				toks[gi] = tok
 			}
+			h.add(toks, rows.aggs[r*h.nA:(r+1)*h.nA])
 		}
-		idx := map[string]int{}
-		keyBuf := make([]byte, 8*len(c.groups))
-		for r := 0; r < n; r++ {
-			for gi := range tokens {
-				tok, err := tokens[gi](r)
-				if err != nil {
-					return nil, err
-				}
-				binary.LittleEndian.PutUint64(keyBuf[gi*8:], tok)
-			}
-			k := string(keyBuf)
-			gi, ok := idx[k]
-			if !ok {
-				gi = len(reprRows)
-				idx[k] = gi
-				reprRows = append(reprRows, r)
-				base := len(aggVals)
-				aggVals = append(aggVals, rows.aggs[r*nAggs:(r+1)*nAggs]...)
-				_ = base
-				continue
-			}
-			for ai := 0; ai < nAggs; ai++ {
-				aggVals[gi*nAggs+ai] = combine1(root.aggs[ai].kind,
-					aggVals[gi*nAggs+ai], rows.aggs[r*nAggs+ai])
-			}
-		}
+		return finishHash(c, h)
 	}
+
+	reprRows := make([]int, n)
+	for r := range reprRows {
+		reprRows[r] = r
+	}
+	aggVals := rows.aggs
+	nAggs := len(root.aggs)
 
 	// HAVING: filter final groups on their aggregate values.
 	if c.p.Having != nil {
@@ -135,9 +102,8 @@ func assemble(c *compiled, rows *rowsBuf) (*Result, error) {
 		col := &Column{Name: o.Name}
 		switch o.Kind {
 		case planner.OutGroup:
-			if err := decodeGroupColumn(c, &c.groups[o.Index], rows, reprRows, col); err != nil {
-				return nil, err
-			}
+			g := &c.groups[o.Index]
+			decodeGroupColumn(g, col, rows.keys, rows.kWidth, g.pos, reprRows)
 		case planner.OutAgg:
 			col.Kind = KindFloat
 			col.F64 = make([]float64, nOut)
@@ -211,57 +177,74 @@ func evalAggExpr(e *planner.EmitNode, aggs []float64) float64 {
 	return 0
 }
 
-// decodeGroupColumn materializes one GROUP BY output column.
-func decodeGroupColumn(c *compiled, g *groupDecoder, rows *rowsBuf, repr []int, col *Column) error {
-	nOut := len(repr)
+// decodeGroupColumn materializes one GROUP BY output column from each
+// output row's token: a key or pseudo-vertex code, or a GroupMeta token
+// (a string item's annotation code, else a value's float bits). Row i's
+// token is src[r*stride+off], where r is rows[i], or i when rows is nil.
+// Each kind decodes in a loop of its own: large outputs (SMM) decode
+// millions of cells.
+func decodeGroupColumn[T uint32 | uint64](g *groupDecoder, col *Column, src []T, stride, off int, rows []int) {
+	n := len(rows)
+	if rows == nil {
+		n = len(src) / stride
+	}
+	tok := func(i int) T {
+		if rows != nil {
+			i = rows[i]
+		}
+		return src[i*stride+off]
+	}
 	col.Kind = g.outKind
 	switch g.outKind {
 	case KindInt:
-		col.I64 = make([]int64, nOut)
+		col.I64 = make([]int64, n)
 	case KindFloat:
-		col.F64 = make([]float64, nOut)
+		col.F64 = make([]float64, n)
 	case KindString:
-		col.Str = make([]string, nOut)
+		col.Str = make([]string, n)
 	}
-	meta := bindMeta(g.metaNum)
-	for i, r := range repr {
-		code := rows.keys[r*rows.kWidth+g.pos]
-		switch g.item.Kind {
-		case planner.GroupVertex:
-			if g.outKind == KindString {
-				col.Str[i] = g.domain.DecodeString(code)
-			} else {
-				col.I64[i] = g.domain.DecodeInt(code)
-			}
-		case planner.GroupPseudo:
-			switch {
-			case g.pseudo.strDict != nil:
-				col.Str[i] = g.pseudo.strDict.DecodeString(code)
-			case g.outKind == KindInt:
-				col.I64[i] = int64(g.pseudo.numVals[code])
-			case g.pseudo.isDate:
-				col.Str[i] = sqlparse.DaysToDate(int32(g.pseudo.numVals[code]))
-			default:
-				col.F64[i] = g.pseudo.numVals[code]
-			}
-		case planner.GroupMeta:
-			row := g.metaRows[code]
-			if row < 0 {
-				return fmt.Errorf("exec: no metadata row for %s code %d", g.item.Vertex, code)
-			}
-			switch {
-			case g.metaCodes != nil:
-				col.Str[i] = g.metaDict.DecodeString(g.metaCodes[row])
-			case g.metaDate:
-				col.Str[i] = sqlparse.DaysToDate(int32(meta.at(row)))
-			case g.outKind == KindInt:
-				col.I64[i] = int64(meta.at(row))
-			default:
-				col.F64[i] = meta.at(row)
-			}
+	switch {
+	case g.item.Kind == planner.GroupVertex && g.outKind == KindString:
+		for i := range col.Str {
+			col.Str[i] = g.domain.DecodeString(uint32(tok(i)))
+		}
+	case g.item.Kind == planner.GroupVertex:
+		for i := range col.I64 {
+			col.I64[i] = g.domain.DecodeInt(uint32(tok(i)))
+		}
+	case g.item.Kind == planner.GroupPseudo && g.pseudo.strDict != nil:
+		for i := range col.Str {
+			col.Str[i] = g.pseudo.strDict.DecodeString(uint32(tok(i)))
+		}
+	case g.item.Kind == planner.GroupPseudo && g.outKind == KindInt:
+		for i := range col.I64 {
+			col.I64[i] = int64(g.pseudo.numVals[tok(i)])
+		}
+	case g.item.Kind == planner.GroupPseudo && g.pseudo.isDate:
+		for i := range col.Str {
+			col.Str[i] = sqlparse.DaysToDate(int32(g.pseudo.numVals[tok(i)]))
+		}
+	case g.item.Kind == planner.GroupPseudo:
+		for i := range col.F64 {
+			col.F64[i] = g.pseudo.numVals[tok(i)]
+		}
+	case g.metaDict != nil:
+		for i := range col.Str {
+			col.Str[i] = g.metaDict.DecodeString(uint32(tok(i)))
+		}
+	case g.metaDate:
+		for i := range col.Str {
+			col.Str[i] = sqlparse.DaysToDate(int32(math.Float64frombits(uint64(tok(i)))))
+		}
+	case g.outKind == KindInt:
+		for i := range col.I64 {
+			col.I64[i] = int64(math.Float64frombits(uint64(tok(i))))
+		}
+	default:
+		for i := range col.F64 {
+			col.F64[i] = math.Float64frombits(uint64(tok(i)))
 		}
 	}
-	return nil
 }
 
 // assembleHash materializes a hash-emit result: group values decode
@@ -274,6 +257,12 @@ func assembleHash(c *compiled, h *hashAcc) (*Result, error) {
 			return nil, err
 		}
 	}
+	return finishHash(c, h)
+}
+
+// finishHash applies HAVING to a table of final groups and decodes it
+// into the Result, one token per group item and group.
+func finishHash(c *compiled, h *hashAcc) (*Result, error) {
 	nAggs := h.nA
 	if c.p.Having != nil {
 		kept := &hashAcc{nG: h.nG, nA: h.nA}
@@ -292,30 +281,7 @@ func assembleHash(c *compiled, h *hashAcc) (*Result, error) {
 		col := &Column{Name: o.Name}
 		switch o.Kind {
 		case planner.OutGroup:
-			g := &c.groups[o.Index]
-			gi := hashGroupIndex(c, o.Index)
-			col.Kind = g.outKind
-			switch g.outKind {
-			case KindInt:
-				col.I64 = make([]int64, nOut)
-			case KindFloat:
-				col.F64 = make([]float64, nOut)
-			case KindString:
-				col.Str = make([]string, nOut)
-			}
-			for r := 0; r < nOut; r++ {
-				tok := h.tokens[r*h.nG+gi]
-				switch {
-				case g.metaCodes != nil:
-					col.Str[r] = g.metaDict.DecodeString(uint32(tok))
-				case g.metaDate:
-					col.Str[r] = sqlparse.DaysToDate(int32(math.Float64frombits(tok)))
-				case g.outKind == KindInt:
-					col.I64[r] = int64(math.Float64frombits(tok))
-				default:
-					col.F64[r] = math.Float64frombits(tok)
-				}
-			}
+			decodeGroupColumn(&c.groups[o.Index], col, h.tokens, h.nG, o.Index, nil)
 		case planner.OutAgg:
 			col.Kind = KindFloat
 			col.F64 = make([]float64, nOut)
@@ -333,8 +299,3 @@ func assembleHash(c *compiled, h *hashAcc) (*Result, error) {
 	}
 	return res, nil
 }
-
-// hashGroupIndex maps a plan group index to its token slot (group items
-// are registered in plan order, so the indices coincide; kept explicit
-// for clarity).
-func hashGroupIndex(c *compiled, planGroup int) int { return planGroup }

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"repro/internal/costopt"
-	"repro/internal/dict"
 	"repro/internal/faultinject"
 	"repro/internal/governor"
 	"repro/internal/obs"
@@ -670,7 +669,6 @@ type worker struct {
 	curVals []uint32 // per-level bound values (hash-emit mode)
 	hacc    *hashAcc
 	toks    []uint64
-	metas   []metaLookup // per hash group: this worker's numeric lookup
 	// leafKeys and leafVals are the compiled leaf's block scratch: the
 	// surviving values and, per aggregate, their tuple values.
 	leafKeys []uint32
@@ -806,10 +804,6 @@ func newWorker(n *cNode, ctx context.Context, mem *governor.Accountant) *worker 
 		w.curVals = resizeU32(w.curVals, n.nLevels)
 		w.hacc = configureHashAcc(w.hacc, n)
 		w.toks = resizeU64(w.toks, len(n.hgroups))
-		w.metas = w.metas[:0]
-		for _, hg := range n.hgroups {
-			w.metas = append(w.metas, bindMeta(hg.metaNum))
-		}
 	} else {
 		w.curVals = nil
 	}
@@ -824,7 +818,6 @@ func (w *worker) release() {
 	w.n = nil
 	w.ctx = nil
 	w.mem = nil
-	clear(w.metas) // bound kernels reference the query's columns
 	for _, lb := range w.bufs {
 		if lb == nil {
 			continue
@@ -1126,24 +1119,15 @@ func (w *worker) addTuple(lastVal uint32) {
 		vals[ai] = w.evalAgg(&n.aggs[ai])
 	}
 	if n.hashEmit {
-		ok := true
 		for gi := range n.hgroups {
 			hg := &n.hgroups[gi]
-			code := w.curVals[hg.level]
-			row := hg.metaRows[code]
-			if row < 0 {
-				ok = false
-				break
+			tok, ok := metaTok(hg.toks, w.curVals[hg.level])
+			if !ok {
+				return
 			}
-			if hg.metaCodes != nil {
-				w.toks[gi] = uint64(hg.metaCodes[row])
-			} else {
-				w.toks[gi] = dict.CanonFloatBits(w.metas[gi].at(row))
-			}
+			w.toks[gi] = tok
 		}
-		if ok {
-			w.hacc.add(w.toks, vals)
-		}
+		w.hacc.add(w.toks, vals)
 		return
 	}
 	if n.relaxed {

@@ -4,9 +4,9 @@
 // kernels over blocks of up to BlockSize row ids. It is the engine's one
 // scalar evaluator. Scans, filtered trie builds and the approximate tier
 // use it for row selection and per-row annotation values (paper §IV-A
-// rule 3, e.g. l_extendedprice * (1 - l_discount)); the metadata lookups
-// of GROUP BY items resolved through a primary key call a value kernel
-// over a one-row selection.
+// rule 3, e.g. l_extendedprice * (1 - l_discount)); the token columns
+// of GROUP BY items resolved through a primary key are one value-kernel
+// pass over the key's table.
 //
 // Every kernel performs, per row, one float64 operation per operator in
 // the expression's own association, and literal subexpressions fold to

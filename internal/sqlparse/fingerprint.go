@@ -106,6 +106,15 @@ func isLiteral(e Expr) bool {
 	return false
 }
 
+// HasLiteral reports whether e holds a literal: anything Fingerprint
+// renders as "?" (a number, string, date or interval, an IN-list member
+// or a LIKE pattern).
+func HasLiteral(e Expr) bool {
+	var b strings.Builder
+	normExpr(&b, e)
+	return strings.IndexByte(b.String(), '?') >= 0
+}
+
 func normExpr(b *strings.Builder, e Expr) {
 	if isLiteral(e) {
 		b.WriteByte('?')

@@ -158,3 +158,28 @@ func TestFingerprintStability(t *testing.T) {
 		t.Errorf("fingerprint of %q = %016x, want FNV-1a %016x", text, id, want)
 	}
 }
+
+// TestHasLiteral: an expression holds a literal exactly when its
+// fingerprint rendering has a placeholder.
+func TestHasLiteral(t *testing.T) {
+	for src, want := range map[string]bool{
+		"extract(year from o_orderdate)":                false,
+		"o.o_orderdate":                                 false,
+		"(1 - w) * (1 + w)":                             true,
+		"CASE WHEN w > 2 THEN w ELSE 0 END":             true,
+		"CASE WHEN n_name = 'BRAZIL' THEN 1 ELSE v END": true,
+		"a IN (b, c)":                                   false,
+		"a IN (1)":                                      true,
+		"p_name LIKE '%green%'":                         true,
+		"d + interval '1' year":                         true,
+		"-x":                                            false,
+	} {
+		q, err := Parse("SELECT " + src + " AS v FROM t")
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got := HasLiteral(q.Select[0].Expr); got != want {
+			t.Errorf("HasLiteral(%s) = %v, want %v", src, got, want)
+		}
+	}
+}
